@@ -50,11 +50,7 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Spectrum,
-    frobenius_distance,
-    hermitian_eigen,
     kron,
-    matrix_function,
     partial_trace,
 )
 from .sweep import (

@@ -20,9 +20,7 @@ from .device import (
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
-    build_hamiltonian,
-    effective_params,
-    gibbs_state,
+    thermal_state,
 )
 from .errors import (
     BracketError,
@@ -126,7 +124,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _load_config(path: Path) -> dict:
+def _load_config(path: Path | None) -> dict:
+    """Read and check the JSON config once; no path gives an empty config."""
+    if path is None:
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -150,12 +151,19 @@ def _section(cfg: dict, name: str, allowed: dict) -> dict:
     return dict(section)
 
 
-def _merge_params(args) -> RunConfig:
-    """Combine config file and flags into exactly one parameter set."""
-    cfg = _load_config(args.config) if args.config else {}
+def _thermal(args, cfg: dict) -> ThermalSpec:
+    """Temperature from the config, overridden by --temperature-k, then --temp."""
+    temperature = _section(cfg, "thermal", {"temperature_k": None}).get("temperature_k", 0.0)
+    for flag in (args.temperature_k, args.temp):
+        if flag is not None:
+            temperature = flag
+    return ThermalSpec(float(temperature))
+
+
+def _merge_params(args, cfg: dict) -> RunConfig:
+    """Combine the loaded config and flags into exactly one parameter set."""
     device_map = _section(cfg, "device", DEVICE_KEYS)
     effective_map = _section(cfg, "effective", EFFECTIVE_KEYS)
-    thermal_map = _section(cfg, "thermal", {"temperature_k": None})
 
     for key in DEVICE_KEYS:
         value = getattr(args, key, None)
@@ -172,12 +180,7 @@ def _merge_params(args) -> RunConfig:
     if getattr(args, "j", None) is not None:
         effective_map["j12_k"] = args.j
 
-    temperature = thermal_map.get("temperature_k", 0.0)
-    if getattr(args, "temperature_k", None) is not None:
-        temperature = args.temperature_k
-    if getattr(args, "temp", None) is not None:
-        temperature = args.temp
-    thermal = ThermalSpec(float(temperature))
+    thermal = _thermal(args, cfg)
 
     if args.dimensionless and device_map:
         raise ConfigError("--dimensionless conflicts with device parameters")
@@ -257,14 +260,8 @@ def _write_plot_script(csv_path: Path, text: str) -> None:
 
 
 def _cmd_report(args) -> int:
-    config = _merge_params(args)
-    eff = (
-        config.effective
-        if config.effective is not None
-        else effective_params(config.device)
-    )
-    rho = gibbs_state(build_hamiltonian(eff), config.thermal)
-    report = quantum_discord(rho)
+    config = _merge_params(args, _load_config(args.config))
+    report = quantum_discord(thermal_state(config.params, config.thermal.temperature))
     row = [
         _fmt(report.mutual_information),
         _fmt(report.classical_correlation),
@@ -328,16 +325,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    cfg = _load_config(args.config)
     if args.kind == "esd":
         point = esd_temperature(
-            _merge_params(args).params, t_max=args.t_max, tol=args.tol
+            _merge_params(args, cfg).params, t_max=args.t_max, tol=args.tol
         )
     else:
-        temperature = 0.0
-        if getattr(args, "temperature_k", None) is not None:
-            temperature = args.temperature_k
-        if getattr(args, "temp", None) is not None:
-            temperature = args.temp
+        temperature = _thermal(args, cfg).temperature
         point = optimal_ratio(temperature, tuple(args.bracket), tol=args.tol)
     row = [
         point.kind,
@@ -353,8 +347,8 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _merge_params(args)
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config)
+    config = _merge_params(args, cfg)
     measures = args.measures or cfg.get("measures") or ["discord"]
     spec = SweepSpec(
         args.variable,

@@ -79,6 +79,8 @@ class CorrelationReport:
 
 
 def _require_state(rho, dim: int | None = None) -> np.ndarray:
+    """The one validation boundary: each public measure checks its input here
+    once and hands it to unchecked private kernels."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise DimensionError(f"state must be 2x2 or 4x4, got shape {rho.shape}")
@@ -107,36 +109,35 @@ def binary_entropy(tau: float) -> float:
     return -(tau * math.log(tau) + (1.0 - tau) * math.log(1.0 - tau)) / _LN2
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-        raise DimensionError(f"state must be 2x2 or 4x4, got shape {rho.shape}")
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    if float(np.linalg.norm(rho - rho.conj().T)) > qmath.HERMITICITY_RTOL * scale:
-        raise NotAStateError("state is not Hermitian")
+def _entropy(rho: np.ndarray) -> float:
+    """Unchecked kernel of :func:`von_neumann_entropy`."""
     w = np.linalg.eigvalsh(rho)
-    if w[0] < qmath.EIGENVALUE_CLAMP:
-        raise NotAStateError(f"state has negative eigenvalue {w[0]:.3e}")
     w = w[w > 0.0]
     return max(0.0, float(-(w * np.log2(w)).sum()))
 
 
-def mutual_information(rho) -> float:
-    """I(rho) = S(rho_a) + S(rho_b) - S(rho), in bits."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionError(f"mutual information needs a 4x4 state, got {rho.shape}")
+def von_neumann_entropy(rho) -> float:
+    """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
+    return _entropy(_require_state(rho))
+
+
+def _mutual_information(rho: np.ndarray) -> float:
+    """Unchecked kernel of :func:`mutual_information`."""
     mi = (
-        von_neumann_entropy(qmath.partial_trace(rho, "first"))
-        + von_neumann_entropy(qmath.partial_trace(rho, "second"))
-        - von_neumann_entropy(rho)
+        _entropy(qmath.partial_trace(rho, "first"))
+        + _entropy(qmath.partial_trace(rho, "second"))
+        - _entropy(rho)
     )
     if mi < 0.0:
         if mi < -1e-10:
             raise DomainError(f"mutual information came out negative: {mi}")
         mi = 0.0
     return mi
+
+
+def mutual_information(rho) -> float:
+    """I(rho) = S(rho_a) + S(rho_b) - S(rho), in bits."""
+    return _mutual_information(_require_state(rho, 4))
 
 
 def measurement_projector(theta: float, phi: float) -> np.ndarray:
@@ -166,7 +167,7 @@ def conditional_entropy(rho, m: Measurement) -> float:
         prob = float(np.trace(post).real)
         if prob <= PROBABILITY_FLOOR:
             continue
-        total += prob * von_neumann_entropy(qmath.partial_trace(post, keep) / prob)
+        total += prob * _entropy(qmath.partial_trace(post, keep) / prob)
     return total
 
 
@@ -429,10 +430,10 @@ def quantum_discord(rho, side: str = "first") -> CorrelationReport:
     """
     rho = _require_state(rho, 4)
     _require_side(side)
-    mi = mutual_information(rho)
+    mi = _mutual_information(rho)
     cc, m, evaluations = _maximize_classical(rho, side)
     discord, cc = _clamp_classical(mi, cc)
-    c = concurrence(rho)
+    c = _concurrence(rho, "auto")
     return CorrelationReport(
         mutual_information=mi,
         classical_correlation=cc,
@@ -457,9 +458,9 @@ def discord_grid_oracle(
     _require_side(side)
     if n_theta < 2 or n_phi < 2:
         raise InvalidParameterError("grid needs at least 2 points per angle")
-    mi = mutual_information(rho)
+    mi = _mutual_information(rho)
     blocks = _measured_blocks(rho, side)
-    s_unmeasured = von_neumann_entropy(
+    s_unmeasured = _entropy(
         qmath.partial_trace(rho, "second" if side == "first" else "first")
     )
 
@@ -491,7 +492,11 @@ def concurrence(rho, method: str = "auto") -> float:
     the general path takes the descending square-rooted spectrum of the
     Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
     """
-    rho = _require_state(rho, 4)
+    return _concurrence(_require_state(rho, 4), method)
+
+
+def _concurrence(rho: np.ndarray, method: str) -> float:
+    """Unchecked kernel of :func:`concurrence`."""
     if method not in ("auto", "xstate", "general"):
         raise InvalidParameterError(f"unknown concurrence method {method!r}")
     if method in ("auto", "xstate"):

@@ -196,14 +196,21 @@ def effective_params(p: DeviceParams) -> EffectiveParams:
 
 
 def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
-    """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin)."""
-    sx, sz, i2 = qmath.SIGMA_X, qmath.SIGMA_Z, qmath.IDENTITY_2
-    return (
-        eff.eps1 * qmath.kron(sz, i2)
-        + eff.eps2 * qmath.kron(i2, sz)
-        - eff.ej1 * qmath.kron(sx, i2)
-        - eff.ej2 * qmath.kron(i2, sx)
-        + eff.j12 * qmath.kron(sx, sx)
+    """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin).
+
+    Filled entry by entry: the sz terms sit on the diagonal, sx(2) links
+    states that differ in the second qubit, sx(1) states that differ in the
+    first, and sx(1)sx(2) the anti-diagonal.
+    """
+    e1, e2, x1, x2, j = eff.eps1, eff.eps2, -eff.ej1, -eff.ej2, eff.j12
+    return np.array(
+        [
+            [e1 + e2, x2, x1, j],
+            [x2, e1 - e2, j, x1],
+            [x1, j, -e1 + e2, x2],
+            [j, x1, x2, -e1 - e2],
+        ],
+        dtype=complex,
     )
 
 

@@ -7,11 +7,9 @@ by the rest of the package are supported.  The two-qubit basis order is
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 import numpy as np
 
-from .errors import DimensionError, DomainError, NotHermitianError
+from .errors import DimensionError, NotHermitianError
 
 HERMITICITY_RTOL = 1e-10
 # Eigenvalues of nominally PSD matrices this far below zero are round-off.
@@ -23,17 +21,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _m in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.setflags(write=False)
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -63,13 +50,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_eigen(a) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return Spectrum(w, v)
-
-
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Trace out one qubit of a two-qubit operator.
 
@@ -84,46 +64,3 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     if keep == "second":
         return np.einsum("abad->bd", r4)
     raise DimensionError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def matrix_function(a, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
-
-    Eigenvalues in [EIGENVALUE_CLAMP, 0) are clamped to 0 before ``f`` is
-    evaluated, so PSD round-off does not break sqrt/log.
-    """
-    w, v = hermitian_eigen(a)
-    w = np.where((w >= EIGENVALUE_CLAMP) & (w < 0.0), 0.0, w)
-    fw = np.empty_like(w)
-    with np.errstate(all="ignore"):
-        for i, lam in enumerate(w):
-            try:
-                fw[i] = float(f(lam))
-            except ValueError as exc:
-                raise DomainError(f"function undefined at eigenvalue {lam}") from exc
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("function returned a non-finite value at an eigenvalue")
-    return (v * fw) @ v.conj().T
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the difference ``a - b``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def clamped_eigenvalues(rho, context: str = "matrix") -> np.ndarray:
-    """Eigenvalues of a nominally PSD Hermitian matrix, clamped at zero.
-
-    Raises DomainError if any eigenvalue is more negative than the round-off
-    clamp allows.
-    """
-    w = np.linalg.eigvalsh(require_hermitian(rho, context))
-    if w[0] < EIGENVALUE_CLAMP:
-        raise DomainError(
-            f"{context} has negative eigenvalue {w[0]:.3e} beyond round-off"
-        )
-    return np.clip(w, 0.0, None)

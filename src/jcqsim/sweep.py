@@ -25,6 +25,7 @@ from .device import (
     build_hamiltonian,
     effective_params,
     gibbs_state,
+    thermal_state,
 )
 from .errors import BracketError, SpecValidationError
 
@@ -154,9 +155,7 @@ def _measures_for_state(rho: np.ndarray, measures: tuple[str, ...]) -> dict[str,
 
 
 def _evaluate_point(params, thermal: ThermalSpec, measures) -> dict[str, float]:
-    eff = params if isinstance(params, EffectiveParams) else effective_params(params)
-    rho = gibbs_state(build_hamiltonian(eff), thermal)
-    return _measures_for_state(rho, measures)
+    return _measures_for_state(thermal_state(params, thermal.temperature), measures)
 
 
 def _map_ordered(fn, items, threads: int):

@@ -265,6 +265,34 @@ class TestCritical:
         assert row["boundary"] == "1"
         assert float(row["location"]) == pytest.approx(50.0, abs=1e-3)
 
+    def test_ratio_reads_temperature_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thermal": {"temperature_k": 0.5}}))
+        code, from_config, _ = run_cli(
+            capsys, "critical", "ratio", "--config", str(cfg), "--tol", "1e-3"
+        )
+        assert code == 0
+        _, from_flag, _ = run_cli(
+            capsys, "critical", "ratio", "--temp", "0.5", "--tol", "1e-3"
+        )
+        assert from_config == from_flag
+        header, rows = parse_csv(from_config)
+        row = dict(zip(header, rows[0]))
+        assert row["boundary"] == "0"
+        assert float(row["location"]) == pytest.approx(1.911, abs=1e-2)
+
+    def test_ratio_unknown_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bogus": 1}))
+        code, _, err = run_cli(capsys, "critical", "ratio", "--config", str(cfg))
+        assert code == 2
+        assert "bogus" in err
+
+    def test_ratio_missing_config_exits_4(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, _, _ = run_cli(capsys, "critical", "ratio", "--config", str(missing))
+        assert code == 4
+
     def test_esd_with_device_parameters(self, capsys):
         code, out, _ = run_cli(
             capsys, "critical", "esd", "--v-x", "7.5e-6", "--t-max", "1",

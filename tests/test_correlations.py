@@ -75,6 +75,15 @@ class TestVonNeumannEntropy:
         with pytest.raises(NotAStateError):
             von_neumann_entropy(rho)
 
+    def test_roundoff_negative_eigenvalue_is_clamped(self):
+        rho = np.diag([-5e-13, 1.0 + 5e-13]).astype(complex)
+        assert von_neumann_entropy(rho) == 0.0
+
+    def test_rejects_unnormalized_input(self):
+        with pytest.raises(NotAStateError):
+            von_neumann_entropy(np.eye(2))
+        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestMutualInformation:
     def test_product_state(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,7 +22,13 @@ from jcqsim.device import (
     intrabit_coupling,
     thermal_state,
 )
-from jcqsim.errors import InvalidParameterError, UnsupportedRegimeError
+from jcqsim.errors import (
+    InvalidParameterError,
+    NotHermitianError,
+    UnsupportedRegimeError,
+)
+
+from helpers import random_hermitian
 
 
 class TestConstants:
@@ -149,6 +155,23 @@ class TestBuildHamiltonian:
         assert abs(np.trace(h)) <= 1e-14
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
+    @given(
+        eps1=st.floats(-5.0, 5.0), eps2=st.floats(-5.0, 5.0),
+        ej1=st.floats(-5.0, 5.0), ej2=st.floats(-5.0, 5.0),
+        j12=st.floats(-5.0, 5.0),
+    )
+    def test_matches_pauli_kron_sum(self, eps1, eps2, ej1, ej2, j12):
+        # distinct per-qubit terms, so swapping the qubits' roles shows up
+        assume(abs(eps1 - eps2) > 1e-3 and abs(ej1 - ej2) > 1e-3)
+        sx, sz, i2 = qmath.SIGMA_X, qmath.SIGMA_Z, qmath.IDENTITY_2
+        expected = (
+            eps1 * np.kron(sz, i2) + eps2 * np.kron(i2, sz)
+            - ej1 * np.kron(sx, i2) - ej2 * np.kron(i2, sx)
+            + j12 * np.kron(sx, sx)
+        )
+        h = build_hamiltonian(EffectiveParams(eps1, eps2, ej1, ej2, j12))
+        assert np.abs(h - expected).max() <= 1e-15
+
     @pytest.mark.parametrize("eps,j", [(1.0, 2.0), (0.5, -3.0), (2.0, 0.3)])
     def test_symmetric_spectrum(self, eps, j):
         h = build_hamiltonian(EffectiveParams.symmetric(eps, j))
@@ -191,6 +214,41 @@ class TestGibbsState:
             assert np.linalg.eigvalsh(rho).min() >= -1e-13
             comm = rho @ h - h @ rho
             assert np.linalg.norm(comm) <= 1e-10 * max(1.0, np.linalg.norm(h))
+
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_zero_hamiltonian_is_maximally_mixed(self, t):
+        rho = gibbs_state(np.zeros((4, 4), dtype=complex), ThermalSpec(t))
+        assert_allclose(rho, np.eye(4) / 4, atol=1e-15)
+
+    def test_diagonal_hamiltonian_gives_boltzmann_weights(self):
+        energies = np.array([-2.0, 0.0, 0.0, 2.0])
+        rho = gibbs_state(np.diag(energies).astype(complex), ThermalSpec(0.5))
+        weights = np.exp(-energies / 0.5)
+        assert_allclose(rho, np.diag(weights / weights.sum()), atol=1e-15)
+
+    def test_eigenvectors_carry_boltzmann_factors(self):
+        rng = np.random.default_rng(2)
+        h = random_hermitian(rng)
+        beta = 0.7
+        rho = gibbs_state(h, ThermalSpec(1.0 / beta))
+        w, v = np.linalg.eigh(h)
+        z = np.exp(-beta * w).sum()
+        for k in range(4):
+            assert_allclose(
+                rho @ v[:, k], np.exp(-beta * w[k]) / z * v[:, k], atol=1e-12
+            )
+
+    def test_deterministic(self):
+        h = random_hermitian(np.random.default_rng(11))
+        first = gibbs_state(h, ThermalSpec(0.8))
+        second = gibbs_state(h, ThermalSpec(0.8))
+        assert np.array_equal(first, second)
+
+    def test_rejects_non_hermitian_hamiltonian(self):
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 1] = 1.0
+        with pytest.raises(NotHermitianError):
+            gibbs_state(h, ThermalSpec(1.0))
 
     def test_matches_closed_form_at_reference_point(self):
         eff = EffectiveParams.symmetric(1.0, 2.0)

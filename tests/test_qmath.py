@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jcqsim import qmath
-from jcqsim.errors import DimensionError, DomainError, NotHermitianError
+from jcqsim.device import ThermalSpec, gibbs_state
+from jcqsim.errors import DimensionError, NotHermitianError
 
 from helpers import partial_trace_bruteforce, random_hermitian, bell_phi_plus
 
@@ -53,34 +54,30 @@ class TestKron:
         assert np.abs(left - right).max() <= 1e-13
 
 
-class TestHermitianEigen:
-    def test_diagonal_input(self):
-        spec = qmath.hermitian_eigen(np.diag([-2.0, 0.0, 0.0, 2.0]).astype(complex))
-        assert_allclose(spec.eigenvalues, [-2, 0, 0, 2])
-
-    def test_pauli_x_spectrum(self):
-        spec = qmath.hermitian_eigen(qmath.SIGMA_X)
-        assert_allclose(spec.eigenvalues, [-1, 1])
+class TestRequireHermitian:
+    def test_returns_hermitian_input_as_complex(self):
+        out = qmath.require_hermitian(np.array([[0, 1], [1, 0]]))
+        assert out.dtype == complex
+        assert np.array_equal(out, qmath.SIGMA_X)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            qmath.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+            qmath.require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_deterministic(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian(rng)
-        first = qmath.hermitian_eigen(h)
-        second = qmath.hermitian_eigen(h)
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,), (8, 8)])
+    def test_rejects_unsupported_shapes(self, shape):
+        with pytest.raises(DimensionError):
+            qmath.require_hermitian(np.zeros(shape, dtype=complex))
+
+    def test_tolerance_scales_with_norm(self):
+        skew = np.array([[0, 1e-5], [0, 0]], dtype=complex)
+        qmath.require_hermitian(1e6 * qmath.SIGMA_X + skew)
+        with pytest.raises(NotHermitianError):
+            qmath.require_hermitian(qmath.SIGMA_X + skew)
 
     @given(h=hermitian_matrices())
-    def test_reconstruction_and_unitarity(self, h):
-        w, v = qmath.hermitian_eigen(h)
-        scale = max(1.0, np.linalg.norm(h))
-        assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-12 * scale
-        assert np.abs(v.conj().T @ v - np.eye(h.shape[0])).max() <= 1e-12
-        assert np.all(np.diff(w) >= 0)
+    def test_accepts_every_hermitian_matrix(self, h):
+        assert np.array_equal(qmath.require_hermitian(h), h)
 
 
 class TestPartialTrace:
@@ -116,65 +113,12 @@ class TestPartialTrace:
             assert abs(np.trace(reduced) - np.trace(h)) <= 1e-12
 
 
-class TestMatrixFunction:
-    def test_exp_of_zero(self):
-        assert_allclose(
-            qmath.matrix_function(np.zeros((2, 2), dtype=complex), np.exp), np.eye(2)
-        )
-
-    def test_sqrt_of_diagonal(self):
-        out = qmath.matrix_function(np.diag([1.0, 4.0]).astype(complex), np.sqrt)
-        assert_allclose(out, np.diag([1.0, 2.0]), atol=1e-14)
-
-    def test_exp_acts_on_eigenvectors(self):
-        rng = np.random.default_rng(2)
-        h = random_hermitian(rng)
-        beta = 0.7
-        expm = qmath.matrix_function(h, lambda x: np.exp(-beta * x))
-        w, v = np.linalg.eigh(h)
-        for k in range(4):
-            assert_allclose(
-                expm @ v[:, k], np.exp(-beta * w[k]) * v[:, k], atol=1e-10
-            )
-
-    def test_sqrt_of_negative_raises(self):
-        with pytest.raises(DomainError):
-            qmath.matrix_function(np.diag([-1.0, 1.0]).astype(complex), np.sqrt)
-
-    def test_roundoff_negative_is_clamped(self):
-        out = qmath.matrix_function(np.diag([-5e-13, 1.0]).astype(complex), np.sqrt)
-        assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-9)
-
-    @given(h=hermitian_matrices())
-    @settings(max_examples=50)
-    def test_identity_function_is_identity(self, h):
-        assert np.abs(qmath.matrix_function(h, lambda x: x) - h).max() <= 1e-12
-
-
-class TestFrobeniusDistance:
-    def test_equal_inputs(self):
-        assert qmath.frobenius_distance(np.eye(2), np.eye(2)) == 0.0
-
-    def test_identity_vs_zero(self):
-        assert_allclose(
-            qmath.frobenius_distance(np.eye(2), np.zeros((2, 2))), np.sqrt(2)
-        )
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(DimensionError):
-            qmath.frobenius_distance(np.eye(2), np.eye(4))
-
-    @given(a=hermitian_matrices(dim=2), b=hermitian_matrices(dim=2))
-    def test_matches_entrywise_sum(self, a, b):
-        expected = np.sqrt((np.abs(a - b) ** 2).sum())
-        assert abs(qmath.frobenius_distance(a, b) - expected) <= 1e-12
-
-
 def test_degenerate_eigenspace_downstream_quantities_are_basis_independent():
     # sx x sx has doubly degenerate eigenvalues -1 and 1; any eigenbasis of
-    # the eigenspaces must give the same spectral function of the matrix.
+    # the eigenspaces must give the same Gibbs state,
+    # exp(-beta H) / Z = (cosh(beta) I - sinh(beta) H) / (4 cosh(beta)).
     h = qmath.kron(qmath.SIGMA_X, qmath.SIGMA_X)
     beta = 0.9
-    expm = qmath.matrix_function(h, lambda x: np.exp(-beta * x))
-    expected = np.cosh(beta) * np.eye(4) - np.sinh(beta) * h
-    assert_allclose(expm, expected, atol=1e-12)
+    rho = gibbs_state(h, ThermalSpec(1.0 / beta))
+    expected = (np.cosh(beta) * np.eye(4) - np.sinh(beta) * h) / (4.0 * np.cosh(beta))
+    assert_allclose(rho, expected, atol=1e-12)
