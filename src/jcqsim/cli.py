@@ -108,8 +108,6 @@ class RunConfig:
     device: DeviceParams | None
     effective: EffectiveParams | None
     thermal: ThermalSpec
-    out: Path | None = None
-    emit_plot_script: bool = False
 
     def __post_init__(self):
         if (self.device is None) == (self.effective is None):
@@ -151,13 +149,24 @@ def _section(cfg: dict, name: str, allowed: dict) -> dict:
     return dict(section)
 
 
+def _number(key: str, value) -> float | int:
+    """The one place a config or flag value becomes a number; only n is an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    if key != "n":
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _thermal(args, cfg: dict) -> ThermalSpec:
     """Temperature from the config, overridden by --temperature-k, then --temp."""
     temperature = _section(cfg, "thermal", {"temperature_k": None}).get("temperature_k", 0.0)
     for flag in (args.temperature_k, args.temp):
         if flag is not None:
             temperature = flag
-    return ThermalSpec(float(temperature))
+    return ThermalSpec(_number("temperature_k", temperature))
 
 
 def _merge_params(args, cfg: dict) -> RunConfig:
@@ -193,14 +202,11 @@ def _merge_params(args, cfg: dict) -> RunConfig:
         missing = {"eps1_k", "eps2_k", "j12_k"} - set(effective_map)
         if missing:
             raise ConfigError(f"effective parameters missing {sorted(missing)}")
-        eff = EffectiveParams(**{EFFECTIVE_KEYS[k]: float(v) for k, v in effective_map.items()})
-        return RunConfig(None, eff, thermal, args.out, args.emit_plot_script)
+        fields = {EFFECTIVE_KEYS[k]: _number(k, v) for k, v in effective_map.items()}
+        return RunConfig(None, EffectiveParams(**fields), thermal)
 
-    fields = {DEVICE_KEYS[k]: v for k, v in device_map.items()}
-    if "n" in fields:
-        fields["n"] = int(fields["n"])
-    device = DeviceParams(**fields)
-    return RunConfig(device, None, thermal, args.out, args.emit_plot_script)
+    device = DeviceParams(**{DEVICE_KEYS[k]: _number(k, v) for k, v in device_map.items()})
+    return RunConfig(device, None, thermal)
 
 
 def _open_out(path: Path | None):

@@ -143,6 +143,28 @@ class TestConfigHandling:
         code, _, _ = run_cli(capsys, "report", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, argv, key",
+        [
+            ({"thermal": {"temperature_k": "abc"}}, ["report", "--eps", "1", "--j", "2"],
+             "temperature_k"),
+            ({"thermal": {"temperature_k": "abc"}}, ["critical", "ratio"], "temperature_k"),
+            ({"device": {"l_h": "abc"}}, ["report"], "l_h"),
+            ({"thermal": {"temperature_k": [1]}}, ["report", "--eps", "1", "--j", "2"],
+             "temperature_k"),
+            ({"device": {"n": 1.5}}, ["report"], "n"),
+            ({"effective": {"eps1_k": 1, "eps2_k": None, "j12_k": 2}}, ["report"], "eps2_k"),
+            ({"device": {"xi": True}}, ["report"], "xi"),
+        ],
+    )
+    def test_value_of_wrong_type_exits_2(self, capsys, tmp_path, config, argv, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and repr(key) in err
+        assert "Traceback" not in err
+
     def test_both_modes_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "report", "--eps", "1", "--j", "1", "--v-x", "1e-5"
