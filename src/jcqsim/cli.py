@@ -355,7 +355,9 @@ def _cmd_critical(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     config = _merge_params(args, cfg)
-    measures = args.measures or cfg.get("measures") or ["discord"]
+    measures = args.measures or cfg.get("measures", ["discord"])
+    if not (isinstance(measures, list) and all(isinstance(m, str) for m in measures)):
+        raise ConfigError(f"'measures' must be a list of strings, got {measures!r}")
     spec = SweepSpec(
         args.variable,
         args.start,

@@ -44,7 +44,7 @@ class DeviceParams:
     c       gate capacitance, F
     c_j0    junction capacitance, F
     e_j0    single-SQUID Josephson energy, K (energy / k_B)
-    n       Cooper-pair number offset (integer)
+    n       Cooper-pair number offset (integer, |n| <= 1e6)
     v_x1/2  gate voltages, V
     phi_e   external flux through the inductance, units of phi_0
     phi_x1/2  local SQUID fluxes, units of phi_0
@@ -68,6 +68,8 @@ class DeviceParams:
             raise InvalidParameterError("l, c and c_j0 must all be positive")
         if not self.e_j0 >= 0:
             raise InvalidParameterError("e_j0 must be nonnegative")
+        if not abs(self.n) <= 1e6:
+            raise InvalidParameterError("n must satisfy |n| <= 1e6 (a Cooper-pair offset)")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Parameter sweeps and critical-point searches over the device controls.
 
-Grid points are independent pure evaluations; rows are always assembled in
-axis order, so results are identical for any worker count.
+Grid points are independent pure evaluations, taken in chunks of a fixed
+size: a chunk's states are built, then measured at once (its X states share
+one discord maximizer call).  Rows are assembled in axis order, so results
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .correlations import (
     concurrence,
+    correlation_reports,
     eof_from_concurrence,
     mutual_information,
     quantum_discord,
@@ -40,6 +43,8 @@ CONCURRENCE_FLOOR = 1e-12
 
 DEFAULT_STEPS_1D = 501
 DEFAULT_STEPS_2D = 101
+# Points measured together: amortizes the X search's kernel calls, bounds memory.
+CHUNK_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -133,29 +138,18 @@ def _apply_axis(fixed, thermal: ThermalSpec, variable: str, value: float):
     raise SpecValidationError(f"unknown sweep variable {variable!r}")
 
 
-def _measures_for_state(rho: np.ndarray, measures: tuple[str, ...]) -> dict[str, float]:
+def _measures_for_states(states: list, measures: tuple[str, ...]) -> list[dict[str, float]]:
     if "discord" in measures or "classical_correlation" in measures:
-        report = quantum_discord(rho)
-        available = {
-            "mutual_information": report.mutual_information,
-            "classical_correlation": report.classical_correlation,
-            "discord": report.discord,
-            "concurrence": report.concurrence,
-            "eof": report.eof,
-        }
+        available = [vars(report) for report in correlation_reports(states)]
     else:
-        available = {}
-        if "mutual_information" in measures:
-            available["mutual_information"] = mutual_information(rho)
-        if "concurrence" in measures or "eof" in measures:
-            c = concurrence(rho)
-            available["concurrence"] = c
-            available["eof"] = eof_from_concurrence(c)
-    return {m: available[m] for m in measures}
-
-
-def _evaluate_point(params, thermal: ThermalSpec, measures) -> dict[str, float]:
-    return _measures_for_state(thermal_state(params, thermal.temperature), measures)
+        available = [{} for _ in states]
+        for rho, values in zip(states, available):
+            if "mutual_information" in measures:
+                values["mutual_information"] = mutual_information(rho)
+            if "concurrence" in measures or "eof" in measures:
+                values["concurrence"] = c = concurrence(rho)
+                values["eof"] = eof_from_concurrence(c)
+    return [{m: values[m] for m in measures} for values in available]
 
 
 def _map_ordered(fn, items, threads: int):
@@ -165,14 +159,24 @@ def _map_ordered(fn, items, threads: int):
     return [fn(item) for item in items]
 
 
+def _sweep_rows(axes: list, setup, measures: tuple[str, ...], threads: int) -> list[SweepRow]:
+    """Rows for the given axis tuples; ``setup`` maps one to (params, thermal)."""
+
+    def chunk(part: list) -> list[SweepRow]:
+        states = [thermal_state(p, t.temperature) for p, t in (setup(*a) for a in part)]
+        return [SweepRow(a, v) for a, v in zip(part, _measures_for_states(states, measures))]
+
+    chunks = [axes[i : i + CHUNK_POINTS] for i in range(0, len(axes), CHUNK_POINTS)]
+    return [row for rows in _map_ordered(chunk, chunks, threads) for row in rows]
+
+
 def sweep_1d(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the requested measures along one axis, ascending order."""
 
-    def one(x: float) -> SweepRow:
-        params, thermal = _apply_axis(spec.fixed, spec.thermal, spec.variable, x)
-        return SweepRow((x,), _evaluate_point(params, thermal, spec.measures))
+    def setup(x: float):
+        return _apply_axis(spec.fixed, spec.thermal, spec.variable, x)
 
-    return _map_ordered(one, [float(x) for x in spec.axis], threads)
+    return _sweep_rows([(float(x),) for x in spec.axis], setup, spec.measures, threads)
 
 
 def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[SweepRow]:
@@ -184,17 +188,12 @@ def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[Swe
     if spec_x.measures != spec_y.measures:
         raise SpecValidationError("2-D sweep specs must share measures")
 
-    points = [
-        (float(x), float(y)) for y in spec_y.axis for x in spec_x.axis
-    ]
-
-    def one(xy: tuple[float, float]) -> SweepRow:
-        x, y = xy
+    def setup(x: float, y: float):
         params, thermal = _apply_axis(spec_x.fixed, spec_x.thermal, spec_y.variable, y)
-        params, thermal = _apply_axis(params, thermal, spec_x.variable, x)
-        return SweepRow((x, y), _evaluate_point(params, thermal, spec_x.measures))
+        return _apply_axis(params, thermal, spec_x.variable, x)
 
-    return _map_ordered(one, points, threads)
+    points = [(float(x), float(y)) for y in spec_y.axis for x in spec_x.axis]
+    return _sweep_rows(points, setup, spec_x.measures, threads)
 
 
 def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,27 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("error:") and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("measures", ["discord", 3, ["discord", 3]])
+    def test_measures_must_be_a_list_of_strings(self, capsys, tmp_path, measures):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"effective": {"eps1_k": 1, "eps2_k": 1, "j12_k": 2},
+                                   "measures": measures}))
+        code, out, err = run_cli(capsys, "sweep", "--variable", "temperature", "--start", "0",
+                                 "--stop", "1", "--steps", "3", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'measures' must be a list of strings")
+
+    @pytest.mark.parametrize("n", [1e300, -1000001])
+    def test_out_of_range_n_exits_2_without_warnings(self, capsys, tmp_path, n):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({"device": {"n": n}}))
+        for argv in (["--config", str(cfg)], ["--n", str(int(n))]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's overflow warning fails the test
+                code, out, err = run_cli(capsys, "report", *argv)
+            assert code == 2 and out == ""
+            assert err == "error: n must satisfy |n| <= 1e6 (a Cooper-pair offset)\n"
 
     def test_both_modes_exit_2(self, capsys):
         code, _, err = run_cli(

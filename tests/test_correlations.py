@@ -253,6 +253,73 @@ class TestOptimizerOnGeneralStates:
         assert correlations._angles(np.array([1.0, -1e-17, 0.0]))[1] == 0.0
 
 
+def x_state(populations, c14, c23):
+    rho = np.diag(populations).astype(complex)
+    rho[0, 3], rho[3, 0] = c14, np.conj(c14)
+    rho[1, 2], rho[2, 1] = c23, np.conj(c23)
+    return rho
+
+
+def x_states_of_every_kind(rng, per_kind):
+    """Seeded X states: full rank, zero coherences, one zero population,
+    rho_11 = rho_44 = 0, maximal coherence and pure, in turn."""
+    out = []
+    for k in range(6 * per_kind):
+        p = rng.dirichlet(np.ones(4))
+        u = rng.uniform(0.0, 1.0, 2) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+        kind = k % 6
+        if kind == 1:
+            u[:] = 0.0
+        elif kind == 2:
+            p[rng.integers(4)] = 0.0
+        elif kind == 3:
+            p[0] = p[3] = 0.0
+        elif kind >= 4:
+            u /= np.abs(u)
+        if kind == 5:
+            q = rng.uniform()
+            p = np.array([q, 0.0, 0.0, 1.0 - q] if k % 12 < 6 else [0.0, q, 1.0 - q, 0.0])
+        p /= p.sum()
+        out.append(x_state(p, u[0] * np.sqrt(p[0] * p[3]), u[1] * np.sqrt(p[1] * p[2])))
+    return out
+
+
+class TestXStateEngine:
+    def states(self):
+        thermal = [thermal_state(EffectiveParams.symmetric(1.0, j), t)
+                   for j in (0.3, 2.0, -7.0, 500.0) for t in (0.0, 0.7)]
+        return x_states_of_every_kind(np.random.default_rng(20), 16) + thermal
+
+    def test_matches_general_path_and_grid_oracle(self):
+        for rho in self.states():
+            mi = mutual_information(rho)
+            for side in ("first", "second"):
+                report = quantum_discord(rho, side)
+                assert report.optimizer_evaluations == 33 + 6 * 17  # the X path ran
+                general, _ = correlations._clamp_classical(
+                    mi, correlations._maximize_classical(rho, side)[0])
+                oracle = discord_grid_oracle(rho, side, 91, 180)
+                assert report.discord <= oracle + 1e-12
+                assert abs(report.discord - general) <= 1e-12
+                # The reported direction attains the optimum by the definitional path.
+                cc, m = classical_correlation(rho, side)
+                keep = "second" if side == "first" else "first"
+                optimum = von_neumann_entropy(qmath.partial_trace(rho, keep)) - cc
+                assert abs(conditional_entropy(rho, m) - optimum) <= 1e-12
+
+    def test_batch_gives_each_state_its_own_result(self):
+        rng = np.random.default_rng(21)
+        states = [random_x_state(rng) if k % 3 else random_density_matrix(rng, 4)
+                  for k in range(12)]
+        for side in ("first", "second"):
+            batch = correlations.correlation_reports(states, side)
+            for rho, in_batch in zip(states, batch):
+                alone = quantum_discord(rho, side)
+                assert abs(in_batch.discord - alone.discord) <= 1e-15
+                assert abs(in_batch.classical_correlation - alone.classical_correlation) <= 1e-15
+                assert in_batch.optimizer_evaluations == alone.optimizer_evaluations
+
+
 class TestQuantumDiscord:
     def test_bell_state(self):
         report = quantum_discord(bell_phi_plus())
@@ -279,7 +346,9 @@ class TestQuantumDiscord:
             assert report.classical_correlation >= 0.0
             assert 0.0 <= report.concurrence <= 1.0
             assert 0.0 <= report.eof <= 1.0
-            assert report.optimizer_evaluations > 33 * 64
+            assert report.optimizer_evaluations == 33 + 6 * 17
+        general = quantum_discord(random_density_matrix(rng, 4))
+        assert general.optimizer_evaluations > 33 * 64
 
     def test_sides_agree_for_symmetric_state(self):
         rho = thermal_state(EffectiveParams.symmetric(1.0, 2.0), 0.5)

@@ -5,6 +5,7 @@ from jcqsim.correlations import ground_state_discord_analytic
 from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
 from jcqsim.errors import BracketError, SpecValidationError
 from jcqsim.sweep import (
+    CHUNK_POINTS,
     FIG2B_TEMPERATURES,
     FIG3_VOLTAGES,
     FIG4_TEMPERATURES,
@@ -109,6 +110,17 @@ class TestSweep1d:
         single = sweep_1d(spec, threads=1)
         pooled = sweep_1d(spec, threads=4)
         assert single == pooled
+
+    def test_rows_unchanged_across_a_chunk_boundary(self):
+        spec = ratio_spec(steps=CHUNK_POINTS + 6, thermal=ThermalSpec(0.3),
+                          measures=("discord", "eof"))
+        alone = [quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, x), 0.3))
+                 for x in spec.axis]
+        rows = sweep_1d(spec, threads=1)
+        assert sweep_1d(spec, threads=3) == rows
+        for row, report in zip(rows, alone):
+            assert abs(row.values["discord"] - report.discord) <= 1e-15
+            assert abs(row.values["eof"] - report.eof) <= 1e-15
 
     def test_requested_measures_only(self):
         rows = sweep_1d(ratio_spec(steps=3, measures=("concurrence", "eof")))
