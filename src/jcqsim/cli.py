@@ -1,9 +1,10 @@
 """Command-line front end: report, figure, critical and sweep subcommands.
 
-Parameters come from an optional JSON config file, overridable field by
-field with flags of the same name.  All CSV output uses '.' decimals,
-9 significant digits and '\\n' line endings, and is byte-identical across
-runs and worker counts.
+Parameters come from an optional JSON config file, overridable key by key
+with flags of the same name and then with shorthand flags; ``SCHEMA`` and
+``SHORTHANDS`` are the one place that pairs a key with its section, field and
+flag.  All CSV output uses '.' decimals, 9 significant digits and '\\n' line
+endings, and is byte-identical across runs and ``--threads`` values.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .correlations import quantum_discord
 from .device import (
@@ -50,26 +53,37 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_BRACKET = 5
 
-# JSON config keys (unit suffixes) -> dataclass fields.
-DEVICE_KEYS = {
-    "l_h": "l",
-    "c_f": "c",
-    "c_j0_f": "c_j0",
-    "e_j0_k": "e_j0",
-    "n": "n",
-    "v_x1_v": "v_x1",
-    "v_x2_v": "v_x2",
-    "phi_e": "phi_e",
-    "phi_x1": "phi_x1",
-    "phi_x2": "phi_x2",
-    "xi": "xi",
+# Config section -> JSON key (with a unit suffix) -> dataclass field.  Each
+# key is also a flag: "--" and the key with "-" for "_".
+SCHEMA = {
+    "device": {
+        "l_h": "l",
+        "c_f": "c",
+        "c_j0_f": "c_j0",
+        "e_j0_k": "e_j0",
+        "n": "n",
+        "v_x1_v": "v_x1",
+        "v_x2_v": "v_x2",
+        "phi_e": "phi_e",
+        "phi_x1": "phi_x1",
+        "phi_x2": "phi_x2",
+        "xi": "xi",
+    },
+    "effective": {
+        "eps1_k": "eps1",
+        "eps2_k": "eps2",
+        "ej1_k": "ej1",
+        "ej2_k": "ej2",
+        "j12_k": "j12",
+    },
+    "thermal": {"temperature_k": "temperature"},
 }
-EFFECTIVE_KEYS = {
-    "eps1_k": "eps1",
-    "eps2_k": "eps2",
-    "ej1_k": "ej1",
-    "ej2_k": "ej2",
-    "j12_k": "j12",
+# Shorthand flag -> (section, the keys it sets, help); laid over the keys' own flags.
+SHORTHANDS = {
+    "v_x": ("device", ("v_x1_v", "v_x2_v"), "set both gate voltages, V"),
+    "eps": ("effective", ("eps1_k", "eps2_k"), "set both charge energies, K"),
+    "j": ("effective", ("j12_k",), "set the interbit coupling, K"),
+    "temp": ("thermal", ("temperature_k",), "shorthand for --temperature-k"),
 }
 
 AXIS_COLUMNS = {
@@ -81,15 +95,7 @@ AXIS_COLUMNS = {
     "voltage": "v_x_v",
 }
 
-REPORT_HEADER = [
-    "mutual_information",
-    "classical_correlation",
-    "discord",
-    "concurrence",
-    "eof",
-    "theta_opt",
-    "phi_opt",
-]
+REPORT_HEADER = [*MEASURES, "theta_opt", "phi_opt"]
 CRITICAL_HEADER = [
     "kind",
     "location",
@@ -101,25 +107,13 @@ CRITICAL_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved run: exactly one parameter set plus thermal context."""
-
-    device: DeviceParams | None
-    effective: EffectiveParams | None
-    thermal: ThermalSpec
-
-    def __post_init__(self):
-        if (self.device is None) == (self.effective is None):
-            raise ConfigError("exactly one of device/effective must be present")
-
-    @property
-    def params(self) -> DeviceParams | EffectiveParams:
-        return self.effective if self.effective is not None else self.device
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
+
+
+def _cells(row, measures) -> list[str]:
+    """A sweep row's axis values, then the measures, as CSV cells."""
+    return [_fmt(x) for x in row.axis] + [_fmt(row.values[m]) for m in measures]
 
 
 def _load_config(path: Path | None) -> dict:
@@ -129,100 +123,81 @@ def _load_config(path: Path | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - {"device", "effective", "thermal", "measures"}
+    unknown = set(cfg) - {*SCHEMA, "measures"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
-
-
-def _section(cfg: dict, name: str, allowed: dict) -> dict:
-    section = cfg.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return dict(section)
 
 
 def _number(key: str, value) -> float | int:
     """The one place a config or flag value becomes a number; only n is an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key!r} is too large for a float") from None
     if key != "n":
-        return float(value)
-    if not float(value).is_integer():
+        return number
+    if not number.is_integer():
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
 
 
-def _thermal(args, cfg: dict) -> ThermalSpec:
-    """Temperature from the config, overridden by --temperature-k, then --temp."""
-    temperature = _section(cfg, "thermal", {"temperature_k": None}).get("temperature_k", 0.0)
-    for flag in (args.temperature_k, args.temp):
-        if flag is not None:
-            temperature = flag
-    return ThermalSpec(_number("temperature_k", temperature))
+def _resolve(args, cfg: dict, with_params: bool = True):
+    """(parameter set, ThermalSpec) from the loaded config, then the flags, then
+    the shorthands, each laid over the last; the parameter set is None unless
+    ``with_params``, and is then exactly one of DeviceParams/EffectiveParams."""
+    values = {}
+    for name, keys in SCHEMA.items():
+        section = cfg.get(name) or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        unknown = set(section) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+        values[name] = dict(section)
+        for key in keys:
+            if getattr(args, key) is not None:
+                values[name][key] = getattr(args, key)
+    for flag, (name, keys, _) in SHORTHANDS.items():
+        if getattr(args, flag) is not None:
+            values[name].update(dict.fromkeys(keys, getattr(args, flag)))
+    fields = {
+        name: {SCHEMA[name][key]: _number(key, value) for key, value in section.items()}
+        for name, section in values.items()
+    }
+    thermal = ThermalSpec(fields["thermal"].get("temperature", 0.0))
+    if not with_params:
+        return None, thermal
 
-
-def _merge_params(args, cfg: dict) -> RunConfig:
-    """Combine the loaded config and flags into exactly one parameter set."""
-    device_map = _section(cfg, "device", DEVICE_KEYS)
-    effective_map = _section(cfg, "effective", EFFECTIVE_KEYS)
-
-    for key in DEVICE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            device_map[key] = value
-    if getattr(args, "v_x", None) is not None:
-        device_map["v_x1_v"] = device_map["v_x2_v"] = args.v_x
-    for key in EFFECTIVE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            effective_map[key] = value
-    if getattr(args, "eps", None) is not None:
-        effective_map["eps1_k"] = effective_map["eps2_k"] = args.eps
-    if getattr(args, "j", None) is not None:
-        effective_map["j12_k"] = args.j
-
-    thermal = _thermal(args, cfg)
-
-    if args.dimensionless and device_map:
+    device, effective = values["device"], values["effective"]
+    if args.dimensionless and device:
         raise ConfigError("--dimensionless conflicts with device parameters")
-    if device_map and effective_map:
+    if device and effective:
         raise ConfigError("give device or effective parameters, not both")
-    if not device_map and not effective_map:
+    if not device and not effective:
         raise ConfigError("no parameters given: set device or effective values")
-
-    if effective_map:
-        missing = {"eps1_k", "eps2_k", "j12_k"} - set(effective_map)
-        if missing:
-            raise ConfigError(f"effective parameters missing {sorted(missing)}")
-        fields = {EFFECTIVE_KEYS[k]: _number(k, v) for k, v in effective_map.items()}
-        return RunConfig(None, EffectiveParams(**fields), thermal)
-
-    device = DeviceParams(**{DEVICE_KEYS[k]: _number(k, v) for k, v in device_map.items()})
-    return RunConfig(device, None, thermal)
-
-
-def _open_out(path: Path | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+    if device:
+        return DeviceParams(**fields["device"]), thermal
+    missing = {"eps1_k", "eps2_k", "j12_k"} - set(effective)
+    if missing:
+        raise ConfigError(f"effective parameters missing {sorted(missing)}")
+    return EffectiveParams(**fields["effective"]), thermal
 
 
 def _write_csv(path: Path | None, header: list[str], rows) -> None:
-    stream, owns = _open_out(path)
+    stream = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     finally:
-        if owns:
+        if path is not None:
             stream.close()
 
 
@@ -266,17 +241,10 @@ def _write_plot_script(csv_path: Path, text: str) -> None:
 
 
 def _cmd_report(args) -> int:
-    config = _merge_params(args, _load_config(args.config))
-    report = quantum_discord(thermal_state(config.params, config.thermal.temperature))
-    row = [
-        _fmt(report.mutual_information),
-        _fmt(report.classical_correlation),
-        _fmt(report.discord),
-        _fmt(report.concurrence),
-        _fmt(report.eof),
-        _fmt(report.optimal_measurement.theta),
-        _fmt(report.optimal_measurement.phi),
-    ]
+    params, thermal = _resolve(args, _load_config(args.config))
+    report = quantum_discord(thermal_state(params, thermal.temperature))
+    m = report.optimal_measurement
+    row = [_fmt(getattr(report, measure)) for measure in MEASURES] + [_fmt(m.theta), _fmt(m.phi)]
     _write_csv(args.out, REPORT_HEADER, [row])
     return EXIT_OK
 
@@ -295,15 +263,7 @@ def _cmd_figure(args) -> int:
             path = out.with_name(out.stem + suffix + (out.suffix or ".csv"))
             rows = sweep_2d(spec_x, spec_y, threads=args.threads)
             header = ["series", "theta1", "theta2", *spec_x.measures]
-            _write_csv(
-                path,
-                header,
-                (
-                    [spec_x.label, _fmt(r.axis[0]), _fmt(r.axis[1])]
-                    + [_fmt(r.values[m]) for m in spec_x.measures]
-                    for r in rows
-                ),
-            )
+            _write_csv(path, header, ([spec_x.label] + _cells(r, spec_x.measures) for r in rows))
             if args.emit_plot_script:
                 _write_plot_script(
                     path,
@@ -314,13 +274,11 @@ def _cmd_figure(args) -> int:
     specs = [_with_steps(spec, args.steps) for spec in presets]
     axis = AXIS_COLUMNS[specs[0].variable]
     header = ["series", axis, *specs[0].measures]
-    all_rows = []
-    for spec in specs:
-        for row in sweep_1d(spec, threads=args.threads):
-            all_rows.append(
-                [spec.label, _fmt(row.axis[0])]
-                + [_fmt(row.values[m]) for m in spec.measures]
-            )
+    all_rows = [
+        [spec.label] + _cells(row, spec.measures)
+        for spec in specs
+        for row in sweep_1d(spec, threads=args.threads)
+    ]
     _write_csv(out, header, all_rows)
     if args.emit_plot_script:
         _write_plot_script(
@@ -331,14 +289,11 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    cfg = _load_config(args.config)
+    params, thermal = _resolve(args, _load_config(args.config), with_params=args.kind == "esd")
     if args.kind == "esd":
-        point = esd_temperature(
-            _merge_params(args, cfg).params, t_max=args.t_max, tol=args.tol
-        )
+        point = esd_temperature(params, t_max=args.t_max, tol=args.tol)
     else:
-        temperature = _thermal(args, cfg).temperature
-        point = optimal_ratio(temperature, tuple(args.bracket), tol=args.tol)
+        point = optimal_ratio(thermal.temperature, tuple(args.bracket), tol=args.tol)
     row = [
         point.kind,
         _fmt(point.location),
@@ -354,7 +309,7 @@ def _cmd_critical(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    config = _merge_params(args, cfg)
+    params, thermal = _resolve(args, cfg)
     measures = args.measures or cfg.get("measures", ["discord"])
     if not (isinstance(measures, list) and all(isinstance(m, str) for m in measures)):
         raise ConfigError(f"'measures' must be a list of strings, got {measures!r}")
@@ -362,35 +317,33 @@ def _cmd_sweep(args) -> int:
         args.variable,
         args.start,
         args.stop,
-        config.params,
+        params,
         steps=args.steps,
-        thermal=config.thermal,
+        thermal=thermal,
         measures=tuple(measures),
     )
     rows = sweep_1d(spec, threads=args.threads)
     header = [AXIS_COLUMNS[spec.variable], *spec.measures]
-    _write_csv(
-        args.out,
-        header,
-        ([_fmt(r.axis[0])] + [_fmt(r.values[m]) for m in spec.measures] for r in rows),
-    )
+    _write_csv(args.out, header, (_cells(r, spec.measures) for r in rows))
     return EXIT_OK
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    device = parser.add_argument_group("device parameters (kelvin/SI units)")
-    for key in DEVICE_KEYS:
-        kind = int if key == "n" else float
-        device.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
-    device.add_argument("--v-x", type=float, dest="v_x", help="set both gate voltages, V")
-    effective = parser.add_argument_group("effective parameters (kelvin)")
-    for key in EFFECTIVE_KEYS:
-        effective.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    effective.add_argument("--eps", type=float, help="set both charge energies, K")
-    effective.add_argument("--j", type=float, help="set the interbit coupling, K")
-    thermal = parser.add_argument_group("thermal")
-    thermal.add_argument("--temperature-k", type=float, dest="temperature_k")
-    thermal.add_argument("--temp", type=float, help="shorthand for --temperature-k")
+    for name, keys in SCHEMA.items():
+        group = parser.add_argument_group(f"{name} parameters")
+        for key in keys:
+            kind = int if key == "n" else float
+            group.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
+        for flag, (section, _, help_text) in SHORTHANDS.items():
+            if section == name:
+                group.add_argument(f"--{flag.replace('_', '-')}", type=float, dest=flag,
+                                   help=help_text)
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--emit-plot-script", action="store_true")
     common.add_argument("--dimensionless", action="store_true",
                         help="require effective (eps, j) input")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility; every run uses one thread")
 
     params = argparse.ArgumentParser(add_help=False)
     _add_param_flags(params)
@@ -458,7 +412,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, DimensionError, NotHermitianError, UnsupportedRegimeError) as exc:
+    except (DomainError, DimensionError, NotHermitianError, UnsupportedRegimeError,
+            ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BracketError as exc:

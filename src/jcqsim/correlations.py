@@ -34,6 +34,8 @@ from .errors import (
 )
 
 SIDES = ("first", "second")
+# The qubit that measuring ``side`` leaves unmeasured.
+_OTHER = {"first": "second", "second": "first"}
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -95,9 +97,9 @@ class CorrelationReport:
     optimizer_evaluations: int
 
 
-def _require_state(rho, dim: int | None = None) -> np.ndarray:
+def _require_state(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one validation boundary: each public measure checks its input here
-    once and hands it to unchecked private kernels."""
+    once and hands it, with its spectrum, to unchecked private kernels."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise DimensionError(f"state must be 2x2 or 4x4, got shape {rho.shape}")
@@ -111,7 +113,7 @@ def _require_state(rho, dim: int | None = None) -> np.ndarray:
         raise NotAStateError(f"state has negative eigenvalue {w[0]:.3e}")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
         raise NotAStateError("state trace is not 1")
-    return rho
+    return rho, w
 
 
 def _require_side(side: str) -> None:
@@ -126,35 +128,37 @@ def binary_entropy(tau: float) -> float:
     return -(tau * math.log(tau) + (1.0 - tau) * math.log(1.0 - tau)) / _LN2
 
 
-def _entropy(rho: np.ndarray) -> float:
-    """Unchecked kernel of :func:`von_neumann_entropy`."""
-    w = np.linalg.eigvalsh(rho)
+def _spectrum_entropy(w: np.ndarray) -> float:
+    """Entropy of a density matrix from its eigenvalues w."""
     w = w[w > 0.0]
     return max(0.0, float(-(w * np.log2(w)).sum()))
 
 
+def _entropy(rho: np.ndarray) -> float:
+    """Entropy of an unchecked density matrix."""
+    return _spectrum_entropy(np.linalg.eigvalsh(rho))
+
+
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    return _entropy(_require_state(rho))
+    return _spectrum_entropy(_require_state(rho)[1])
 
 
-def _mutual_information(rho: np.ndarray) -> float:
-    """Unchecked kernel of :func:`mutual_information`."""
-    mi = (
-        _entropy(qmath.partial_trace(rho, "first"))
-        + _entropy(qmath.partial_trace(rho, "second"))
-        - _entropy(rho)
-    )
+def _mutual_information(rho: np.ndarray, w: np.ndarray) -> tuple[float, dict[str, float]]:
+    """Unchecked kernel of :func:`mutual_information`, given the spectrum w
+    of rho; also returns the entropy of each qubit's reduced state."""
+    marginals = {keep: _entropy(qmath.partial_trace(rho, keep)) for keep in SIDES}
+    mi = marginals["first"] + marginals["second"] - _spectrum_entropy(w)
     if mi < 0.0:
         if mi < -1e-10:
             raise DomainError(f"mutual information came out negative: {mi}")
         mi = 0.0
-    return mi
+    return mi, marginals
 
 
 def mutual_information(rho) -> float:
     """I(rho) = S(rho_a) + S(rho_b) - S(rho), in bits."""
-    return _mutual_information(_require_state(rho, 4))
+    return _mutual_information(*_require_state(rho, 4))[0]
 
 
 def measurement_projector(theta: float, phi: float) -> np.ndarray:
@@ -172,9 +176,9 @@ def conditional_entropy(rho, m: Measurement) -> float:
     Definitional path: each outcome is the explicit projector sandwich
     (Pi_k x I) rho (Pi_k x I) followed by a partial trace.
     """
-    rho = _require_state(rho, 4)
+    rho, _ = _require_state(rho, 4)
     proj = measurement_projector(m.theta, m.phi)
-    keep = "second" if m.side == "first" else "first"
+    keep = _OTHER[m.side]
     total = 0.0
     for p_k in (proj, qmath.IDENTITY_2 - proj):
         k = qmath.kron(p_k, qmath.IDENTITY_2) if m.side == "first" else qmath.kron(
@@ -261,7 +265,9 @@ _X_EVALUATIONS = sum(map(len, _X_STENCILS))
 def _maximize_classical(rho: np.ndarray, side: str):
     """Seed-and-polish maximization of S(rho_b) - S(rho|{Pi_k}).
 
-    Returns (classical correlation, argmax Measurement, evaluations).
+    Returns (classical correlation, argmax Measurement, evaluations).  It
+    takes S(rho_b) from the unmeasured qubit's spectrum itself: one 2x2
+    eigvalsh is a small part of the 2,922 evaluations of a general state.
     """
     bloch = _bloch(rho, side)
     values = _cond_entropy(bloch, _SEED)
@@ -283,19 +289,14 @@ def _maximize_classical(rho: np.ndarray, side: str):
             n, best = candidates[:, i], float(values[i])
         half_width *= 2.0 / (POLISH_POINTS - 1)  # one cell of this stencil
 
-    cc = max(0.0, _unmeasured_entropy(rho, side) - best)
+    cc = max(0.0, _entropy(qmath.partial_trace(rho, _OTHER[side])) - best)
     theta, phi = _angles(n)
     return cc, Measurement(theta, phi, side), _EVALUATIONS
 
 
-def _unmeasured_entropy(rho: np.ndarray, side: str) -> float:
-    """S(rho_b) of the qubit ``side`` leaves unmeasured, from its spectrum:
-    1 - |b| would keep too few digits when rho_b is near pure."""
-    return _entropy(qmath.partial_trace(rho, "second" if side == "first" else "first"))
-
-
 def _maximize_x(states: np.ndarray, side: str) -> list:
-    """:func:`_maximize_classical` for a stack of X states (N x 4 x 4).
+    """The minimal measured conditional entropy, its Measurement and the
+    evaluations spent, for each of a stack of X states (N x 4 x 4).
 
     The measured qubit's x axis is put along the top singular vector of T_xy,
     which maximizes |b +- T^T n| at any theta: the Fano matrix becomes
@@ -329,17 +330,26 @@ def _maximize_x(states: np.ndarray, side: str) -> list:
         theta = np.where(better, candidates[rows, i], theta)
         half_width *= 2.0 / (len(offsets) - 1)  # one cell of this stencil
     return [
-        (max(0.0, _unmeasured_entropy(rho, side) - b), Measurement(t, f, side), _X_EVALUATIONS)
-        for rho, b, t, f in zip(states, best.tolist(), theta.tolist(), phis.tolist())
+        (b, Measurement(t, f, side), _X_EVALUATIONS)
+        for b, t, f in zip(best.tolist(), theta.tolist(), phis.tolist())
     ]
 
 
-def _classical(states: list, side: str) -> list:
-    """:func:`_maximize_classical` for each state, the X states in one call."""
+def _classical(states: list, side: str, kept: list) -> list:
+    """:func:`_maximize_classical` for each state, the X states in one call;
+    ``kept`` holds S of each state's unmeasured qubit (S(rho_b), from its
+    spectrum: 1 - |b| would keep too few digits when rho_b is near pure)."""
     is_x = [_is_x_state(rho) for rho in states]
     xs = [rho for rho, x in zip(states, is_x) if x]
     done = iter(_maximize_x(np.array(xs), side) if xs else ())
-    return [next(done) if x else _maximize_classical(rho, side) for rho, x in zip(states, is_x)]
+    out = []
+    for rho, x, s in zip(states, is_x, kept):
+        if x:
+            best, m, evaluations = next(done)
+            out.append((max(0.0, s - best), m, evaluations))
+        else:
+            out.append(_maximize_classical(rho, side))
+    return out
 
 
 def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:
@@ -349,9 +359,10 @@ def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]
     entropy over all rank-1 projective measurements on ``side``, together
     with the maximizing measurement.
     """
-    rho = _require_state(rho, 4)
+    rho, _ = _require_state(rho, 4)
     _require_side(side)
-    cc, m, _ = _classical([rho], side)[0]
+    kept = _entropy(qmath.partial_trace(rho, _OTHER[side]))
+    cc, m, _ = _classical([rho], side, [kept])[0]
     return cc, m
 
 
@@ -377,17 +388,42 @@ def quantum_discord(rho, side: str = "first") -> CorrelationReport:
 def correlation_reports(states, side: str = "first") -> list[CorrelationReport]:
     """:func:`quantum_discord` for each state of a sequence; the X states
     share one maximizer call, and each report is the one its state gets alone."""
-    states = [_require_state(rho, 4) for rho in states]
     _require_side(side)
+    checked, mis, kept = [], [], []
+    for rho in states:
+        rho, w = _require_state(rho, 4)
+        mi, marginals = _mutual_information(rho, w)
+        checked.append(rho)
+        mis.append(mi)
+        kept.append(marginals[_OTHER[side]])
     reports = []
-    for rho, (cc, m, evaluations) in zip(states, _classical(states, side)):
-        mi = _mutual_information(rho)
+    for rho, mi, (cc, m, evaluations) in zip(checked, mis, _classical(checked, side, kept)):
         discord, cc = _clamp_classical(mi, cc)
         c = _concurrence(rho, "auto")
         reports.append(
             CorrelationReport(mi, cc, discord, c, eof_from_concurrence(c), m, evaluations)
         )
     return reports
+
+
+def measure_states(states, measures) -> list[dict[str, float]]:
+    """The named :class:`CorrelationReport` measures of each state, each state
+    checked once; the discord search runs only for discord or classical
+    correlation, as :func:`correlation_reports` (first qubit measured)."""
+    if "discord" in measures or "classical_correlation" in measures:
+        available = [vars(report) for report in correlation_reports(states)]
+    else:
+        available = []
+        for rho in states:
+            rho, w = _require_state(rho, 4)
+            values = {}
+            if "mutual_information" in measures:
+                values["mutual_information"] = _mutual_information(rho, w)[0]
+            if "concurrence" in measures or "eof" in measures:
+                values["concurrence"] = c = _concurrence(rho, "auto")
+                values["eof"] = eof_from_concurrence(c)
+            available.append(values)
+    return [{m: values[m] for m in measures} for values in available]
 
 
 def discord_grid_oracle(
@@ -399,11 +435,11 @@ def discord_grid_oracle(
     n_phi points on [0, 2*pi); upper-bounds the true discord.  Verification
     oracle only, never the production path.
     """
-    rho = _require_state(rho, 4)
+    rho, w = _require_state(rho, 4)
     _require_side(side)
     if n_theta < 2 or n_phi < 2:
         raise InvalidParameterError("grid needs at least 2 points per angle")
-    mi = _mutual_information(rho)
+    mi, marginals = _mutual_information(rho, w)
     bloch = _bloch(rho, side)
 
     thetas = np.linspace(0.0, math.pi, n_theta)
@@ -414,7 +450,7 @@ def discord_grid_oracle(
         n = _grid_directions(thetas[start : start + rows_per_chunk], phis)
         best = min(best, float(_cond_entropy(bloch, n).min()))
 
-    cc = max(0.0, _unmeasured_entropy(rho, side) - best)
+    cc = max(0.0, marginals[_OTHER[side]] - best)
     discord, _ = _clamp_classical(mi, cc)
     return discord
 
@@ -432,7 +468,7 @@ def concurrence(rho, method: str = "auto") -> float:
     the general path takes the descending square-rooted spectrum of the
     Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
     """
-    return _concurrence(_require_state(rho, 4), method)
+    return _concurrence(_require_state(rho, 4)[0], method)
 
 
 def _concurrence(rho: np.ndarray, method: str) -> float:

@@ -34,6 +34,9 @@ CONSTANTS = PhysicalConstants()
 # Eigenvalues within this relative distance of the minimum belong to the
 # ground eigenspace when taking the T -> 0 limit.
 GROUND_DEGENERACY_RTOL = 1e-10
+# Largest Hamiltonian coefficient, K: above it the Frobenius norm of H, which
+# scales that ground-space cut, overflows and every level would count as ground.
+MAX_ENERGY_K = 1e150
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,15 @@ class DeviceParams:
     xi: float = 1.0
 
     def __post_init__(self):
+        if not abs(self.n) <= 1e6:
+            raise InvalidParameterError("n must satisfy |n| <= 1e6 (a Cooper-pair offset)")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not (self.l > 0 and self.c > 0 and self.c_j0 > 0):
             raise InvalidParameterError("l, c and c_j0 must all be positive")
         if not self.e_j0 >= 0:
             raise InvalidParameterError("e_j0 must be nonnegative")
-        if not abs(self.n) <= 1e6:
-            raise InvalidParameterError("n must satisfy |n| <= 1e6 (a Cooper-pair offset)")
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,8 @@ class EffectiveParams:
     """Hamiltonian coefficients in kelvin.
 
     eps1, eps2 are the charge (sigma_z) energies, ej1, ej2 the intrabit
-    (sigma_x) couplings and j12 the interbit sigma_x sigma_x coupling.
+    (sigma_x) couplings and j12 the interbit sigma_x sigma_x coupling; each
+    is finite and at most MAX_ENERGY_K in magnitude.
     """
 
     eps1: float
@@ -88,8 +95,9 @@ class EffectiveParams:
 
     def __post_init__(self):
         for name in ("eps1", "eps2", "ej1", "ej2", "j12"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+            if not abs(getattr(self, name)) <= MAX_ENERGY_K:
+                raise InvalidParameterError(
+                    f"{name} must be finite with |{name}| <= {MAX_ENERGY_K:g} K")
 
     @classmethod
     def symmetric(cls, eps: float, j: float) -> "EffectiveParams":
@@ -151,10 +159,10 @@ def _check_qubit_index(which: int) -> None:
 
 def charge_energy(p: DeviceParams) -> float:
     """Single-box charging energy E_c = 2e^2/(C + C_J0), in kelvin."""
-    total_c = p.c + p.c_j0
-    if total_c <= 0:
-        raise InvalidParameterError("total capacitance must be positive")
-    return 2.0 * CONSTANTS.e**2 / (total_c * CONSTANTS.k_b)
+    denominator = (p.c + p.c_j0) * CONSTANTS.k_b
+    if not denominator > 0:
+        raise InvalidParameterError("c + c_j0 is too small: the charging energy overflows")
+    return 2.0 * CONSTANTS.e**2 / denominator
 
 
 def epsilon_from_voltage(p: DeviceParams, which: int) -> float:
@@ -181,7 +189,10 @@ def interbit_coupling(p: DeviceParams) -> float:
     E_Jk = 2 E_J0 cos(pi*phi_xk); negative for the default controls.
     """
     e_j0_joule = p.e_j0 * CONSTANTS.k_b
-    prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
+    try:
+        prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
+    except OverflowError:
+        raise InvalidParameterError(f"j12 overflows: e_j0 = {p.e_j0:g} K is too large") from None
     s = _sin_pi(p.phi_e)
     return -prefactor * _cos_pi(p.phi_x1) * _cos_pi(p.phi_x2) * s * s / CONSTANTS.k_b
 

@@ -1,26 +1,21 @@
 """Parameter sweeps and critical-point searches over the device controls.
 
-Grid points are independent pure evaluations, taken in chunks of a fixed
-size: a chunk's states are built, then measured at once (its X states share
-one discord maximizer call).  Rows are assembled in axis order, so results
-are identical for any worker count.
+Grid points are independent pure evaluations, taken in axis order in
+chunks of a fixed size on one thread: a chunk's states are built, then
+measured at once (its X states share one discord maximizer call).  The
+``threads`` keyword of the sweeps, and the CLI's ``--threads``, are accepted
+and do not change how a sweep runs: the chunks' Python work holds the
+interpreter lock, so a thread pool would only slow sweeps down.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlations import (
-    concurrence,
-    correlation_reports,
-    eof_from_concurrence,
-    mutual_information,
-    quantum_discord,
-)
+from .correlations import concurrence, measure_states, quantum_discord
 from .device import (
     DeviceParams,
     EffectiveParams,
@@ -138,49 +133,31 @@ def _apply_axis(fixed, thermal: ThermalSpec, variable: str, value: float):
     raise SpecValidationError(f"unknown sweep variable {variable!r}")
 
 
-def _measures_for_states(states: list, measures: tuple[str, ...]) -> list[dict[str, float]]:
-    if "discord" in measures or "classical_correlation" in measures:
-        available = [vars(report) for report in correlation_reports(states)]
-    else:
-        available = [{} for _ in states]
-        for rho, values in zip(states, available):
-            if "mutual_information" in measures:
-                values["mutual_information"] = mutual_information(rho)
-            if "concurrence" in measures or "eof" in measures:
-                values["concurrence"] = c = concurrence(rho)
-                values["eof"] = eof_from_concurrence(c)
-    return [{m: values[m] for m in measures} for values in available]
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _sweep_rows(axes: list, setup, measures: tuple[str, ...], threads: int) -> list[SweepRow]:
+def _sweep_rows(axes: list, setup, measures: tuple[str, ...]) -> list[SweepRow]:
     """Rows for the given axis tuples; ``setup`` maps one to (params, thermal)."""
-
-    def chunk(part: list) -> list[SweepRow]:
+    rows = []
+    for i in range(0, len(axes), CHUNK_POINTS):
+        part = axes[i : i + CHUNK_POINTS]
         states = [thermal_state(p, t.temperature) for p, t in (setup(*a) for a in part)]
-        return [SweepRow(a, v) for a, v in zip(part, _measures_for_states(states, measures))]
-
-    chunks = [axes[i : i + CHUNK_POINTS] for i in range(0, len(axes), CHUNK_POINTS)]
-    return [row for rows in _map_ordered(chunk, chunks, threads) for row in rows]
+        rows += [SweepRow(a, v) for a, v in zip(part, measure_states(states, measures))]
+    return rows
 
 
 def sweep_1d(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate the requested measures along one axis, ascending order."""
+    """Evaluate the requested measures along one axis, ascending order.
+
+    ``threads`` is accepted and ignored: every sweep runs on one thread.
+    """
 
     def setup(x: float):
         return _apply_axis(spec.fixed, spec.thermal, spec.variable, x)
 
-    return _sweep_rows([(float(x),) for x in spec.axis], setup, spec.measures, threads)
+    return _sweep_rows([(float(x),) for x in spec.axis], setup, spec.measures)
 
 
 def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate over a 2-D grid, row-major (y outer, x inner)."""
+    """Evaluate over a 2-D grid, row-major (y outer, x inner); ``threads`` is
+    accepted and ignored, as in :func:`sweep_1d`."""
     if spec_x.variable == spec_y.variable:
         raise SpecValidationError("2-D sweeps need two distinct variables")
     if spec_x.fixed != spec_y.fixed or spec_x.thermal != spec_y.thermal:
@@ -193,7 +170,7 @@ def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[Swe
         return _apply_axis(params, thermal, spec_x.variable, x)
 
     points = [(float(x), float(y)) for y in spec_y.axis for x in spec_x.axis]
-    return _sweep_rows(points, setup, spec_x.measures, threads)
+    return _sweep_rows(points, setup, spec_x.measures)
 
 
 def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
@@ -294,20 +271,13 @@ def figure_preset(which: str):
     list of (spec_x, spec_y) pairs, one per temperature surface.
     """
     base = DeviceParams()
-    if which == "fig2a":
-        return [
-            SweepSpec(
-                "ratio_j_over_eps", 0.1, 50.0, EffectiveParams.symmetric(1.0, 0.0),
-                thermal=ThermalSpec(0.0), measures=("discord",), label="T=0K",
-            )
-        ]
-    if which == "fig2b":
+    if which in ("fig2a", "fig2b"):
         return [
             SweepSpec(
                 "ratio_j_over_eps", 0.1, 50.0, EffectiveParams.symmetric(1.0, 0.0),
                 thermal=ThermalSpec(t), measures=("discord",), label=f"T={t:g}K",
             )
-            for t in FIG2B_TEMPERATURES
+            for t in ((0.0,) if which == "fig2a" else FIG2B_TEMPERATURES)
         ]
     if which == "fig3":
         return [
@@ -327,21 +297,14 @@ def figure_preset(which: str):
             for t in FIG4_TEMPERATURES
         ]
     if which == "fig5":
-        pairs = []
-        for t in FIG5_TEMPERATURES:
-            thermal = ThermalSpec(t)
-            label = f"T={t:g}K"
-            pairs.append(
-                (
-                    SweepSpec(
-                        "phi_x1", 0.0, 2.0, base, steps=DEFAULT_STEPS_2D,
-                        thermal=thermal, measures=("discord",), label=label,
-                    ),
-                    SweepSpec(
-                        "phi_x2", 0.0, 2.0, base, steps=DEFAULT_STEPS_2D,
-                        thermal=thermal, measures=("discord",), label=label,
-                    ),
+        return [
+            tuple(
+                SweepSpec(
+                    variable, 0.0, 2.0, base, steps=DEFAULT_STEPS_2D,
+                    thermal=ThermalSpec(t), measures=("discord",), label=f"T={t:g}K",
                 )
+                for variable in ("phi_x1", "phi_x2")
             )
-        return pairs
+            for t in FIG5_TEMPERATURES
+        ]
     raise SpecValidationError(f"unknown figure {which!r}")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,13 @@ import subprocess
 import sys
 import warnings
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jcqsim import cli
 from jcqsim.cli import main
@@ -375,21 +381,6 @@ class TestSweepCommand:
         assert code == 2
 
 
-class TestRunConfig:
-    def test_exactly_one_parameter_set(self):
-        from jcqsim.cli import RunConfig
-        from jcqsim.device import ThermalSpec
-        from jcqsim.errors import ConfigError
-
-        thermal = ThermalSpec(0.0)
-        with pytest.raises(ConfigError):
-            RunConfig(None, None, thermal)
-        with pytest.raises(ConfigError):
-            RunConfig(DeviceParams(), EffectiveParams.symmetric(1.0, 1.0), thermal)
-        cfg = RunConfig(None, EffectiveParams.symmetric(1.0, 1.0), thermal)
-        assert cfg.params == EffectiveParams.symmetric(1.0, 1.0)
-
-
 class TestExitCodeMapping:
     def test_numerical_domain_error_maps_to_3(self, capsys, monkeypatch):
         def boom(rho, side="first"):
@@ -399,6 +390,160 @@ class TestExitCodeMapping:
         code, _, err = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "1")
         assert code == 3
         assert "synthetic" in err
+
+    @pytest.mark.parametrize("error", [OverflowError, FloatingPointError, np.linalg.LinAlgError])
+    def test_arithmetic_and_eigensolver_errors_map_to_3(self, capsys, monkeypatch, error):
+        def boom(rho, side="first"):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(cli, "quantum_discord", boom)
+        code, _, err = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "1")
+        assert (code, err) == (3, "error: synthetic failure\n")
+
+
+class TestOutOfRangeInput:
+    """Input that once ended in a traceback or in a silent row of zeros."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"device": {"e_j0_k": 1e200}}, "j12 overflows"),
+            ({"effective": {"eps1_k": 1e300, "eps2_k": 1e300, "j12_k": 1e300}},
+             "eps1 must be finite with |eps1| <= 1e+150 K"),
+            ({"device": {"l_h": 1e300}}, "j12 must be finite"),
+            ({"device": {"c_f": 5e-324, "c_j0_f": 5e-324}}, "the charging energy overflows"),
+            ({"device": {"phi_x1": math.inf}}, "phi_x1 must be finite"),
+        ],
+    )
+    def test_report_exits_2_naming_the_quantity(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "report", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("thermal", "temperature_k"), ("device", "n"), ("device", "l_h"),
+         ("effective", "eps1_k")],
+    )
+    def test_integer_too_large_for_a_float_exits_2(self, capsys, tmp_path, section, key):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(f'{{"{section}": {{"{key}": {"9" * 400}}}}}')
+        code, out, err = run_cli(capsys, "report", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {key!r} is too large for a float\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"thermal": {"temperature_k": 0.5}} \xff')
+        code, out, err = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot parse config {cfg}")
+
+    @pytest.mark.parametrize("threads", ["-4", "0", "two"])
+    def test_threads_must_be_a_positive_integer(self, capsys, threads):
+        code, out, err = run_cli(capsys, "sweep", "--variable", "temperature", "--start", "0",
+                                 "--stop", "1", "--steps", "3", "--eps", "1", "--j", "1",
+                                 "--threads", threads)
+        assert (code, out) == (2, "")
+        assert "--threads: must be a positive integer" in err
+        assert "Traceback" not in err
+
+
+def _resolved(argv, config):
+    """The parameter set and temperature ``report`` would run with."""
+    args = cli._build_parser().parse_args(["report", *argv])
+    return cli._resolve(args, config)
+
+
+def _value(resolved, section, key):
+    params, thermal = resolved
+    return getattr(thermal if section == "thermal" else params, cli.SCHEMA[section][key])
+
+
+EFFECTIVE = {"effective": {"eps1_k": 1.0, "eps2_k": 1.0, "j12_k": 2.0}}
+
+
+class TestSchema:
+    @pytest.mark.parametrize(
+        "section, key", [(name, key) for name, keys in cli.SCHEMA.items() for key in keys]
+    )
+    def test_every_key_works_in_json_and_as_a_flag(self, section, key):
+        value = 3 if key == "n" else 0.25
+        base = {} if section == "device" else EFFECTIVE
+        config = {**base, section: {**base.get(section, {}), key: value}}
+        assert _value(_resolved([], config), section, key) == value
+        flag = [f"--{key.replace('_', '-')}", str(value)]
+        assert _value(_resolved(flag, base), section, key) == value
+
+    @pytest.mark.parametrize("shorthand", sorted(cli.SHORTHANDS))
+    def test_config_then_flag_then_shorthand(self, shorthand):
+        section, keys, _ = cli.SHORTHANDS[shorthand]
+        base = {} if section == "device" else EFFECTIVE
+        config = {**base, section: {**base.get(section, {}), **dict.fromkeys(keys, 0.1)}}
+        flags = [word for key in keys for word in (f"--{key.replace('_', '-')}", "0.2")]
+        short = [f"--{shorthand.replace('_', '-')}", "0.3"]
+        for argv, expected in (([], 0.1), (flags, 0.2), (flags + short, 0.3), (short, 0.3)):
+            resolved = _resolved(argv, config)
+            assert [_value(resolved, section, key) for key in keys] == [expected] * len(keys)
+
+    def test_readme_names_every_key_and_shorthand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for keys in cli.SCHEMA.values():
+            for key in keys:
+                assert f"`{key}`" in readme and f"`--{key.replace('_', '-')}`" in readme
+        for shorthand in cli.SHORTHANDS:
+            assert f"`--{shorthand.replace('_', '-')}`" in readme
+
+
+# Numbers from subnormal to near the float maximum reach the physics; values
+# of the wrong type and integers too large for a float reach the checks.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-9, 10.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e150, 1e200, -1e300, 1.7e308]),
+    st.integers(-10, 10),
+)
+_WRONG = st.one_of(
+    st.integers(min_value=10**20, max_value=10**400),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+def _configs(values):
+    """Any sections, or one parameter set with an optional thermal section."""
+    sections = {
+        name: st.dictionaries(st.sampled_from(sorted(keys)), values, max_size=len(keys))
+        for name, keys in cli.SCHEMA.items()
+    }
+    thermal = {"thermal": sections["thermal"]}
+    return st.one_of(
+        st.fixed_dictionaries({}, optional=sections),
+        st.fixed_dictionaries({"device": sections["device"]}, optional=thermal),
+        st.fixed_dictionaries({"effective": sections["effective"]}, optional=thermal),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=st.one_of(_configs(_NUMBERS), _configs(st.one_of(_NUMBERS, _WRONG))))
+def test_report_on_any_config_exits_0_2_or_3(tmp_path_factory, config):
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfg.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--config", str(cfg)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        header, rows = parse_csv(out.getvalue())
+        row = dict(zip(header, map(float, rows[0])))
+        assert len(row) == 7 and all(math.isfinite(x) for x in row.values())
+        assert row["discord"] >= 0.0
+        assert 0.0 <= row["concurrence"] <= 1.0 and 0.0 <= row["eof"] <= 1.0
 
 
 def test_module_entry_point_runs():
