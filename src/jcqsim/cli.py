@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -19,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import quantum_discord
-from .device import (
-    DeviceParams,
-    EffectiveParams,
-    ThermalSpec,
-    thermal_state,
-)
+from .device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
 from .errors import (
     BracketError,
     ConfigError,
@@ -346,7 +342,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file")
     common.add_argument("--out", type=Path, help="output CSV path (default stdout)")
@@ -402,9 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,20 +1,21 @@
 """Entropic correlation measures for two-qubit states.
 
-Quantum discord is computed as mutual information minus the classical
-correlation, where the latter maximizes S(rho_b) - S(rho | {Pi_k}) over
-rank-1 projective measurements on one qubit.  One kernel gives the measured
-conditional entropy for many directions, and a stack of states, at once.
-X states (nonzero only on the diagonal and anti-diagonal, as is every Gibbs
-state at phi_e = 1/2) reduce exactly to one angle theta in [0, pi/2]; the
-optimum can lie inside it (Lu et al., PRA 83, 012327, 2011), so theta in
-{0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not exact.  A
-33-point theta seed and six shrinking 17-point stencils (135 evaluations, 7
-kernel calls per stack, a last cell below 2e-7 rad) serve every X state of a
-batch at once.  Other states are searched one at a time on a 33x64 Bloch-angle
-seed grid, then on ten shrinking 9x9 stencils laid in the plane tangent to
-the best direction so far (2,922 evaluations, a last cell of about 1e-7
-rad).  An exhaustive grid oracle over the same kernel is provided separately
-for verification and is never the production path.
+Every measure works on a stack (N, 4, 4) of states, validated once; a public
+measure of one state passes a stack of one.  Quantum discord is the mutual
+information minus the classical correlation, which maximizes
+S(rho_b) - S(rho | {Pi_k}) over rank-1 projective measurements on one qubit;
+one kernel gives the measured conditional entropy for many directions and
+states at once.  X states (nonzero only on the diagonal and anti-diagonal, as
+is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
+[0, pi/2]; the optimum can lie inside it (Lu et al., PRA 83, 012327, 2011),
+so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
+exact.  A 33-point theta seed and six shrinking 17-point stencils (135
+evaluations, 7 kernel calls, a last cell below 2e-7 rad) serve every X state
+of a stack at once.  Other states are searched one at a time on a 33x64
+Bloch-angle seed grid, then on ten shrinking 9x9 stencils in the plane
+tangent to the best direction so far (2,922 evaluations, a last cell of about
+1e-7 rad).  An exhaustive grid oracle over the same kernel is provided
+separately for verification and is never the production path.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .errors import (
 )
 
 SIDES = ("first", "second")
-# The qubit that measuring ``side`` leaves unmeasured.
+# The qubit that measuring ``side`` leaves unmeasured, and its SIDES index.
 _OTHER = {"first": "second", "second": "first"}
+_KEPT = {"first": 1, "second": 0}
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -61,7 +63,9 @@ X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
 X_POLISH_STEPS = 6
 
-_X_OFF_PATTERN = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
+# Row-major flat indices of the entries off the diagonal and anti-diagonal,
+# then of rho_14, rho_23, rho_22, rho_11, rho_33 and rho_44.
+_X_ENTRIES = np.array([1, 2, 4, 7, 8, 11, 13, 14, 3, 6, 5, 0, 10, 15])
 
 
 @dataclass(frozen=True)
@@ -97,23 +101,28 @@ class CorrelationReport:
     optimizer_evaluations: int
 
 
-def _require_state(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _require_state(states, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one validation boundary: each public measure checks its input here
-    once and hands it, with its spectrum, to unchecked private kernels."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-        raise DimensionError(f"state must be 2x2 or 4x4, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise DimensionError(f"state must be {dim}x{dim}, got shape {rho.shape}")
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    if float(np.linalg.norm(rho - rho.conj().T)) > qmath.HERMITICITY_RTOL * scale:
+    once, as a stack (N x d x d; one state is a stack of one), and hands it,
+    with each state's spectrum (N x d), to unchecked private kernels."""
+    states = np.asarray(states, dtype=complex)
+    sizes = (2, 4) if dim is None else (dim,)
+    if states.ndim != 3 or states.shape[1] != states.shape[2] or states.shape[1] not in sizes:
+        expected = " or ".join(f"{n}x{n}" for n in sizes)
+        raise DimensionError(f"state must be {expected}, got shape {states.shape[1:]}")
+    if np.count_nonzero(np.isfinite(states)) < states.size:
+        raise NotAStateError("state has a non-finite entry")
+    # A state's Frobenius norm is at most 1, so Hermiticity is judged to an
+    # absolute tolerance.
+    skew = (states - states.conj().swapaxes(1, 2)).reshape(len(states), states.shape[1] ** 2)
+    if np.count_nonzero(np.vecdot(skew, skew).real > qmath.HERMITICITY_RTOL**2):
         raise NotAStateError("state is not Hermitian")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < qmath.EIGENVALUE_CLAMP:
-        raise NotAStateError(f"state has negative eigenvalue {w[0]:.3e}")
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
+    w = np.linalg.eigvalsh(states)
+    if np.count_nonzero(w[:, 0] < qmath.EIGENVALUE_CLAMP):
+        raise NotAStateError(f"state has negative eigenvalue {w[:, 0].min():.3e}")
+    if np.count_nonzero(np.abs(w.sum(1) - 1.0) > 1e-9):
         raise NotAStateError("state trace is not 1")
-    return rho, w
+    return states, w
 
 
 def _require_side(side: str) -> None:
@@ -128,37 +137,32 @@ def binary_entropy(tau: float) -> float:
     return -(tau * math.log(tau) + (1.0 - tau) * math.log(1.0 - tau)) / _LN2
 
 
-def _spectrum_entropy(w: np.ndarray) -> float:
-    """Entropy of a density matrix from its eigenvalues w."""
-    w = w[w > 0.0]
-    return max(0.0, float(-(w * np.log2(w)).sum()))
-
-
-def _entropy(rho: np.ndarray) -> float:
-    """Entropy of an unchecked density matrix."""
-    return _spectrum_entropy(np.linalg.eigvalsh(rho))
+def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """Entropy of density matrices from their eigenvalues (last axis of w);
+    eigenvalues at or below zero contribute nothing."""
+    terms = w * np.log2(np.where(w > 0.0, w, 1.0))
+    return np.maximum(0.0, -terms.sum(-1))
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    return _spectrum_entropy(_require_state(rho)[1])
+    return float(_spectrum_entropy(_require_state([rho])[1])[0])
 
 
-def _mutual_information(rho: np.ndarray, w: np.ndarray) -> tuple[float, dict[str, float]]:
-    """Unchecked kernel of :func:`mutual_information`, given the spectrum w
-    of rho; also returns the entropy of each qubit's reduced state."""
-    marginals = {keep: _entropy(qmath.partial_trace(rho, keep)) for keep in SIDES}
-    mi = marginals["first"] + marginals["second"] - _spectrum_entropy(w)
-    if mi < 0.0:
-        if mi < -1e-10:
-            raise DomainError(f"mutual information came out negative: {mi}")
-        mi = 0.0
-    return mi, marginals
+def _mutual_information(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked kernel of :func:`mutual_information` for a stack with
+    spectra w; also returns the entropy of each qubit's reduced state (N x 2,
+    in SIDES order), from one eigvalsh call over all of them."""
+    marginals = _spectrum_entropy(np.linalg.eigvalsh(qmath.reduced_states(states)))
+    mi = marginals[:, 0] + marginals[:, 1] - _spectrum_entropy(w)
+    if np.count_nonzero(mi < -1e-10):
+        raise DomainError(f"mutual information came out negative: {mi.min()}")
+    return np.maximum(mi, 0.0), marginals
 
 
 def mutual_information(rho) -> float:
     """I(rho) = S(rho_a) + S(rho_b) - S(rho), in bits."""
-    return _mutual_information(*_require_state(rho, 4))[0]
+    return float(_mutual_information(*_require_state([rho], 4))[0][0])
 
 
 def measurement_projector(theta: float, phi: float) -> np.ndarray:
@@ -176,7 +180,7 @@ def conditional_entropy(rho, m: Measurement) -> float:
     Definitional path: each outcome is the explicit projector sandwich
     (Pi_k x I) rho (Pi_k x I) followed by a partial trace.
     """
-    rho, _ = _require_state(rho, 4)
+    rho = _require_state([rho], 4)[0][0]
     proj = measurement_projector(m.theta, m.phi)
     keep = _OTHER[m.side]
     total = 0.0
@@ -188,7 +192,8 @@ def conditional_entropy(rho, m: Measurement) -> float:
         prob = float(np.trace(post).real)
         if prob <= PROBABILITY_FLOOR:
             continue
-        total += prob * _entropy(qmath.partial_trace(post, keep) / prob)
+        reduced = qmath.partial_trace(post, keep) / prob
+        total += prob * float(_spectrum_entropy(np.linalg.eigvalsh(reduced)))
     return total
 
 
@@ -207,6 +212,7 @@ def conditional_entropy(rho, m: Measurement) -> float:
 _PAULIS = (qmath.IDENTITY_2, qmath.SIGMA_X, qmath.SIGMA_Y, qmath.SIGMA_Z)
 # Row (i, j) maps rho.ravel() to Tr(rho s_i x s_j).
 _FANO = np.array([np.kron(s, t).T.ravel() for s in _PAULIS for t in _PAULIS])
+_YY = qmath.kron(qmath.SIGMA_Y, qmath.SIGMA_Y)
 
 
 def _bloch(rho: np.ndarray, side: str) -> np.ndarray:
@@ -289,14 +295,15 @@ def _maximize_classical(rho: np.ndarray, side: str):
             n, best = candidates[:, i], float(values[i])
         half_width *= 2.0 / (POLISH_POINTS - 1)  # one cell of this stencil
 
-    cc = max(0.0, _entropy(qmath.partial_trace(rho, _OTHER[side])) - best)
+    kept = _spectrum_entropy(np.linalg.eigvalsh(qmath.partial_trace(rho, _OTHER[side])))
+    cc = max(0.0, float(kept) - best)
     theta, phi = _angles(n)
     return cc, Measurement(theta, phi, side), _EVALUATIONS
 
 
-def _maximize_x(states: np.ndarray, side: str) -> list:
-    """The minimal measured conditional entropy, its Measurement and the
-    evaluations spent, for each of a stack of X states (N x 4 x 4).
+def _maximize_x(states: np.ndarray, side: str, kept: np.ndarray) -> list:
+    """(classical correlation, argmax Measurement, evaluations) for each of a
+    stack of X states (N x 4 x 4), given S of each unmeasured qubit ``kept``.
 
     The measured qubit's x axis is put along the top singular vector of T_xy,
     which maximizes |b +- T^T n| at any theta: the Fano matrix becomes
@@ -319,37 +326,38 @@ def _maximize_x(states: np.ndarray, side: str) -> list:
     best, theta = np.full(len(states), np.inf), np.full(len(states), 0.25 * math.pi)
     half_width = 0.25 * math.pi
     for offsets in _X_STENCILS:
-        candidates = np.clip(theta[:, None] + half_width * offsets, 0.0, 0.5 * math.pi)
+        # np.clip to [0, pi/2], as two cheaper ufuncs with the same result.
+        candidates = theta[:, None] + half_width * offsets
+        candidates = np.minimum(0.5 * math.pi, np.maximum(0.0, candidates))
         n = np.zeros((len(states), 3, len(offsets)))
         np.sin(candidates, out=n[:, 0])
         np.cos(candidates, out=n[:, 2])
         values = _cond_entropy(bloch, n)
         i = values.argmin(1)
-        better = values[rows, i] < best
-        best = np.where(better, values[rows, i], best)
+        lowest = values[rows, i]
+        better = lowest < best
+        best = np.where(better, lowest, best)
         theta = np.where(better, candidates[rows, i], theta)
         half_width *= 2.0 / (len(offsets) - 1)  # one cell of this stencil
     return [
-        (b, Measurement(t, f, side), _X_EVALUATIONS)
-        for b, t, f in zip(best.tolist(), theta.tolist(), phis.tolist())
+        (max(0.0, s - b), Measurement(t, f, side), _X_EVALUATIONS)
+        for s, b, t, f in zip(kept.tolist(), best.tolist(), theta.tolist(), phis.tolist())
     ]
 
 
-def _classical(states: list, side: str, kept: list) -> list:
-    """:func:`_maximize_classical` for each state, the X states in one call;
+def _classical(states: np.ndarray, side: str, kept: np.ndarray, is_x: np.ndarray):
+    """Classical correlations, argmax Measurements and evaluations of a stack:
+    X states (``is_x``) in one :func:`_maximize_x` call, others one at a time.
     ``kept`` holds S of each state's unmeasured qubit (S(rho_b), from its
     spectrum: 1 - |b| would keep too few digits when rho_b is near pure)."""
-    is_x = [_is_x_state(rho) for rho in states]
-    xs = [rho for rho, x in zip(states, is_x) if x]
-    done = iter(_maximize_x(np.array(xs), side) if xs else ())
-    out = []
-    for rho, x, s in zip(states, is_x, kept):
-        if x:
-            best, m, evaluations = next(done)
-            out.append((max(0.0, s - best), m, evaluations))
-        else:
-            out.append(_maximize_classical(rho, side))
-    return out
+    found = [None] * len(states)
+    xs = np.flatnonzero(is_x)
+    if len(xs):
+        for i, result in zip(xs, _maximize_x(states[xs], side, kept[xs])):
+            found[i] = result
+    for i in np.flatnonzero(~is_x):
+        found[i] = _maximize_classical(states[i], side)
+    return [list(column) for column in zip(*found)] or [[], [], []]
 
 
 def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:
@@ -359,20 +367,18 @@ def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]
     entropy over all rank-1 projective measurements on ``side``, together
     with the maximizing measurement.
     """
-    rho, _ = _require_state(rho, 4)
+    states, w = _require_state([rho], 4)
     _require_side(side)
-    kept = _entropy(qmath.partial_trace(rho, _OTHER[side]))
-    cc, m, _ = _classical([rho], side, [kept])[0]
-    return cc, m
+    kept = _mutual_information(states, w)[1][:, _KEPT[side]]
+    cc, found, _ = _classical(states, side, kept, _x_entries(states)[0])
+    return cc[0], found[0]
 
 
-def _clamp_classical(mi: float, cc: float) -> tuple[float, float]:
-    if cc > mi:
-        if cc - mi > DISCORD_NEGATIVE_TOL:
-            raise DomainError(
-                f"classical correlation {cc} exceeds mutual information {mi}"
-            )
-        cc = mi
+def _clamp_classical(mi, cc):
+    """(discord, classical correlation), the latter clamped to mi within round-off."""
+    if np.count_nonzero(cc - mi > DISCORD_NEGATIVE_TOL):
+        raise DomainError(f"classical correlation {cc} exceeds mutual information {mi}")
+    cc = np.minimum(cc, mi)
     return mi - cc, cc
 
 
@@ -386,44 +392,34 @@ def quantum_discord(rho, side: str = "first") -> CorrelationReport:
 
 
 def correlation_reports(states, side: str = "first") -> list[CorrelationReport]:
-    """:func:`quantum_discord` for each state of a sequence; the X states
-    share one maximizer call, and each report is the one its state gets alone."""
+    """:func:`quantum_discord` for each state of a stack (N x 4 x 4), measured at
+    once; each report is the one its state gets alone."""
     _require_side(side)
-    checked, mis, kept = [], [], []
-    for rho in states:
-        rho, w = _require_state(rho, 4)
-        mi, marginals = _mutual_information(rho, w)
-        checked.append(rho)
-        mis.append(mi)
-        kept.append(marginals[_OTHER[side]])
-    reports = []
-    for rho, mi, (cc, m, evaluations) in zip(checked, mis, _classical(checked, side, kept)):
-        discord, cc = _clamp_classical(mi, cc)
-        c = _concurrence(rho, "auto")
-        reports.append(
-            CorrelationReport(mi, cc, discord, c, eof_from_concurrence(c), m, evaluations)
-        )
-    return reports
+    states, w = _require_state(states, 4)
+    mi, marginals = _mutual_information(states, w)
+    is_x, c = _x_entries(states)
+    cc, found, evaluations = _classical(states, side, marginals[:, _KEPT[side]], is_x)
+    discord, cc = _clamp_classical(mi, np.array(cc))
+    c = _concurrence(states, is_x, c).tolist()
+    rows = zip(mi.tolist(), cc.tolist(), discord.tolist(), c, found, evaluations)
+    return [CorrelationReport(mi, cc, d, c, eof_from_concurrence(c), m, e)
+            for mi, cc, d, c, m, e in rows]
 
 
 def measure_states(states, measures) -> list[dict[str, float]]:
-    """The named :class:`CorrelationReport` measures of each state, each state
+    """The named :class:`CorrelationReport` measures of each state of a stack,
     checked once; the discord search runs only for discord or classical
     correlation, as :func:`correlation_reports` (first qubit measured)."""
     if "discord" in measures or "classical_correlation" in measures:
-        available = [vars(report) for report in correlation_reports(states)]
-    else:
-        available = []
-        for rho in states:
-            rho, w = _require_state(rho, 4)
-            values = {}
-            if "mutual_information" in measures:
-                values["mutual_information"] = _mutual_information(rho, w)[0]
-            if "concurrence" in measures or "eof" in measures:
-                values["concurrence"] = c = _concurrence(rho, "auto")
-                values["eof"] = eof_from_concurrence(c)
-            available.append(values)
-    return [{m: values[m] for m in measures} for values in available]
+        return [{m: getattr(r, m) for m in measures} for r in correlation_reports(states)]
+    states, w = _require_state(states, 4)
+    columns = {}
+    if "mutual_information" in measures:
+        columns["mutual_information"] = _mutual_information(states, w)[0].tolist()
+    if "concurrence" in measures or "eof" in measures:
+        columns["concurrence"] = _concurrence(states, *_x_entries(states)).tolist()
+        columns["eof"] = [eof_from_concurrence(c) for c in columns["concurrence"]]
+    return [dict(zip(measures, values)) for values in zip(*(columns[m] for m in measures))]
 
 
 def discord_grid_oracle(
@@ -435,12 +431,12 @@ def discord_grid_oracle(
     n_phi points on [0, 2*pi); upper-bounds the true discord.  Verification
     oracle only, never the production path.
     """
-    rho, w = _require_state(rho, 4)
+    states, w = _require_state([rho], 4)
     _require_side(side)
     if n_theta < 2 or n_phi < 2:
         raise InvalidParameterError("grid needs at least 2 points per angle")
-    mi, marginals = _mutual_information(rho, w)
-    bloch = _bloch(rho, side)
+    mi, marginals = _mutual_information(states, w)
+    bloch = _bloch(states[0], side)
 
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = _TWO_PI * np.arange(n_phi) / n_phi
@@ -450,13 +446,21 @@ def discord_grid_oracle(
         n = _grid_directions(thetas[start : start + rows_per_chunk], phis)
         best = min(best, float(_cond_entropy(bloch, n).min()))
 
-    cc = max(0.0, marginals[_OTHER[side]] - best)
-    discord, _ = _clamp_classical(mi, cc)
-    return discord
+    cc = max(0.0, float(marginals[0, _KEPT[side]]) - best)
+    discord, _ = _clamp_classical(float(mi[0]), cc)
+    return float(discord)
 
 
-def _is_x_state(rho: np.ndarray, tol: float = 1e-12) -> bool:
-    return all(abs(rho[i, j]) <= tol for i, j in _X_OFF_PATTERN)
+def _x_entries(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each state of a stack is X-shaped (every entry off the diagonal
+    and anti-diagonal at most 1e-12 in modulus), and its X concurrence
+    2 * max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))."""
+    e = states.reshape(len(states), 16).take(_X_ENTRIES, 1)
+    moduli = np.hypot(e[:, :10].real, e[:, :10].imag)
+    p = e[:, 10:].real
+    c12 = moduli[:, 8:] - np.sqrt(np.maximum(p[:, :2] * p[:, 2:], 0.0))
+    c = np.minimum(1.0, 2.0 * np.maximum(0.0, np.maximum(c12[:, 0], c12[:, 1])))
+    return moduli[:, :8].max(1) <= 1e-12, c
 
 
 def concurrence(rho, method: str = "auto") -> float:
@@ -468,30 +472,30 @@ def concurrence(rho, method: str = "auto") -> float:
     the general path takes the descending square-rooted spectrum of the
     Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
     """
-    return _concurrence(_require_state(rho, 4)[0], method)
-
-
-def _concurrence(rho: np.ndarray, method: str) -> float:
-    """Unchecked kernel of :func:`concurrence`."""
+    states = _require_state([rho], 4)[0]
     if method not in ("auto", "xstate", "general"):
         raise InvalidParameterError(f"unknown concurrence method {method!r}")
-    if method in ("auto", "xstate"):
-        if _is_x_state(rho):
-            c1 = abs(rho[0, 3]) - math.sqrt(max(rho[1, 1].real * rho[2, 2].real, 0.0))
-            c2 = abs(rho[1, 2]) - math.sqrt(max(rho[0, 0].real * rho[3, 3].real, 0.0))
-            return min(1.0, 2.0 * max(0.0, c1, c2))
-        if method == "xstate":
-            raise UnsupportedRegimeError("state is not X-shaped")
+    is_x, c = _x_entries(states)
+    if method == "xstate" and not is_x[0]:
+        raise UnsupportedRegimeError("state is not X-shaped")
+    if method == "general":
+        is_x[0] = False
+    return float(_concurrence(states, is_x, c)[0])
 
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    yy = qmath.kron(qmath.SIGMA_Y, qmath.SIGMA_Y)
-    m = sqrt_rho @ yy @ rho.conj() @ yy @ sqrt_rho
-    m = 0.5 * (m + m.conj().T)
-    mu = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    lam = np.sqrt(mu)[::-1]
-    return min(1.0, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))
+
+def _concurrence(states: np.ndarray, is_x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of :func:`concurrence` for a stack: keeps the X closed
+    form ``c`` where ``is_x`` holds, the spectral path elsewhere."""
+    if np.count_nonzero(is_x) < len(states):
+        general = ~is_x
+        g = states[general]
+        w, v = np.linalg.eigh(g)
+        sqrt_rho = (v * np.sqrt(np.maximum(0.0, w))[:, None, :]) @ v.conj().swapaxes(1, 2)
+        m = sqrt_rho @ _YY @ g.conj() @ _YY @ sqrt_rho
+        m = 0.5 * (m + m.conj().swapaxes(1, 2))
+        lam = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(m)))
+        c[general] = np.minimum(1.0, np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]))
+    return c
 
 
 def eof_from_concurrence(c: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import InvalidParameterError, UnsupportedRegimeError
+from .errors import DimensionError, InvalidParameterError, UnsupportedRegimeError
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,6 @@ class ThermalSpec:
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise InvalidParameterError("temperature must be finite and >= 0")
 
-    @property
-    def zero_temperature(self) -> bool:
-        return self.temperature == 0.0
-
 
 def _cos_pi(x: float) -> float:
     """cos(pi*x) with exact argument reduction.
@@ -208,23 +204,48 @@ def effective_params(p: DeviceParams) -> EffectiveParams:
     )
 
 
-def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
-    """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin).
+# H[r, c] is column _H_ENTRIES[r, c] of a row of _hamiltonians' table: sz terms
+# on the diagonal; sx(2), sx(1) and sx(1)sx(2) link states that differ in the
+# second qubit, the first, and both.
+_H_ENTRIES = np.array([[0, 5, 4, 6], [5, 1, 6, 4], [4, 6, 2, 5], [6, 4, 5, 3]])
 
-    Filled entry by entry: the sz terms sit on the diagonal, sx(2) links
-    states that differ in the second qubit, sx(1) states that differ in the
-    first, and sx(1)sx(2) the anti-diagonal.
-    """
-    e1, e2, x1, x2, j = eff.eps1, eff.eps2, -eff.ej1, -eff.ej2, eff.j12
-    return np.array(
-        [
-            [e1 + e2, x2, x1, j],
-            [x2, e1 - e2, j, x1],
-            [x1, j, -e1 + e2, x2],
-            [j, x1, x2, -e1 - e2],
-        ],
+
+def _hamiltonians(effs) -> np.ndarray:
+    """:func:`build_hamiltonian` for each EffectiveParams, as one N x 4 x 4 stack."""
+    table = np.array(
+        [(e.eps1 + e.eps2, e.eps1 - e.eps2, -e.eps1 + e.eps2, -e.eps1 - e.eps2, -e.ej1, -e.ej2,
+          e.j12) for e in effs],
         dtype=complex,
     )
+    return table[:, _H_ENTRIES]
+
+
+def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
+    """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin)."""
+    return _hamiltonians([eff])[0]
+
+
+def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """:func:`gibbs_state` for each of a stack of Hamiltonians, from their
+    eigenvalues w (N x n) and eigenvectors v, at temperatures T (N x 1)."""
+    # Shift by the ground energy so the exponentials never overflow; near
+    # T = 0 the gap over T may overflow to inf, whose weight is exactly 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.exp(-(w - w[:, :1]) / temperatures)
+    cold = temperatures[:, 0] == 0.0 if np.count_nonzero(temperatures) < len(w) else None
+    if cold is not None:
+        # At T = 0, unit weight on the ground space: the levels within a cut
+        # scaled by the Frobenius norm of H, sqrt(sum(w**2)).
+        cut = w[:, :1] + GROUND_DEGENERACY_RTOL * np.sqrt(np.vecdot(w, w))[:, None]
+        weights = np.where(cold[:, None], w <= cut, weights)
+    rho = (v * weights[:, None, :]) @ v.conj().swapaxes(1, 2)
+    z = weights.sum(1)
+    if cold is not None:
+        z = np.where(cold, np.trace(rho, axis1=1, axis2=2).real, z)
+    rho /= z[:, None, None]
+    rho += rho.conj().swapaxes(1, 2)
+    rho *= 0.5
+    return rho
 
 
 def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
@@ -233,19 +254,17 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
     A degenerate ground space yields the uniform mixture over it, the
     T -> 0+ limit of the Gibbs state.
     """
+    return gibbs_family(h)(spec)
+
+
+def gibbs_family(h):
+    """The map spec -> ``gibbs_state(h, spec)`` for one Hamiltonian, which is
+    checked and diagonalized once: for searches that visit many temperatures."""
     h = qmath.require_hermitian(h, "hamiltonian")
-    w, v = np.linalg.eigh(h)
-    if spec.zero_temperature:
-        cut = w[0] + GROUND_DEGENERACY_RTOL * float(np.linalg.norm(h))
-        ground = v[:, w <= cut]
-        rho = ground @ ground.conj().T
-        rho /= np.trace(rho).real
-    else:
-        # Shift by the ground energy so the exponentials never overflow.
-        weights = np.exp(-(w - w[0]) / spec.temperature)
-        rho = (v * weights) @ v.conj().T
-        rho /= weights.sum()
-    return 0.5 * (rho + rho.conj().T)
+    if h.ndim != 2:
+        raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")
+    w, v = np.linalg.eigh(h[None])
+    return lambda spec: _gibbs_states(w, v, np.array([[spec.temperature]]))[0]
 
 
 def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
@@ -304,7 +323,14 @@ def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
     return rho
 
 
+def thermal_states(params, specs) -> np.ndarray:
+    """Thermal states (N x 4 x 4) of device or effective parameter sets, each with its
+    ThermalSpec: control maps per point, everything after them on the stack."""
+    effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
+    h = qmath.require_hermitian(_hamiltonians(effs), "hamiltonian")
+    return _gibbs_states(*np.linalg.eigh(h), np.array([[s.temperature] for s in specs]))
+
+
 def thermal_state(params, temperature: float) -> np.ndarray:
     """Thermal state for device or effective parameters at the given T (K)."""
-    eff = params if isinstance(params, EffectiveParams) else effective_params(params)
-    return gibbs_state(build_hamiltonian(eff), ThermalSpec(temperature))
+    return thermal_states([params], [ThermalSpec(temperature)])[0]

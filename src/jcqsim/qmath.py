@@ -23,18 +23,17 @@ for _m in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.setflags(write=False)
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
-        raise DimensionError(f"{name} must be 2x2 or 4x4, got shape {a.shape}")
-    return a
-
-
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square (2x2 or 4x4) and Hermitian; return it."""
-    a = _as_matrix(a, name)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if float(np.linalg.norm(a - a.conj().T)) > HERMITICITY_RTOL * scale:
+    """Validate that ``a`` is square (2x2 or 4x4) and Hermitian, or a stack
+    (... x n x n) of such matrices, each within HERMITICITY_RTOL of its
+    Frobenius norm (at least 1); return it as a complex array."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in (2, 4):
+        raise DimensionError(f"{name} must be 2x2 or 4x4, got shape {a.shape}")
+    flat = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
+    skew = (a - a.conj().swapaxes(-1, -2)).reshape(flat.shape)
+    scale = np.maximum(1.0, np.vecdot(flat, flat).real)
+    if np.count_nonzero(np.vecdot(skew, skew).real > HERMITICITY_RTOL**2 * scale):
         raise NotHermitianError(f"{name} is not Hermitian within tolerance")
     return a
 
@@ -50,17 +49,24 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(rho, keep: str) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator.
+# Flat indices of the two terms of each entry of rho_a, then rho_b:
+# rho_a[a, c] = sum_k rho[2a + k, 2c + k], rho_b[b, d] = sum_k rho[2k + b, 2k + d].
+_TRACE_TERMS = np.array([[0, 2, 8, 10, 0, 1, 4, 5], [5, 7, 13, 15, 10, 11, 14, 15]])
 
-    ``keep`` selects the surviving subsystem ("first" or "second").
-    """
+
+def reduced_states(rho) -> np.ndarray:
+    """Both single-qubit reduced states of a two-qubit operator, or of each of
+    a stack (... x 4 x 4) of them: ... x 2 x 2 x 2, the first qubit's first."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    r4 = rho.reshape(2, 2, 2, 2)
-    if keep == "first":
-        return np.einsum("abcb->ac", r4)
-    if keep == "second":
-        return np.einsum("abad->bd", r4)
-    raise DimensionError(f"keep must be 'first' or 'second', got {keep!r}")
+    if rho.shape[-2:] != (4, 4):
+        raise DimensionError(f"partial_trace expects 4x4 matrices, got {rho.shape}")
+    terms = rho.reshape(rho.shape[:-2] + (16,))[..., _TRACE_TERMS]
+    return (terms[..., 0, :] + terms[..., 1, :]).reshape(rho.shape[:-2] + (2, 2, 2))
+
+
+def partial_trace(rho, keep: str) -> np.ndarray:
+    """Trace out one qubit of a two-qubit operator (or of each of a stack);
+    ``keep`` names the surviving subsystem, "first" or "second"."""
+    if keep not in ("first", "second"):
+        raise DimensionError(f"keep must be 'first' or 'second', got {keep!r}")
+    return reduced_states(rho)[..., 0 if keep == "first" else 1, :, :]

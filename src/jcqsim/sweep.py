@@ -1,11 +1,11 @@
 """Parameter sweeps and critical-point searches over the device controls.
 
-Grid points are independent pure evaluations, taken in axis order in
-chunks of a fixed size on one thread: a chunk's states are built, then
-measured at once (its X states share one discord maximizer call).  The
-``threads`` keyword of the sweeps, and the CLI's ``--threads``, are accepted
-and do not change how a sweep runs: the chunks' Python work holds the
-interpreter lock, so a thread pool would only slow sweeps down.
+Grid points are taken in axis order in chunks of a fixed size on one thread.
+Each point gets its own control maps; from the Hamiltonian on, a chunk is one
+(N, 4, 4) stack, built and measured at once, and every state's result is the
+one it gets alone.  The ``threads`` keyword and the CLI's ``--threads`` are
+accepted and change nothing.  The ESD search diagonalizes its Hamiltonian
+once for all the temperatures it visits.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from .device import (
     ThermalSpec,
     build_hamiltonian,
     effective_params,
+    gibbs_family,
     gibbs_state,
-    thermal_state,
+    thermal_states,
 )
 from .errors import BracketError, SpecValidationError
 
@@ -138,7 +139,7 @@ def _sweep_rows(axes: list, setup, measures: tuple[str, ...]) -> list[SweepRow]:
     rows = []
     for i in range(0, len(axes), CHUNK_POINTS):
         part = axes[i : i + CHUNK_POINTS]
-        states = [thermal_state(p, t.temperature) for p, t in (setup(*a) for a in part)]
+        states = thermal_states(*zip(*(setup(*a) for a in part)))
         rows += [SweepRow(a, v) for a, v in zip(part, measure_states(states, measures))]
     return rows
 
@@ -182,10 +183,10 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     if not (t_max > 0.0 and tol > 0.0):
         raise SpecValidationError("t_max and tol must be positive")
     eff = fixed if isinstance(fixed, EffectiveParams) else effective_params(fixed)
-    h = build_hamiltonian(eff)
+    state_at = gibbs_family(build_hamiltonian(eff))
 
     def conc(t: float) -> float:
-        return concurrence(gibbs_state(h, ThermalSpec(t)))
+        return concurrence(state_at(ThermalSpec(t)))
 
     if conc(0.0) <= CONCURRENCE_FLOOR:
         raise BracketError("state is never entangled: concurrence is zero at T = 0")

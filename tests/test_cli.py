@@ -103,6 +103,30 @@ class TestReport:
         assert stdout == ""
         assert out.read_text().startswith("mutual_information,")
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # A report with --temp, then one without: the second is the T = 0 row,
+        # so no argument of one call survives into the next.
+        parser = cli._build_parser()
+        hot = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "0.5")
+        cold = run_cli(capsys, "report", "--eps", "1", "--j", "2")
+        zero = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "0")
+        assert cli._build_parser() is parser
+        assert hot[0] == cold[0] == zero[0] == 0
+        assert cold[1] == zero[1] != hot[1]
+
+    def test_tiny_temperature_warns_nothing(self, capsys, tmp_path):
+        # 1/T overflows below about 1e-308 K; the state is the T = 0 limit.
+        cfg = tmp_path / "cold.json"
+        cfg.write_text(json.dumps({"thermal": {"temperature_k": 5e-324}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "report", "--eps", "1", "--j", "2",
+                                     "--config", str(cfg))
+        assert (code, err) == (0, "")
+        _, zero, _ = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "0")
+        discord = [float(parse_csv(text)[1][0][2]) for text in (out, zero)]
+        assert abs(discord[0] - discord[1]) <= 1e-12
+
 
 class TestConfigHandling:
     def test_effective_config_file(self, capsys, tmp_path):

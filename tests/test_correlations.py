@@ -15,6 +15,7 @@ from jcqsim.correlations import (
     eof,
     eof_from_concurrence,
     ground_state_discord_analytic,
+    measure_states,
     measurement_projector,
     mutual_information,
     quantum_discord,
@@ -111,6 +112,68 @@ class TestMutualInformation:
     def test_rejects_single_qubit_input(self):
         with pytest.raises(DimensionError):
             mutual_information(np.eye(2) / 2)
+
+
+PUBLIC_MEASURES = [
+    von_neumann_entropy,
+    mutual_information,
+    quantum_discord,
+    classical_correlation,
+    concurrence,
+    eof,
+    discord_grid_oracle,
+    lambda rho: conditional_entropy(rho, Measurement(0.5, 0.0)),
+]
+
+
+def _spoiled(bad, where):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[where] = bad
+    return rho
+
+
+class TestNonFiniteStates:
+    """NaN compares false, so a non-finite state once slipped past every check."""
+
+    @pytest.mark.parametrize("measure", PUBLIC_MEASURES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (slice(None), slice(None))])
+    def test_public_measures_reject_them(self, measure, bad, where):
+        with pytest.raises(NotAStateError):
+            measure(_spoiled(bad, where))
+
+    @pytest.mark.parametrize("measures", [("discord",), ("mutual_information", "concurrence")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_bad_state_in_a_stack_is_rejected(self, measures, bad):
+        states = [thermal_state(EffectiveParams.symmetric(1.0, j), 0.1) for j in (0.5, 1.0, 2.0)]
+        states[1] = _spoiled(bad, (0, 3))
+        with pytest.raises(NotAStateError):
+            measure_states(np.array(states), measures)
+
+
+class TestMeasureStates:
+    def test_mixed_stack_equals_each_state_alone(self):
+        rng = np.random.default_rng(22)
+        states = [random_x_state(rng) if k % 2 else random_density_matrix(rng, 4)
+                  for k in range(10)]
+        states += [thermal_state(EffectiveParams.symmetric(1.0, j), t)
+                   for j in (0.3, 4.0) for t in (0.0, 0.6)]
+        states = np.array(states)
+        assert 0 < correlations._x_entries(states)[0].sum() < len(states)
+        full = measure_states(states, ("mutual_information", "discord", "concurrence", "eof"))
+        cheap = measure_states(states, ("mutual_information", "concurrence", "eof"))
+        for rho, values, values_cheap in zip(states, full, cheap):
+            report = quantum_discord(rho)
+            assert values["discord"] == report.discord
+            assert values["mutual_information"] == report.mutual_information
+            assert values["concurrence"] == values_cheap["concurrence"] == concurrence(rho)
+            assert values["eof"] == values_cheap["eof"] == eof(rho)
+            assert values_cheap["mutual_information"] == mutual_information(rho)
+
+    def test_empty_stack_gives_no_rows(self):
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert correlations.correlation_reports(empty) == []
+        assert measure_states(empty, ("discord",)) == measure_states(empty, ("eof",)) == []
 
 
 class TestConditionalEntropy:

@@ -21,8 +21,10 @@ from jcqsim.device import (
     interbit_coupling,
     intrabit_coupling,
     thermal_state,
+    thermal_states,
 )
 from jcqsim.errors import (
+    DimensionError,
     InvalidParameterError,
     NotHermitianError,
     UnsupportedRegimeError,
@@ -254,6 +256,51 @@ class TestGibbsState:
         eff = EffectiveParams.symmetric(1.0, 2.0)
         rho = gibbs_state(build_hamiltonian(eff), ThermalSpec(0.5))
         assert np.abs(rho - closed_form_thermal(eff, 0.5)).max() <= 1e-10
+
+
+class TestThermalStates:
+    """The stacked builder gives each state exactly what it gets alone."""
+
+    def test_each_state_equals_gibbs_state(self):
+        rng = np.random.default_rng(12)
+        params = [
+            EffectiveParams(0.0, 0.0),              # H = 0: all four levels are ground
+            EffectiveParams(0.0, 0.0, j12=1.0),     # sx x sx: a twofold ground space
+            EffectiveParams.symmetric(1.0, 2.0),
+            DeviceParams(),
+            DeviceParams(v_x1=3e-5, v_x2=7e-5, phi_e=0.3, phi_x1=0.2),
+            *(EffectiveParams(*rng.uniform(-3.0, 3.0, size=5)) for _ in range(11)),
+        ]
+        for temperature in (0.0, 5e-324, 1e-3, 0.5, 40.0):
+            temperatures = [temperature] * len(params)
+            # A temperature sweep mixes T = 0 and T > 0 in one stack.
+            temperatures[::3] = [0.0] * len(temperatures[::3])
+            specs = [ThermalSpec(t) for t in temperatures]
+            stack = thermal_states(params, specs)
+            assert stack.shape == (len(params), 4, 4)
+            for p, spec, rho in zip(params, specs, stack):
+                eff = p if isinstance(p, EffectiveParams) else effective_params(p)
+                assert np.array_equal(rho, gibbs_state(build_hamiltonian(eff), spec))
+                assert np.array_equal(rho, thermal_state(p, spec.temperature))
+
+    def test_random_hamiltonians_equal_gibbs_state(self):
+        rng = np.random.default_rng(13)
+        h = np.array([random_hermitian(rng) for _ in range(9)])
+        temperatures = np.array([0.0, 0.2, 1.0] * 3)
+        stack = device._gibbs_states(*np.linalg.eigh(h), temperatures[:, None])
+        for one, t, rho in zip(h, temperatures, stack):
+            assert np.array_equal(rho, gibbs_state(one, ThermalSpec(t)))
+
+    def test_gibbs_family_is_gibbs_state_at_each_temperature(self):
+        h = random_hermitian(np.random.default_rng(14))
+        state_at = device.gibbs_family(h)
+        for t in (0.0, 5e-324, 0.3, 7.0):
+            assert np.array_equal(state_at(ThermalSpec(t)), gibbs_state(h, ThermalSpec(t)))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (4,), (3, 3)])
+    def test_gibbs_state_keeps_its_single_matrix_contract(self, shape):
+        with pytest.raises(DimensionError):
+            gibbs_state(np.zeros(shape), ThermalSpec(1.0))
 
 
 class TestClosedFormThermal:

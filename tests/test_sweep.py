@@ -144,20 +144,21 @@ class TestSweep1d:
         [("mutual_information", "discord", "concurrence"), ("mutual_information", "concurrence")],
     )
     def test_one_validation_and_three_spectra_per_state(self, monkeypatch, measures):
-        # Only rho, rho_a and rho_b have spectra to take; the Gibbs states are
-        # X states, so concurrence takes its closed form and adds none.
+        # Only rho, rho_a and rho_b have spectra to take, each in one stacked
+        # call per chunk; the Gibbs states are X states, so concurrence takes
+        # its closed form and adds none.
         from jcqsim import correlations
 
-        calls = {"eigvalsh": 0, "validations": 0}
+        calls = {"eigvalsh": 0, "validated": 0}
         eigvalsh, require_state = np.linalg.eigvalsh, correlations._require_state
 
         def counted_eigvalsh(*args, **kwargs):
             calls["eigvalsh"] += 1
             return eigvalsh(*args, **kwargs)
 
-        def counted_require_state(*args, **kwargs):
-            calls["validations"] += 1
-            return require_state(*args, **kwargs)
+        def counted_require_state(states, *args, **kwargs):
+            calls["validated"] += len(states)
+            return require_state(states, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr(correlations, "_require_state", counted_require_state)
@@ -165,8 +166,8 @@ class TestSweep1d:
                          thermal=ThermalSpec(0.005), measures=measures)
         rows = sweep_1d(spec)
         assert len(rows) == CHUNK_POINTS
-        assert calls["validations"] == CHUNK_POINTS
-        assert calls["eigvalsh"] <= 3 * CHUNK_POINTS
+        assert calls["validated"] == CHUNK_POINTS
+        assert calls["eigvalsh"] <= 3
 
 
 class TestSweep2d:
