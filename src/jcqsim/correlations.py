@@ -11,9 +11,12 @@ is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
 so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
 exact.  A 33-point theta seed and six shrinking 17-point stencils (135
 evaluations, 7 kernel calls, a last cell below 2e-7 rad) serve every X state
-of a stack at once.  Other states are searched one at a time on a 33x64
-Bloch-angle seed grid, then on ten shrinking 9x9 stencils in the plane
-tangent to the best direction so far (2,922 evaluations, a last cell of about
+of a stack at once.  The other states of a stack are searched together too,
+in blocks that bound each kernel call's memory: a seed of the 993 directions
+of a 33x64 Bloch-angle grid that differ by more than a sign, then ten
+shrinking 9x9 stencils in the plane tangent to each state's best direction so
+far, re-centred instead of shrunk where the best point lies on a stencil's
+edge (1,803 evaluations, 81 more for each re-centring, a last cell of about
 1e-7 rad).  An exhaustive grid oracle over the same kernel is provided
 separately for verification and is never the production path.
 """
@@ -53,11 +56,22 @@ DISCORD_NEGATIVE_TOL = 1e-9
 # POLISH_STEPS stencils of POLISH_POINTS x POLISH_POINTS directions around
 # the best direction so far.  The first reaches one seed-grid cell either
 # way and each next one reaches one cell of the last, so the last cell is
-# about 1e-7 rad wide.
+# about 1e-7 rad wide.  A stencil whose best point lies on its edge and
+# gains more than RECENTRE_GAIN is re-centred there at the same width, at
+# most POLISH_RECENTRES times a state: a curved valley can lead further than
+# one cell.  Smaller gains are round-off (the values of a stencil on a flat
+# optimum spread by a few 1e-15).
 SEED_THETA_POINTS = 33
 SEED_PHI_POINTS = 64
 POLISH_POINTS = 9
 POLISH_STEPS = 10
+POLISH_RECENTRES = 4
+RECENTRE_GAIN = 1e-13
+# General states per kernel call: a seed call then holds 2 * 2 * 993 = 3,972
+# columns and a polish call 2 * 26 * 81 = 4,212, within the 4,224 of one
+# state on the full 33 x 64 grid.
+SEED_BLOCK = 2
+POLISH_BLOCK = 26
 # X states: theta alone, a seed cell of pi/64 shrunk 8**6-fold to 1.9e-7 rad.
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
@@ -216,9 +230,11 @@ _YY = qmath.kron(qmath.SIGMA_Y, qmath.SIGMA_Y)
 
 
 def _bloch(rho: np.ndarray, side: str) -> np.ndarray:
-    """Fano matrix [[1, b], [a, T]], rows on the measured qubit ``side``."""
-    r = (_FANO @ rho.ravel()).real.reshape(4, 4)
-    return r if side == "first" else r.T
+    """Fano matrix [[1, b], [a, T]] of a state or of each state of a stack,
+    rows on the measured qubit ``side``."""
+    lead = rho.shape[:-2]
+    r = (_FANO @ rho.reshape(*lead, 16, 1)).real.reshape(*lead, 4, 4)
+    return r if side == "first" else np.swapaxes(r, -1, -2)
 
 
 def _cond_entropy(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -229,12 +245,23 @@ def _cond_entropy(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
     m[..., 1:, :count] = n
     np.negative(n, out=m[..., 1:, count:])
     # Columns of y: (1 +- n.a, b +- T^T n) for the outcomes +n, then -n.
+    # Spent temporaries are freed at once and x holds (p, lam+, lam-) in one
+    # array: that bounds the memory of a call.
     y = np.swapaxes(bloch, -1, -2) @ m
-    r = np.sqrt(np.einsum("...ij,...ij->...j", y[..., 1:, :], y[..., 1:, :]))
+    del m
+    r = np.einsum("...ij,...ij->...j", y[..., 1:, :], y[..., 1:, :])
+    np.sqrt(r, out=r)
     y0 = y[..., 0, :]
-    x = np.array([0.5 * y0, 0.25 * (y0 + r), 0.25 * (y0 - r)])
+    x = np.empty((3,) + r.shape)
+    np.multiply(y0, 0.5, out=x[0])
+    np.add(y0, r, out=x[1])
+    np.subtract(y0, r, out=x[2])
+    x[1:] *= 0.25
     np.maximum(x, 1e-300, out=x)  # round-off can push lam a hair below 0
-    terms = x[0] * np.log2(x[0]) - (x[1:] * np.log2(x[1:])).sum(0)
+    del y, r
+    t = np.log2(x)
+    t *= x
+    terms = t[0] - (t[1] + t[2])
     return terms[..., :count] + terms[..., count:]
 
 
@@ -253,14 +280,24 @@ def _angles(n) -> tuple[float, float]:
     return theta, (phi if phi < _TWO_PI else 0.0)
 
 
-_SEED = _grid_directions(
-    np.linspace(0.0, math.pi, SEED_THETA_POINTS),
-    _TWO_PI * np.arange(SEED_PHI_POINTS) / SEED_PHI_POINTS,
-)
-# Offsets (u, v) of the polish stencil, in units of its half-width.
+# n and -n give one value (each kernel column sums both outcomes), so the seed
+# keeps one direction of each antipodal pair of the 33 x 64 Bloch-angle grid,
+# the one of lower theta-major index: the pole, theta rows 1-15 and the first
+# half of the equator, 993 directions.  (Theta row i pairs with row 32 - i,
+# phi index k with k + 32, and each pole row is one direction.)
+_SEED_THETAS = np.linspace(0.0, math.pi, SEED_THETA_POINTS)
+_SEED_PHIS = _TWO_PI * np.arange(SEED_PHI_POINTS) / SEED_PHI_POINTS
+_EQUATOR = SEED_THETA_POINTS // 2
+_SEED = np.hstack([
+    _grid_directions(_SEED_THETAS[:1], _SEED_PHIS[:1]),
+    _grid_directions(_SEED_THETAS[1:_EQUATOR], _SEED_PHIS),
+    _grid_directions(_SEED_THETAS[_EQUATOR : _EQUATOR + 1], _SEED_PHIS[: SEED_PHI_POINTS // 2]),
+])
+# Offsets (u, v) of the polish stencil, in units of its half-width, and which
+# of them lie on its edge.
 _STENCIL_AXIS = np.linspace(-1.0, 1.0, POLISH_POINTS)
 _STENCIL = np.array(np.meshgrid(_STENCIL_AXIS, _STENCIL_AXIS, indexing="ij")).reshape(2, -1)
-_EVALUATIONS = _SEED.shape[1] + POLISH_STEPS * POLISH_POINTS**2
+_STENCIL_EDGE = (np.abs(_STENCIL) == 1.0).any(0)
 # Offsets of the X-state stencils in units of their half-width; the first,
 # the seed, spans [0, pi/2].
 _X_STENCILS = [np.linspace(-1.0, 1.0, X_SEED_POINTS)]
@@ -268,37 +305,63 @@ _X_STENCILS += [np.linspace(-1.0, 1.0, X_POLISH_POINTS)] * X_POLISH_STEPS
 _X_EVALUATIONS = sum(map(len, _X_STENCILS))
 
 
-def _maximize_classical(rho: np.ndarray, side: str):
-    """Seed-and-polish maximization of S(rho_b) - S(rho|{Pi_k}).
+def _maximize_general(states: np.ndarray, side: str, kept: np.ndarray) -> list:
+    """(classical correlation, argmax Measurement, evaluations) for each of a
+    stack of states (N x 4 x 4), given S of each unmeasured qubit ``kept``.
 
-    Returns (classical correlation, argmax Measurement, evaluations).  It
-    takes S(rho_b) from the unmeasured qubit's spectrum itself: one 2x2
-    eigvalsh is a small part of the 2,922 evaluations of a general state.
+    Seed on :data:`_SEED` in blocks of SEED_BLOCK states, keeping each state's
+    first minimum, then polish in lockstep blocks of POLISH_BLOCK states.
     """
-    bloch = _bloch(rho, side)
-    values = _cond_entropy(bloch, _SEED)
-    i = int(np.argmin(values))
-    n, best = _SEED[:, i], float(values[i])
-    half_width = math.pi / (SEED_THETA_POINTS - 1)
-    for _ in range(POLISH_STEPS):
-        # Stencil in the plane tangent at n (basis e_theta, e_phi), put back
-        # on the sphere; unlike a box in (theta, phi) it does not pinch at
-        # the poles.
-        theta, phi = _angles(n)
-        ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
-        tangent = np.array([[ct * cp, -sp], [ct * sp, cp], [-st, 0.0]])
-        candidates = n[:, None] + half_width * (tangent @ _STENCIL)
-        candidates /= np.sqrt(np.einsum("ij,ij->j", candidates, candidates))
-        values = _cond_entropy(bloch, candidates)
-        i = int(np.argmin(values))
-        if values[i] < best:
-            n, best = candidates[:, i], float(values[i])
-        half_width *= 2.0 / (POLISH_POINTS - 1)  # one cell of this stencil
+    bloch = _bloch(states, side)
+    count = len(states)
+    seed, best = np.empty(count, dtype=int), np.empty(count)
+    for start in range(0, count, SEED_BLOCK):
+        block = slice(start, start + SEED_BLOCK)
+        values = _cond_entropy(bloch[block], _SEED)
+        seed[block] = i = values.argmin(1)
+        best[block] = values[np.arange(len(i)), i]
+    n = _SEED[:, seed].T.copy()
+    stencils = np.empty(count, dtype=int)
+    for start in range(0, count, POLISH_BLOCK):
+        block = slice(start, start + POLISH_BLOCK)
+        stencils[block] = _polish(bloch[block], n[block], best[block])
+    return [
+        (max(0.0, s - b), Measurement(*_angles(v), side), _SEED.shape[1] + POLISH_POINTS**2 * k)
+        for s, b, v, k in zip(kept.tolist(), best.tolist(), n, stencils.tolist())
+    ]
 
-    kept = _spectrum_entropy(np.linalg.eigvalsh(qmath.partial_trace(rho, _OTHER[side])))
-    cc = max(0.0, float(kept) - best)
-    theta, phi = _angles(n)
-    return cc, Measurement(theta, phi, side), _EVALUATIONS
+
+def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Tangent-plane stencils around each state's best direction so far (rows
+    of n, N x 3, value ``best``), run in lockstep; n and best are updated in
+    place.  Returns the number of stencils each state ran."""
+    half_width = np.full(len(n), math.pi / (SEED_THETA_POINTS - 1))
+    shrunk = np.zeros(len(n), dtype=int)
+    recentred = np.zeros(len(n), dtype=int)
+    while len(a := np.flatnonzero(shrunk < POLISH_STEPS)):
+        # Stencil in the plane tangent at n (basis e_theta, e_phi), put back on
+        # the sphere; unlike a box in (theta, phi) it does not pinch at the poles.
+        x, y, z = n[a].T
+        theta, phi = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x) % _TWO_PI
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        tangent = np.zeros((len(a), 3, 2))
+        tangent[:, 0, 0], tangent[:, 1, 0], tangent[:, 2, 0] = ct * cp, ct * sp, -st
+        tangent[:, 0, 1], tangent[:, 1, 1] = -sp, cp
+        candidates = n[a, :, None] + half_width[a, None, None] * (tangent @ _STENCIL)
+        candidates /= np.sqrt(np.einsum("aij,aij->aj", candidates, candidates))[:, None]
+        values = _cond_entropy(bloch[a], candidates)
+        i = values.argmin(1)
+        lowest = values[np.arange(len(a)), i]
+        gain = best[a] - lowest
+        better = gain > 0.0
+        best[a] = np.where(better, lowest, best[a])
+        n[a] = np.where(better[:, None], candidates[np.arange(len(a)), :, i], n[a])
+        recentre = (gain > RECENTRE_GAIN) & _STENCIL_EDGE[i] & (recentred[a] < POLISH_RECENTRES)
+        recentred[a] += recentre
+        shrunk[a] += ~recentre
+        # Otherwise the next stencil reaches one cell of this one.
+        half_width[a] *= np.where(recentre, 1.0, 2.0 / (POLISH_POINTS - 1))
+    return shrunk + recentred
 
 
 def _maximize_x(states: np.ndarray, side: str, kept: np.ndarray) -> list:
@@ -347,16 +410,16 @@ def _maximize_x(states: np.ndarray, side: str, kept: np.ndarray) -> list:
 
 def _classical(states: np.ndarray, side: str, kept: np.ndarray, is_x: np.ndarray):
     """Classical correlations, argmax Measurements and evaluations of a stack:
-    X states (``is_x``) in one :func:`_maximize_x` call, others one at a time.
-    ``kept`` holds S of each state's unmeasured qubit (S(rho_b), from its
-    spectrum: 1 - |b| would keep too few digits when rho_b is near pure)."""
+    X states (``is_x``) in one :func:`_maximize_x` call, the others in one
+    :func:`_maximize_general` call.  ``kept`` holds S of each state's
+    unmeasured qubit (S(rho_b), from its spectrum: 1 - |b| would keep too few
+    digits when rho_b is near pure)."""
     found = [None] * len(states)
-    xs = np.flatnonzero(is_x)
-    if len(xs):
-        for i, result in zip(xs, _maximize_x(states[xs], side, kept[xs])):
-            found[i] = result
-    for i in np.flatnonzero(~is_x):
-        found[i] = _maximize_classical(states[i], side)
+    for chosen, maximize in ((is_x, _maximize_x), (~is_x, _maximize_general)):
+        picked = np.flatnonzero(chosen)
+        if len(picked):
+            for i, result in zip(picked, maximize(states[picked], side, kept[picked])):
+                found[i] = result
     return [list(column) for column in zip(*found)] or [[], [], []]
 
 

@@ -118,20 +118,28 @@ class CriticalPoint:
     boundary: bool = False
 
 
-def _apply_axis(fixed, thermal: ThermalSpec, variable: str, value: float):
-    if variable == "ratio_j_over_eps":
-        return replace(fixed, j12=value * fixed.eps1), thermal
-    if variable == "temperature":
-        return fixed, ThermalSpec(value)
-    if variable == "phi_x_common":
-        return replace(fixed, phi_x1=value, phi_x2=value), thermal
-    if variable == "phi_x1":
-        return replace(fixed, phi_x1=value), thermal
-    if variable == "phi_x2":
-        return replace(fixed, phi_x2=value), thermal
-    if variable == "voltage":
-        return replace(fixed, v_x1=value, v_x2=value), thermal
-    raise SpecValidationError(f"unknown sweep variable {variable!r}")
+# Parameter fields each axis sets; a ratio axis sets j12 = ratio * eps1 and a
+# temperature axis the ThermalSpec instead.
+_AXIS_FIELDS = {
+    "phi_x_common": ("phi_x1", "phi_x2"),
+    "phi_x1": ("phi_x1",),
+    "phi_x2": ("phi_x2",),
+    "voltage": ("v_x1", "v_x2"),
+}
+
+
+def _apply_axes(fixed, thermal: ThermalSpec, *settings):
+    """(params, thermal) with each (variable, value) of ``settings`` applied in
+    turn; the parameters are copied (and validated) once, whatever they set."""
+    changes = {}
+    for variable, value in settings:
+        if variable == "temperature":
+            thermal = ThermalSpec(value)
+        elif variable == "ratio_j_over_eps":
+            changes["j12"] = value * fixed.eps1
+        else:
+            changes.update(dict.fromkeys(_AXIS_FIELDS[variable], value))
+    return (replace(fixed, **changes) if changes else fixed), thermal
 
 
 def _sweep_rows(axes: list, setup, measures: tuple[str, ...]) -> list[SweepRow]:
@@ -151,7 +159,7 @@ def sweep_1d(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """
 
     def setup(x: float):
-        return _apply_axis(spec.fixed, spec.thermal, spec.variable, x)
+        return _apply_axes(spec.fixed, spec.thermal, (spec.variable, x))
 
     return _sweep_rows([(float(x),) for x in spec.axis], setup, spec.measures)
 
@@ -167,8 +175,7 @@ def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[Swe
         raise SpecValidationError("2-D sweep specs must share measures")
 
     def setup(x: float, y: float):
-        params, thermal = _apply_axis(spec_x.fixed, spec_x.thermal, spec_y.variable, y)
-        return _apply_axis(params, thermal, spec_x.variable, x)
+        return _apply_axes(spec_x.fixed, spec_x.thermal, (spec_y.variable, y), (spec_x.variable, x))
 
     points = [(float(x), float(y)) for y in spec_y.axis for x in spec_x.axis]
     return _sweep_rows(points, setup, spec_x.measures)

@@ -347,6 +347,14 @@ def x_states_of_every_kind(rng, per_kind):
     return out
 
 
+def general_path(rho, side):
+    """(classical correlation, Measurement, evaluations) of one state from the
+    general-state maximizer, whether or not the state is X-shaped."""
+    states, w = correlations._require_state([rho], 4)
+    kept = correlations._mutual_information(states, w)[1][:, correlations._KEPT[side]]
+    return correlations._maximize_general(states, side, kept)[0]
+
+
 class TestXStateEngine:
     def states(self):
         thermal = [thermal_state(EffectiveParams.symmetric(1.0, j), t)
@@ -359,8 +367,7 @@ class TestXStateEngine:
             for side in ("first", "second"):
                 report = quantum_discord(rho, side)
                 assert report.optimizer_evaluations == 33 + 6 * 17  # the X path ran
-                general, _ = correlations._clamp_classical(
-                    mi, correlations._maximize_classical(rho, side)[0])
+                general, _ = correlations._clamp_classical(mi, general_path(rho, side)[0])
                 oracle = discord_grid_oracle(rho, side, 91, 180)
                 assert report.discord <= oracle + 1e-12
                 assert abs(report.discord - general) <= 1e-12
@@ -381,6 +388,68 @@ class TestXStateEngine:
                 assert abs(in_batch.discord - alone.discord) <= 1e-15
                 assert abs(in_batch.classical_correlation - alone.classical_correlation) <= 1e-15
                 assert in_batch.optimizer_evaluations == alone.optimizer_evaluations
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+class TestGeneralMaximizer:
+    def test_seed_is_the_grid_halved_up_to_sign(self):
+        seed = correlations._SEED
+        assert seed.shape == (3, 993)
+        grid = correlations._grid_directions(
+            np.linspace(0.0, np.pi, 33), 2 * np.pi * np.arange(64) / 64)
+        # Every grid direction is +-1 times a seed direction ...
+        overlap = np.abs(grid.T @ seed)
+        assert np.all(overlap.max(1) >= 1.0 - 1e-15)
+        # ... and no two seed directions are.
+        np.fill_diagonal(overlap := np.abs(seed.T @ seed), 0.0)
+        assert overlap.max() < 1.0 - 1e-6
+
+    def test_curved_valley_is_followed(self):
+        # The tenth-stencil schedule alone stops at theta = 1.3173 on this
+        # state, 1.37e-8 short in classical correlation; one re-centred
+        # stencil reaches the X path's theta = 1.3118.
+        rng = np.random.default_rng(0)
+        rho = [random_x_state(rng) for _ in range(2264)][2263]
+        cc, m, evaluations = general_path(rho, "first")
+        x_cc, x_m = classical_correlation(rho, "first")
+        assert abs(cc - x_cc) <= 1e-12
+        assert abs(m.theta - x_m.theta) < 1e-6
+        assert evaluations == 993 + 11 * 81
+
+    def test_invariants_on_general_states(self):
+        rng = np.random.default_rng(31)
+        states = np.array(random_general_states(rng, 200))
+        swapped = SWAP @ states @ SWAP
+        for side, other in (("first", "second"), ("second", "first")):
+            reports = correlations.correlation_reports(states, side)
+            for rho, r in zip(states, reports):
+                measured = von_neumann_entropy(qmath.partial_trace(rho, side))
+                assert 0.0 <= r.discord <= min(r.mutual_information, measured) + 1e-12
+            mirrored = correlations.correlation_reports(swapped, other)
+            for r, s in zip(reports, mirrored):
+                assert abs(r.discord - s.discord) <= 1e-12
+
+    def test_product_states_have_no_discord(self):
+        rng = np.random.default_rng(32)
+        qubit = [random_density_matrix(rng, 2) for _ in range(400)]
+        states = np.array([np.kron(a, b) for a, b in zip(qubit[::2], qubit[1::2])])
+        assert not correlations._x_entries(states)[0].any()
+        for side in ("first", "second"):
+            for r in correlations.correlation_reports(states, side):
+                assert 0.0 <= r.discord <= 1e-12
+
+    def test_stack_across_blocks_gives_each_state_its_own_result(self):
+        rng = np.random.default_rng(33)
+        states = random_general_states(rng, 37)
+        assert 37 > correlations.POLISH_BLOCK > correlations.SEED_BLOCK
+        for side in ("first", "second"):
+            for rho, in_stack in zip(states, correlations.correlation_reports(states, side)):
+                alone = quantum_discord(rho, side)
+                assert abs(in_stack.discord - alone.discord) <= 1e-15
+                assert in_stack.optimal_measurement == alone.optimal_measurement
+                assert in_stack.optimizer_evaluations == alone.optimizer_evaluations
 
 
 class TestQuantumDiscord:
@@ -411,7 +480,8 @@ class TestQuantumDiscord:
             assert 0.0 <= report.eof <= 1.0
             assert report.optimizer_evaluations == 33 + 6 * 17
         general = quantum_discord(random_density_matrix(rng, 4))
-        assert general.optimizer_evaluations > 33 * 64
+        # The 993 seed directions distinct up to sign, ten 9x9 stencils, no re-centring.
+        assert general.optimizer_evaluations == 993 + 10 * 81
 
     def test_sides_agree_for_symmetric_state(self):
         rho = thermal_state(EffectiveParams.symmetric(1.0, 2.0), 0.5)
