@@ -138,7 +138,8 @@ def _apply_axes(fixed, thermal: ThermalSpec, *settings):
         elif variable == "ratio_j_over_eps":
             changes["j12"] = value * fixed.eps1
         else:
-            changes.update(dict.fromkeys(_AXIS_FIELDS[variable], value))
+            for name in _AXIS_FIELDS[variable]:
+                changes[name] = value
     return (replace(fixed, **changes) if changes else fixed), thermal
 
 
