@@ -244,9 +244,9 @@ def _cond_entropy(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
     m = np.ones(n.shape[:-2] + (4, 2 * count))
     m[..., 1:, :count] = n
     np.negative(n, out=m[..., 1:, count:])
-    # Columns of y: (1 +- n.a, b +- T^T n) for the outcomes +n, then -n.
     # Spent temporaries are freed at once and x holds (p, lam+, lam-) in one
     # array: that bounds the memory of a call.
+    # Columns of y: (1 +- n.a, b +- T^T n) for the outcomes +n, then -n.
     y = np.swapaxes(bloch, -1, -2) @ m
     del m
     r = np.einsum("...ij,...ij->...j", y[..., 1:, :], y[..., 1:, :])
