@@ -118,16 +118,6 @@ class CriticalPoint:
     boundary: bool = False
 
 
-# Parameter fields each axis sets; a ratio axis sets j12 = ratio * eps1 and a
-# temperature axis the ThermalSpec instead.
-_AXIS_FIELDS = {
-    "phi_x_common": ("phi_x1", "phi_x2"),
-    "phi_x1": ("phi_x1",),
-    "phi_x2": ("phi_x2",),
-    "voltage": ("v_x1", "v_x2"),
-}
-
-
 def _apply_axes(fixed, thermal: ThermalSpec, *settings):
     """(params, thermal) with each (variable, value) of ``settings`` applied in
     turn; the parameters are copied (and validated) once, whatever they set."""
@@ -137,9 +127,12 @@ def _apply_axes(fixed, thermal: ThermalSpec, *settings):
             thermal = ThermalSpec(value)
         elif variable == "ratio_j_over_eps":
             changes["j12"] = value * fixed.eps1
-        else:
-            for name in _AXIS_FIELDS[variable]:
-                changes[name] = value
+        elif variable == "phi_x_common":
+            changes["phi_x1"] = changes["phi_x2"] = value
+        elif variable == "voltage":
+            changes["v_x1"] = changes["v_x2"] = value
+        else:  # phi_x1 or phi_x2, checked by SweepSpec
+            changes[variable] = value
     return (replace(fixed, **changes) if changes else fixed), thermal
 
 
