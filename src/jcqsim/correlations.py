@@ -350,12 +350,12 @@ def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
         candidates = n[a, :, None] + half_width[a, None, None] * (tangent @ _STENCIL)
         candidates /= np.sqrt(np.einsum("aij,aij->aj", candidates, candidates))[:, None]
         values = _cond_entropy(bloch[a], candidates)
-        i = values.argmin(1)
-        lowest = values[np.arange(len(a)), i]
+        rows, i = np.arange(len(a)), values.argmin(1)
+        lowest = values[rows, i]
         gain = best[a] - lowest
         better = gain > 0.0
         best[a] = np.where(better, lowest, best[a])
-        n[a] = np.where(better[:, None], candidates[np.arange(len(a)), :, i], n[a])
+        n[a] = np.where(better[:, None], candidates[rows, :, i], n[a])
         recentre = (gain > RECENTRE_GAIN) & _STENCIL_EDGE[i] & (recentred[a] < POLISH_RECENTRES)
         recentred[a] += recentre
         shrunk[a] += ~recentre

@@ -1,9 +1,9 @@
 """Byte-compare CLI outputs against the committed CSVs in tests/golden/.
 
 Each case runs one CLI command with ``--out`` in a fresh directory; every file
-it writes must equal the golden file of the same name byte for byte.  To
-regenerate the goldens after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden.py`` and list each changed cell.
+it writes must equal the golden file of the same name byte for byte.  After a
+deliberate change of output, ``PYTHONPATH=src python tests/test_golden.py``
+rewrites the goldens; review every changed cell in the diff.
 """
 
 import sys
