@@ -257,7 +257,7 @@ def _cmd_figure(args) -> int:
             spec_x = _with_steps(spec_x, args.steps)
             spec_y = _with_steps(spec_y, args.steps)
             path = out.with_name(out.stem + suffix + (out.suffix or ".csv"))
-            rows = sweep_2d(spec_x, spec_y, threads=args.threads)
+            rows = sweep_2d(spec_x, spec_y)
             header = ["series", "theta1", "theta2", *spec_x.measures]
             _write_csv(path, header, ([spec_x.label] + _cells(r, spec_x.measures) for r in rows))
             if args.emit_plot_script:
@@ -273,7 +273,7 @@ def _cmd_figure(args) -> int:
     all_rows = [
         [spec.label] + _cells(row, spec.measures)
         for spec in specs
-        for row in sweep_1d(spec, threads=args.threads)
+        for row in sweep_1d(spec)
     ]
     _write_csv(out, header, all_rows)
     if args.emit_plot_script:
@@ -318,7 +318,7 @@ def _cmd_sweep(args) -> int:
         thermal=thermal,
         measures=tuple(measures),
     )
-    rows = sweep_1d(spec, threads=args.threads)
+    rows = sweep_1d(spec)
     header = [AXIS_COLUMNS[spec.variable], *spec.measures]
     _write_csv(args.out, header, (_cells(r, spec.measures) for r in rows))
     return EXIT_OK

@@ -10,8 +10,8 @@ is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
 [0, pi/2]; the optimum can lie inside it (Lu et al., PRA 83, 012327, 2011),
 so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
 exact.  A 33-point theta seed and six shrinking 17-point stencils (135
-evaluations, 7 kernel calls, a last cell below 2e-7 rad) serve every X state
-of a stack at once.  The other states of a stack are searched together too,
+evaluations, 7 kernel calls, a last cell below 2e-7 rad) serve the X states
+of a stack 64 at a time.  The other states of a stack are searched together,
 in blocks that bound each kernel call's memory: a seed of the 993 directions
 of a 33x64 Bloch-angle grid that differ by more than a sign, then ten
 shrinking 9x9 stencils in the plane tangent to each state's best direction so
@@ -38,6 +38,7 @@ from .errors import (
 )
 
 SIDES = ("first", "second")
+MEASURES = ("mutual_information", "classical_correlation", "discord", "concurrence", "eof")
 # The qubit that measuring ``side`` leaves unmeasured, and its SIDES index.
 _OTHER = {"first": "second", "second": "first"}
 _KEPT = {"first": 1, "second": 0}
@@ -76,6 +77,8 @@ POLISH_BLOCK = 26
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
 X_POLISH_STEPS = 6
+# X states per search: 64 * 2 * 33 = 4,224 kernel columns, as for general states.
+X_BLOCK = 64
 
 # Row-major flat indices of the entries off the diagonal and anti-diagonal,
 # then of rho_14, rho_23, rho_22, rho_11, rho_33 and rho_44.
@@ -305,9 +308,9 @@ _X_STENCILS += [np.linspace(-1.0, 1.0, X_POLISH_POINTS)] * X_POLISH_STEPS
 _X_EVALUATIONS = sum(map(len, _X_STENCILS))
 
 
-def _maximize_general(states: np.ndarray, side: str, kept: np.ndarray) -> list:
-    """(classical correlation, argmax Measurement, evaluations) for each of a
-    stack of states (N x 4 x 4), given S of each unmeasured qubit ``kept``.
+def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
+    """(minimal conditional entropy, theta, phi, evaluations) of the measured
+    qubit ``side`` for each of a stack of states (N x 4 x 4).
 
     Seed on :data:`_SEED` in blocks of SEED_BLOCK states, keeping each state's
     first minimum, then polish in lockstep blocks of POLISH_BLOCK states.
@@ -325,10 +328,8 @@ def _maximize_general(states: np.ndarray, side: str, kept: np.ndarray) -> list:
     for start in range(0, count, POLISH_BLOCK):
         block = slice(start, start + POLISH_BLOCK)
         stencils[block] = _polish(bloch[block], n[block], best[block])
-    return [
-        (max(0.0, s - b), Measurement(*_angles(v), side), _SEED.shape[1] + POLISH_POINTS**2 * k)
-        for s, b, v, k in zip(kept.tolist(), best.tolist(), n, stencils.tolist())
-    ]
+    theta, phi = np.array([_angles(v) for v in n]).T
+    return best, theta, phi, _SEED.shape[1] + POLISH_POINTS**2 * stencils
 
 
 def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -364,9 +365,9 @@ def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
     return shrunk + recentred
 
 
-def _maximize_x(states: np.ndarray, side: str, kept: np.ndarray) -> list:
-    """(classical correlation, argmax Measurement, evaluations) for each of a
-    stack of X states (N x 4 x 4), given S of each unmeasured qubit ``kept``.
+def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
+    """(minimal conditional entropy, theta, phi) of the measured qubit
+    ``side`` for each of a stack of X states (N x 4 x 4).
 
     The measured qubit's x axis is put along the top singular vector of T_xy,
     which maximizes |b +- T^T n| at any theta: the Fano matrix becomes
@@ -402,39 +403,7 @@ def _maximize_x(states: np.ndarray, side: str, kept: np.ndarray) -> list:
         best = np.where(better, lowest, best)
         theta = np.where(better, candidates[rows, i], theta)
         half_width *= 2.0 / (len(offsets) - 1)  # one cell of this stencil
-    return [
-        (max(0.0, s - b), Measurement(t, f, side), _X_EVALUATIONS)
-        for s, b, t, f in zip(kept.tolist(), best.tolist(), theta.tolist(), phis.tolist())
-    ]
-
-
-def _classical(states: np.ndarray, side: str, kept: np.ndarray, is_x: np.ndarray):
-    """Classical correlations, argmax Measurements and evaluations of a stack:
-    X states (``is_x``) in one :func:`_maximize_x` call, the others in one
-    :func:`_maximize_general` call.  ``kept`` holds S of each state's
-    unmeasured qubit (S(rho_b), from its spectrum: 1 - |b| would keep too few
-    digits when rho_b is near pure)."""
-    found = [None] * len(states)
-    for chosen, maximize in ((is_x, _maximize_x), (~is_x, _maximize_general)):
-        picked = np.flatnonzero(chosen)
-        if len(picked):
-            for i, result in zip(picked, maximize(states[picked], side, kept[picked])):
-                found[i] = result
-    return [list(column) for column in zip(*found)] or [[], [], []]
-
-
-def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:
-    """Maximal classical correlation extractable by measuring one qubit.
-
-    Returns the maximum of S(rho_unmeasured) minus the measured conditional
-    entropy over all rank-1 projective measurements on ``side``, together
-    with the maximizing measurement.
-    """
-    states, w = _require_state([rho], 4)
-    _require_side(side)
-    kept = _mutual_information(states, w)[1][:, _KEPT[side]]
-    cc, found, _ = _classical(states, side, kept, _x_entries(states)[0])
-    return cc[0], found[0]
+    return best, theta, phis
 
 
 def _clamp_classical(mi, cc):
@@ -443,6 +412,48 @@ def _clamp_classical(mi, cc):
         raise DomainError(f"classical correlation {cc} exceeds mutual information {mi}")
     cc = np.minimum(cc, mi)
     return mi - cc, cc
+
+
+def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -> dict:
+    """Column arrays of the named :data:`MEASURES` of a checked stack with
+    spectra w, computing only what they need; a discord search (for discord
+    or classical correlation) adds its theta, phi and optimizer_evaluations."""
+    columns = {}
+    searched = "discord" in measures or "classical_correlation" in measures
+    if searched or "mutual_information" in measures:
+        columns["mutual_information"], marginals = _mutual_information(states, w)
+    entangled = "concurrence" in measures or "eof" in measures
+    if searched or entangled:
+        is_x, c = _x_entries(states)
+    if searched:
+        best, theta, phi = np.empty((3, len(states)))
+        evaluations = np.full(len(states), _X_EVALUATIONS)
+        x, g = np.flatnonzero(is_x), np.flatnonzero(~is_x)
+        for start in range(0, len(x), X_BLOCK):
+            block = x[start : start + X_BLOCK]
+            best[block], theta[block], phi[block] = _maximize_x(states[block], side)
+        if len(g):
+            best[g], theta[g], phi[g], evaluations[g] = _maximize_general(states[g], side)
+        # S(rho_b) from its spectrum: 1 - |b| keeps too few digits near pure.
+        cc = np.maximum(0.0, marginals[:, _KEPT[side]] - best)
+        columns["discord"], columns["classical_correlation"] = _clamp_classical(
+            columns["mutual_information"], cc)
+        columns.update(theta=theta, phi=phi, optimizer_evaluations=evaluations)
+    if entangled:
+        columns["concurrence"] = c = _concurrence(states, is_x, c)
+        columns["eof"] = np.array([eof_from_concurrence(v) for v in c.tolist()])
+    return columns
+
+
+def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:
+    """Maximal classical correlation extractable by measuring one qubit.
+
+    Returns the maximum of S(rho_unmeasured) minus the measured conditional
+    entropy over all rank-1 projective measurements on ``side``, together
+    with the maximizing measurement, as :func:`quantum_discord` reports them.
+    """
+    report = quantum_discord(rho, side)
+    return report.classical_correlation, report.optimal_measurement
 
 
 def quantum_discord(rho, side: str = "first") -> CorrelationReport:
@@ -458,31 +469,18 @@ def correlation_reports(states, side: str = "first") -> list[CorrelationReport]:
     """:func:`quantum_discord` for each state of a stack (N x 4 x 4), measured at
     once; each report is the one its state gets alone."""
     _require_side(side)
-    states, w = _require_state(states, 4)
-    mi, marginals = _mutual_information(states, w)
-    is_x, c = _x_entries(states)
-    cc, found, evaluations = _classical(states, side, marginals[:, _KEPT[side]], is_x)
-    discord, cc = _clamp_classical(mi, np.array(cc))
-    c = _concurrence(states, is_x, c).tolist()
-    rows = zip(mi.tolist(), cc.tolist(), discord.tolist(), c, found, evaluations)
-    return [CorrelationReport(mi, cc, d, c, eof_from_concurrence(c), m, e)
-            for mi, cc, d, c, m, e in rows]
+    columns = _measure(*_require_state(states, 4), MEASURES, side)
+    names = (*MEASURES, "theta", "phi", "optimizer_evaluations")
+    return [CorrelationReport(mi, cc, d, c, e, Measurement(t, f, side), k)
+            for mi, cc, d, c, e, t, f, k in zip(*[columns[n].tolist() for n in names])]
 
 
 def measure_states(states, measures) -> list[dict[str, float]]:
-    """The named :class:`CorrelationReport` measures of each state of a stack,
-    checked once; the discord search runs only for discord or classical
-    correlation, as :func:`correlation_reports` (first qubit measured)."""
-    if "discord" in measures or "classical_correlation" in measures:
-        return [{m: getattr(r, m) for m in measures} for r in correlation_reports(states)]
-    states, w = _require_state(states, 4)
-    columns = {}
-    if "mutual_information" in measures:
-        columns["mutual_information"] = _mutual_information(states, w)[0].tolist()
-    if "concurrence" in measures or "eof" in measures:
-        columns["concurrence"] = _concurrence(states, *_x_entries(states)).tolist()
-        columns["eof"] = [eof_from_concurrence(c) for c in columns["concurrence"]]
-    return [dict(zip(measures, values)) for values in zip(*(columns[m] for m in measures))]
+    """The named :data:`MEASURES` of each state of a stack, checked once, as
+    :func:`correlation_reports` gives them (first qubit measured); the discord
+    search runs only for discord or classical correlation."""
+    columns = _measure(*_require_state(states, 4), measures)
+    return [dict(zip(measures, row)) for row in zip(*[columns[m].tolist() for m in measures])]
 
 
 def discord_grid_oracle(

@@ -3,9 +3,8 @@
 Grid points are taken in axis order in chunks of a fixed size on one thread.
 Each point gets its own control maps; from the Hamiltonian on, a chunk is one
 (N, 4, 4) stack, built and measured at once, and every state's result is the
-one it gets alone.  The ``threads`` keyword and the CLI's ``--threads`` are
-accepted and change nothing.  The ESD search diagonalizes its Hamiltonian
-once for all the temperatures it visits.
+one it gets alone.  The ESD search diagonalizes its Hamiltonian once for all
+the temperatures it visits.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlations import concurrence, measure_states, quantum_discord
+from .correlations import MEASURES, concurrence, measure_states, quantum_discord
 from .device import (
     DeviceParams,
     EffectiveParams,
@@ -28,7 +27,6 @@ from .device import (
 )
 from .errors import BracketError, SpecValidationError
 
-MEASURES = ("mutual_information", "classical_correlation", "discord", "concurrence", "eof")
 VARIABLES = ("ratio_j_over_eps", "temperature", "phi_x_common", "phi_x1", "phi_x2", "voltage")
 
 _DEVICE_VARIABLES = frozenset({"phi_x_common", "phi_x1", "phi_x2", "voltage"})
@@ -146,11 +144,8 @@ def _sweep_rows(axes: list, setup, measures: tuple[str, ...]) -> list[SweepRow]:
     return rows
 
 
-def sweep_1d(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate the requested measures along one axis, ascending order.
-
-    ``threads`` is accepted and ignored: every sweep runs on one thread.
-    """
+def sweep_1d(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the requested measures along one axis, ascending order."""
 
     def setup(x: float):
         return _apply_axes(spec.fixed, spec.thermal, (spec.variable, x))
@@ -158,9 +153,8 @@ def sweep_1d(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     return _sweep_rows([(float(x),) for x in spec.axis], setup, spec.measures)
 
 
-def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate over a 2-D grid, row-major (y outer, x inner); ``threads`` is
-    accepted and ignored, as in :func:`sweep_1d`."""
+def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> list[SweepRow]:
+    """Evaluate over a 2-D grid, row-major (y outer, x inner)."""
     if spec_x.variable == spec_y.variable:
         raise SpecValidationError("2-D sweeps need two distinct variables")
     if spec_x.fixed != spec_y.fixed or spec_x.thermal != spec_y.thermal:
@@ -175,14 +169,22 @@ def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec, threads: int = 1) -> list[Swe
     return _sweep_rows(points, setup, spec_x.measures)
 
 
+def _require_tol(tol: float, top: float) -> None:
+    # A bracket cannot shrink below one float spacing at its upper end ``top``.
+    if not (math.isfinite(tol) and tol >= math.ulp(top)):
+        raise SpecValidationError(f"tol must be finite and at least {math.ulp(top):.3g}, "
+                                  f"one float spacing at {top:g}; got {tol}")
+
+
 def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     """Bisect for the temperature where concurrence first hits exactly zero.
 
     Requires entanglement at T -> 0+ and none at t_max; raises BracketError
     otherwise.
     """
-    if not (t_max > 0.0 and tol > 0.0):
-        raise SpecValidationError("t_max and tol must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise SpecValidationError("t_max must be finite and positive")
+    _require_tol(tol, t_max)
     eff = fixed if isinstance(fixed, EffectiveParams) else effective_params(fixed)
     state_at = gibbs_family(build_hamiltonian(eff))
 
@@ -220,10 +222,9 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     boundary flag set (T = 0 legitimately has no interior maximum).
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
-    if not (0.0 < a0 < b0):
-        raise SpecValidationError("bracket must be positive and ordered")
-    if tol <= 0.0:
-        raise SpecValidationError("tol must be positive")
+    if not 0.0 < a0 < b0 < math.inf:
+        raise SpecValidationError("bracket must be finite, positive and ordered")
+    _require_tol(tol, b0)
     thermal = ThermalSpec(t)
 
     def discord_at(ratio: float) -> float:

@@ -383,6 +383,13 @@ class TestCritical:
         assert concurrence(thermal_state(fixed, location + 2e-6)) == 0.0
         assert concurrence(thermal_state(fixed, location - 2e-6)) > 0.0
 
+    @pytest.mark.parametrize("kind", [["esd", "--v-x", "7.5e-6"], ["ratio"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e-300"])
+    def test_unusable_tol_exits_2(self, capsys, kind, tol):
+        code, out, err = run_cli(capsys, "critical", *kind, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "tol must be finite" in err
+
 
 class TestSweepCommand:
     def test_temperature_sweep(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,7 +153,11 @@ class TestNonFiniteStates:
 
 
 class TestMeasureStates:
-    def test_mixed_stack_equals_each_state_alone(self):
+    @pytest.mark.parametrize("measures", [
+        ("discord",), ("classical_correlation",), ("mutual_information",), ("concurrence",),
+        ("eof",), correlations.MEASURES,
+    ], ids=lambda m: m[0] if len(m) == 1 else "all")
+    def test_mixed_stack_equals_each_state_alone(self, measures):
         rng = np.random.default_rng(22)
         states = [random_x_state(rng) if k % 2 else random_density_matrix(rng, 4)
                   for k in range(10)]
@@ -160,15 +165,38 @@ class TestMeasureStates:
                    for j in (0.3, 4.0) for t in (0.0, 0.6)]
         states = np.array(states)
         assert 0 < correlations._x_entries(states)[0].sum() < len(states)
-        full = measure_states(states, ("mutual_information", "discord", "concurrence", "eof"))
-        cheap = measure_states(states, ("mutual_information", "concurrence", "eof"))
-        for rho, values, values_cheap in zip(states, full, cheap):
+        for rho, values in zip(states, measure_states(states, measures)):
             report = quantum_discord(rho)
-            assert values["discord"] == report.discord
-            assert values["mutual_information"] == report.mutual_information
-            assert values["concurrence"] == values_cheap["concurrence"] == concurrence(rho)
-            assert values["eof"] == values_cheap["eof"] == eof(rho)
-            assert values_cheap["mutual_information"] == mutual_information(rho)
+            alone = {
+                "mutual_information": mutual_information(rho),
+                "classical_correlation": classical_correlation(rho)[0],
+                "discord": report.discord,
+                "concurrence": concurrence(rho),
+                "eof": eof(rho),
+            }
+            assert list(values) == list(measures)
+            for m in measures:
+                assert values[m] == alone[m] == getattr(report, m)
+
+    def test_classical_correlation_is_the_reports(self):
+        rng = np.random.default_rng(23)
+        for rho in (random_x_state(rng), random_density_matrix(rng, 4), bell_phi_plus()):
+            for side in ("first", "second"):
+                report = quantum_discord(rho, side)
+                cc, m = classical_correlation(rho, side)
+                assert cc == report.classical_correlation
+                assert m == report.optimal_measurement
+
+    def test_x_stack_memory_is_bounded(self):
+        rng = np.random.default_rng(24)
+        states = np.array([random_x_state(rng) for _ in range(2000)])
+        tracemalloc.start()
+        try:
+            correlations.correlation_reports(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_empty_stack_gives_no_rows(self):
         empty = np.zeros((0, 4, 4), dtype=complex)
@@ -348,11 +376,12 @@ def x_states_of_every_kind(rng, per_kind):
 
 
 def general_path(rho, side):
-    """(classical correlation, Measurement, evaluations) of one state from the
+    """(classical correlation, theta, evaluations) of one state from the
     general-state maximizer, whether or not the state is X-shaped."""
     states, w = correlations._require_state([rho], 4)
-    kept = correlations._mutual_information(states, w)[1][:, correlations._KEPT[side]]
-    return correlations._maximize_general(states, side, kept)[0]
+    kept = correlations._mutual_information(states, w)[1][0, correlations._KEPT[side]]
+    best, theta, _, evaluations = correlations._maximize_general(states, side)
+    return max(0.0, kept - best[0]), theta[0], evaluations[0]
 
 
 class TestXStateEngine:
@@ -412,10 +441,10 @@ class TestGeneralMaximizer:
         # stencil reaches the X path's theta = 1.3118.
         rng = np.random.default_rng(0)
         rho = [random_x_state(rng) for _ in range(2264)][2263]
-        cc, m, evaluations = general_path(rho, "first")
+        cc, theta, evaluations = general_path(rho, "first")
         x_cc, x_m = classical_correlation(rho, "first")
         assert abs(cc - x_cc) <= 1e-12
-        assert abs(m.theta - x_m.theta) < 1e-6
+        assert abs(theta - x_m.theta) < 1e-6
         assert evaluations == 993 + 11 * 81
 
     def test_invariants_on_general_states(self):

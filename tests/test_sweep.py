@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,19 +107,13 @@ class TestSweep1d:
         assert values[20] == pytest.approx(peak, abs=1e-12)
         assert values[40] == pytest.approx(peak, abs=1e-12)
 
-    def test_rows_are_deterministic_across_threads(self):
-        spec = ratio_spec(steps=11, measures=("discord", "eof", "concurrence"))
-        single = sweep_1d(spec, threads=1)
-        pooled = sweep_1d(spec, threads=4)
-        assert single == pooled
-
     def test_rows_unchanged_across_a_chunk_boundary(self):
         spec = ratio_spec(steps=CHUNK_POINTS + 6, thermal=ThermalSpec(0.3),
                           measures=("discord", "eof"))
         alone = [quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, x), 0.3))
                  for x in spec.axis]
-        rows = sweep_1d(spec, threads=1)
-        assert sweep_1d(spec, threads=3) == rows
+        rows = sweep_1d(spec)
+        assert sweep_1d(spec) == rows
         for row, report in zip(rows, alone):
             assert abs(row.values["discord"] - report.discord) <= 1e-15
             assert abs(row.values["eof"] - report.eof) <= 1e-15
@@ -213,10 +209,6 @@ class TestSweep2d:
             if 0.5 in row.axis or 1.5 in row.axis:
                 assert row.values["discord"] <= 1e-9
 
-    def test_threads_do_not_change_rows(self):
-        sx, sy = self.grid_specs(steps=5)
-        assert sweep_2d(sx, sy, threads=1) == sweep_2d(sx, sy, threads=3)
-
     def test_ground_surface_peaks_at_integer_flux_pairs(self):
         sx, sy = self.grid_specs(steps=9, t=0.0)
         rows = sweep_2d(sx, sy)
@@ -248,6 +240,17 @@ class TestEsdTemperature:
         assert concurrence(thermal_state(fixed, point.location - 2 * tol)) > 0.0
         assert concurrence(thermal_state(fixed, point.location + 2 * tol)) == 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1e-300])
+    def test_tol_must_be_finite_and_resolvable(self, tol):
+        # Below one float spacing at t_max the bracket cannot shrink to tol.
+        with pytest.raises(SpecValidationError, match="tol"):
+            esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0, tol=tol)
+
+    def test_smallest_accepted_tol_terminates(self):
+        point = esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0,
+                                tol=math.ulp(1.0))
+        assert point.bracket[1] - point.bracket[0] <= math.ulp(1.0)
+
     def test_discord_survives_past_the_transition(self):
         fixed = EffectiveParams.symmetric(0.02, -0.02)
         point = esd_temperature(fixed, t_max=1.0)
@@ -262,6 +265,15 @@ class TestOptimalRatio:
             optimal_ratio(0.5, (50.0, 0.1))
         with pytest.raises(SpecValidationError):
             optimal_ratio(0.5, (-1.0, 2.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1e-300])
+    def test_tol_must_be_finite_and_resolvable(self, tol):
+        with pytest.raises(SpecValidationError, match="tol"):
+            optimal_ratio(0.5, (0.1, 50.0), tol=tol)
+
+    def test_smallest_accepted_tol_terminates(self):
+        point = optimal_ratio(0.5, (0.1, 50.0), tol=math.ulp(50.0))
+        assert point.bracket[1] - point.bracket[0] <= math.ulp(50.0)
 
     def test_zero_temperature_hits_the_right_edge(self):
         point = optimal_ratio(0.0, (0.1, 50.0))
