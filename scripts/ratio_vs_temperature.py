@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from jcqsim.errors import InvalidParameterError, SpecValidationError
 from jcqsim.sweep import optimal_ratio
 
 
@@ -29,12 +30,16 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
-    for t in np.linspace(args.t_min, args.t_max, args.points):
-        point = optimal_ratio(float(t), tuple(args.bracket), tol=args.tol)
-        rows.append((float(t), point.location, point.value_at, int(point.boundary)))
-        flag = " (boundary)" if point.boundary else ""
-        print(f"T={t:8.4f} K  ratio*={point.location:10.5f}  "
-              f"discord={point.value_at:.6f}{flag}")
+    try:
+        for t in np.linspace(args.t_min, args.t_max, args.points):
+            point = optimal_ratio(float(t), tuple(args.bracket), tol=args.tol)
+            rows.append((float(t), point.location, point.value_at, int(point.boundary)))
+            flag = " (boundary)" if point.boundary else ""
+            print(f"T={t:8.4f} K  ratio*={point.location:10.5f}  "
+                  f"discord={point.value_at:.6f}{flag}")
+    except (InvalidParameterError, SpecValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

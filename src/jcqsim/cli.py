@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .sweep import (
+    DEFAULT_STEPS_1D,
     FIGURES,
     MEASURES,
     VARIABLES,
@@ -112,8 +113,8 @@ def _cells(row, measures) -> list[str]:
     return [_fmt(x) for x in row.axis] + [_fmt(row.values[m]) for m in measures]
 
 
-def _load_config(path: Path | None) -> dict:
-    """Read and check the JSON config once; no path gives an empty config."""
+def _load_config(path: Path | None, sections) -> dict:
+    """Read and check the JSON config once; it may hold only the given ``sections``."""
     if path is None:
         return {}
     try:
@@ -123,9 +124,9 @@ def _load_config(path: Path | None) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - {*SCHEMA, "measures"}
+    unknown = set(cfg) - set(sections)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"config keys this command does not read: {sorted(unknown)}")
     return cfg
 
 
@@ -144,34 +145,34 @@ def _number(key: str, value) -> float | int:
     return int(value)
 
 
-def _resolve(args, cfg: dict, with_params: bool = True):
-    """(parameter set, ThermalSpec) from the loaded config, then the flags, then
-    the shorthands, each laid over the last; the parameter set is None unless
-    ``with_params``, and is then exactly one of DeviceParams/EffectiveParams."""
+def _resolve(args, cfg: dict) -> dict:
+    """Dataclass field -> number for each section the command reads
+    (``args.sections``): the loaded config, then the flags, then the
+    shorthands, each laid over the last."""
     values = {}
-    for name, keys in SCHEMA.items():
+    for name in args.sections:
         section = cfg.get(name) or {}
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
-        unknown = set(section) - set(keys)
+        unknown = set(section) - set(SCHEMA[name])
         if unknown:
             raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
         values[name] = dict(section)
-        for key in keys:
+        for key in SCHEMA[name]:
             if getattr(args, key) is not None:
                 values[name][key] = getattr(args, key)
     for flag, (name, keys, _) in SHORTHANDS.items():
-        if getattr(args, flag) is not None:
+        if name in values and getattr(args, flag) is not None:
             values[name].update(dict.fromkeys(keys, getattr(args, flag)))
-    fields = {
+    return {
         name: {SCHEMA[name][key]: _number(key, value) for key, value in section.items()}
         for name, section in values.items()
     }
-    thermal = ThermalSpec(fields["thermal"].get("temperature", 0.0))
-    if not with_params:
-        return None, thermal
 
-    device, effective = values["device"], values["effective"]
+
+def _params(args, fields: dict):
+    """Exactly one of DeviceParams/EffectiveParams from the resolved sections."""
+    device, effective = fields["device"], fields["effective"]
     if args.dimensionless and device:
         raise ConfigError("--dimensionless conflicts with device parameters")
     if device and effective:
@@ -179,11 +180,16 @@ def _resolve(args, cfg: dict, with_params: bool = True):
     if not device and not effective:
         raise ConfigError("no parameters given: set device or effective values")
     if device:
-        return DeviceParams(**fields["device"]), thermal
-    missing = {"eps1_k", "eps2_k", "j12_k"} - set(effective)
+        return DeviceParams(**device)
+    missing = [key for key in ("eps1_k", "eps2_k", "j12_k")
+               if SCHEMA["effective"][key] not in effective]
     if missing:
-        raise ConfigError(f"effective parameters missing {sorted(missing)}")
-    return EffectiveParams(**fields["effective"]), thermal
+        raise ConfigError(f"effective parameters missing {missing}")
+    return EffectiveParams(**effective)
+
+
+def _thermal(fields: dict) -> ThermalSpec:
+    return ThermalSpec(fields["thermal"].get("temperature", 0.0))
 
 
 def _write_csv(path: Path | None, header: list[str], rows) -> None:
@@ -237,8 +243,8 @@ def _write_plot_script(csv_path: Path, text: str) -> None:
 
 
 def _cmd_report(args) -> int:
-    params, thermal = _resolve(args, _load_config(args.config))
-    report = quantum_discord(thermal_state(params, thermal.temperature))
+    fields = _resolve(args, _load_config(args.config, args.sections))
+    report = quantum_discord(thermal_state(_params(args, fields), _thermal(fields).temperature))
     m = report.optimal_measurement
     row = [_fmt(getattr(report, measure)) for measure in MEASURES] + [_fmt(m.theta), _fmt(m.phi)]
     _write_csv(args.out, REPORT_HEADER, [row])
@@ -285,11 +291,11 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    params, thermal = _resolve(args, _load_config(args.config), with_params=args.kind == "esd")
+    fields = _resolve(args, _load_config(args.config, args.sections))
     if args.kind == "esd":
-        point = esd_temperature(params, t_max=args.t_max, tol=args.tol)
+        point = esd_temperature(_params(args, fields), t_max=args.t_max, tol=args.tol)
     else:
-        point = optimal_ratio(thermal.temperature, tuple(args.bracket), tol=args.tol)
+        point = optimal_ratio(_thermal(fields).temperature, tuple(args.bracket), tol=args.tol)
     row = [
         point.kind,
         _fmt(point.location),
@@ -304,8 +310,9 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    params, thermal = _resolve(args, cfg)
+    cfg = _load_config(args.config, (*args.sections, "measures"))
+    fields = _resolve(args, cfg)
+    params, thermal = _params(args, fields), _thermal(fields)
     measures = args.measures or cfg.get("measures", ["discord"])
     if not (isinstance(measures, list) and all(isinstance(m, str) for m in measures)):
         raise ConfigError(f"'measures' must be a list of strings, got {measures!r}")
@@ -324,16 +331,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name, keys in SCHEMA.items():
-        group = parser.add_argument_group(f"{name} parameters")
-        for key in keys:
-            kind = int if key == "n" else float
-            group.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
-        for flag, (section, _, help_text) in SHORTHANDS.items():
-            if section == name:
-                group.add_argument(f"--{flag.replace('_', '-')}", type=float, dest=flag,
-                                   help=help_text)
+def _section_parser(name: str) -> argparse.ArgumentParser:
+    """A parent parser holding one config section's key flags and shorthands."""
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_argument_group(f"{name} parameters")
+    for key in SCHEMA[name]:
+        kind = int if key == "n" else float
+        group.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
+    for flag, (section, _, help_text) in SHORTHANDS.items():
+        if section == name:
+            group.add_argument(f"--{flag.replace('_', '-')}", type=float, dest=flag,
+                               help=help_text)
+    return parser
 
 
 def _positive_int(text: str) -> int:
@@ -345,17 +354,18 @@ def _positive_int(text: str) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use; parsing leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file")
-    common.add_argument("--out", type=Path, help="output CSV path (default stdout)")
-    common.add_argument("--emit-plot-script", action="store_true")
-    common.add_argument("--dimensionless", action="store_true",
-                        help="require effective (eps, j) input")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="accepted for compatibility; every run uses one thread")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", type=Path, help="JSON config file")
+    io.add_argument("--out", type=Path, help="output CSV path (default stdout)")
+    section_parsers = {name: _section_parser(name) for name in SCHEMA}
+    section_parsers["effective"].add_argument("--dimensionless", action="store_true",
+                                              help="require effective (eps, j) input")
 
-    params = argparse.ArgumentParser(add_help=False)
-    _add_param_flags(params)
+    def command(subparsers, name, func, sections, help_text):
+        p = subparsers.add_parser(name, help=help_text, parents=[
+            io, *(section_parsers[s] for s in sections)])
+        p.set_defaults(func=func, sections=sections)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="jcqsim",
@@ -364,38 +374,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_report = sub.add_parser(
-        "report", parents=[common, params],
-        help="one-line correlation report for a single state",
-    )
-    p_report.set_defaults(func=_cmd_report)
+    command(sub, "report", _cmd_report, tuple(SCHEMA),
+            "one-line correlation report for a single state")
 
-    p_figure = sub.add_parser(
-        "figure", parents=[common], help="reproduce a published parameter sweep"
-    )
+    p_figure = sub.add_parser("figure", help="reproduce a published parameter sweep")
     p_figure.add_argument("which", choices=FIGURES)
+    p_figure.add_argument("--out", type=Path, help="output CSV path (default <which>.csv; "
+                          "fig5 writes <stem>_a.csv and <stem>_b.csv)")
     p_figure.add_argument("--steps", type=int, help="override the preset grid size")
+    p_figure.add_argument("--emit-plot-script", action="store_true",
+                          help="also write a gnuplot script beside each CSV")
+    p_figure.add_argument("--threads", type=_positive_int, default=1,
+                          help="accepted for compatibility; every run uses one thread")
     p_figure.set_defaults(func=_cmd_figure)
 
-    p_critical = sub.add_parser(
-        "critical", parents=[common, params], help="locate a critical point"
-    )
-    p_critical.add_argument("kind", choices=("esd", "ratio"))
-    p_critical.add_argument("--bracket", nargs=2, type=float, default=(0.1, 50.0),
-                            metavar=("LO", "HI"))
-    p_critical.add_argument("--t-max", type=float, default=1.0, dest="t_max")
-    p_critical.add_argument("--tol", type=float, default=1e-6)
-    p_critical.set_defaults(func=_cmd_critical)
+    critical = sub.add_parser("critical", help="locate a critical point")
+    kinds = critical.add_subparsers(dest="kind", required=True)
+    p_esd = command(kinds, "esd", _cmd_critical, ("device", "effective"),
+                    "temperature of entanglement sudden death")
+    p_esd.add_argument("--t-max", type=float, default=1.0, dest="t_max")
+    p_ratio = command(kinds, "ratio", _cmd_critical, ("thermal",),
+                      "the j/eps that maximizes discord at eps = 1 K")
+    p_ratio.add_argument("--bracket", nargs=2, type=float, default=(0.1, 50.0),
+                         metavar=("LO", "HI"))
+    for p in (p_esd, p_ratio):
+        p.add_argument("--tol", type=float, default=1e-6)
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common, params], help="sweep one axis and emit CSV"
-    )
+    p_sweep = command(sub, "sweep", _cmd_sweep, tuple(SCHEMA), "sweep one axis and emit CSV")
     p_sweep.add_argument("--variable", required=True, choices=VARIABLES)
     p_sweep.add_argument("--start", required=True, type=float)
     p_sweep.add_argument("--stop", required=True, type=float)
-    p_sweep.add_argument("--steps", type=int, default=501)
+    p_sweep.add_argument("--steps", type=int, default=DEFAULT_STEPS_1D)
     p_sweep.add_argument("--measures", nargs="+", choices=MEASURES)
-    p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 
 

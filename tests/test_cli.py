@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -475,18 +478,103 @@ class TestOutOfRangeInput:
 
     @pytest.mark.parametrize("threads", ["-4", "0", "two"])
     def test_threads_must_be_a_positive_integer(self, capsys, threads):
-        code, out, err = run_cli(capsys, "sweep", "--variable", "temperature", "--start", "0",
-                                 "--stop", "1", "--steps", "3", "--eps", "1", "--j", "1",
-                                 "--threads", threads)
+        code, out, err = run_cli(capsys, "figure", "fig2a", "--steps", "3", "--threads", threads)
         assert (code, out) == (2, "")
         assert "--threads: must be a positive integer" in err
         assert "Traceback" not in err
 
 
+_DEVICE = ["--l-h", "--c-f", "--c-j0-f", "--e-j0-k", "--n", "--v-x1-v", "--v-x2-v",
+           "--phi-e", "--phi-x1", "--phi-x2", "--xi", "--v-x"]
+_EFFECTIVE = ["--eps1-k", "--eps2-k", "--ej1-k", "--ej2-k", "--j12-k", "--eps", "--j",
+              "--dimensionless"]
+_THERMAL = ["--temperature-k", "--temp"]
+# Every option string each command accepts: a flag belongs only to the
+# commands that read it.
+SURFACE = {
+    ("report",): {"--config", "--out", *_DEVICE, *_EFFECTIVE, *_THERMAL},
+    ("figure",): {"--out", "--steps", "--emit-plot-script", "--threads"},
+    ("critical", "esd"): {"--config", "--out", *_DEVICE, *_EFFECTIVE, "--t-max", "--tol"},
+    ("critical", "ratio"): {"--config", "--out", *_THERMAL, "--bracket", "--tol"},
+    ("sweep",): {"--config", "--out", *_DEVICE, *_EFFECTIVE, *_THERMAL,
+                 "--variable", "--start", "--stop", "--steps", "--measures"},
+}
+
+
+def _command_parser(path):
+    parser = cli._build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+class TestCommandSurface:
+    def test_each_command_takes_exactly_its_flags(self):
+        accepted = {
+            path: {o for a in _command_parser(path)._actions for o in a.option_strings}
+            - {"-h", "--help"}
+            for path in SURFACE
+        }
+        assert accepted == SURFACE
+        assert [len(flags) for flags in SURFACE.values()] == [24, 4, 24, 6, 29]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["critical", "ratio", "--eps", "2"],
+            ["critical", "ratio", "--v-x", "1e-5"],
+            ["critical", "ratio", "--t-max", "9"],
+            ["critical", "esd", "--v-x", "7.5e-6", "--bracket", "3", "4"],
+            ["critical", "esd", "--v-x", "7.5e-6", "--temp", "3"],
+            ["figure", "fig2a", "--config", "cfg.json"],
+            ["figure", "fig2a", "--dimensionless"],
+            ["report", "--eps", "1", "--j", "2", "--emit-plot-script"],
+            ["report", "--eps", "1", "--j", "2", "--threads", "1"],
+            ["sweep", "--variable", "temperature", "--start", "0", "--stop", "1", "--steps", "3",
+             "--eps", "1", "--j", "2", "--emit-plot-script"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config, argv, key",
+        [
+            ({"device": {"v_x1_v": 1e-5}}, ["critical", "ratio"], "device"),
+            ({"thermal": {"temperature_k": 3}}, ["critical", "esd", "--v-x", "7.5e-6"],
+             "thermal"),
+            ({"measures": ["eof"]}, ["report", "--eps", "1", "--j", "2"], "measures"),
+        ],
+    )
+    def test_config_key_the_command_does_not_read_exits_2(self, capsys, tmp_path, config,
+                                                          argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+        commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("jcqsim ")]
+        assert {argv[0] for argv in commands} == {"report", "figure", "critical", "sweep"}
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def _resolved(argv, config):
     """The parameter set and temperature ``report`` would run with."""
     args = cli._build_parser().parse_args(["report", *argv])
-    return cli._resolve(args, config)
+    fields = cli._resolve(args, config)
+    return cli._params(args, fields), cli._thermal(fields)
 
 
 def _value(resolved, section, key):
@@ -586,3 +674,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("mutual_information,")
+
+
+@pytest.mark.parametrize("argv", [["--tol", "nan"], ["--t-min", "-1"], ["--bracket", "5", "1"]])
+def test_ratio_script_rejects_bad_input_with_exit_2(tmp_path, argv):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "ratio.csv"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ratio_vs_temperature.py"), "--points", "2",
+         *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not out.exists()
