@@ -351,6 +351,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is an error under
+    its own usage line, not handed back to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use; parsing leaves it unchanged."""
@@ -372,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Thermal discord and entanglement for a two-qubit "
         "Josephson charge-qubit device.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     command(sub, "report", _cmd_report, tuple(SCHEMA),
             "one-line correlation report for a single state")

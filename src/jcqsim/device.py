@@ -227,12 +227,13 @@ def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
 
 def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     """:func:`gibbs_state` for each of a stack of Hamiltonians, from their
-    eigenvalues w (N x n) and eigenvectors v, at temperatures T (N x 1)."""
+    eigenvalues w (N x n) and eigenvectors v, at temperatures T (N x 1); one
+    Hamiltonian (w of 1 x n) serves every temperature."""
     # Shift by the ground energy so the exponentials never overflow; near
     # T = 0 the gap over T may overflow to inf, whose weight is exactly 0.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         weights = np.exp(-(w - w[:, :1]) / temperatures)
-    cold = temperatures[:, 0] == 0.0 if np.count_nonzero(temperatures) < len(w) else None
+    cold = temperatures[:, 0] == 0.0 if not temperatures.all() else None
     if cold is not None:
         # At T = 0, unit weight on the ground space: the levels within a cut
         # scaled by the Frobenius norm of H, sqrt(sum(w**2)).
@@ -254,17 +255,18 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
     A degenerate ground space yields the uniform mixture over it, the
     T -> 0+ limit of the Gibbs state.
     """
-    return gibbs_family(h)(spec)
+    return gibbs_family(h)([spec])[0]
 
 
 def gibbs_family(h):
-    """The map spec -> ``gibbs_state(h, spec)`` for one Hamiltonian, which is
-    checked and diagonalized once: for searches that visit many temperatures."""
+    """The map from ThermalSpecs to the stack (N x 4 x 4) of ``gibbs_state(h,
+    spec)`` for each, for one Hamiltonian that is checked and diagonalized
+    once: for searches that visit many temperatures."""
     h = qmath.require_hermitian(h, "hamiltonian")
     if h.ndim != 2:
         raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")
     w, v = np.linalg.eigh(h[None])
-    return lambda spec: _gibbs_states(w, v, np.array([[spec.temperature]]))[0]
+    return lambda specs: _gibbs_states(w, v, np.array([[s.temperature] for s in specs]))
 
 
 def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:

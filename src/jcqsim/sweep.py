@@ -3,8 +3,19 @@
 Grid points are taken in axis order in chunks of a fixed size on one thread.
 Each point gets its own control maps; from the Hamiltonian on, a chunk is one
 (N, 4, 4) stack, built and measured at once, and every state's result is the
-one it gets alone.  The ESD search diagonalizes its Hamiltonian once for all
-the temperatures it visits.
+one it gets alone.
+
+The two searches (bisection for the ESD temperature, golden section for the
+discord-maximizing j/eps) measure speculatively.  Each step's next point is a
+fixed float expression of the current bracket, so the points the next
+SEARCH_DEPTH steps could visit, one for each outcome of each comparison, are
+known before any is measured: a tree of 2**SEARCH_DEPTH - 1 points.  They
+go into one stack of at most that many states, with the reported midpoint of
+each path that ends inside the tree.  The search then runs its plain loop,
+with its own comparisons, reading each value from that stack and measuring
+the next tree when a value is missing.  A state's result does not depend on the stack it is measured in,
+so every value, decision and reported field is the bit it would be one point
+at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlations import MEASURES, concurrence, measure_states, quantum_discord
+from .correlations import MEASURES, measure_states
 from .device import (
     DeviceParams,
     EffectiveParams,
@@ -22,7 +33,6 @@ from .device import (
     build_hamiltonian,
     effective_params,
     gibbs_family,
-    gibbs_state,
     thermal_states,
 )
 from .errors import BracketError, SpecValidationError
@@ -39,6 +49,10 @@ DEFAULT_STEPS_1D = 501
 DEFAULT_STEPS_2D = 101
 # Points measured together: amortizes the X search's kernel calls, bounds memory.
 CHUNK_POINTS = 64
+# Search steps measured ahead as one stack of up to 2**SEARCH_DEPTH - 1 points.
+# At 4 a golden-section search takes about half the time; 5 is no faster and
+# its larger stacks raise the peak heap by half.
+SEARCH_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -176,32 +190,59 @@ def _require_tol(tol: float, top: float) -> None:
                                   f"one float spacing at {top:g}; got {tol}")
 
 
-def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
-    """Bisect for the temperature where concurrence first hits exactly zero.
+def _column(states: np.ndarray, measure: str) -> list[float]:
+    return [row[measure] for row in measure_states(states, (measure,))]
 
-    Requires entanglement at T -> 0+ and none at t_max; raises BracketError
-    otherwise.
+
+def _speculative(f, children, tol: float):
+    """value(state): a search's value at the point of ``state``, measured ahead.
+
+    A state is a tuple (lo, hi, ..., x): its bracket first and last the point
+    whose value the search needs there; ``children(*state)`` gives the two
+    states that the outcomes of its next comparison lead to.  When the point
+    of ``state`` has no value yet, the points of it and of every state up to
+    SEARCH_DEPTH - 1 comparisons on go to ``f`` (a list of points to their
+    values) as one stack, with the midpoint of each state whose bracket is
+    within ``tol``: the search stops there and reports that point.  No such
+    state is expanded.  A stack keeps the first 2**SEARCH_DEPTH - 1 distinct
+    points, shallowest first, which bounds its memory; a point left out is
+    measured when the search reaches it.
     """
-    if not 0.0 < t_max < math.inf:
-        raise SpecValidationError("t_max must be finite and positive")
-    _require_tol(tol, t_max)
-    eff = fixed if isinstance(fixed, EffectiveParams) else effective_params(fixed)
-    state_at = gibbs_family(build_hamiltonian(eff))
+    values = {}
 
-    def conc(t: float) -> float:
-        return concurrence(state_at(ThermalSpec(t)))
+    def value(state) -> float:
+        if state[-1] not in values:
+            points, level = [], [state]
+            for _ in range(SEARCH_DEPTH):
+                points += [s[-1] for s in level]
+                points += [0.5 * (s[0] + s[1]) for s in level if s[1] - s[0] <= tol]
+                level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
+            points = list(dict.fromkeys(points))[: 2**SEARCH_DEPTH - 1]
+            values.update(zip(points, f(points)))
+        return values[state[-1]]
 
-    if conc(0.0) <= CONCURRENCE_FLOOR:
+    return value
+
+
+def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
+    """:func:`esd_temperature` for the values f (a list of temperatures to
+    their concurrences) gives."""
+    at_zero, at_t_max = f([0.0, t_max])
+    if at_zero <= CONCURRENCE_FLOOR:
         raise BracketError("state is never entangled: concurrence is zero at T = 0")
-    if conc(t_max) > CONCURRENCE_FLOOR:
+    if at_t_max > CONCURRENCE_FLOOR:
         raise BracketError(f"concurrence is still positive at t_max = {t_max}")
 
+    def children(lo, hi, mid):
+        return (mid, hi, 0.5 * (mid + hi)), (lo, mid, 0.5 * (lo + mid))
+
+    conc = _speculative(f, children, tol)
     lo, hi = 0.0, t_max
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         iterations += 1
-        if conc(mid) > CONCURRENCE_FLOOR:
+        if conc((lo, hi, mid)) > CONCURRENCE_FLOOR:
             lo = mid
         else:
             hi = mid
@@ -209,17 +250,85 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     return CriticalPoint(
         kind="esd_temperature",
         location=location,
-        value_at=conc(location),
+        value_at=conc((lo, hi, location)),
         bracket=(lo, hi),
         iterations=iterations,
     )
+
+
+def _golden_section(f, a0: float, b0: float, tol: float) -> CriticalPoint:
+    """:func:`optimal_ratio` for the values f (a list of ratios to their
+    discords) gives."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def children(a, b, c, d, _):
+        # The two branches of the loop below, applied to (a, b, c, d).
+        c_left, d_right = d - invphi * (d - a), c + invphi * (b - c)
+        return (a, d, c_left, c, c_left), (c, b, d, d_right, d_right)
+
+    f_at = _speculative(f, children, tol)
+    a, b = a0, b0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f([c, d])
+    iterations = 0
+    while b - a > tol:
+        iterations += 1
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f_at((a, b, c, d, c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f_at((a, b, c, d, d))
+    location = 0.5 * (a + b)
+    return CriticalPoint(
+        kind="optimal_ratio",
+        location=location,
+        value_at=f_at((a, b, location)),
+        bracket=(a, b),
+        iterations=iterations,
+        boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
+    )
+
+
+def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
+    """Bisect for the temperature where concurrence first hits exactly zero.
+
+    Requires entanglement at T -> 0+ and none at t_max; raises BracketError
+    otherwise.  The Hamiltonian is diagonalized once.  T = 0 and t_max are
+    measured as one stack; after them, each stack holds the midpoints of the
+    next SEARCH_DEPTH bisection steps for either outcome of each (15 points,
+    fewer where the search ends), so a search at tol 1e-6 over (0, 1 K)
+    makes 7 stacked concurrence calls where it made 23 single ones.  The
+    result is the same bits: the loop makes the plain comparisons, and a
+    state's concurrence does not depend on the stack it is measured in.
+    """
+    if not 0.0 < t_max < math.inf:
+        raise SpecValidationError("t_max must be finite and positive")
+    _require_tol(tol, t_max)
+    eff = fixed if isinstance(fixed, EffectiveParams) else effective_params(fixed)
+    states_at = gibbs_family(build_hamiltonian(eff))
+
+    def concurrences(temperatures):
+        return _column(states_at([ThermalSpec(t) for t in temperatures]), "concurrence")
+
+    return _bisection(concurrences, t_max, tol)
 
 
 def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> CriticalPoint:
     """Golden-section maximization of thermal discord over j/eps at eps = 1 K.
 
     A maximum within 10*tol of either bracket edge is reported with the
-    boundary flag set (T = 0 legitimately has no interior maximum).
+    boundary flag set (T = 0 legitimately has no interior maximum).  The two
+    starting points are measured as one stack; after them, each stack holds
+    the new points of the next SEARCH_DEPTH steps for either outcome of each
+    comparison and the midpoint of each path that ends (up to 15 points), so
+    a search at tol 1e-6 over (0.1, 50) makes 10 or 11 stacked discord calls
+    where it made 40 single ones.  The result is the same bits: the loop
+    makes the plain comparisons, and a state's discord does not depend on
+    the stack it is measured in.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:
@@ -227,35 +336,11 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     _require_tol(tol, b0)
     thermal = ThermalSpec(t)
 
-    def discord_at(ratio: float) -> float:
-        eff = EffectiveParams.symmetric(1.0, ratio)
-        return quantum_discord(gibbs_state(build_hamiltonian(eff), thermal)).discord
+    def discords(ratios):
+        effs = [EffectiveParams.symmetric(1.0, r) for r in ratios]
+        return _column(thermal_states(effs, [thermal] * len(effs)), "discord")
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = a0, b0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = discord_at(c), discord_at(d)
-    iterations = 0
-    while b - a > tol:
-        iterations += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = discord_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = discord_at(d)
-    location = 0.5 * (a + b)
-    return CriticalPoint(
-        kind="optimal_ratio",
-        location=location,
-        value_at=discord_at(location),
-        bracket=(a, b),
-        iterations=iterations,
-        boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
-    )
+    return _golden_section(discords, a0, b0, tol)
 
 
 FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5")

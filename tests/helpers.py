@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from jcqsim.errors import BracketError
+from jcqsim.sweep import CONCURRENCE_FLOOR, CriticalPoint
 
 
 def bell_phi_plus() -> np.ndarray:
@@ -69,3 +74,47 @@ def entropy_bits(probabilities) -> float:
     p = np.asarray(probabilities, dtype=float)
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def plain_bisection(f, t_max: float, tol: float):
+    """``sweep.esd_temperature``'s bisection, one scalar f(T) call per point,
+    as the search ran before it measured in stacks."""
+    if f(0.0) <= CONCURRENCE_FLOOR:
+        raise BracketError("state is never entangled: concurrence is zero at T = 0")
+    if f(t_max) > CONCURRENCE_FLOOR:
+        raise BracketError(f"concurrence is still positive at t_max = {t_max}")
+    lo, hi = 0.0, t_max
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if f(mid) > CONCURRENCE_FLOOR:
+            lo = mid
+        else:
+            hi = mid
+    location = 0.5 * (lo + hi)
+    return CriticalPoint("esd_temperature", location, f(location), (lo, hi), iterations)
+
+
+def plain_golden_section(f, a0: float, b0: float, tol: float):
+    """``sweep.optimal_ratio``'s golden-section search, one scalar f(x) call
+    per point, as the search ran before it measured in stacks."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = a0, b0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    iterations = 0
+    while b - a > tol:
+        iterations += 1
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    location = 0.5 * (a + b)
+    boundary = location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol
+    return CriticalPoint("optimal_ratio", location, f(location), (a, b), iterations, boundary)

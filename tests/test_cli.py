@@ -540,6 +540,10 @@ class TestCommandSurface:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "unrecognized arguments" in err and "Traceback" not in err
+        # The command that got the flag reports it, with its own usage line.
+        command = " ".join(argv[:2] if argv[0] == "critical" else argv[:1])
+        assert err.startswith(f"usage: jcqsim {command} [-h]")
+        assert f"jcqsim {command}: error: unrecognized arguments: " in err
 
     @pytest.mark.parametrize(
         "config, argv, key",

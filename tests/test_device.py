@@ -293,9 +293,20 @@ class TestThermalStates:
 
     def test_gibbs_family_is_gibbs_state_at_each_temperature(self):
         h = random_hermitian(np.random.default_rng(14))
-        state_at = device.gibbs_family(h)
-        for t in (0.0, 5e-324, 0.3, 7.0):
-            assert np.array_equal(state_at(ThermalSpec(t)), gibbs_state(h, ThermalSpec(t)))
+        specs = [ThermalSpec(t) for t in (0.0, 5e-324, 0.3, 7.0, 0.0)]
+        stack = device.gibbs_family(h)(specs)
+        assert stack.shape == (len(specs), 4, 4)
+        for spec, rho in zip(specs, stack):
+            assert np.array_equal(rho, gibbs_state(h, spec))
+
+    def test_one_spectrum_serves_a_zero_and_a_positive_temperature(self):
+        # A (1, 4) spectrum broadcast over temperatures: the T = 0 row is the
+        # ground-space projector, not the NaN of 0/0 weights.
+        h = random_hermitian(np.random.default_rng(15))
+        w, v = np.linalg.eigh(h[None])
+        stack = device._gibbs_states(w, v, np.array([[0.0], [0.3]]))
+        for t, rho in zip((0.0, 0.3), stack):
+            assert np.array_equal(rho, gibbs_state(h, ThermalSpec(t)))
 
     @pytest.mark.parametrize("shape", [(2, 4, 4), (4,), (3, 3)])
     def test_gibbs_state_keeps_its_single_matrix_contract(self, shape):

@@ -6,6 +6,7 @@ import pytest
 from jcqsim.correlations import ground_state_discord_analytic
 from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
 from jcqsim.errors import BracketError, SpecValidationError
+from jcqsim import sweep
 from jcqsim.sweep import (
     CHUNK_POINTS,
     FIG2B_TEMPERATURES,
@@ -21,6 +22,8 @@ from jcqsim.sweep import (
     sweep_2d,
 )
 from jcqsim.correlations import concurrence, quantum_discord
+
+from helpers import plain_bisection, plain_golden_section
 
 
 def ratio_spec(**overrides):
@@ -301,6 +304,97 @@ class TestOptimalRatio:
             point = optimal_ratio(t, (0.1, 50.0), tol=1e-4)
             assert np.isfinite(point.location) and point.location > 0
             assert 0.0 <= point.value_at <= 1.0
+
+
+def _seeded_ratio_cases():
+    rng = np.random.default_rng(21)
+    cases = [(0.0, (0.1, 50.0), 1e-6), (0.5, (0.1, 50.0), math.ulp(50.0)),
+             (1.0, (2.0, 3.0), 5.0)]  # tol wider than the bracket: 0 iterations
+    for _ in range(9):
+        a = float(rng.uniform(0.1, 10.0))
+        b = a + float(rng.uniform(0.5, 40.0))
+        cases.append((float(rng.uniform(0.0, 2.0)), (a, b), float(10.0 ** rng.uniform(-9, -1))))
+    return cases
+
+
+def _seeded_esd_cases():
+    rng = np.random.default_rng(22)
+    cases = []
+    for k in range(12):
+        v, phi = float(rng.uniform(5e-6, 100e-6)), float(rng.uniform(0.05, 0.45))
+        # Every other device is off phi_e = 1/2: general states, spectral concurrence.
+        phi_e = 0.5 if k % 2 else 0.5 + float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 0.4))
+        dev = DeviceParams(v_x1=v, v_x2=v, phi_x1=phi, phi_x2=phi, phi_e=phi_e)
+        t_max = float(rng.uniform(0.2, 2.0))
+        for tol in (float(10.0 ** rng.uniform(-9, -2)), math.ulp(t_max), 2.0 * t_max):
+            cases.append((dev, t_max, tol))
+    return cases
+
+
+def _bumps(x: float) -> float:
+    # Several local maxima of different heights, and flat steps that tie.
+    return math.floor(8.0 * math.sin(3.0 * x) + 5.0 * math.sin(11.0 * x)) / 8.0
+
+
+class TestSpeculativeSearches:
+    """The stacked searches return every CriticalPoint field of the plain loops."""
+
+    @pytest.mark.parametrize("t, bracket, tol", _seeded_ratio_cases())
+    def test_optimal_ratio_equals_the_plain_loop(self, t, bracket, tol):
+        def discord(r):
+            return quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, r), t)).discord
+
+        assert optimal_ratio(t, bracket, tol) == plain_golden_section(discord, *bracket, tol)
+
+    def test_esd_temperature_equals_the_plain_loop(self):
+        cases = _seeded_esd_cases()
+        assert sum(dev.phi_e != 0.5 for dev, _, _ in cases) == len(cases) // 2
+        for dev, t_max, tol in cases:
+            def conc(t):
+                return concurrence(thermal_state(dev, t))
+
+            assert esd_temperature(dev, t_max, tol) == plain_bisection(conc, t_max, tol)
+        assert any(esd_temperature(dev, t_max, tol).iterations == 0
+                   for dev, t_max, tol in cases if tol > t_max)
+
+    @pytest.mark.parametrize("bracket, tol", [((0.0, 6.0), 1e-9), ((1.0, 2.5), 1e-3),
+                                              ((0.5, 40.0), math.ulp(40.0))])
+    def test_golden_section_on_a_batched_function_with_many_maxima(self, bracket, tol):
+        calls = []
+
+        def batched(points):
+            calls.append(len(points))
+            return [_bumps(x) for x in points]
+
+        point = sweep._golden_section(batched, *bracket, tol)
+        assert point == plain_golden_section(_bumps, *bracket, tol)
+        assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
+
+    @pytest.mark.parametrize("t_max, tol", [(6.0, 1e-9), (0.45, 1e-3), (40.0, math.ulp(40.0))])
+    def test_bisection_on_a_batched_function_with_many_crossings(self, t_max, tol):
+        def conc(t):
+            return max(0.0, math.cos(7.0 * t) + 0.5 - 0.1 * t)
+
+        point = sweep._bisection(lambda ts: [conc(t) for t in ts], t_max, tol)
+        assert point == plain_bisection(conc, t_max, tol)
+
+    @pytest.mark.parametrize("search, iterations", [
+        (lambda: optimal_ratio(0.5, (0.1, 50.0)), 37),
+        (lambda: esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0), 20),
+    ])
+    def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations):
+        calls = []
+        measure_states = sweep.measure_states
+
+        def counted(states, measures):
+            calls.append(len(states))
+            return measure_states(states, measures)
+
+        monkeypatch.setattr(sweep, "measure_states", counted)
+        assert search().iterations == iterations
+        assert calls[0] == 2
+        assert len(calls) <= math.ceil(iterations / sweep.SEARCH_DEPTH) + 2
+        assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
 
 
 class TestFigurePresets:
