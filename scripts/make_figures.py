@@ -3,7 +3,7 @@
 
 Examples:
     python scripts/make_figures.py --outdir figures
-    python scripts/make_figures.py --figures fig2a fig4 --steps 101 --threads 4
+    python scripts/make_figures.py --figures fig2a fig4 --steps 101
 """
 
 import argparse
@@ -19,16 +19,12 @@ def main() -> int:
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
     parser.add_argument("--figures", nargs="+", choices=FIGURES, default=list(FIGURES))
     parser.add_argument("--steps", type=int, help="override the preset grid sizes")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     for which in args.figures:
         out = args.outdir / f"{which}.csv"
-        argv = [
-            "figure", which, "--out", str(out), "--emit-plot-script",
-            "--threads", str(args.threads),
-        ]
+        argv = ["figure", which, "--out", str(out), "--emit-plot-script"]
         if args.steps is not None:
             argv += ["--steps", str(args.steps)]
         print(f"[make_figures] {which} -> {out}")

@@ -28,6 +28,9 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=1e-4)
     parser.add_argument("--out", type=Path, default=Path("critical_ratio.csv"))
     args = parser.parse_args()
+    if args.points < 1:
+        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
+        return 2
 
     rows = []
     try:

@@ -216,7 +216,7 @@ def _hamiltonians(effs) -> np.ndarray:
         [(e.eps1 + e.eps2, e.eps1 - e.eps2, -e.eps1 + e.eps2, -e.eps1 - e.eps2, -e.ej1, -e.ej2,
           e.j12) for e in effs],
         dtype=complex,
-    )
+    ).reshape(-1, 7)
     return table[:, _H_ENTRIES]
 
 
@@ -327,10 +327,17 @@ def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
 
 def thermal_states(params, specs) -> np.ndarray:
     """Thermal states (N x 4 x 4) of device or effective parameter sets, each with its
-    ThermalSpec: control maps per point, everything after them on the stack."""
+    ThermalSpec: control maps per point, everything after them on the stack.
+
+    The Hamiltonians are real symmetric by construction, so they are not
+    checked for Hermiticity.
+    """
+    if len(params) != len(specs):
+        raise InvalidParameterError(
+            f"need one ThermalSpec per parameter set, got {len(specs)} for {len(params)}")
     effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
-    h = qmath.require_hermitian(_hamiltonians(effs), "hamiltonian")
-    return _gibbs_states(*np.linalg.eigh(h), np.array([[s.temperature] for s in specs]))
+    temperatures = np.array([s.temperature for s in specs])[:, None]
+    return _gibbs_states(*np.linalg.eigh(_hamiltonians(effs)), temperatures)
 
 
 def thermal_state(params, temperature: float) -> np.ndarray:

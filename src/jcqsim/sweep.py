@@ -3,19 +3,9 @@
 Grid points are taken in axis order in chunks of a fixed size on one thread.
 Each point gets its own control maps; from the Hamiltonian on, a chunk is one
 (N, 4, 4) stack, built and measured at once, and every state's result is the
-one it gets alone.
-
-The two searches (bisection for the ESD temperature, golden section for the
-discord-maximizing j/eps) measure speculatively.  Each step's next point is a
-fixed float expression of the current bracket, so the points the next
-SEARCH_DEPTH steps could visit, one for each outcome of each comparison, are
-known before any is measured: a tree of 2**SEARCH_DEPTH - 1 points.  They
-go into one stack of at most that many states, with the reported midpoint of
-each path that ends inside the tree.  The search then runs its plain loop,
-with its own comparisons, reading each value from that stack and measuring
-the next tree when a value is missing.  A state's result does not depend on the stack it is measured in,
-so every value, decision and reported field is the bit it would be one point
-at a time.
+one it gets alone.  The two searches (bisection for the ESD temperature,
+golden section for the discord-maximizing j/eps) share one driver,
+:func:`_search`, which measures their next steps ahead as one stack.
 """
 
 from __future__ import annotations
@@ -194,101 +184,83 @@ def _column(states: np.ndarray, measure: str) -> list[float]:
     return [row[measure] for row in measure_states(states, (measure,))]
 
 
-def _speculative(f, children, tol: float):
-    """value(state): a search's value at the point of ``state``, measured ahead.
+def _search(f, state, values, children, decide, tol: float):
+    """(bracket, midpoint, value there, iterations) of a bracketing search.
 
-    A state is a tuple (lo, hi, ..., x): its bracket first and last the point
-    whose value the search needs there; ``children(*state)`` gives the two
-    states that the outcomes of its next comparison lead to.  When the point
-    of ``state`` has no value yet, the points of it and of every state up to
-    SEARCH_DEPTH - 1 comparisons on go to ``f`` (a list of points to their
-    values) as one stack, with the midpoint of each state whose bracket is
-    within ``tol``: the search stops there and reports that point.  No such
-    state is expanded.  A stack keeps the first 2**SEARCH_DEPTH - 1 distinct
-    points, shallowest first, which bounds its memory; a point left out is
-    measured when the search reaches it.
+    A state is a tuple (lo, hi, *points): its bracket, then the points whose
+    values its next comparison reads.  While hi - lo > tol the search goes to
+    ``children(*state)[not decide(*values of its points)]``; a state within
+    ``tol`` stops and reads only its midpoint.  ``values`` maps points to their
+    values and ``f`` maps a list of points to theirs.
+
+    Each child's points are fixed float expressions of its parent's bracket,
+    so the points of the next SEARCH_DEPTH steps, one branch for each outcome
+    of each comparison, are known before any of them is measured.  When a
+    point the search reads has no value, the points of the current state and
+    of every state up to SEARCH_DEPTH - 1 comparisons on (a stopping state
+    gives its midpoint and is not expanded) go to ``f`` as one stack:
+    deduplicated, without those already measured, and at most
+    2**SEARCH_DEPTH - 1 of them, shallowest first, which bounds its memory.  A
+    point left out is measured when the search reaches it.  A value does not
+    depend on the stack it is measured in, so every decision and result is
+    the bit it would be with one point at a time.
     """
-    values = {}
 
-    def value(state) -> float:
-        if state[-1] not in values:
-            points, level = [], [state]
+    def points(s):
+        return (0.5 * (s[0] + s[1]),) if s[1] - s[0] <= tol else s[2:]
+
+    def read(root):
+        if any(x not in values for x in points(root)):
+            ahead, level = [], [root]
             for _ in range(SEARCH_DEPTH):
-                points += [s[-1] for s in level]
-                points += [0.5 * (s[0] + s[1]) for s in level if s[1] - s[0] <= tol]
+                ahead += [x for s in level for x in points(s)]
                 level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
-            points = list(dict.fromkeys(points))[: 2**SEARCH_DEPTH - 1]
-            values.update(zip(points, f(points)))
-        return values[state[-1]]
+            ahead = [x for x in dict.fromkeys(ahead) if x not in values]
+            ahead = ahead[: 2**SEARCH_DEPTH - 1]
+            values.update(zip(ahead, f(ahead)))
+        return [values[x] for x in points(root)]
 
-    return value
+    iterations = 0
+    while state[1] - state[0] > tol:
+        state = children(*state)[not decide(*read(state))]
+        iterations += 1
+    (value,) = read(state)
+    return state[:2], 0.5 * (state[0] + state[1]), value, iterations
 
 
 def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
     """:func:`esd_temperature` for the values f (a list of temperatures to
     their concurrences) gives."""
-    at_zero, at_t_max = f([0.0, t_max])
-    if at_zero <= CONCURRENCE_FLOOR:
+    values = dict(zip((0.0, t_max), f([0.0, t_max])))
+    if values[0.0] <= CONCURRENCE_FLOOR:
         raise BracketError("state is never entangled: concurrence is zero at T = 0")
-    if at_t_max > CONCURRENCE_FLOOR:
+    if values[t_max] > CONCURRENCE_FLOOR:
         raise BracketError(f"concurrence is still positive at t_max = {t_max}")
 
     def children(lo, hi, mid):
         return (mid, hi, 0.5 * (mid + hi)), (lo, mid, 0.5 * (lo + mid))
 
-    conc = _speculative(f, children, tol)
-    lo, hi = 0.0, t_max
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if conc((lo, hi, mid)) > CONCURRENCE_FLOOR:
-            lo = mid
-        else:
-            hi = mid
-    location = 0.5 * (lo + hi)
-    return CriticalPoint(
-        kind="esd_temperature",
-        location=location,
-        value_at=conc((lo, hi, location)),
-        bracket=(lo, hi),
-        iterations=iterations,
-    )
+    bracket, location, value_at, iterations = _search(
+        f, (0.0, t_max, 0.5 * t_max), values, children,
+        lambda c: c > CONCURRENCE_FLOOR, tol)
+    return CriticalPoint("esd_temperature", location, value_at, bracket, iterations)
 
 
 def _golden_section(f, a0: float, b0: float, tol: float) -> CriticalPoint:
     """:func:`optimal_ratio` for the values f (a list of ratios to their
     discords) gives."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b0 - invphi * (b0 - a0)
+    d = a0 + invphi * (b0 - a0)
 
-    def children(a, b, c, d, _):
-        # The two branches of the loop below, applied to (a, b, c, d).
-        c_left, d_right = d - invphi * (d - a), c + invphi * (b - c)
-        return (a, d, c_left, c, c_left), (c, b, d, d_right, d_right)
+    def children(a, b, c, d):
+        return (a, d, d - invphi * (d - a), c), (c, b, d, c + invphi * (b - c))
 
-    f_at = _speculative(f, children, tol)
-    a, b = a0, b0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f([c, d])
-    iterations = 0
-    while b - a > tol:
-        iterations += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f_at((a, b, c, d, c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f_at((a, b, c, d, d))
-    location = 0.5 * (a + b)
+    bracket, location, value_at, iterations = _search(
+        f, (a0, b0, c, d), dict(zip((c, d), f([c, d]))), children,
+        lambda fc, fd: fc >= fd, tol)
     return CriticalPoint(
-        kind="optimal_ratio",
-        location=location,
-        value_at=f_at((a, b, location)),
-        bracket=(a, b),
-        iterations=iterations,
+        "optimal_ratio", location, value_at, bracket, iterations,
         boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
     )
 
@@ -297,13 +269,8 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     """Bisect for the temperature where concurrence first hits exactly zero.
 
     Requires entanglement at T -> 0+ and none at t_max; raises BracketError
-    otherwise.  The Hamiltonian is diagonalized once.  T = 0 and t_max are
-    measured as one stack; after them, each stack holds the midpoints of the
-    next SEARCH_DEPTH bisection steps for either outcome of each (15 points,
-    fewer where the search ends), so a search at tol 1e-6 over (0, 1 K)
-    makes 7 stacked concurrence calls where it made 23 single ones.  The
-    result is the same bits: the loop makes the plain comparisons, and a
-    state's concurrence does not depend on the stack it is measured in.
+    otherwise.  The Hamiltonian is diagonalized once, and T = 0 and t_max
+    are measured as one stack.
     """
     if not 0.0 < t_max < math.inf:
         raise SpecValidationError("t_max must be finite and positive")
@@ -322,13 +289,7 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
 
     A maximum within 10*tol of either bracket edge is reported with the
     boundary flag set (T = 0 legitimately has no interior maximum).  The two
-    starting points are measured as one stack; after them, each stack holds
-    the new points of the next SEARCH_DEPTH steps for either outcome of each
-    comparison and the midpoint of each path that ends (up to 15 points), so
-    a search at tol 1e-6 over (0.1, 50) makes 10 or 11 stacked discord calls
-    where it made 40 single ones.  The result is the same bits: the loop
-    makes the plain comparisons, and a state's discord does not depend on
-    the stack it is measured in.
+    starting points are measured as one stack.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:

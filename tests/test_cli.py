@@ -680,7 +680,8 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("mutual_information,")
 
 
-@pytest.mark.parametrize("argv", [["--tol", "nan"], ["--t-min", "-1"], ["--bracket", "5", "1"]])
+@pytest.mark.parametrize("argv", [["--tol", "nan"], ["--t-min", "-1"], ["--bracket", "5", "1"],
+                                  ["--points", "-1"], ["--points", "0"]])
 def test_ratio_script_rejects_bad_input_with_exit_2(tmp_path, argv):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "ratio.csv"

@@ -271,6 +271,10 @@ class TestThermalStates:
             DeviceParams(v_x1=3e-5, v_x2=7e-5, phi_e=0.3, phi_x1=0.2),
             *(EffectiveParams(*rng.uniform(-3.0, 3.0, size=5)) for _ in range(11)),
         ]
+        # The stack is built exactly Hermitian, so thermal_states does not check it.
+        h = device._hamiltonians(
+            [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params])
+        assert np.array_equal(h, h.conj().swapaxes(1, 2))
         for temperature in (0.0, 5e-324, 1e-3, 0.5, 40.0):
             temperatures = [temperature] * len(params)
             # A temperature sweep mixes T = 0 and T > 0 in one stack.
@@ -282,6 +286,14 @@ class TestThermalStates:
                 eff = p if isinstance(p, EffectiveParams) else effective_params(p)
                 assert np.array_equal(rho, gibbs_state(build_hamiltonian(eff), spec))
                 assert np.array_equal(rho, thermal_state(p, spec.temperature))
+
+    def test_empty_stack(self):
+        assert thermal_states([], []).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("n_params, n_specs", [(3, 1), (3, 2), (0, 1)])
+    def test_one_spec_per_parameter_set(self, n_params, n_specs):
+        with pytest.raises(InvalidParameterError, match="one ThermalSpec per parameter set"):
+            thermal_states([DeviceParams()] * n_params, [ThermalSpec(0.1)] * n_specs)
 
     def test_random_hamiltonians_equal_gibbs_state(self):
         rng = np.random.default_rng(13)

@@ -336,6 +336,12 @@ def _bumps(x: float) -> float:
     return math.floor(8.0 * math.sin(3.0 * x) + 5.0 * math.sin(11.0 * x)) / 8.0
 
 
+def _assert_each_point_measured_once(stacks):
+    assert all(stacks), "a search measured an empty stack"
+    points = [x for stack in stacks for x in stack]
+    assert len(set(points)) == len(points), "a search measured a point twice"
+
+
 class TestSpeculativeSearches:
     """The stacked searches return every CriticalPoint field of the plain loops."""
 
@@ -360,23 +366,31 @@ class TestSpeculativeSearches:
     @pytest.mark.parametrize("bracket, tol", [((0.0, 6.0), 1e-9), ((1.0, 2.5), 1e-3),
                                               ((0.5, 40.0), math.ulp(40.0))])
     def test_golden_section_on_a_batched_function_with_many_maxima(self, bracket, tol):
-        calls = []
+        stacks = []
 
         def batched(points):
-            calls.append(len(points))
+            stacks.append(list(points))
             return [_bumps(x) for x in points]
 
         point = sweep._golden_section(batched, *bracket, tol)
         assert point == plain_golden_section(_bumps, *bracket, tol)
-        assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
+        assert max(map(len, stacks)) <= 2**sweep.SEARCH_DEPTH - 1
+        _assert_each_point_measured_once(stacks)
 
     @pytest.mark.parametrize("t_max, tol", [(6.0, 1e-9), (0.45, 1e-3), (40.0, math.ulp(40.0))])
     def test_bisection_on_a_batched_function_with_many_crossings(self, t_max, tol):
+        stacks = []
+
         def conc(t):
             return max(0.0, math.cos(7.0 * t) + 0.5 - 0.1 * t)
 
-        point = sweep._bisection(lambda ts: [conc(t) for t in ts], t_max, tol)
+        def batched(ts):
+            stacks.append(list(ts))
+            return [conc(t) for t in ts]
+
+        point = sweep._bisection(batched, t_max, tol)
         assert point == plain_bisection(conc, t_max, tol)
+        _assert_each_point_measured_once(stacks)
 
     @pytest.mark.parametrize("search, iterations", [
         (lambda: optimal_ratio(0.5, (0.1, 50.0)), 37),
