@@ -78,6 +78,7 @@ X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
 X_POLISH_STEPS = 6
 # X states per search: 64 * 2 * 33 = 4,224 kernel columns, as for general states.
+# Also the states per Hermiticity test, whose copies it bounds.
 X_BLOCK = 64
 
 # Row-major flat indices of the entries off the diagonal and anti-diagonal,
@@ -130,10 +131,12 @@ def _require_state(states, dim: int | None = None) -> tuple[np.ndarray, np.ndarr
     if np.count_nonzero(np.isfinite(states)) < states.size:
         raise NotAStateError("state has a non-finite entry")
     # A state's Frobenius norm is at most 1, so Hermiticity is judged to an
-    # absolute tolerance.
-    skew = (states - states.conj().swapaxes(1, 2)).reshape(len(states), states.shape[1] ** 2)
-    if np.count_nonzero(np.vecdot(skew, skew).real > qmath.HERMITICITY_RTOL**2):
-        raise NotAStateError("state is not Hermitian")
+    # absolute tolerance, X_BLOCK states at a time to bound the copies.
+    for start in range(0, len(states), X_BLOCK):
+        block = states[start : start + X_BLOCK]
+        skew = (block - block.conj().swapaxes(1, 2)).reshape(len(block), -1)
+        if np.count_nonzero(np.vecdot(skew, skew).real > qmath.HERMITICITY_RTOL**2):
+            raise NotAStateError("state is not Hermitian")
     w = np.linalg.eigvalsh(states)
     if np.count_nonzero(w[:, 0] < qmath.EIGENVALUE_CLAMP):
         raise NotAStateError(f"state has negative eigenvalue {w[:, 0].min():.3e}")
@@ -441,6 +444,7 @@ def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -
         columns.update(theta=theta, phi=phi, optimizer_evaluations=evaluations)
     if entangled:
         columns["concurrence"] = c = _concurrence(states, is_x, c)
+    if "eof" in measures:
         columns["eof"] = np.array([eof_from_concurrence(v) for v in c.tolist()])
     return columns
 

@@ -7,6 +7,13 @@ inductance) onto the effective qubit Hamiltonian
 
 and builds its equilibrium (Gibbs) states.  All energies are stored in
 kelvin (E / k_B), so beta = 1/T with T in kelvin.
+
+Each control map is written once, over controls that are floats (a
+DeviceParams) or, for a sweep chunk, arrays of one length wherever the chunk
+varies them.  Elementwise float arithmetic in the same order gives the same
+bits in Python and in numpy, and the flux cosines apply the scalar functions
+with exact argument reduction to each value, so a chunk's coefficients are
+those of its points mapped one at a time.
 """
 
 from __future__ import annotations
@@ -148,6 +155,11 @@ def _sin_pi(x: float) -> float:
     return sign * math.sin(math.pi * y)
 
 
+def _pi_map(f, x):
+    """``f`` (:func:`_cos_pi` or :func:`_sin_pi`) of a float, or of each value of an array."""
+    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+
+
 def _check_qubit_index(which: int) -> None:
     if which not in (1, 2):
         raise InvalidParameterError(f"qubit index must be 1 or 2, got {which!r}")
@@ -162,24 +174,27 @@ def charge_energy(p: DeviceParams) -> float:
 
 
 def epsilon_from_voltage(p: DeviceParams, which: int) -> float:
-    """Gate-voltage-controlled charge energy of one qubit, in kelvin."""
+    """Gate-voltage-controlled charge energy of one qubit, in kelvin (an array
+    where the gate voltage is)."""
     _check_qubit_index(which)
     v = p.v_x1 if which == 1 else p.v_x2
     return (p.c * v / CONSTANTS.e - (2 * p.n + 1)) * charge_energy(p) / 2.0
 
 
 def intrabit_coupling(p: DeviceParams, which: int) -> float:
-    """Flux-controlled sigma_x coupling of one qubit, in kelvin.
+    """Flux-controlled sigma_x coupling of one qubit, in kelvin (an array
+    where a flux is).
 
     Vanishes exactly when the external flux sits at half a flux quantum.
     """
     _check_qubit_index(which)
     phi_x = p.phi_x1 if which == 1 else p.phi_x2
-    return p.xi * 2.0 * p.e_j0 * _cos_pi(phi_x) * _cos_pi(p.phi_e)
+    return p.xi * 2.0 * p.e_j0 * _pi_map(_cos_pi, phi_x) * _pi_map(_cos_pi, p.phi_e)
 
 
 def interbit_coupling(p: DeviceParams) -> float:
-    """Inductance-mediated sigma_x sigma_x coupling, in kelvin.
+    """Inductance-mediated sigma_x sigma_x coupling, in kelvin (an array
+    where a flux is).
 
     J12 = -pi^2 L E_J1 E_J2 sin^2(pi*phi_e) / phi_0^2 with
     E_Jk = 2 E_J0 cos(pi*phi_xk); negative for the default controls.
@@ -189,40 +204,47 @@ def interbit_coupling(p: DeviceParams) -> float:
         prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
     except OverflowError:
         raise InvalidParameterError(f"j12 overflows: e_j0 = {p.e_j0:g} K is too large") from None
-    s = _sin_pi(p.phi_e)
-    return -prefactor * _cos_pi(p.phi_x1) * _cos_pi(p.phi_x2) * s * s / CONSTANTS.k_b
+    s = _pi_map(_sin_pi, p.phi_e)
+    cos1, cos2 = _pi_map(_cos_pi, p.phi_x1), _pi_map(_cos_pi, p.phi_x2)
+    return -prefactor * cos1 * cos2 * s * s / CONSTANTS.k_b
+
+
+def _coefficients(p) -> tuple:
+    """(eps1, eps2, ej1, ej2, j12) of controls p by every control map: floats
+    for DeviceParams, arrays wherever a sweep chunk's controls are arrays."""
+    return (epsilon_from_voltage(p, 1), epsilon_from_voltage(p, 2),
+            intrabit_coupling(p, 1), intrabit_coupling(p, 2), interbit_coupling(p))
 
 
 def effective_params(p: DeviceParams) -> EffectiveParams:
     """Collect all control maps into the effective Hamiltonian coefficients."""
-    return EffectiveParams(
-        eps1=epsilon_from_voltage(p, 1),
-        eps2=epsilon_from_voltage(p, 2),
-        ej1=intrabit_coupling(p, 1),
-        ej2=intrabit_coupling(p, 2),
-        j12=interbit_coupling(p),
-    )
+    return EffectiveParams(*_coefficients(p))
 
 
-# H[r, c] is column _H_ENTRIES[r, c] of a row of _hamiltonians' table: sz terms
-# on the diagonal; sx(2), sx(1) and sx(1)sx(2) link states that differ in the
-# second qubit, the first, and both.
+def _row(eff: EffectiveParams) -> tuple:
+    """``eff`` (or its fields, arrays over a sweep chunk) as a row of a
+    coefficient table."""
+    return eff.eps1, eff.eps2, eff.ej1, eff.ej2, eff.j12
+
+
+# H[r, c] is entry _H_ENTRIES[r, c] of a row of _hamiltonians' entries: sz
+# terms on the diagonal; sx(2), sx(1) and sx(1)sx(2) link states that differ
+# in the second qubit, the first, and both.
 _H_ENTRIES = np.array([[0, 5, 4, 6], [5, 1, 6, 4], [4, 6, 2, 5], [6, 4, 5, 3]])
 
 
-def _hamiltonians(effs) -> np.ndarray:
-    """:func:`build_hamiltonian` for each EffectiveParams, as one N x 4 x 4 stack."""
-    table = np.array(
-        [(e.eps1 + e.eps2, e.eps1 - e.eps2, -e.eps1 + e.eps2, -e.eps1 - e.eps2, -e.ej1, -e.ej2,
-          e.j12) for e in effs],
-        dtype=complex,
-    ).reshape(-1, 7)
-    return table[:, _H_ENTRIES]
+def _hamiltonians(table) -> np.ndarray:
+    """:func:`build_hamiltonian` for each row (eps1, eps2, ej1, ej2, j12) of a
+    coefficient table (N x 5), as one N x 4 x 4 stack."""
+    eps1, eps2, ej1, ej2, j12 = np.asarray(table, dtype=float).reshape(-1, 5).T
+    entries = np.array(
+        [eps1 + eps2, eps1 - eps2, -eps1 + eps2, -eps1 - eps2, -ej1, -ej2, j12], dtype=complex)
+    return entries.T[:, _H_ENTRIES]
 
 
 def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
     """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin)."""
-    return _hamiltonians([eff])[0]
+    return _hamiltonians([_row(eff)])[0]
 
 
 def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
@@ -266,7 +288,7 @@ def gibbs_family(h):
     if h.ndim != 2:
         raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")
     w, v = np.linalg.eigh(h[None])
-    return lambda specs: _gibbs_states(w, v, np.array([[s.temperature] for s in specs]))
+    return lambda specs: _gibbs_states(w, v, np.array([s.temperature for s in specs])[:, None])
 
 
 def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
@@ -325,19 +347,25 @@ def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
     return rho
 
 
-def thermal_states(params, specs) -> np.ndarray:
-    """Thermal states (N x 4 x 4) of device or effective parameter sets, each with its
-    ThermalSpec: control maps per point, everything after them on the stack.
+def _thermal_stack(table, temperatures) -> np.ndarray:
+    """Thermal states (N x 4 x 4) of the rows of a checked coefficient table
+    (N x 5), each at its temperature (N of them).
 
     The Hamiltonians are real symmetric by construction, so they are not
     checked for Hermiticity.
     """
+    h = _hamiltonians(table)
+    return _gibbs_states(*np.linalg.eigh(h), np.asarray(temperatures, dtype=float)[:, None])
+
+
+def thermal_states(params, specs) -> np.ndarray:
+    """Thermal states (N x 4 x 4) of device or effective parameter sets, each with its
+    ThermalSpec: control maps per parameter set, everything after them on the stack."""
     if len(params) != len(specs):
         raise InvalidParameterError(
             f"need one ThermalSpec per parameter set, got {len(specs)} for {len(params)}")
-    effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
-    temperatures = np.array([s.temperature for s in specs])[:, None]
-    return _gibbs_states(*np.linalg.eigh(_hamiltonians(effs)), temperatures)
+    table = [_row(p if isinstance(p, EffectiveParams) else effective_params(p)) for p in params]
+    return _thermal_stack(table, [s.temperature for s in specs])
 
 
 def thermal_state(params, temperature: float) -> np.ndarray:

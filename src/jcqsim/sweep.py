@@ -1,25 +1,33 @@
 """Parameter sweeps and critical-point searches over the device controls.
 
 Grid points are taken in axis order in chunks of a fixed size on one thread.
-Each point gets its own control maps; from the Hamiltonian on, a chunk is one
-(N, 4, 4) stack, built and measured at once, and every state's result is the
-one it gets alone.  The two searches (bisection for the ESD temperature,
-golden section for the discord-maximizing j/eps) share one driver,
-:func:`_search`, which measures their next steps ahead as one stack.
+A chunk's swept controls and temperatures are arrays, which the control maps
+and their checks take at once; from the Hamiltonian on, the chunk is one
+(N, 4, 4) stack, built and measured at once.  Every state's coefficients,
+temperature and result are the bits it gets alone, and bad input raises the
+error of the first offending point in axis order.  The two searches
+(bisection for the ESD temperature, golden section for the
+discord-maximizing j/eps) share one driver, :func:`_search`, which measures
+their next steps ahead as one stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .correlations import MEASURES, measure_states
 from .device import (
+    MAX_ENERGY_K,
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
+    _coefficients,
+    _row,
+    _thermal_stack,
     build_hamiltonian,
     effective_params,
     gibbs_family,
@@ -120,57 +128,82 @@ class CriticalPoint:
     boundary: bool = False
 
 
-def _apply_axes(fixed, thermal: ThermalSpec, *settings):
-    """(params, thermal) with each (variable, value) of ``settings`` applied in
-    turn; the parameters are copied (and validated) once, whatever they set."""
-    changes = {}
-    for variable, value in settings:
-        if variable == "temperature":
-            thermal = ThermalSpec(value)
-        elif variable == "ratio_j_over_eps":
-            changes["j12"] = value * fixed.eps1
-        elif variable == "phi_x_common":
-            changes["phi_x1"] = changes["phi_x2"] = value
-        elif variable == "voltage":
-            changes["v_x1"] = changes["v_x2"] = value
-        else:  # phi_x1 or phi_x2, checked by SweepSpec
-            changes[variable] = value
-    return (replace(fixed, **changes) if changes else fixed), thermal
+def _raise_first(ok: np.ndarray, check) -> None:
+    """``check(i)`` for the first point i not ``ok``: it builds that point's
+    dataclasses, whose own checks fail on it and raise their error."""
+    if not ok.all():
+        check(int(ok.argmin()))
 
 
-def _sweep_rows(axes: list, setup, measures: tuple[str, ...]) -> list[SweepRow]:
-    """Rows for the given axis tuples; ``setup`` maps one to (params, thermal)."""
+def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficient table (N x 5), temperatures (N)) of one chunk.
+
+    ``settings`` are (variable, values) pairs, each giving one array of N
+    values; they are applied in turn, so a later one wins a field both set.
+    Each point is checked as its ThermalSpec, parameter set and
+    EffectiveParams would check it: its temperature and swept controls first,
+    for every point, then the control maps' overflow errors and the
+    coefficients.  An overflow is left to the checks, which reject it.
+    """
+    temperatures, changes = np.full(len(settings[0][1]), thermal.temperature), {}
+    effective = isinstance(fixed, EffectiveParams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for variable, values in settings:
+            if variable == "temperature":
+                temperatures = values
+            elif variable == "ratio_j_over_eps":
+                changes["j12"] = values * fixed.eps1
+            elif variable == "phi_x_common":
+                changes["phi_x1"] = changes["phi_x2"] = values
+            elif variable == "voltage":
+                changes["v_x1"] = changes["v_x2"] = values
+            else:  # phi_x1 or phi_x2, checked by SweepSpec
+                changes[variable] = values
+        ok = np.isfinite(temperatures) & (temperatures >= 0.0)
+        for values in changes.values():
+            ok &= np.abs(values) <= MAX_ENERGY_K if effective else np.isfinite(values)
+        _raise_first(ok, lambda i: (ThermalSpec(float(temperatures[i])),
+                                    replace(fixed, **{k: float(v[i]) for k, v in changes.items()})))
+        controls = SimpleNamespace(**{**vars(fixed), **changes})
+        coefficients = _row(controls) if effective else _coefficients(controls)
+    table = np.stack([np.broadcast_to(c, temperatures.shape) for c in coefficients], axis=1)
+    _raise_first((np.abs(table) <= MAX_ENERGY_K).all(1),
+                 lambda i: EffectiveParams(*table[i].tolist()))
+    return table, temperatures
+
+
+def _sweep_rows(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> list[SweepRow]:
+    """Rows over the grid of ``axes``, (variable, axis values) pairs, outer
+    first: the last varies fastest and is applied last.  A row's axis tuple
+    lists its values innermost first."""
+    shape = tuple(len(values) for _, values in axes)
+    size = math.prod(shape)
     rows = []
-    for i in range(0, len(axes), CHUNK_POINTS):
-        part = axes[i : i + CHUNK_POINTS]
-        states = thermal_states(*zip(*(setup(*a) for a in part)))
-        rows += [SweepRow(a, v) for a, v in zip(part, measure_states(states, measures))]
+    for start in range(0, size, CHUNK_POINTS):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
+        settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
+        states = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
+        points = zip(*[values.tolist() for _, values in reversed(settings)])
+        rows += [SweepRow(a, v) for a, v in zip(points, measure_states(states, measures))]
     return rows
 
 
 def sweep_1d(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the requested measures along one axis, ascending order."""
-
-    def setup(x: float):
-        return _apply_axes(spec.fixed, spec.thermal, (spec.variable, x))
-
-    return _sweep_rows([(float(x),) for x in spec.axis], setup, spec.measures)
+    return _sweep_rows(spec.fixed, spec.thermal, [(spec.variable, spec.axis)], spec.measures)
 
 
 def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> list[SweepRow]:
-    """Evaluate over a 2-D grid, row-major (y outer, x inner)."""
+    """Evaluate over a 2-D grid, row-major (y outer, x inner); x wins a field
+    both axes set."""
     if spec_x.variable == spec_y.variable:
         raise SpecValidationError("2-D sweeps need two distinct variables")
     if spec_x.fixed != spec_y.fixed or spec_x.thermal != spec_y.thermal:
         raise SpecValidationError("2-D sweep specs must share fixed parameters")
     if spec_x.measures != spec_y.measures:
         raise SpecValidationError("2-D sweep specs must share measures")
-
-    def setup(x: float, y: float):
-        return _apply_axes(spec_x.fixed, spec_x.thermal, (spec_y.variable, y), (spec_x.variable, x))
-
-    points = [(float(x), float(y)) for y in spec_y.axis for x in spec_x.axis]
-    return _sweep_rows(points, setup, spec_x.measures)
+    axes = [(spec_y.variable, spec_y.axis), (spec_x.variable, spec_x.axis)]
+    return _sweep_rows(spec_x.fixed, spec_x.thermal, axes, spec_x.measures)
 
 
 def _require_tol(tol: float, top: float) -> None:

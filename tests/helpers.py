@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from jcqsim import device
+from jcqsim.device import EffectiveParams, ThermalSpec, effective_params
 from jcqsim.errors import BracketError
 from jcqsim.sweep import CONCURRENCE_FLOOR, CriticalPoint
 
@@ -118,3 +121,33 @@ def plain_golden_section(f, a0: float, b0: float, tol: float):
     location = 0.5 * (a + b)
     boundary = location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol
     return CriticalPoint("optimal_ratio", location, f(location), (a, b), iterations, boundary)
+
+
+def apply_axes(fixed, thermal: ThermalSpec, *settings):
+    """(params, thermal) with each (variable, value) of ``settings`` applied in
+    turn; the parameters are copied (and validated) once, whatever they set."""
+    changes = {}
+    for variable, value in settings:
+        if variable == "temperature":
+            thermal = ThermalSpec(value)
+        elif variable == "ratio_j_over_eps":
+            changes["j12"] = value * fixed.eps1
+        elif variable == "phi_x_common":
+            changes["phi_x1"] = changes["phi_x2"] = value
+        elif variable == "voltage":
+            changes["v_x1"] = changes["v_x2"] = value
+        else:  # phi_x1 or phi_x2
+            changes[variable] = value
+    return (replace(fixed, **changes) if changes else fixed), thermal
+
+
+def plain_controls(fixed, thermal: ThermalSpec, points):
+    """(Hamiltonians, temperatures) of a sweep chunk's points, one point at a
+    time, as sweeps mapped their controls before a chunk's were arrays: each
+    point's (variable, value) settings applied by :func:`apply_axes` (every
+    point checked), then each point's ``effective_params`` and
+    ``device._hamiltonians``."""
+    params, specs = zip(*(apply_axes(fixed, thermal, *settings) for settings in points))
+    effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
+    h = device._hamiltonians([device._row(e) for e in effs])
+    return h, np.array([s.temperature for s in specs])

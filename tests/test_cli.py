@@ -435,20 +435,20 @@ class TestExitCodeMapping:
         assert (code, err) == (3, "error: synthetic failure\n")
 
 
+_OUT_OF_RANGE = [
+    ({"device": {"e_j0_k": 1e200}}, "j12 overflows"),
+    ({"effective": {"eps1_k": 1e300, "eps2_k": 1e300, "j12_k": 1e300}},
+     "eps1 must be finite with |eps1| <= 1e+150 K"),
+    ({"device": {"l_h": 1e300}}, "j12 must be finite"),
+    ({"device": {"c_f": 5e-324, "c_j0_f": 5e-324}}, "the charging energy overflows"),
+    ({"device": {"phi_x1": math.inf}}, "phi_x1 must be finite"),
+]
+
+
 class TestOutOfRangeInput:
     """Input that once ended in a traceback or in a silent row of zeros."""
 
-    @pytest.mark.parametrize(
-        "config, message",
-        [
-            ({"device": {"e_j0_k": 1e200}}, "j12 overflows"),
-            ({"effective": {"eps1_k": 1e300, "eps2_k": 1e300, "j12_k": 1e300}},
-             "eps1 must be finite with |eps1| <= 1e+150 K"),
-            ({"device": {"l_h": 1e300}}, "j12 must be finite"),
-            ({"device": {"c_f": 5e-324, "c_j0_f": 5e-324}}, "the charging energy overflows"),
-            ({"device": {"phi_x1": math.inf}}, "phi_x1 must be finite"),
-        ],
-    )
+    @pytest.mark.parametrize("config, message", _OUT_OF_RANGE)
     def test_report_exits_2_naming_the_quantity(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps(config))
@@ -456,6 +456,28 @@ class TestOutOfRangeInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", _OUT_OF_RANGE)
+    def test_sweep_exits_2_naming_the_quantity(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(config))
+        variable = "ratio_j_over_eps" if "effective" in config else "phi_x_common"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--variable", variable,
+                                 "--start", "0.1", "--stop", "1", "--steps", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("axis, message", [
+        (("--variable", "voltage", "--start", "0", "--stop", "1e300"),
+         "error: eps1 must be finite with |eps1| <= 1e+150 K\n"),
+        (("--variable", "temperature", "--start", "-1", "--stop", "1"),
+         "error: temperature must be finite and >= 0\n"),
+    ])
+    def test_sweep_axis_out_of_range_exits_2(self, capsys, axis, message):
+        code, out, err = run_cli(capsys, "sweep", *axis, "--steps", "201", "--phi-e", "0.5",
+                                 "--measures", "concurrence")
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
         "section, key",

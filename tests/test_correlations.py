@@ -198,6 +198,40 @@ class TestMeasureStates:
             tracemalloc.stop()
         assert peak < 2e6
 
+    def test_validation_memory_is_bounded(self):
+        # Hermiticity is tested in blocks: 2,000 states are 0.51 MB of input.
+        rng = np.random.default_rng(25)
+        states = np.array([random_density_matrix(rng, 4) for _ in range(2000)])
+        tracemalloc.start()
+        try:
+            correlations._require_state(states, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25e6
+
+    @pytest.mark.parametrize("at", [0, 63, 64, 1999])
+    def test_a_skew_state_in_any_block_is_rejected(self, at):
+        rng = np.random.default_rng(26)
+        states = np.array([random_density_matrix(rng, 4) for _ in range(2000)])
+        states[at, 0, 1] += 2e-10
+        with pytest.raises(NotAStateError, match="not Hermitian"):
+            correlations._require_state(states, 4)
+
+    @pytest.mark.parametrize("measures, calls", [
+        (("concurrence",), 0), (("mutual_information", "concurrence"), 0),
+        (("eof",), 5), (("concurrence", "eof"), 5),
+    ])
+    def test_eof_only_when_asked_for(self, monkeypatch, measures, calls):
+        counted = []
+        monkeypatch.setattr(correlations, "eof_from_concurrence",
+                            lambda c: counted.append(c) or eof_from_concurrence(c))
+        states = np.array([thermal_state(EffectiveParams.symmetric(1.0, j), 0.1)
+                           for j in (0.5, 1.0, 2.0, 4.0, 8.0)])
+        rows = measure_states(states, measures)
+        assert len(counted) == calls
+        assert [list(row) for row in rows] == [list(measures)] * len(states)
+
     def test_empty_stack_gives_no_rows(self):
         empty = np.zeros((0, 4, 4), dtype=complex)
         assert correlations.correlation_reports(empty) == []

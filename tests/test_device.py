@@ -273,7 +273,8 @@ class TestThermalStates:
         ]
         # The stack is built exactly Hermitian, so thermal_states does not check it.
         h = device._hamiltonians(
-            [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params])
+            [device._row(p if isinstance(p, EffectiveParams) else effective_params(p))
+             for p in params])
         assert np.array_equal(h, h.conj().swapaxes(1, 2))
         for temperature in (0.0, 5e-324, 1e-3, 0.5, 40.0):
             temperatures = [temperature] * len(params)
@@ -310,6 +311,10 @@ class TestThermalStates:
         assert stack.shape == (len(specs), 4, 4)
         for spec, rho in zip(specs, stack):
             assert np.array_equal(rho, gibbs_state(h, spec))
+
+    def test_gibbs_family_of_no_specs_is_an_empty_stack(self):
+        h = random_hermitian(np.random.default_rng(16))
+        assert device.gibbs_family(h)([]).shape == (0, 4, 4)
 
     def test_one_spectrum_serves_a_zero_and_a_positive_temperature(self):
         # A (1, 4) spectrum broadcast over temperatures: the T = 0 row is the

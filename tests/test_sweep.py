@@ -5,8 +5,8 @@ import pytest
 
 from jcqsim.correlations import ground_state_discord_analytic
 from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
-from jcqsim.errors import BracketError, SpecValidationError
-from jcqsim import sweep
+from jcqsim.errors import BracketError, InvalidParameterError, SpecValidationError
+from jcqsim import device, sweep
 from jcqsim.sweep import (
     CHUNK_POINTS,
     FIG2B_TEMPERATURES,
@@ -23,7 +23,7 @@ from jcqsim.sweep import (
 )
 from jcqsim.correlations import concurrence, quantum_discord
 
-from helpers import plain_bisection, plain_golden_section
+from helpers import plain_bisection, plain_controls, plain_golden_section
 
 
 def ratio_spec(**overrides):
@@ -222,6 +222,138 @@ class TestSweep2d:
             if row.axis[0] in (0.0, 1.0, 2.0) and row.axis[1] in (0.0, 1.0, 2.0)
         )
         assert peak <= at_integers + 1e-12
+
+
+def _grid_settings(axes):
+    """Every point of the grid over ``axes`` (outer first), as one chunk's
+    (variable, values) settings and as each point's (variable, value) pairs."""
+    shape = tuple(len(values) for _, values in axes)
+    index = np.unravel_index(np.arange(math.prod(shape)), shape)
+    settings = [(variable, np.asarray(values, dtype=float)[i])
+                for (variable, values), i in zip(axes, index)]
+    points = [list(zip([v for v, _ in settings], xs))
+              for xs in zip(*[values.tolist() for _, values in settings])]
+    return settings, points
+
+
+def _assert_same_bits(h, temperatures, reference):
+    h_ref, t_ref = reference
+    assert h.tobytes() == h_ref.tobytes()
+    assert np.asarray(temperatures, dtype=float).tobytes() == t_ref.tobytes()
+
+
+class TestBatchedControls:
+    """A chunk's arrays give each point the Hamiltonian, temperature and error
+    that mapping it alone (helpers.plain_controls) gives, to the bit."""
+
+    def sweep_chunks(self, monkeypatch, run):
+        """(rows, Hamiltonians, temperatures) of a sweep, with its states and
+        measures stubbed out."""
+        chunks = []
+
+        def record(table, temperatures):
+            chunks.append((table, temperatures))
+            return np.zeros((len(temperatures), 4, 4), dtype=complex)
+
+        monkeypatch.setattr(sweep, "_thermal_stack", record)
+        monkeypatch.setattr(sweep, "measure_states", lambda states, measures: [{}] * len(states))
+        rows = run()
+        assert max(len(t) for _, t in chunks) == CHUNK_POINTS
+        table = np.concatenate([table for table, _ in chunks])
+        return rows, device._hamiltonians(table), np.concatenate([t for _, t in chunks])
+
+    @pytest.mark.parametrize("spec", figure_preset("fig4"), ids=lambda s: s.label)
+    def test_full_fig4_axis(self, monkeypatch, spec):
+        rows, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_1d(spec))
+        points = [[(spec.variable, x)] for (x,) in (row.axis for row in rows)]
+        assert len(points) == spec.steps
+        _assert_same_bits(h, temperatures, plain_controls(spec.fixed, spec.thermal, points))
+
+    @pytest.mark.parametrize("specs", figure_preset("fig5"), ids=lambda s: s[0].label)
+    def test_full_fig5_grid(self, monkeypatch, specs):
+        spec_x, spec_y = specs
+        rows, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_2d(spec_x, spec_y))
+        points = [[(spec_y.variable, y), (spec_x.variable, x)] for x, y in (r.axis for r in rows)]
+        assert len(points) == spec_x.steps * spec_y.steps
+        _assert_same_bits(h, temperatures, plain_controls(spec_x.fixed, spec_x.thermal, points))
+
+    def test_seeded_random_controls(self):
+        rng = np.random.default_rng(1313)
+        # Integer, half-integer and negative fluxes among random ones.
+        fluxes = np.concatenate([np.arange(-4.0, 4.5, 0.5), rng.uniform(-5.0, 5.0, 47)])
+        values = {
+            "phi_x_common": fluxes, "phi_x1": fluxes, "phi_x2": fluxes[::-1],
+            "voltage": np.concatenate([[0.0, -1e-5], rng.uniform(-3e-4, 3e-4, 62)]),
+            "temperature": np.concatenate([[0.0, 5e-324], rng.uniform(0.0, 2.0, 62)]),
+        }
+        for trial in range(24):
+            fixed = DeviceParams(
+                l=10 ** rng.uniform(-10, -6), c=10 ** rng.uniform(-8, -4),
+                c_j0=10 ** rng.uniform(-8, -4), e_j0=rng.uniform(0.0, 0.2),
+                n=int(rng.choice([0, 1, -3, 10**6, -(10**6)])),
+                v_x1=rng.uniform(-1e-4, 1e-4), v_x2=rng.uniform(-1e-4, 1e-4),
+                phi_e=float(rng.choice([0.5, -0.5, 1.0, rng.uniform(-3.0, 3.0)])),
+                phi_x1=float(rng.choice(fluxes)), phi_x2=float(rng.choice(fluxes)),
+                xi=rng.uniform(0.5, 1.5),
+            )
+            thermal = ThermalSpec(float(rng.choice([0.0, rng.uniform(0.0, 1.0)])))
+            for variable, axis in values.items():
+                settings, points = _grid_settings([(variable, axis)])
+                table, temperatures = sweep._chunk_controls(fixed, thermal, settings)
+                _assert_same_bits(device._hamiltonians(table), temperatures,
+                                  plain_controls(fixed, thermal, points))
+
+    @pytest.mark.parametrize("y, x", [
+        ("phi_x_common", "phi_x1"), ("phi_x_common", "phi_x2"), ("phi_x1", "phi_x_common"),
+        ("voltage", "phi_x_common"), ("temperature", "phi_x1"), ("phi_x2", "temperature"),
+    ])
+    def test_2d_grid_where_x_wins_a_field_both_set(self, y, x):
+        fixed, thermal = DeviceParams(phi_e=0.3, v_x1=1e-5), ThermalSpec(0.01)
+        axes = {"phi_x_common": np.linspace(-1.0, 1.5, 6), "phi_x1": np.linspace(0.0, 2.0, 5),
+                "phi_x2": np.linspace(-0.5, 0.5, 3), "voltage": np.linspace(0.0, 1e-4, 4),
+                "temperature": np.linspace(0.0, 0.1, 3)}
+        settings, points = _grid_settings([(y, axes[y]), (x, axes[x])])
+        table, temperatures = sweep._chunk_controls(fixed, thermal, settings)
+        _assert_same_bits(device._hamiltonians(table), temperatures,
+                          plain_controls(fixed, thermal, points))
+
+    def test_ratio_axis(self):
+        fixed = EffectiveParams(0.7, 1.3, ej1=0.2, ej2=-0.1, j12=5.0)
+        settings, points = _grid_settings([("temperature", [0.0, 0.5]),
+                                           ("ratio_j_over_eps", np.linspace(0.1, 50.0, 33))])
+        table, temperatures = sweep._chunk_controls(fixed, ThermalSpec(0.0), settings)
+        _assert_same_bits(device._hamiltonians(table), temperatures,
+                          plain_controls(fixed, ThermalSpec(0.0), points))
+
+    @pytest.mark.parametrize("fixed, axes, message", [
+        (DeviceParams(), [("voltage", [0.0, 1e-5, 1e300, 1e301])],
+         "eps1 must be finite with |eps1| <= 1e+150 K"),
+        (DeviceParams(c=1e300), [("voltage", [1e-5, 2e-5])], "eps1 must be finite"),
+        (DeviceParams(), [("temperature", [0.1, -1.0, 0.2, math.nan])],
+         "temperature must be finite and >= 0"),
+        (DeviceParams(), [("temperature", [0.1, 0.1, -1.0]), ("phi_x1", [0.0, math.nan])],
+         "phi_x1 must be finite, got nan"),
+        (DeviceParams(), [("phi_x_common", [0.0, 0.5, math.inf])],
+         "phi_x1 must be finite, got inf"),
+        (DeviceParams(e_j0=1e200), [("phi_x1", [0.0, 1.0])], "j12 overflows"),
+        (DeviceParams(c=5e-324, c_j0=5e-324), [("voltage", [0.0, 1.0])],
+         "the charging energy overflows"),
+        (DeviceParams(l=1e300), [("phi_x_common", [0.5, 0.25, 0.0])],
+         "j12 must be finite with |j12| <= 1e+150 K"),
+        (DeviceParams(), [("voltage", [0.0, 1e300]), ("temperature", [0.1, -1.0])],
+         "temperature must be finite and >= 0"),
+        (EffectiveParams.symmetric(1e100, 0.0),
+         [("temperature", [0.1, 0.1, -1.0]), ("ratio_j_over_eps", [1.0, 1e60])],
+         "j12 must be finite with |j12| <= 1e+150 K"),
+    ])
+    def test_first_offending_point_raises_its_error(self, fixed, axes, message):
+        settings, points = _grid_settings(axes)
+        with pytest.raises(InvalidParameterError) as reference:
+            plain_controls(fixed, ThermalSpec(0.0), points)
+        assert message in str(reference.value)
+        with pytest.raises(InvalidParameterError) as batched:
+            sweep._chunk_controls(fixed, ThermalSpec(0.0), settings)
+        assert str(batched.value) == str(reference.value)
 
 
 class TestEsdTemperature:
