@@ -8,12 +8,8 @@ from .correlations import (
     binary_entropy,
     classical_correlation,
     concurrence,
-    conditional_entropy,
-    discord_grid_oracle,
     eof,
     eof_from_concurrence,
-    ground_state_discord_analytic,
-    measurement_projector,
     mutual_information,
     quantum_discord,
     von_neumann_entropy,
@@ -26,7 +22,6 @@ from .device import (
     ThermalSpec,
     build_hamiltonian,
     charge_energy,
-    closed_form_thermal,
     effective_params,
     epsilon_from_voltage,
     gibbs_state,

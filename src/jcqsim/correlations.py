@@ -17,8 +17,8 @@ of a 33x64 Bloch-angle grid that differ by more than a sign, then ten
 shrinking 9x9 stencils in the plane tangent to each state's best direction so
 far, re-centred instead of shrunk where the best point lies on a stencil's
 edge (1,803 evaluations, 81 more for each re-centring, a last cell of about
-1e-7 rad).  An exhaustive grid oracle over the same kernel is provided
-separately for verification and is never the production path.
+1e-7 rad).  The test suite checks the optimizer against an exhaustive grid
+search over the same kernel.
 """
 
 from __future__ import annotations
@@ -34,21 +34,16 @@ from .errors import (
     DomainError,
     InvalidParameterError,
     NotAStateError,
-    UnsupportedRegimeError,
 )
 
 SIDES = ("first", "second")
 MEASURES = ("mutual_information", "classical_correlation", "discord", "concurrence", "eof")
-# The qubit that measuring ``side`` leaves unmeasured, and its SIDES index.
-_OTHER = {"first": "second", "second": "first"}
+# The SIDES index of the qubit that measuring ``side`` leaves unmeasured.
 _KEPT = {"first": 1, "second": 0}
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# Measurement outcomes rarer than this contribute nothing to the
-# conditional entropy.
-PROBABILITY_FLOOR = 1e-14
 # Classical correlation may exceed mutual information by at most this much
 # before it stops being round-off and becomes a bug.
 DISCORD_NEGATIVE_TOL = 1e-9
@@ -185,38 +180,6 @@ def mutual_information(rho) -> float:
     return float(_mutual_information(*_require_state([rho], 4))[0][0])
 
 
-def measurement_projector(theta: float, phi: float) -> np.ndarray:
-    """2x2 projector onto cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    m = np.array(
-        [math.cos(0.5 * theta), math.sin(0.5 * theta) * np.exp(1j * phi)],
-        dtype=complex,
-    )
-    return np.outer(m, m.conj())
-
-
-def conditional_entropy(rho, m: Measurement) -> float:
-    """Measured conditional entropy sum_k p_k S(rho_unmeasured|k), in bits.
-
-    Definitional path: each outcome is the explicit projector sandwich
-    (Pi_k x I) rho (Pi_k x I) followed by a partial trace.
-    """
-    rho = _require_state([rho], 4)[0][0]
-    proj = measurement_projector(m.theta, m.phi)
-    keep = _OTHER[m.side]
-    total = 0.0
-    for p_k in (proj, qmath.IDENTITY_2 - proj):
-        k = qmath.kron(p_k, qmath.IDENTITY_2) if m.side == "first" else qmath.kron(
-            qmath.IDENTITY_2, p_k
-        )
-        post = k @ rho @ k
-        prob = float(np.trace(post).real)
-        if prob <= PROBABILITY_FLOOR:
-            continue
-        reduced = qmath.partial_trace(post, keep) / prob
-        total += prob * float(_spectrum_entropy(np.linalg.eigvalsh(reduced)))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Batched conditional-entropy kernel.
 #
@@ -226,7 +189,7 @@ def conditional_entropy(rho, m: Measurement) -> float:
 # unnormalized state (1/4) [(1 +- n.a) I + (b +- T^T n).s], so outcome k has
 # weight p = (1 +- n.a)/2 and eigenvalues lam = (1 +- n.a +- |b +- T^T n|)/4,
 # and sum_k p_k S(rho|k) = sum p log2 p - sum lam log2 lam.  Unit tests pin
-# this against the definitional projector sandwich above.
+# this against the definitional projector sandwich.
 # ---------------------------------------------------------------------------
 
 _PAULIS = (qmath.IDENTITY_2, qmath.SIGMA_X, qmath.SIGMA_Y, qmath.SIGMA_Z)
@@ -487,35 +450,6 @@ def measure_states(states, measures) -> list[dict[str, float]]:
     return [dict(zip(measures, row)) for row in zip(*[columns[m].tolist() for m in measures])]
 
 
-def discord_grid_oracle(
-    rho, side: str = "first", n_theta: int = 721, n_phi: int = 1441
-) -> float:
-    """Discord with the maximization replaced by exhaustive grid search.
-
-    Searches theta over n_theta points on [0, pi] inclusive and phi over
-    n_phi points on [0, 2*pi); upper-bounds the true discord.  Verification
-    oracle only, never the production path.
-    """
-    states, w = _require_state([rho], 4)
-    _require_side(side)
-    if n_theta < 2 or n_phi < 2:
-        raise InvalidParameterError("grid needs at least 2 points per angle")
-    mi, marginals = _mutual_information(states, w)
-    bloch = _bloch(states[0], side)
-
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = _TWO_PI * np.arange(n_phi) / n_phi
-    best = math.inf
-    rows_per_chunk = max(1, 16384 // n_phi)
-    for start in range(0, n_theta, rows_per_chunk):
-        n = _grid_directions(thetas[start : start + rows_per_chunk], phis)
-        best = min(best, float(_cond_entropy(bloch, n).min()))
-
-    cc = max(0.0, float(marginals[0, _KEPT[side]]) - best)
-    discord, _ = _clamp_classical(float(mi[0]), cc)
-    return float(discord)
-
-
 def _x_entries(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each state of a stack is X-shaped (every entry off the diagonal
     and anti-diagonal at most 1e-12 in modulus), and its X concurrence
@@ -528,24 +462,16 @@ def _x_entries(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return moduli[:, :8].max(1) <= 1e-12, c
 
 
-def concurrence(rho, method: str = "auto") -> float:
+def concurrence(rho) -> float:
     """Two-qubit concurrence via the spin-flipped state.
 
-    ``method`` is "auto" (closed form for X-shaped states, spectral
-    otherwise), "xstate" or "general".  The X closed form is
+    X-shaped states take the closed form
     2 * max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44));
-    the general path takes the descending square-rooted spectrum of the
-    Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
+    other states take the descending square-rooted spectrum of the Hermitian
+    matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
     """
     states = _require_state([rho], 4)[0]
-    if method not in ("auto", "xstate", "general"):
-        raise InvalidParameterError(f"unknown concurrence method {method!r}")
-    is_x, c = _x_entries(states)
-    if method == "xstate" and not is_x[0]:
-        raise UnsupportedRegimeError("state is not X-shaped")
-    if method == "general":
-        is_x[0] = False
-    return float(_concurrence(states, is_x, c)[0])
+    return float(_concurrence(states, *_x_entries(states))[0])
 
 
 def _concurrence(states: np.ndarray, is_x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -573,32 +499,3 @@ def eof_from_concurrence(c: float) -> float:
 def eof(rho) -> float:
     """Entanglement of formation of a two-qubit state, in bits."""
     return eof_from_concurrence(concurrence(rho))
-
-
-def ground_state_discord_analytic(eps: float, j: float) -> float:
-    """Closed-form ground-state discord of the symmetric zero-intrabit model.
-
-    For H = eps (sz x I + I x sz) + j (sx x sx) with a nondegenerate ground
-    state (eps != 0) the discord equals -u log2 u - v log2 v with
-    u = (2 eps + lam)^2 / zeta, v = j^2 / zeta, zeta = j^2 + (2 eps + lam)^2
-    and lam = sqrt(4 eps^2 + j^2).
-
-    Ratio convention: this package parametrizes the coupling strength as
-    j/eps for the Hamiltonian exactly as written above.  If the same model
-    is written with per-qubit splitting eps/2, quoted ratios double; e.g.
-    this function gives ~0.9955 at j = 25 eps and ~0.9988 at j = 50 eps.
-    """
-    if eps == 0.0 and j == 0.0:
-        raise InvalidParameterError("eps and j cannot both be zero")
-    if j == 0.0:
-        return 0.0
-    lam = math.hypot(2.0 * eps, j)
-    a = (2.0 * eps + lam) ** 2
-    zeta = j * j + a
-    u = a / zeta
-    v = j * j / zeta
-    out = 0.0
-    for x in (u, v):
-        if x > 0.0:
-            out -= x * math.log(x) / _LN2
-    return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import DimensionError, InvalidParameterError, UnsupportedRegimeError
+from .errors import DimensionError, InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,12 @@ def epsilon_from_voltage(p: DeviceParams, which: int) -> float:
     return (p.c * v / CONSTANTS.e - (2 * p.n + 1)) * charge_energy(p) / 2.0
 
 
+def _intrabit(p, cos_x, cos_e):
+    """The intrabit formula, from the cosines of the qubit's local flux and of
+    the external flux."""
+    return p.xi * 2.0 * p.e_j0 * cos_x * cos_e
+
+
 def intrabit_coupling(p: DeviceParams, which: int) -> float:
     """Flux-controlled sigma_x coupling of one qubit, in kelvin (an array
     where a flux is).
@@ -189,7 +195,18 @@ def intrabit_coupling(p: DeviceParams, which: int) -> float:
     """
     _check_qubit_index(which)
     phi_x = p.phi_x1 if which == 1 else p.phi_x2
-    return p.xi * 2.0 * p.e_j0 * _pi_map(_cos_pi, phi_x) * _pi_map(_cos_pi, p.phi_e)
+    return _intrabit(p, _pi_map(_cos_pi, phi_x), _pi_map(_cos_pi, p.phi_e))
+
+
+def _interbit(p, cos1, cos2):
+    """The interbit formula, from the cosines of both local fluxes."""
+    e_j0_joule = p.e_j0 * CONSTANTS.k_b
+    try:
+        prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
+    except OverflowError:
+        raise InvalidParameterError(f"j12 overflows: e_j0 = {p.e_j0:g} K is too large") from None
+    s = _pi_map(_sin_pi, p.phi_e)
+    return -prefactor * cos1 * cos2 * s * s / CONSTANTS.k_b
 
 
 def interbit_coupling(p: DeviceParams) -> float:
@@ -199,21 +216,17 @@ def interbit_coupling(p: DeviceParams) -> float:
     J12 = -pi^2 L E_J1 E_J2 sin^2(pi*phi_e) / phi_0^2 with
     E_Jk = 2 E_J0 cos(pi*phi_xk); negative for the default controls.
     """
-    e_j0_joule = p.e_j0 * CONSTANTS.k_b
-    try:
-        prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
-    except OverflowError:
-        raise InvalidParameterError(f"j12 overflows: e_j0 = {p.e_j0:g} K is too large") from None
-    s = _pi_map(_sin_pi, p.phi_e)
-    cos1, cos2 = _pi_map(_cos_pi, p.phi_x1), _pi_map(_cos_pi, p.phi_x2)
-    return -prefactor * cos1 * cos2 * s * s / CONSTANTS.k_b
+    return _interbit(p, _pi_map(_cos_pi, p.phi_x1), _pi_map(_cos_pi, p.phi_x2))
 
 
 def _coefficients(p) -> tuple:
     """(eps1, eps2, ej1, ej2, j12) of controls p by every control map: floats
     for DeviceParams, arrays wherever a sweep chunk's controls are arrays."""
-    return (epsilon_from_voltage(p, 1), epsilon_from_voltage(p, 2),
-            intrabit_coupling(p, 1), intrabit_coupling(p, 2), interbit_coupling(p))
+    eps1, eps2 = epsilon_from_voltage(p, 1), epsilon_from_voltage(p, 2)
+    # Each flux's cosine is mapped once and shared by the maps that read it.
+    cos1, cos2, cos_e = (_pi_map(_cos_pi, phi) for phi in (p.phi_x1, p.phi_x2, p.phi_e))
+    return (eps1, eps2, _intrabit(p, cos1, cos_e), _intrabit(p, cos2, cos_e),
+            _interbit(p, cos1, cos2))
 
 
 def effective_params(p: DeviceParams) -> EffectiveParams:
@@ -277,74 +290,10 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
     A degenerate ground space yields the uniform mixture over it, the
     T -> 0+ limit of the Gibbs state.
     """
-    return gibbs_family(h)([spec])[0]
-
-
-def gibbs_family(h):
-    """The map from ThermalSpecs to the stack (N x 4 x 4) of ``gibbs_state(h,
-    spec)`` for each, for one Hamiltonian that is checked and diagonalized
-    once: for searches that visit many temperatures."""
     h = qmath.require_hermitian(h, "hamiltonian")
     if h.ndim != 2:
         raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")
-    w, v = np.linalg.eigh(h[None])
-    return lambda specs: _gibbs_states(w, v, np.array([s.temperature for s in specs])[:, None])
-
-
-def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
-    """Closed-form thermal X state for the symmetric, zero-intrabit regime.
-
-    Valid only when ej1 = ej2 = 0, eps1 = eps2, j12 != 0 and T > 0; any other
-    regime should go through :func:`gibbs_state`.  With eps = eps1 and
-    lam = sqrt(4 eps^2 + j12^2) the nonzero entries are
-
-        rho_11,44 = [cosh(b*lam) -/+ (2 eps/lam) sinh(b*lam)] / Z
-        rho_22 = rho_33 = cosh(b*j12) / Z
-        rho_23 = rho_32 = -sinh(b*j12) / Z
-        rho_14 = rho_41 = -(j12/lam) sinh(b*lam) / Z
-        Z = 2 cosh(b*lam) + 2 cosh(b*j12),   b = 1/T.
-
-    Equivalently rho_11,44 = w_-/+ / (alpha*Z) and rho_14 = -gamma/(alpha*Z)
-    with w_-/+ = j12^2 [lam^2 cosh(b*lam) -/+ 2 eps lam sinh(b*lam)],
-    gamma = j12^3 lam sinh(b*lam) and normalization alpha = j12^2 lam^2.
-    A variant of alpha sometimes quoted for this model, j12^4 - 12 eps^4,
-    does not reproduce exp(-H/T)/Z and is treated here as a misprint; the
-    test suite pins the equivalence with direct exponentiation.
-
-    The implementation rescales every term by exp(-b*lam) so large b never
-    overflows.
-    """
-    if eff.ej1 != 0.0 or eff.ej2 != 0.0:
-        raise UnsupportedRegimeError(
-            "closed form requires zero intrabit couplings; use gibbs_state"
-        )
-    if eff.eps1 != eff.eps2:
-        raise UnsupportedRegimeError(
-            "closed form requires eps1 == eps2; use gibbs_state"
-        )
-    if eff.j12 == 0.0:
-        raise UnsupportedRegimeError(
-            "closed form is singular at j12 = 0; use gibbs_state"
-        )
-    if not (math.isfinite(t) and t > 0.0):
-        raise UnsupportedRegimeError("closed form requires T > 0; use gibbs_state")
-
-    eps, j = eff.eps1, eff.j12
-    beta = 1.0 / t
-    lam = math.hypot(2.0 * eps, j)
-    # All exponents below are <= 0 because lam >= |j|.
-    u = math.exp(-2.0 * beta * lam)
-    a = math.exp(-beta * (lam - j))
-    b = math.exp(-beta * (lam + j))
-    z = (1.0 + u) + a + b          # Z scaled by exp(-beta*lam)/2
-
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = ((1.0 + u) - (2.0 * eps / lam) * (1.0 - u)) / (2.0 * z)
-    rho[3, 3] = ((1.0 + u) + (2.0 * eps / lam) * (1.0 - u)) / (2.0 * z)
-    rho[1, 1] = rho[2, 2] = (a + b) / (2.0 * z)
-    rho[1, 2] = rho[2, 1] = -(a - b) / (2.0 * z)
-    rho[0, 3] = rho[3, 0] = -(j / lam) * (1.0 - u) / (2.0 * z)
-    return rho
+    return _gibbs_states(*np.linalg.eigh(h[None]), np.array([[spec.temperature]]))[0]
 
 
 def _thermal_stack(table, temperatures) -> np.ndarray:
@@ -358,16 +307,7 @@ def _thermal_stack(table, temperatures) -> np.ndarray:
     return _gibbs_states(*np.linalg.eigh(h), np.asarray(temperatures, dtype=float)[:, None])
 
 
-def thermal_states(params, specs) -> np.ndarray:
-    """Thermal states (N x 4 x 4) of device or effective parameter sets, each with its
-    ThermalSpec: control maps per parameter set, everything after them on the stack."""
-    if len(params) != len(specs):
-        raise InvalidParameterError(
-            f"need one ThermalSpec per parameter set, got {len(specs)} for {len(params)}")
-    table = [_row(p if isinstance(p, EffectiveParams) else effective_params(p)) for p in params]
-    return _thermal_stack(table, [s.temperature for s in specs])
-
-
 def thermal_state(params, temperature: float) -> np.ndarray:
     """Thermal state for device or effective parameters at the given T (K)."""
-    return thermal_states([params], [ThermalSpec(temperature)])[0]
+    eff = params if isinstance(params, EffectiveParams) else effective_params(params)
+    return _thermal_stack([_row(eff)], [ThermalSpec(temperature).temperature])[0]

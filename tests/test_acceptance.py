@@ -9,24 +9,18 @@ import numpy as np
 import pytest
 
 from jcqsim.cli import main
-from jcqsim.correlations import (
-    concurrence,
-    discord_grid_oracle,
-    eof,
-    ground_state_discord_analytic,
-    quantum_discord,
-)
+from jcqsim.correlations import concurrence, eof, quantum_discord
 from jcqsim.device import (
     EffectiveParams,
     ThermalSpec,
     build_hamiltonian,
-    closed_form_thermal,
     gibbs_state,
     thermal_state,
 )
 from jcqsim.sweep import figure_preset, esd_temperature, sweep_1d, sweep_2d
 
 from helpers import pure_state, random_density_matrix, random_unitary_2, random_x_state
+from oracles import closed_form_thermal, discord_grid_oracle, ground_state_discord_analytic
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> bool:

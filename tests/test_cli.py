@@ -473,6 +473,8 @@ class TestOutOfRangeInput:
          "error: eps1 must be finite with |eps1| <= 1e+150 K\n"),
         (("--variable", "temperature", "--start", "-1", "--stop", "1"),
          "error: temperature must be finite and >= 0\n"),
+        (("--variable", "voltage", "--start=-1e308", "--stop", "1e308"),
+         "error: the axis from start to stop overflows a float\n"),
     ])
     def test_sweep_axis_out_of_range_exits_2(self, capsys, axis, message):
         code, out, err = run_cli(capsys, "sweep", *axis, "--steps", "201", "--phi-e", "0.5",

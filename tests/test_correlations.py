@@ -11,13 +11,9 @@ from jcqsim.correlations import (
     binary_entropy,
     classical_correlation,
     concurrence,
-    conditional_entropy,
-    discord_grid_oracle,
     eof,
     eof_from_concurrence,
-    ground_state_discord_analytic,
     measure_states,
-    measurement_projector,
     mutual_information,
     quantum_discord,
     von_neumann_entropy,
@@ -27,7 +23,6 @@ from jcqsim.errors import (
     DimensionError,
     InvalidParameterError,
     NotAStateError,
-    UnsupportedRegimeError,
 )
 
 from helpers import (
@@ -37,6 +32,13 @@ from helpers import (
     random_density_matrix,
     random_unitary_2,
     random_x_state,
+)
+from oracles import (
+    conditional_entropy,
+    discord_grid_oracle,
+    ground_state_discord_analytic,
+    measurement_projector,
+    spectral_concurrence,
 )
 
 
@@ -630,30 +632,18 @@ class TestConcurrence:
     def test_werner_states_both_paths(self, p):
         rho = p * bell_phi_plus() + (1 - p) * np.eye(4) / 4
         expected = max(0.0, (3 * p - 1) / 2)
-        assert concurrence(rho, method="xstate") == pytest.approx(expected, abs=1e-10)
-        assert concurrence(rho, method="general") == pytest.approx(expected, abs=1e-10)
+        assert concurrence(rho) == pytest.approx(expected, abs=1e-10)
+        assert spectral_concurrence(rho) == pytest.approx(expected, abs=1e-10)
 
     def test_paths_agree_on_random_x_states(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             rho = random_x_state(rng)
-            assert concurrence(rho, method="xstate") == pytest.approx(
-                concurrence(rho, method="general"), abs=1e-10
-            )
-
-    def test_xstate_method_rejects_generic_state(self):
-        rng = np.random.default_rng(12)
-        rho = random_density_matrix(rng, 4)
-        with pytest.raises(UnsupportedRegimeError):
-            concurrence(rho, method="xstate")
+            assert concurrence(rho) == pytest.approx(spectral_concurrence(rho), abs=1e-10)
 
     def test_rejects_invalid_state(self):
         with pytest.raises(NotAStateError):
             concurrence(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(InvalidParameterError):
-            concurrence(bell_phi_plus(), method="fancy")
 
 
 class TestEof:

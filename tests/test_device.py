@@ -14,14 +14,12 @@ from jcqsim.device import (
     ThermalSpec,
     build_hamiltonian,
     charge_energy,
-    closed_form_thermal,
     effective_params,
     epsilon_from_voltage,
     gibbs_state,
     interbit_coupling,
     intrabit_coupling,
     thermal_state,
-    thermal_states,
 )
 from jcqsim.errors import (
     DimensionError,
@@ -31,6 +29,7 @@ from jcqsim.errors import (
 )
 
 from helpers import random_hermitian
+from oracles import closed_form_thermal
 
 
 class TestConstants:
@@ -271,30 +270,23 @@ class TestThermalStates:
             DeviceParams(v_x1=3e-5, v_x2=7e-5, phi_e=0.3, phi_x1=0.2),
             *(EffectiveParams(*rng.uniform(-3.0, 3.0, size=5)) for _ in range(11)),
         ]
-        # The stack is built exactly Hermitian, so thermal_states does not check it.
-        h = device._hamiltonians(
-            [device._row(p if isinstance(p, EffectiveParams) else effective_params(p))
-             for p in params])
+        effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
+        table = [device._row(eff) for eff in effs]
+        # The stack is built exactly Hermitian, so _thermal_stack does not check it.
+        h = device._hamiltonians(table)
         assert np.array_equal(h, h.conj().swapaxes(1, 2))
         for temperature in (0.0, 5e-324, 1e-3, 0.5, 40.0):
             temperatures = [temperature] * len(params)
             # A temperature sweep mixes T = 0 and T > 0 in one stack.
             temperatures[::3] = [0.0] * len(temperatures[::3])
-            specs = [ThermalSpec(t) for t in temperatures]
-            stack = thermal_states(params, specs)
+            stack = device._thermal_stack(table, temperatures)
             assert stack.shape == (len(params), 4, 4)
-            for p, spec, rho in zip(params, specs, stack):
-                eff = p if isinstance(p, EffectiveParams) else effective_params(p)
-                assert np.array_equal(rho, gibbs_state(build_hamiltonian(eff), spec))
-                assert np.array_equal(rho, thermal_state(p, spec.temperature))
+            for p, eff, t, rho in zip(params, effs, temperatures, stack):
+                assert np.array_equal(rho, gibbs_state(build_hamiltonian(eff), ThermalSpec(t)))
+                assert np.array_equal(rho, thermal_state(p, t))
 
     def test_empty_stack(self):
-        assert thermal_states([], []).shape == (0, 4, 4)
-
-    @pytest.mark.parametrize("n_params, n_specs", [(3, 1), (3, 2), (0, 1)])
-    def test_one_spec_per_parameter_set(self, n_params, n_specs):
-        with pytest.raises(InvalidParameterError, match="one ThermalSpec per parameter set"):
-            thermal_states([DeviceParams()] * n_params, [ThermalSpec(0.1)] * n_specs)
+        assert device._thermal_stack([], []).shape == (0, 4, 4)
 
     def test_random_hamiltonians_equal_gibbs_state(self):
         rng = np.random.default_rng(13)
@@ -305,16 +297,19 @@ class TestThermalStates:
             assert np.array_equal(rho, gibbs_state(one, ThermalSpec(t)))
 
     def test_gibbs_family_is_gibbs_state_at_each_temperature(self):
+        # The Gibbs family of one Hamiltonian, as an ESD search builds it: one
+        # (1, 4) spectrum, many temperatures in one call.
         h = random_hermitian(np.random.default_rng(14))
-        specs = [ThermalSpec(t) for t in (0.0, 5e-324, 0.3, 7.0, 0.0)]
-        stack = device.gibbs_family(h)(specs)
-        assert stack.shape == (len(specs), 4, 4)
-        for spec, rho in zip(specs, stack):
-            assert np.array_equal(rho, gibbs_state(h, spec))
+        temperatures = [0.0, 5e-324, 0.3, 7.0, 0.0]
+        stack = device._gibbs_states(*np.linalg.eigh(h[None]), np.array(temperatures)[:, None])
+        assert stack.shape == (len(temperatures), 4, 4)
+        for t, rho in zip(temperatures, stack):
+            assert np.array_equal(rho, gibbs_state(h, ThermalSpec(t)))
 
     def test_gibbs_family_of_no_specs_is_an_empty_stack(self):
         h = random_hermitian(np.random.default_rng(16))
-        assert device.gibbs_family(h)([]).shape == (0, 4, 4)
+        w, v = np.linalg.eigh(h[None])
+        assert device._gibbs_states(w, v, np.empty((0, 1))).shape == (0, 4, 4)
 
     def test_one_spectrum_serves_a_zero_and_a_positive_temperature(self):
         # A (1, 4) spectrum broadcast over temperatures: the T = 0 row is the

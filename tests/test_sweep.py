@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from jcqsim.correlations import ground_state_discord_analytic
-from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
+from jcqsim.device import (
+    DeviceParams,
+    EffectiveParams,
+    ThermalSpec,
+    build_hamiltonian,
+    effective_params,
+    gibbs_state,
+    thermal_state,
+)
 from jcqsim.errors import BracketError, InvalidParameterError, SpecValidationError
 from jcqsim import device, sweep
 from jcqsim.sweep import (
@@ -23,7 +30,11 @@ from jcqsim.sweep import (
 )
 from jcqsim.correlations import concurrence, quantum_discord
 
-from helpers import plain_bisection, plain_controls, plain_golden_section
+from helpers import apply_axes, plain_bisection, plain_controls, plain_golden_section
+from oracles import ground_state_discord_analytic
+
+
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 def ratio_spec(**overrides):
@@ -44,6 +55,21 @@ class TestSweepSpecValidation:
     def test_reversed_range_rejected(self):
         with pytest.raises(SpecValidationError):
             ratio_spec(start=2.0, stop=1.0)
+
+    @pytest.mark.parametrize("start, stop, steps", [
+        (-1e308, 1e308, 26), (-1e308, 8e307, 26),
+        # A finite width whose last np.linspace step overflows.
+        (-_HALF_MAX, _HALF_MAX, 7),
+    ])
+    def test_axis_that_overflows_rejected(self, start, stop, steps):
+        with pytest.raises(SpecValidationError, match="overflows a float"):
+            ratio_spec(start=start, stop=stop, steps=steps)
+
+    @pytest.mark.parametrize("steps", [2, 3, 501])
+    def test_widest_axis_that_fits_is_accepted(self, steps):
+        spec = ratio_spec(start=-_HALF_MAX, stop=_HALF_MAX, steps=steps)
+        with np.errstate(all="raise"):
+            assert np.isfinite(spec.axis).all()
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(SpecValidationError):
@@ -325,6 +351,22 @@ class TestBatchedControls:
         _assert_same_bits(device._hamiltonians(table), temperatures,
                           plain_controls(fixed, ThermalSpec(0.0), points))
 
+    def test_each_flux_cosine_is_mapped_once_per_point(self, monkeypatch):
+        fixed, thermal = DeviceParams(phi_e=0.3, phi_x2=0.7), ThermalSpec(0.01)
+        settings, points = _grid_settings(
+            [("phi_x_common", np.linspace(-1.0, 1.5, CHUNK_POINTS))])
+        params = [apply_axes(fixed, thermal, *point)[0] for point in points]
+        rows = np.array([device._row(effective_params(p)) for p in params])
+        reference = plain_controls(fixed, thermal, points)
+        calls = []
+        cos_pi = device._cos_pi
+        monkeypatch.setattr(device, "_cos_pi", lambda x: calls.append(x) or cos_pi(x))
+        table, temperatures = sweep._chunk_controls(fixed, thermal, settings)
+        # phi_x1 and phi_x2 once per point, phi_e once per chunk.
+        assert len(calls) <= 130
+        assert table.tobytes() == rows.tobytes()
+        _assert_same_bits(device._hamiltonians(table), temperatures, reference)
+
     @pytest.mark.parametrize("fixed, axes, message", [
         (DeviceParams(), [("voltage", [0.0, 1e-5, 1e300, 1e301])],
          "eps1 must be finite with |eps1| <= 1e+150 K"),
@@ -385,6 +427,31 @@ class TestEsdTemperature:
         point = esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0,
                                 tol=math.ulp(1.0))
         assert point.bracket[1] - point.bracket[0] <= math.ulp(1.0)
+
+    def test_one_hamiltonian_is_diagonalized_once_per_search(self, monkeypatch):
+        fixed = EffectiveParams.symmetric(0.02, -0.02)  # X states: no eigh in concurrence
+        shapes, stacks = [], []
+        eigh, gibbs_states = np.linalg.eigh, sweep._gibbs_states
+
+        def counted(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        def recorded(w, v, temperatures):
+            stacks.append((w.shape, temperatures[:, 0].tolist(), gibbs_states(w, v, temperatures)))
+            return stacks[-1][2]
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(sweep, "_gibbs_states", recorded)
+        esd_temperature(fixed, t_max=1.0)
+        assert shapes == [(1, 4, 4)]
+        assert stacks[0][1] == [0.0, 1.0]
+        monkeypatch.undo()
+        h = build_hamiltonian(fixed)
+        for w_shape, temperatures, states in stacks:
+            assert w_shape == (1, 4)
+            for t, rho in zip(temperatures, states):
+                assert np.array_equal(rho, gibbs_state(h, ThermalSpec(t)))
 
     def test_discord_survives_past_the_transition(self):
         fixed = EffectiveParams.symmetric(0.02, -0.02)
