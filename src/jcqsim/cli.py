@@ -35,6 +35,7 @@ from .sweep import (
     DEFAULT_STEPS_1D,
     FIGURES,
     MEASURES,
+    SWEEP_VARIABLES,
     VARIABLES,
     SweepSpec,
     esd_temperature,
@@ -81,15 +82,6 @@ SHORTHANDS = {
     "eps": ("effective", ("eps1_k", "eps2_k"), "set both charge energies, K"),
     "j": ("effective", ("j12_k",), "set the interbit coupling, K"),
     "temp": ("thermal", ("temperature_k",), "shorthand for --temperature-k"),
-}
-
-AXIS_COLUMNS = {
-    "ratio_j_over_eps": "ratio",
-    "temperature": "temperature_k",
-    "phi_x_common": "theta",
-    "phi_x1": "theta1",
-    "phi_x2": "theta2",
-    "voltage": "v_x_v",
 }
 
 REPORT_HEADER = [*MEASURES, "theta_opt", "phi_opt"]
@@ -223,14 +215,14 @@ def _series_plot_script(csv_path: Path, axis: str, measures, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _surface_plot_script(csv_path: Path, nx: int, ny: int, label: str) -> str:
+def _surface_plot_script(csv_path: Path, nx: int, ny: int, label: str, x: str, y: str) -> str:
     lines = [
         f"# gnuplot script for {csv_path.name}",
         'set datafile separator ","',
         f"set dgrid3d {ny},{nx}",
         "set view map",
-        'set xlabel "theta1"',
-        'set ylabel "theta2"',
+        f'set xlabel "{x}"',
+        f'set ylabel "{y}"',
         f'splot "{csv_path.name}" using 2:3:4 with pm3d title "{label}"',
         'pause -1 "press enter to close"',
     ]
@@ -259,22 +251,22 @@ def _cmd_figure(args) -> int:
     presets = figure_preset(args.which)
     out = args.out if args.out is not None else Path(f"{args.which}.csv")
     if args.which == "fig5":
-        for suffix, (spec_x, spec_y) in zip(("_a", "_b"), presets):
-            spec_x = _with_steps(spec_x, args.steps)
-            spec_y = _with_steps(spec_y, args.steps)
+        for suffix, pair in zip(("_a", "_b"), presets):
+            spec_x, spec_y = (_with_steps(spec, args.steps) for spec in pair)
             path = out.with_name(out.stem + suffix + (out.suffix or ".csv"))
             rows = sweep_2d(spec_x, spec_y)
-            header = ["series", "theta1", "theta2", *spec_x.measures]
+            axes = [SWEEP_VARIABLES[spec.variable].column for spec in (spec_x, spec_y)]
+            header = ["series", *axes, *spec_x.measures]
             _write_csv(path, header, ([spec_x.label] + _cells(r, spec_x.measures) for r in rows))
             if args.emit_plot_script:
                 _write_plot_script(
                     path,
-                    _surface_plot_script(path, spec_x.steps, spec_y.steps, spec_x.label),
+                    _surface_plot_script(path, spec_x.steps, spec_y.steps, spec_x.label, *axes),
                 )
         return EXIT_OK
 
     specs = [_with_steps(spec, args.steps) for spec in presets]
-    axis = AXIS_COLUMNS[specs[0].variable]
+    axis = SWEEP_VARIABLES[specs[0].variable].column
     header = ["series", axis, *specs[0].measures]
     all_rows = [
         [spec.label] + _cells(row, spec.measures)
@@ -326,7 +318,7 @@ def _cmd_sweep(args) -> int:
         measures=tuple(measures),
     )
     rows = sweep_1d(spec)
-    header = [AXIS_COLUMNS[spec.variable], *spec.measures]
+    header = [SWEEP_VARIABLES[spec.variable].column, *spec.measures]
     _write_csv(args.out, header, (_cells(r, spec.measures) for r in rows))
     return EXIT_OK
 
@@ -431,8 +423,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, DimensionError, NotHermitianError, UnsupportedRegimeError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+        # A MemoryError may carry no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)

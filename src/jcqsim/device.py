@@ -13,13 +13,15 @@ DeviceParams) or, for a sweep chunk, arrays of one length wherever the chunk
 varies them.  Elementwise float arithmetic in the same order gives the same
 bits in Python and in numpy, and the flux cosines apply the scalar functions
 with exact argument reduction to each value, so a chunk's coefficients are
-those of its points mapped one at a time.
+those of its points mapped one at a time.  Sweep chunks, searches and single
+states alike reach their coefficients through :func:`_coefficient_table`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -240,6 +242,41 @@ def _row(eff: EffectiveParams) -> tuple:
     return eff.eps1, eff.eps2, eff.ej1, eff.ej2, eff.j12
 
 
+def _raise_first(ok: np.ndarray, check) -> None:
+    """``check(i)`` for the first point i not ``ok``: it builds that point's
+    dataclasses, whose own checks fail on it and raise their error."""
+    if not ok.all():
+        check(int(ok.argmin()))
+
+
+def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray) -> tuple:
+    """(coefficient table (N x 5), temperatures) of N points: ``fixed`` with
+    ``changes`` (field -> N values) at an array of N ``temperatures``.
+
+    Each point is checked as its ThermalSpec, parameter set and
+    EffectiveParams would check it: temperature and changed fields first, for
+    every point, then the control maps' overflow errors and the coefficients.
+    An overflow is left to the checks, which reject it.
+    """
+    effective = isinstance(fixed, EffectiveParams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(temperatures) & (temperatures >= 0.0)
+        for values in changes.values():
+            ok &= np.abs(values) <= MAX_ENERGY_K if effective else np.isfinite(values)
+        _raise_first(ok, lambda i: (ThermalSpec(float(temperatures[i])),
+                                    replace(fixed, **{k: float(v[i]) for k, v in changes.items()})))
+        controls = SimpleNamespace(**{**vars(fixed), **changes})
+        coefficients = _row(controls) if effective else _coefficients(controls)
+    # Filled column by column: about 25 us a chunk less than np.stack of
+    # np.broadcast_to views, which a search's many small stacks feel.
+    table = np.empty((len(temperatures), len(coefficients)))
+    for column, c in enumerate(coefficients):
+        table[:, column] = c
+    _raise_first((np.abs(table) <= MAX_ENERGY_K).all(1),
+                 lambda i: EffectiveParams(*table[i].tolist()))
+    return table, temperatures
+
+
 # H[r, c] is entry _H_ENTRIES[r, c] of a row of _hamiltonians' entries: sz
 # terms on the diagonal; sx(2), sx(1) and sx(1)sx(2) link states that differ
 # in the second qubit, the first, and both.
@@ -309,5 +346,5 @@ def _thermal_stack(table, temperatures) -> np.ndarray:
 
 def thermal_state(params, temperature: float) -> np.ndarray:
     """Thermal state for device or effective parameters at the given T (K)."""
-    eff = params if isinstance(params, EffectiveParams) else effective_params(params)
-    return _thermal_stack([_row(eff)], [ThermalSpec(temperature).temperature])[0]
+    temperatures = np.array([ThermalSpec(temperature).temperature])
+    return _thermal_stack(*_coefficient_table(params, {}, temperatures))[0]

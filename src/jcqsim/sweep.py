@@ -1,42 +1,49 @@
 """Parameter sweeps and critical-point searches over the device controls.
 
 Grid points are taken in axis order in chunks of a fixed size on one thread.
-A chunk's swept controls and temperatures are arrays, which the control maps
-and their checks take at once; from the Hamiltonian on, the chunk is one
-(N, 4, 4) stack, built and measured at once.  Every state's coefficients,
-temperature and result are the bits it gets alone, and bad input raises the
-error of the first offending point in axis order.  The two searches
-(bisection for the ESD temperature, golden section for the
-discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-their next steps ahead as one stack.
+A chunk's swept controls (``SWEEP_VARIABLES``) and temperatures are arrays,
+which :func:`device._coefficient_table` maps and checks at once, as it does a
+search's points; from the Hamiltonian on, the chunk is one (N, 4, 4) stack,
+built and measured at once.  Every state's coefficients, temperature and
+result are the bits it gets alone, and bad input raises the error of the
+first offending point in axis order.  The two searches (bisection for the
+ESD temperature, golden section for the discord-maximizing j/eps) share one
+driver, :func:`_search`, which measures their next steps ahead as one stack.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from .correlations import MEASURES, measure_states
 from .device import (
-    MAX_ENERGY_K,
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
-    _coefficients,
+    _coefficient_table,
     _gibbs_states,
     _hamiltonians,
-    _row,
     _thermal_stack,
-    effective_params,
 )
 from .errors import BracketError, SpecValidationError
 
-VARIABLES = ("ratio_j_over_eps", "temperature", "phi_x_common", "phi_x1", "phi_x2", "voltage")
-
-_DEVICE_VARIABLES = frozenset({"phi_x_common", "phi_x1", "phi_x2", "voltage"})
+# The fields each value of a sweep variable sets ("temperature" is the
+# ThermalSpec's), the parameter set it needs as fixed (None takes either) and
+# its CSV column.
+SweepVariable = namedtuple("SweepVariable", "fields params column")
+SWEEP_VARIABLES = {
+    "ratio_j_over_eps": SweepVariable(("j12",), EffectiveParams, "ratio"),
+    "temperature": SweepVariable(("temperature",), None, "temperature_k"),
+    "phi_x_common": SweepVariable(("phi_x1", "phi_x2"), DeviceParams, "theta"),
+    "phi_x1": SweepVariable(("phi_x1",), DeviceParams, "theta1"),
+    "phi_x2": SweepVariable(("phi_x2",), DeviceParams, "theta2"),
+    "voltage": SweepVariable(("v_x1", "v_x2"), DeviceParams, "v_x_v"),
+}
+VARIABLES = tuple(SWEEP_VARIABLES)
 
 # Concurrence at or below this is treated as exactly zero (it is a hard
 # max(0, .) in the formula, so no tolerance subtleties arise above ESD).
@@ -56,9 +63,8 @@ SEARCH_DEPTH = 4
 class SweepSpec:
     """One swept axis: variable, uniform endpoint-inclusive grid, context.
 
-    ``fixed`` is the parameter snapshot the axis perturbs; ratio sweeps need
-    EffectiveParams with equal nonzero charge energies, flux and voltage
-    sweeps need DeviceParams.
+    ``fixed`` is the parameter snapshot the axis perturbs, of the kind
+    ``SWEEP_VARIABLES`` names; ratio sweeps need equal nonzero charge energies.
     """
 
     variable: str
@@ -91,17 +97,12 @@ class SweepSpec:
         object.__setattr__(
             self, "measures", tuple(m for m in MEASURES if m in requested)
         )
-        if self.variable == "ratio_j_over_eps":
-            if not isinstance(self.fixed, EffectiveParams):
-                raise SpecValidationError("ratio sweeps need EffectiveParams as fixed")
-            if self.fixed.eps1 != self.fixed.eps2 or self.fixed.eps1 == 0.0:
-                raise SpecValidationError(
-                    "ratio sweeps need equal nonzero charge energies"
-                )
-        elif self.variable in _DEVICE_VARIABLES and not isinstance(
-            self.fixed, DeviceParams
-        ):
-            raise SpecValidationError(f"{self.variable} sweeps need DeviceParams as fixed")
+        needs, ratio = SWEEP_VARIABLES[self.variable].params, self.variable == "ratio_j_over_eps"
+        if needs is not None and not isinstance(self.fixed, needs):
+            raise SpecValidationError(
+                f"{'ratio' if ratio else self.variable} sweeps need {needs.__name__} as fixed")
+        if ratio and (self.fixed.eps1 != self.fixed.eps2 or self.fixed.eps1 == 0.0):
+            raise SpecValidationError("ratio sweeps need equal nonzero charge energies")
 
     @property
     def axis(self) -> np.ndarray:
@@ -132,52 +133,21 @@ class CriticalPoint:
     boundary: bool = False
 
 
-def _raise_first(ok: np.ndarray, check) -> None:
-    """``check(i)`` for the first point i not ``ok``: it builds that point's
-    dataclasses, whose own checks fail on it and raise their error."""
-    if not ok.all():
-        check(int(ok.argmin()))
-
-
 def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficient table (N x 5), temperatures (N)) of one chunk.
+    """(coefficient table (N x 5), temperatures (N)) of one chunk, checked by
+    :func:`device._coefficient_table`.
 
     ``settings`` are (variable, values) pairs, each giving one array of N
     values; they are applied in turn, so a later one wins a field both set.
-    Each point is checked as its ThermalSpec, parameter set and
-    EffectiveParams would check it: its temperature and swept controls first,
-    for every point, then the control maps' overflow errors and the
-    coefficients.  An overflow is left to the checks, which reject it.
     """
-    temperatures, changes = np.full(len(settings[0][1]), thermal.temperature), {}
-    effective = isinstance(fixed, EffectiveParams)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for variable, values in settings:
-            if variable == "temperature":
-                temperatures = values
-            elif variable == "ratio_j_over_eps":
-                changes["j12"] = values * fixed.eps1
-            elif variable == "phi_x_common":
-                changes["phi_x1"] = changes["phi_x2"] = values
-            elif variable == "voltage":
-                changes["v_x1"] = changes["v_x2"] = values
-            else:  # phi_x1 or phi_x2, checked by SweepSpec
-                changes[variable] = values
-        ok = np.isfinite(temperatures) & (temperatures >= 0.0)
-        for values in changes.values():
-            ok &= np.abs(values) <= MAX_ENERGY_K if effective else np.isfinite(values)
-        _raise_first(ok, lambda i: (ThermalSpec(float(temperatures[i])),
-                                    replace(fixed, **{k: float(v[i]) for k, v in changes.items()})))
-        controls = SimpleNamespace(**{**vars(fixed), **changes})
-        coefficients = _row(controls) if effective else _coefficients(controls)
-    # Filled column by column: about 25 us a chunk less than np.stack of
-    # np.broadcast_to views, which a search's many small stacks feel.
-    table = np.empty((len(temperatures), len(coefficients)))
-    for column, c in enumerate(coefficients):
-        table[:, column] = c
-    _raise_first((np.abs(table) <= MAX_ENERGY_K).all(1),
-                 lambda i: EffectiveParams(*table[i].tolist()))
-    return table, temperatures
+    changes = {"temperature": np.full(len(settings[0][1]), thermal.temperature)}
+    for variable, values in settings:
+        if variable == "ratio_j_over_eps":  # sets j12 to the ratio times eps1
+            with np.errstate(over="ignore"):  # left to the checks, which reject it
+                values = values * fixed.eps1
+        changes.update(dict.fromkeys(SWEEP_VARIABLES[variable].fields, values))
+    temperatures = changes.pop("temperature")
+    return _coefficient_table(fixed, changes, temperatures)
 
 
 def _sweep_rows(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> list[SweepRow]:
@@ -316,8 +286,7 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     if not 0.0 < t_max < math.inf:
         raise SpecValidationError("t_max must be finite and positive")
     _require_tol(tol, t_max)
-    eff = fixed if isinstance(fixed, EffectiveParams) else effective_params(fixed)
-    w, v = np.linalg.eigh(_hamiltonians([_row(eff)]))
+    w, v = np.linalg.eigh(_hamiltonians(_coefficient_table(fixed, {}, np.zeros(1))[0]))
 
     def concurrences(temperatures):
         return _column(_gibbs_states(w, v, np.array(temperatures)[:, None]), "concurrence")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jcqsim import cli
+from jcqsim import cli, sweep
 from jcqsim.cli import main
 from jcqsim.correlations import quantum_discord
 from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
@@ -299,6 +299,15 @@ class TestFigure:
         assert "fig2a.csv" in script
         assert "plot" in script
 
+    def test_fig5_plot_script_labels_its_axes(self, capsys, tmp_path):
+        out = tmp_path / "fig5.csv"
+        code, _, _ = run_cli(capsys, "figure", "fig5", "--out", str(out), "--steps", "3",
+                             "--emit-plot-script")
+        assert code == 0
+        script = (tmp_path / "fig5_a.gp").read_text()
+        assert 'set xlabel "theta1"' in script
+        assert 'set ylabel "theta2"' in script
+
     def test_newline_discipline(self, capsys, tmp_path):
         out = tmp_path / "fig2a.csv"
         run_cli(capsys, "figure", "fig2a", "--out", str(out), "--steps", "5")
@@ -407,6 +416,21 @@ class TestSweepCommand:
         assert len(rows) == 5
         assert [r[0] for r in rows] == ["0", "0.25", "0.5", "0.75", "1"]
 
+    @pytest.mark.parametrize("variable, params, column", [
+        ("ratio_j_over_eps", ["--eps", "1", "--j", "2"], "ratio"),
+        ("temperature", ["--eps", "1", "--j", "2"], "temperature_k"),
+        ("phi_x_common", ["--phi-e", "0.5"], "theta"),
+        ("phi_x1", ["--phi-e", "0.5"], "theta1"),
+        ("phi_x2", ["--phi-e", "0.5"], "theta2"),
+        ("voltage", ["--phi-e", "0.5"], "v_x_v"),
+    ])
+    def test_header_names_the_swept_variable(self, capsys, variable, params, column):
+        code, out, _ = run_cli(capsys, "sweep", "--variable", variable, "--start", "0.1",
+                               "--stop", "0.2", "--steps", "2", *params,
+                               "--measures", "concurrence")
+        assert code == 0
+        assert parse_csv(out)[0] == [column, "concurrence"]
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--variable", "temperature", "--start", "1.0",
@@ -433,6 +457,22 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli, "quantum_discord", boom)
         code, _, err = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "1")
         assert (code, err) == (3, "error: synthetic failure\n")
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "error: Unable to allocate 7.28 TiB for an array\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_memory_error_maps_to_3(self, capsys, monkeypatch, error, message):
+        # The axis of a trillion steps is never allocated: its allocation raises.
+        def no_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sweep.np, "linspace", no_memory)
+        code, out, err = run_cli(capsys, "sweep", "--variable", "temperature", "--start", "0",
+                                 "--stop", "1", "--steps", "1000000000000", "--eps", "1",
+                                 "--j", "2")
+        assert (code, out, err) == (3, "", message)
 
 
 _OUT_OF_RANGE = [

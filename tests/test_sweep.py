@@ -398,6 +398,70 @@ class TestBatchedControls:
         assert str(batched.value) == str(reference.value)
 
 
+# The out-of-range cases of TestBatchedControls.test_first_offending_point_raises_its_error.
+_OFFENDING_CASES = next(
+    mark.args[1]
+    for mark in TestBatchedControls.test_first_offending_point_raises_its_error.pytestmark
+    if mark.name == "parametrize")
+
+
+def _error(call):
+    """The message of the InvalidParameterError ``call()`` raises, or None."""
+    try:
+        call()
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestSinglePointControls:
+    """thermal_state and esd_temperature map one point through the table a
+    sweep chunk is mapped through, with the errors of its dataclasses."""
+
+    @pytest.mark.parametrize("fixed, axes, message", _OFFENDING_CASES)
+    def test_each_point_raises_the_error_of_its_dataclasses(self, fixed, axes, message):
+        compared = 0
+        for point in _grid_settings(axes)[1]:
+            temperature = dict(point).get("temperature", 0.0)
+            controls = [(variable, x) for variable, x in point if variable != "temperature"]
+            try:
+                params, _ = apply_axes(fixed, ThermalSpec(0.0), *controls)
+            except InvalidParameterError:
+                continue  # no parameter set exists to pass
+
+            def coefficients():
+                return params if isinstance(params, EffectiveParams) else effective_params(params)
+
+            expected = _error(lambda: (ThermalSpec(temperature), coefficients()))
+            if expected is not None:
+                assert _error(lambda: thermal_state(params, temperature)) == expected
+                compared += 1
+            expected = _error(coefficients)
+            if expected is not None:
+                assert _error(lambda: esd_temperature(params, t_max=1.0)) == expected
+        # Only a case whose bad points form no parameter set compares nothing.
+        assert compared or "must be finite, got" in message
+
+    def test_a_bad_temperature_is_named_before_bad_coefficients(self):
+        params = DeviceParams(v_x1=1e300)
+        assert "eps1 must be finite" in _error(lambda: effective_params(params))
+        assert _error(lambda: thermal_state(params, -1.0)) == "temperature must be finite and >= 0"
+
+    @pytest.mark.parametrize("temperature", ["0.5", None])
+    def test_a_non_number_temperature_is_rejected(self, temperature):
+        with pytest.raises(TypeError):
+            thermal_state(EffectiveParams.symmetric(1.0, 2.0), temperature)
+
+    def test_effective_params_is_not_called(self, monkeypatch):
+        def unused(p):
+            raise AssertionError("effective_params called")
+
+        monkeypatch.setattr(device, "effective_params", unused)
+        fixed = DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6)
+        assert thermal_state(fixed, 0.01).shape == (4, 4)
+        assert esd_temperature(fixed, t_max=1.0).kind == "esd_temperature"
+
+
 class TestEsdTemperature:
     def test_uncoupled_state_never_entangled(self):
         with pytest.raises(BracketError):
