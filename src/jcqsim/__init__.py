@@ -53,7 +53,6 @@ from .sweep import (
     MEASURES,
     VARIABLES,
     CriticalPoint,
-    SweepRow,
     SweepSpec,
     esd_temperature,
     figure_preset,

@@ -3,14 +3,16 @@
 Parameters come from an optional JSON config file, overridable key by key
 with flags of the same name and then with shorthand flags; ``SCHEMA`` and
 ``SHORTHANDS`` are the one place that pairs a key with its section, field and
-flag.  All CSV output uses '.' decimals, 9 significant digits and '\\n' line
+flag.  A sweep's float table is written with one '%.9g' row template, and
+``critical`` rounds its bracket outward, so that the printed one holds the
+point.  All CSV output uses '.' decimals, 9 significant digits and '\\n' line
 endings, and is byte-identical across runs and ``--threads`` values.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import decimal
 import functools
 import json
 import sys
@@ -100,9 +102,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _cells(row, measures) -> list[str]:
-    """A sweep row's axis values, then the measures, as CSV cells."""
-    return [_fmt(x) for x in row.axis] + [_fmt(row.values[m]) for m in measures]
+def _table_csv(table: np.ndarray, label: str | None = None) -> str:
+    """CSV lines of a float table, every cell as :func:`_fmt` writes it, each
+    line after a ``label`` cell if one is given."""
+    row = "" if label is None else label.replace("%", "%%") + ","
+    row += ",".join(["%.9g"] * table.shape[1]) + "\n"
+    return row * len(table) % tuple(table.ravel().tolist())
 
 
 def _load_config(path: Path | None, sections) -> dict:
@@ -184,12 +189,10 @@ def _thermal(fields: dict) -> ThermalSpec:
     return ThermalSpec(fields["thermal"].get("temperature", 0.0))
 
 
-def _write_csv(path: Path | None, header: list[str], rows) -> None:
+def _write_csv(path: Path | None, header: list[str], body: str) -> None:
     stream = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        stream.write(",".join(header) + "\n" + body)
     finally:
         if path is not None:
             stream.close()
@@ -239,7 +242,7 @@ def _cmd_report(args) -> int:
     report = quantum_discord(thermal_state(_params(args, fields), _thermal(fields).temperature))
     m = report.optimal_measurement
     row = [_fmt(getattr(report, measure)) for measure in MEASURES] + [_fmt(m.theta), _fmt(m.phi)]
-    _write_csv(args.out, REPORT_HEADER, [row])
+    _write_csv(args.out, REPORT_HEADER, ",".join(row) + "\n")
     return EXIT_OK
 
 
@@ -254,10 +257,10 @@ def _cmd_figure(args) -> int:
         for suffix, pair in zip(("_a", "_b"), presets):
             spec_x, spec_y = (_with_steps(spec, args.steps) for spec in pair)
             path = out.with_name(out.stem + suffix + (out.suffix or ".csv"))
-            rows = sweep_2d(spec_x, spec_y)
+            table = sweep_2d(spec_x, spec_y)
             axes = [SWEEP_VARIABLES[spec.variable].column for spec in (spec_x, spec_y)]
             header = ["series", *axes, *spec_x.measures]
-            _write_csv(path, header, ([spec_x.label] + _cells(r, spec_x.measures) for r in rows))
+            _write_csv(path, header, _table_csv(table, spec_x.label))
             if args.emit_plot_script:
                 _write_plot_script(
                     path,
@@ -268,12 +271,7 @@ def _cmd_figure(args) -> int:
     specs = [_with_steps(spec, args.steps) for spec in presets]
     axis = SWEEP_VARIABLES[specs[0].variable].column
     header = ["series", axis, *specs[0].measures]
-    all_rows = [
-        [spec.label] + _cells(row, spec.measures)
-        for spec in specs
-        for row in sweep_1d(spec)
-    ]
-    _write_csv(out, header, all_rows)
+    _write_csv(out, header, "".join(_table_csv(sweep_1d(spec), spec.label) for spec in specs))
     if args.emit_plot_script:
         _write_plot_script(
             out,
@@ -288,16 +286,12 @@ def _cmd_critical(args) -> int:
         point = esd_temperature(_params(args, fields), t_max=args.t_max, tol=args.tol)
     else:
         point = optimal_ratio(_thermal(fields).temperature, tuple(args.bracket), tol=args.tol)
-    row = [
-        point.kind,
-        _fmt(point.location),
-        _fmt(point.value_at),
-        _fmt(point.bracket[0]),
-        _fmt(point.bracket[1]),
-        str(point.iterations),
-        "1" if point.boundary else "0",
-    ]
-    _write_csv(args.out, CRITICAL_HEADER, [row])
+    # Rounded outward to 9 digits, the printed bracket still holds the point.
+    lo, hi = (_fmt(decimal.Context(prec=9, rounding=r).create_decimal_from_float(x))
+              for x, r in zip(point.bracket, (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)))
+    row = [point.kind, _fmt(point.location), _fmt(point.value_at), lo, hi,
+           str(point.iterations), "1" if point.boundary else "0"]
+    _write_csv(args.out, CRITICAL_HEADER, ",".join(row) + "\n")
     return EXIT_OK
 
 
@@ -317,9 +311,8 @@ def _cmd_sweep(args) -> int:
         thermal=thermal,
         measures=tuple(measures),
     )
-    rows = sweep_1d(spec)
     header = [SWEEP_VARIABLES[spec.variable].column, *spec.measures]
-    _write_csv(args.out, header, (_cells(r, spec.measures) for r in rows))
+    _write_csv(args.out, header, _table_csv(sweep_1d(spec)))
     return EXIT_OK
 
 

@@ -442,12 +442,13 @@ def correlation_reports(states, side: str = "first") -> list[CorrelationReport]:
             for mi, cc, d, c, e, t, f, k in zip(*[columns[n].tolist() for n in names])]
 
 
-def measure_states(states, measures) -> list[dict[str, float]]:
-    """The named :data:`MEASURES` of each state of a stack, checked once, as
-    :func:`correlation_reports` gives them (first qubit measured); the discord
+def measure_states(states, measures) -> dict[str, np.ndarray]:
+    """Measure name -> column over a stack, checked once, for each of the named
+    :data:`MEASURES` in the order given; each value is the one
+    :func:`correlation_reports` gives (first qubit measured).  The discord
     search runs only for discord or classical correlation."""
     columns = _measure(*_require_state(states, 4), measures)
-    return [dict(zip(measures, row)) for row in zip(*[columns[m].tolist() for m in measures])]
+    return {m: columns[m] for m in measures}
 
 
 def _x_entries(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,14 @@ Grid points are taken in axis order in chunks of a fixed size on one thread.
 A chunk's swept controls (``SWEEP_VARIABLES``) and temperatures are arrays,
 which :func:`device._coefficient_table` maps and checks at once, as it does a
 search's points; from the Hamiltonian on, the chunk is one (N, 4, 4) stack,
-built and measured at once.  Every state's coefficients, temperature and
-result are the bits it gets alone, and bad input raises the error of the
-first offending point in axis order.  The two searches (bisection for the
-ESD temperature, golden section for the discord-maximizing j/eps) share one
-driver, :func:`_search`, which measures their next steps ahead as one stack.
+built and measured at once, and its measure columns fill one slice of the
+float table that :func:`sweep_1d` and :func:`sweep_2d` return: one row per
+point, its axis values innermost first, then the measures.  Every state's
+coefficients, temperature and result are the bits it gets alone, and bad
+input raises the error of the first offending point in axis order.  The two
+searches (bisection for the ESD temperature, golden section for the
+discord-maximizing j/eps) share one driver, :func:`_search`, which measures
+their next steps ahead as one stack.
 """
 
 from __future__ import annotations
@@ -110,14 +113,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One grid point: axis value(s) plus the requested measures."""
-
-    axis: tuple[float, ...]
-    values: dict[str, float]
-
-
-@dataclass(frozen=True)
 class CriticalPoint:
     """Result of a critical-point search.
 
@@ -150,30 +145,32 @@ def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, 
     return _coefficient_table(fixed, changes, temperatures)
 
 
-def _sweep_rows(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> list[SweepRow]:
-    """Rows over the grid of ``axes``, (variable, axis values) pairs, outer
-    first: the last varies fastest and is applied last.  A row's axis tuple
-    lists its values innermost first."""
+def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> np.ndarray:
+    """The table over the grid of ``axes``, (variable, axis values) pairs, outer
+    first: the last varies fastest and is applied last.  A row holds its axis
+    values innermost first, then ``measures``."""
     shape = tuple(len(values) for _, values in axes)
     size = math.prod(shape)
-    rows = []
+    table = np.empty((size, len(axes) + len(measures)))
     for start in range(0, size, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
         states = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
-        points = zip(*[values.tolist() for _, values in reversed(settings)])
-        rows += [SweepRow(a, v) for a, v in zip(points, measure_states(states, measures))]
-    return rows
+        columns = [values for _, values in reversed(settings)]
+        table[start : start + len(states)] = np.column_stack(
+            [*columns, *measure_states(states, measures).values()])
+    return table
 
 
-def sweep_1d(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the requested measures along one axis, ascending order."""
-    return _sweep_rows(spec.fixed, spec.thermal, [(spec.variable, spec.axis)], spec.measures)
+def sweep_1d(spec: SweepSpec) -> np.ndarray:
+    """Evaluate the requested measures along one axis, ascending order: one
+    row (axis value, *spec.measures) per point."""
+    return _sweep_table(spec.fixed, spec.thermal, [(spec.variable, spec.axis)], spec.measures)
 
 
-def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> list[SweepRow]:
-    """Evaluate over a 2-D grid, row-major (y outer, x inner); x wins a field
-    both axes set."""
+def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> np.ndarray:
+    """Evaluate over a 2-D grid, row-major (y outer, x inner): one row
+    (x, y, *measures) per point; x wins a field both axes set."""
     if spec_x.variable == spec_y.variable:
         raise SpecValidationError("2-D sweeps need two distinct variables")
     if spec_x.fixed != spec_y.fixed or spec_x.thermal != spec_y.thermal:
@@ -181,7 +178,7 @@ def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> list[SweepRow]:
     if spec_x.measures != spec_y.measures:
         raise SpecValidationError("2-D sweep specs must share measures")
     axes = [(spec_y.variable, spec_y.axis), (spec_x.variable, spec_x.axis)]
-    return _sweep_rows(spec_x.fixed, spec_x.thermal, axes, spec_x.measures)
+    return _sweep_table(spec_x.fixed, spec_x.thermal, axes, spec_x.measures)
 
 
 def _require_tol(tol: float, top: float) -> None:
@@ -192,7 +189,7 @@ def _require_tol(tol: float, top: float) -> None:
 
 
 def _column(states: np.ndarray, measure: str) -> list[float]:
-    return [row[measure] for row in measure_states(states, (measure,))]
+    return measure_states(states, (measure,))[measure].tolist()
 
 
 def _search(f, state, values, children, decide, tol: float):

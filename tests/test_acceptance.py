@@ -32,7 +32,7 @@ def verdict(name: str, ok: bool, detail: str = "") -> bool:
 @pytest.fixture(scope="module")
 def fig2b_rows():
     return {
-        spec.thermal.temperature: [row.values["discord"] for row in sweep_1d(spec)]
+        spec.thermal.temperature: sweep_1d(spec)[:, 1].tolist()
         for spec in figure_preset("fig2b")
     }
 
@@ -41,12 +41,8 @@ def fig2b_rows():
 def fig4_rows():
     out = {}
     for spec in figure_preset("fig4"):
-        rows = sweep_1d(spec)
-        out[spec.thermal.temperature] = {
-            "theta": [row.axis[0] for row in rows],
-            "discord": [row.values["discord"] for row in rows],
-            "eof": [row.values["eof"] for row in rows],
-        }
+        columns = sweep_1d(spec).T.tolist()
+        out[spec.thermal.temperature] = dict(zip(("theta", "discord", "eof"), columns))
     return out
 
 
@@ -54,8 +50,7 @@ def fig4_rows():
 def fig5_surfaces():
     out = {}
     for spec_x, spec_y in figure_preset("fig5"):
-        rows = sweep_2d(spec_x, spec_y)
-        grid = np.array([row.values["discord"] for row in rows])
+        grid = sweep_2d(spec_x, spec_y)[:, 2]
         out[spec_x.thermal.temperature] = grid.reshape(spec_y.steps, spec_x.steps)
     return out
 

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jcqsim import cli, sweep
 from jcqsim.cli import main
-from jcqsim.correlations import quantum_discord
+from jcqsim.correlations import concurrence, quantum_discord
 from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
 from jcqsim.errors import DomainError
 
@@ -390,10 +390,23 @@ class TestCritical:
         location = float(row["location"])
         assert 0.0 < location < 0.1
         fixed = effective_params(DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6))
-        from jcqsim.correlations import concurrence
-
         assert concurrence(thermal_state(fixed, location + 2e-6)) == 0.0
         assert concurrence(thermal_state(fixed, location - 2e-6)) > 0.0
+
+    def test_printed_esd_bracket_holds_the_point(self, capsys):
+        # This search's lower end, 0.03224658966064453 K, has concurrence
+        # 2e-11; its nearest 9 digits, 0.0322465897, lie past the crossing.
+        fixed = DeviceParams(v_x1=9.80734e-05, v_x2=9.80734e-05, phi_x1=0.268488, phi_x2=0.268488)
+        code, out, _ = run_cli(capsys, "critical", "esd", "--v-x", "9.80734e-05",
+                               "--phi-x1", "0.268488", "--phi-x2", "0.268488", "--t-max", "1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        lo, hi = float(row["bracket_lo"]), float(row["bracket_hi"])
+        point = sweep.esd_temperature(fixed, t_max=1.0)
+        assert lo <= point.bracket[0] < point.bracket[1] <= hi
+        assert concurrence(thermal_state(fixed, lo)) > 0.0
+        assert concurrence(thermal_state(fixed, hi)) <= sweep.CONCURRENCE_FLOOR
 
     @pytest.mark.parametrize("kind", [["esd", "--v-x", "7.5e-6"], ["ratio"]])
     @pytest.mark.parametrize("tol", ["nan", "inf", "1e-300"])
@@ -731,6 +744,26 @@ def test_report_on_any_config_exits_0_2_or_3(tmp_path_factory, config):
         assert len(row) == 7 and all(math.isfinite(x) for x in row.values())
         assert row["discord"] >= 0.0
         assert 0.0 <= row["concurrence"] <= 1.0 and 0.0 <= row["eof"] <= 1.0
+
+
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TABLES = st.integers(1, 5).flatmap(
+    lambda columns: st.lists(st.lists(_CELLS, min_size=columns, max_size=columns),
+                             min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_TABLES, label=st.one_of(st.none(), st.sampled_from(["T=0.1K", "VX=7.5uV"]),
+                                      st.text()))
+@example(table=[[-0.0, 5e-324, 1e300, -1e300, 1e-310]], label=None)
+@example(table=[[-0.0]], label="100%")
+def test_table_writer_matches_each_cell_formatted(table, label):
+    lead = "" if label is None else label + ","
+    expected = "".join(lead + ",".join(format(x, ".9g") for x in row) + "\n" for row in table)
+    assert cli._table_csv(np.array(table, dtype=float), label) == expected
 
 
 def test_module_entry_point_runs():

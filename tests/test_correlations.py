@@ -1,8 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jcqsim import correlations, qmath
@@ -154,7 +157,33 @@ class TestNonFiniteStates:
             measure_states(np.array(states), measures)
 
 
+def _mixed_pool():
+    """X and general states, each kind at and away from T = 0."""
+    rng = np.random.default_rng(27)
+    states = [random_x_state(rng) if k % 2 else random_density_matrix(rng, 4) for k in range(6)]
+    states += [thermal_state(EffectiveParams(1.0, 0.7, 0.3, 0.2, j), t)
+               for j in (0.5, 3.0) for t in (0.0, 0.4)]
+    return np.array(states)
+
+
+_POOL = _mixed_pool()
+
+
+@functools.cache
+def _alone(k: int) -> dict:
+    return measure_states(_POOL[k : k + 1], correlations.MEASURES)
+
+
 class TestMeasureStates:
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=12))
+    def test_any_stack_gives_each_state_its_bits_alone(self, order):
+        assert 0 < correlations._x_entries(_POOL)[0].sum() < len(_POOL)
+        columns = measure_states(_POOL[order], correlations.MEASURES)
+        for m in correlations.MEASURES:
+            alone = np.concatenate([_alone(k)[m] for k in order])
+            assert columns[m].tobytes() == alone.tobytes(), m
+
     @pytest.mark.parametrize("measures", [
         ("discord",), ("classical_correlation",), ("mutual_information",), ("concurrence",),
         ("eof",), correlations.MEASURES,
@@ -167,7 +196,9 @@ class TestMeasureStates:
                    for j in (0.3, 4.0) for t in (0.0, 0.6)]
         states = np.array(states)
         assert 0 < correlations._x_entries(states)[0].sum() < len(states)
-        for rho, values in zip(states, measure_states(states, measures)):
+        columns = measure_states(states, measures)
+        assert list(columns) == list(measures)
+        for k, rho in enumerate(states):
             report = quantum_discord(rho)
             alone = {
                 "mutual_information": mutual_information(rho),
@@ -176,9 +207,8 @@ class TestMeasureStates:
                 "concurrence": concurrence(rho),
                 "eof": eof(rho),
             }
-            assert list(values) == list(measures)
             for m in measures:
-                assert values[m] == alone[m] == getattr(report, m)
+                assert columns[m][k] == alone[m] == getattr(report, m)
 
     def test_classical_correlation_is_the_reports(self):
         rng = np.random.default_rng(23)
@@ -230,14 +260,17 @@ class TestMeasureStates:
                             lambda c: counted.append(c) or eof_from_concurrence(c))
         states = np.array([thermal_state(EffectiveParams.symmetric(1.0, j), 0.1)
                            for j in (0.5, 1.0, 2.0, 4.0, 8.0)])
-        rows = measure_states(states, measures)
+        columns = measure_states(states, measures)
         assert len(counted) == calls
-        assert [list(row) for row in rows] == [list(measures)] * len(states)
+        assert list(columns) == list(measures)
+        assert [len(column) for column in columns.values()] == [len(states)] * len(measures)
 
     def test_empty_stack_gives_no_rows(self):
         empty = np.zeros((0, 4, 4), dtype=complex)
         assert correlations.correlation_reports(empty) == []
-        assert measure_states(empty, ("discord",)) == measure_states(empty, ("eof",)) == []
+        for measure in ("discord", "eof"):
+            (column,) = measure_states(empty, (measure,)).values()
+            assert column.shape == (0,)
 
 
 class TestConditionalEntropy:

@@ -4,13 +4,20 @@ Each case runs one CLI command with ``--out`` in a fresh directory; every file
 it writes must equal the golden file of the same name byte for byte.  After a
 deliberate change of output, ``PYTHONPATH=src python tests/test_golden.py``
 rewrites the goldens; review every changed cell in the diff.
+
+The same bytes must come out however the states are stacked, so the cases
+are also run at other sweep chunk sizes, maximizer block sizes and search
+depths, and with two BLAS threads.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from jcqsim import correlations, sweep
 from jcqsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,13 +54,42 @@ def _run(name: str, out_dir: Path) -> None:
     assert main([*CASES[name], "--out", str(out_dir / f"{name}.csv")]) == 0
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden_bytes(name, tmp_path):
-    _run(name, tmp_path)
-    written = sorted(tmp_path.iterdir())
+def _assert_golden(out_dir: Path) -> None:
+    written = sorted(out_dir.iterdir())
     assert written
     for path in written:
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(name, tmp_path):
+    _run(name, tmp_path)
+    _assert_golden(tmp_path)
+
+
+@pytest.mark.parametrize("module, settings", [
+    *((sweep, {"CHUNK_POINTS": n}) for n in (1, 7, 256, 4096)),
+    (correlations, {"X_BLOCK": 1, "SEED_BLOCK": 1, "POLISH_BLOCK": 1}),
+    (correlations, {"X_BLOCK": 7, "SEED_BLOCK": 5, "POLISH_BLOCK": 3}),
+    *((sweep, {"SEARCH_DEPTH": n}) for n in (1, 2, 5)),
+], ids=lambda x: ",".join(f"{k}={v}" for k, v in x.items()) if isinstance(x, dict)
+   else x.__name__)
+def test_outputs_do_not_depend_on_stack_composition(monkeypatch, tmp_path, module, settings):
+    for name, value in settings.items():
+        monkeypatch.setattr(module, name, value)
+    for name in CASES:
+        _run(name, tmp_path)
+    assert len(list(tmp_path.iterdir())) == len(list(GOLDEN.iterdir()))
+    _assert_golden(tmp_path)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
+    assert len(list(tmp_path.iterdir())) == len(list(GOLDEN.iterdir()))
+    _assert_golden(tmp_path)
 
 
 if __name__ == "__main__":

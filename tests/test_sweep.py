@@ -104,12 +104,12 @@ class TestSweepSpecValidation:
 
 class TestSweep1d:
     def test_ratio_sweep_monotone_and_matches_analytic(self):
-        rows = sweep_1d(ratio_spec(steps=26))
-        discords = [row.values["discord"] for row in rows]
+        table = sweep_1d(ratio_spec(steps=26))
+        discords = table[:, 1].tolist()
         assert all(b >= a - 1e-9 for a, b in zip(discords, discords[1:]))
-        for row, d in zip(rows, discords):
+        for x, d in zip(table[:, 0].tolist(), discords):
             assert d == pytest.approx(
-                ground_state_discord_analytic(1.0, row.axis[0]), abs=5e-5
+                ground_state_discord_analytic(1.0, x), abs=5e-5
             )
         assert discords[-1] > 0.998
 
@@ -118,7 +118,7 @@ class TestSweep1d:
             "temperature", 0.02, 2.0, EffectiveParams.symmetric(1.0, 2.0),
             steps=26, measures=("discord",),
         )
-        discords = [row.values["discord"] for row in sweep_1d(spec)]
+        discords = sweep_1d(spec)[:, 1].tolist()
         assert all(b <= a + 1e-6 for a, b in zip(discords, discords[1:]))
 
     def test_common_flux_sweep_is_one_periodic(self):
@@ -126,8 +126,7 @@ class TestSweep1d:
             "phi_x_common", 0.0, 2.0, DeviceParams(),
             steps=41, thermal=ThermalSpec(0.0), measures=("discord",),
         )
-        rows = sweep_1d(spec)
-        values = [row.values["discord"] for row in rows]
+        values = sweep_1d(spec)[:, 1].tolist()
         for i in range(20):
             assert values[i + 20] == pytest.approx(values[i], abs=1e-10)
         # maxima sit at the integer flux points
@@ -141,15 +140,20 @@ class TestSweep1d:
                           measures=("discord", "eof"))
         alone = [quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, x), 0.3))
                  for x in spec.axis]
-        rows = sweep_1d(spec)
-        assert sweep_1d(spec) == rows
-        for row, report in zip(rows, alone):
-            assert abs(row.values["discord"] - report.discord) <= 1e-15
-            assert abs(row.values["eof"] - report.eof) <= 1e-15
+        table = sweep_1d(spec)
+        assert sweep_1d(spec).tobytes() == table.tobytes()
+        # Columns: ratio, discord, eof.
+        for (_, discord, eof), report in zip(table.tolist(), alone):
+            assert abs(discord - report.discord) <= 1e-15
+            assert abs(eof - report.eof) <= 1e-15
 
     def test_requested_measures_only(self):
-        rows = sweep_1d(ratio_spec(steps=3, measures=("concurrence", "eof")))
-        assert set(rows[0].values) == {"concurrence", "eof"}
+        spec = ratio_spec(steps=3, measures=("concurrence", "eof"))
+        table = sweep_1d(spec)
+        assert spec.measures == ("concurrence", "eof")
+        assert table.shape == (3, 3)
+        for x, c, _ in table.tolist():
+            assert c == concurrence(thermal_state(EffectiveParams.symmetric(1.0, x), 0.0))
 
     def test_discord_outlives_entanglement_in_temperature_rows(self):
         # past the sudden-death point entanglement is exactly zero while
@@ -157,10 +161,10 @@ class TestSweep1d:
         from dataclasses import replace
 
         spec = replace(figure_preset("fig3")[0], steps=51)
-        rows = sweep_1d(spec)
+        # Columns: temperature, discord, concurrence, eof.
         survivors = [
-            row for row in rows
-            if row.values["concurrence"] == 0.0 and row.values["discord"] > 1e-4
+            row for row in sweep_1d(spec).tolist()
+            if row[2] == 0.0 and row[1] > 1e-4
         ]
         assert survivors
 
@@ -221,31 +225,29 @@ class TestSweep2d:
 
     def test_row_major_order_y_outer(self):
         sx, sy = self.grid_specs(steps=3)
-        rows = sweep_2d(sx, sy)
-        assert [r.axis for r in rows[:3]] == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-        assert rows[3].axis == (0.0, 1.0)
+        table = sweep_2d(sx, sy)
+        assert table[:3, :2].tolist() == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+        assert table[3, :2].tolist() == [0.0, 1.0]
 
     def test_surface_symmetric_under_flux_exchange(self):
         sx, sy = self.grid_specs(steps=9)
-        rows = sweep_2d(sx, sy)
-        grid = np.array([r.values["discord"] for r in rows]).reshape(9, 9)
+        grid = sweep_2d(sx, sy)[:, 2].reshape(9, 9)
         assert np.abs(grid - grid.T).max() <= 1e-12
 
     def test_half_integer_flux_line_kills_discord(self):
         sx, sy = self.grid_specs(steps=9)
-        rows = sweep_2d(sx, sy)
-        for row in rows:
-            if 0.5 in row.axis or 1.5 in row.axis:
-                assert row.values["discord"] <= 1e-9
+        for x, y, discord in sweep_2d(sx, sy).tolist():
+            if 0.5 in (x, y) or 1.5 in (x, y):
+                assert discord <= 1e-9
 
     def test_ground_surface_peaks_at_integer_flux_pairs(self):
         sx, sy = self.grid_specs(steps=9, t=0.0)
-        rows = sweep_2d(sx, sy)
-        peak = max(row.values["discord"] for row in rows)
+        rows = sweep_2d(sx, sy).tolist()
+        peak = max(discord for _, _, discord in rows)
         at_integers = max(
-            row.values["discord"]
-            for row in rows
-            if row.axis[0] in (0.0, 1.0, 2.0) and row.axis[1] in (0.0, 1.0, 2.0)
+            discord
+            for x, y, discord in rows
+            if x in (0.0, 1.0, 2.0) and y in (0.0, 1.0, 2.0)
         )
         assert peak <= at_integers + 1e-12
 
@@ -273,33 +275,34 @@ class TestBatchedControls:
     that mapping it alone (helpers.plain_controls) gives, to the bit."""
 
     def sweep_chunks(self, monkeypatch, run):
-        """(rows, Hamiltonians, temperatures) of a sweep, with its states and
+        """(table, Hamiltonians, temperatures) of a sweep, with its states and
         measures stubbed out."""
         chunks = []
 
-        def record(table, temperatures):
-            chunks.append((table, temperatures))
+        def record(coefficients, temperatures):
+            chunks.append((coefficients, temperatures))
             return np.zeros((len(temperatures), 4, 4), dtype=complex)
 
         monkeypatch.setattr(sweep, "_thermal_stack", record)
-        monkeypatch.setattr(sweep, "measure_states", lambda states, measures: [{}] * len(states))
-        rows = run()
+        monkeypatch.setattr(sweep, "measure_states",
+                            lambda states, measures: {m: np.zeros(len(states)) for m in measures})
+        table = run()
         assert max(len(t) for _, t in chunks) == CHUNK_POINTS
-        table = np.concatenate([table for table, _ in chunks])
-        return rows, device._hamiltonians(table), np.concatenate([t for _, t in chunks])
+        coefficients = np.concatenate([coefficients for coefficients, _ in chunks])
+        return table, device._hamiltonians(coefficients), np.concatenate([t for _, t in chunks])
 
     @pytest.mark.parametrize("spec", figure_preset("fig4"), ids=lambda s: s.label)
     def test_full_fig4_axis(self, monkeypatch, spec):
-        rows, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_1d(spec))
-        points = [[(spec.variable, x)] for (x,) in (row.axis for row in rows)]
+        table, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_1d(spec))
+        points = [[(spec.variable, x)] for x in table[:, 0].tolist()]
         assert len(points) == spec.steps
         _assert_same_bits(h, temperatures, plain_controls(spec.fixed, spec.thermal, points))
 
     @pytest.mark.parametrize("specs", figure_preset("fig5"), ids=lambda s: s[0].label)
     def test_full_fig5_grid(self, monkeypatch, specs):
         spec_x, spec_y = specs
-        rows, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_2d(spec_x, spec_y))
-        points = [[(spec_y.variable, y), (spec_x.variable, x)] for x, y in (r.axis for r in rows)]
+        table, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_2d(spec_x, spec_y))
+        points = [[(spec_y.variable, y), (spec_x.variable, x)] for x, y in table[:, :2].tolist()]
         assert len(points) == spec_x.steps * spec_y.steps
         _assert_same_bits(h, temperatures, plain_controls(spec_x.fixed, spec_x.thermal, points))
 
