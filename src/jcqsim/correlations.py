@@ -12,13 +12,20 @@ so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
 exact.  A 33-point theta seed and six shrinking 17-point stencils (135
 evaluations, 7 kernel calls, a last cell below 2e-7 rad) serve the X states
 of a stack 64 at a time.  The other states of a stack are searched together,
-in blocks that bound each kernel call's memory: a seed of the 993 directions
-of a 33x64 Bloch-angle grid that differ by more than a sign, then ten
-shrinking 9x9 stencils in the plane tangent to each state's best direction so
-far, re-centred instead of shrunk where the best point lies on a stencil's
-edge (1,803 evaluations, 81 more for each re-centring, a last cell of about
-1e-7 rad).  The test suite checks the optimizer against an exhaustive grid
-search over the same kernel.
+in blocks that bound each kernel call's memory.  Each state seeds on the 993
+directions of a 33x64 Bloch-angle grid that differ by more than a sign, or,
+if its density matrix is exactly real (as is every Gibbs state built here),
+on the 528 of them with n_y >= 0: its conditional entropy is then even in
+n_y.  Then 3x3 stencils fit a quadratic and take its Newton step, within a
+trust region: a step past the stencil is cut at its edge, a step that comes
+out worse is undone, and where the fit is not positive definite the stencil
+moves to its best point.  A state stops once a stencil's values agree to
+round-off, after 5 to 7 stencils of 9 evaluations on most states (1,038 to
+1,056 evaluations in all, or 573 to 591 from the halved seed) and at most 30.
+A seed kernel call serves 2 states (3 real ones) and a polish call, one per
+stencil, up to 64 states.
+The test suite checks the optimizer against an exhaustive grid search over
+the same kernel.
 """
 
 from __future__ import annotations
@@ -48,26 +55,32 @@ _TWO_PI = 2.0 * math.pi
 # before it stops being round-off and becomes a bug.
 DISCORD_NEGATIVE_TOL = 1e-9
 
-# Optimizer tuning: a coarse seed grid over the Bloch sphere, then
-# POLISH_STEPS stencils of POLISH_POINTS x POLISH_POINTS directions around
-# the best direction so far.  The first reaches one seed-grid cell either
-# way and each next one reaches one cell of the last, so the last cell is
-# about 1e-7 rad wide.  A stencil whose best point lies on its edge and
-# gains more than RECENTRE_GAIN is re-centred there at the same width, at
-# most POLISH_RECENTRES times a state: a curved valley can lead further than
-# one cell.  Smaller gains are round-off (the values of a stencil on a flat
-# optimum spread by a few 1e-15).
+# Optimizer tuning: a coarse seed grid over the Bloch sphere, then 3x3
+# stencils, the first one seed-grid cell (pi/32) either way of the best seed
+# direction.  Each stencil fits a quadratic to its nine values.  Where the fit
+# is positive definite with its minimum inside the stencil, the centre moves
+# there and the stencil shrinks to the step's length, at least
+# NEWTON_SHRINK-fold; with the minimum outside, the centre moves to the
+# stencil's edge along the step and the stencil doubles.  A step whose point
+# comes out above the best value so far is undone: the centre goes back to
+# the best point, the stencil at most half the one that proposed the step.
+# Elsewhere the centre moves to the stencil's best point, at the same width if
+# that point is on the edge and better beyond POLISH_FLAT (a curved valley
+# can lead further than one stencil) and at half the width otherwise.  A
+# state stops once a stencil's values spread by at most POLISH_FLAT, which is
+# round-off (the values of a stencil on a flat optimum spread by a few
+# 1e-15), or after POLISH_STENCILS stencils.
 SEED_THETA_POINTS = 33
 SEED_PHI_POINTS = 64
-POLISH_POINTS = 9
-POLISH_STEPS = 10
-POLISH_RECENTRES = 4
-RECENTRE_GAIN = 1e-13
-# General states per kernel call: a seed call then holds 2 * 2 * 993 = 3,972
-# columns and a polish call 2 * 26 * 81 = 4,212, within the 4,224 of one
-# state on the full 33 x 64 grid.
-SEED_BLOCK = 2
-POLISH_BLOCK = 26
+NEWTON_SHRINK = 1.0 / 16.0
+POLISH_FLAT = 1e-14
+POLISH_STENCILS = 30
+# Kernel columns per seed call, at least one state's: two states on the full
+# seed (2 * 2 * 993 = 3,972), three on the real states' half (3,168).
+SEED_COLUMNS = 3972
+# General states per polish call, one call a stencil: 64 * 2 * 9 = 1,152
+# kernel columns.
+POLISH_BLOCK = 64
 # X states: theta alone, a seed cell of pi/64 shrunk 8**6-fold to 1.9e-7 rad.
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
@@ -262,11 +275,13 @@ _SEED = np.hstack([
     _grid_directions(_SEED_THETAS[1:_EQUATOR], _SEED_PHIS),
     _grid_directions(_SEED_THETAS[_EQUATOR : _EQUATOR + 1], _SEED_PHIS[: SEED_PHI_POINTS // 2]),
 ])
-# Offsets (u, v) of the polish stencil, in units of its half-width, and which
-# of them lie on its edge.
-_STENCIL_AXIS = np.linspace(-1.0, 1.0, POLISH_POINTS)
-_STENCIL = np.array(np.meshgrid(_STENCIL_AXIS, _STENCIL_AXIS, indexing="ij")).reshape(2, -1)
-_STENCIL_EDGE = (np.abs(_STENCIL) == 1.0).any(0)
+# A real state's Fano matrix has only T_yy in the sigma_y row and column, so
+# its conditional entropy is even in n_y, bit for bit: it seeds on the 528
+# directions of _SEED with n_y >= 0 (phi in [0, pi]), in the same order.
+_REAL_SEED = _SEED[:, _SEED[1] >= 0.0]
+# Offsets (u, v) of the polish stencil in units of its half-width, u-major:
+# the centre is point 4.
+_STENCIL = np.array(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, -1)
 # Offsets of the X-state stencils in units of their half-width; the first,
 # the seed, spans [0, pi/2].
 _X_STENCILS = [np.linspace(-1.0, 1.0, X_SEED_POINTS)]
@@ -278,57 +293,94 @@ def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     """(minimal conditional entropy, theta, phi, evaluations) of the measured
     qubit ``side`` for each of a stack of states (N x 4 x 4).
 
-    Seed on :data:`_SEED` in blocks of SEED_BLOCK states, keeping each state's
-    first minimum, then polish in lockstep blocks of POLISH_BLOCK states.
+    Seed exactly real states on :data:`_REAL_SEED` and the others on
+    :data:`_SEED`, at most SEED_COLUMNS kernel columns a call, keeping each
+    state's first minimum; then polish in lockstep blocks of POLISH_BLOCK.
     """
     bloch = _bloch(states, side)
     count = len(states)
-    seed, best = np.empty(count, dtype=int), np.empty(count)
-    for start in range(0, count, SEED_BLOCK):
-        block = slice(start, start + SEED_BLOCK)
-        values = _cond_entropy(bloch[block], _SEED)
-        seed[block] = i = values.argmin(1)
-        best[block] = values[np.arange(len(i)), i]
-    n = _SEED[:, seed].T.copy()
-    stencils = np.empty(count, dtype=int)
+    real = np.count_nonzero(states.imag.reshape(count, 16), axis=1) == 0
+    n, best = np.empty((count, 3)), np.empty(count)
+    evaluations = np.where(real, _REAL_SEED.shape[1], _SEED.shape[1])
+    for seed, members in ((_SEED, np.flatnonzero(~real)), (_REAL_SEED, np.flatnonzero(real))):
+        per_call = max(1, SEED_COLUMNS // (2 * seed.shape[1]))
+        for start in range(0, len(members), per_call):
+            block = members[start : start + per_call]
+            values = _cond_entropy(bloch[block], seed)
+            i = values.argmin(1)
+            best[block], n[block] = values[np.arange(len(i)), i], seed[:, i].T
     for start in range(0, count, POLISH_BLOCK):
         block = slice(start, start + POLISH_BLOCK)
-        stencils[block] = _polish(bloch[block], n[block], best[block])
+        evaluations[block] += 9 * _polish(bloch[block], n[block], best[block])
     theta, phi = np.array([_angles(v) for v in n]).T
-    return best, theta, phi, _SEED.shape[1] + POLISH_POINTS**2 * stencils
+    return best, theta, phi, evaluations
 
 
 def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Tangent-plane stencils around each state's best direction so far (rows
-    of n, N x 3, value ``best``), run in lockstep; n and best are updated in
-    place.  Returns the number of stencils each state ran."""
+    """Newton steps on 3x3 stencils from each state's best direction so far
+    (rows of n, N x 3, value ``best``), run in lockstep; n and best are
+    updated in place.  Returns the number of stencils each state ran."""
+    # Stencils are laid in the chart n0 + u e_theta + v e_phi, put back on
+    # the sphere, of the plane tangent at each state's seed direction n0: it
+    # reaches every measurement but those at right angles to n0 and, unlike a
+    # box in (theta, phi), it does not pinch at the poles.
+    x, y, z = n.T
+    theta, phi = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    chart = np.zeros((len(n), 3, 2))
+    chart[:, 0, 0], chart[:, 1, 0], chart[:, 2, 0] = ct * cp, ct * sp, -st
+    chart[:, 0, 1], chart[:, 1, 1] = -sp, cp
+    origin = n.copy()
+    # Chart coordinates of the stencil's centre and of the best point so far.
+    centre, spot = np.zeros((2, len(n), 2))
     half_width = np.full(len(n), math.pi / (SEED_THETA_POINTS - 1))
-    shrunk = np.zeros(len(n), dtype=int)
-    recentred = np.zeros(len(n), dtype=int)
-    while len(a := np.flatnonzero(shrunk < POLISH_STEPS)):
-        # Stencil in the plane tangent at n (basis e_theta, e_phi), put back on
-        # the sphere; unlike a box in (theta, phi) it does not pinch at the poles.
-        x, y, z = n[a].T
-        theta, phi = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x) % _TWO_PI
-        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-        tangent = np.zeros((len(a), 3, 2))
-        tangent[:, 0, 0], tangent[:, 1, 0], tangent[:, 2, 0] = ct * cp, ct * sp, -st
-        tangent[:, 0, 1], tangent[:, 1, 1] = -sp, cp
-        candidates = n[a, :, None] + half_width[a, None, None] * (tangent @ _STENCIL)
+    # Half-width of the stencil whose model put the centre where it is; 0
+    # where the centre is a point measured before.
+    proposed = np.zeros(len(n))
+    stencils = np.zeros(len(n), dtype=int)
+    active = np.ones(len(n), dtype=bool)
+    while len(a := np.flatnonzero(active)):
+        width = half_width[a]
+        offsets = centre[a, :, None] + width[:, None, None] * _STENCIL
+        candidates = origin[a, :, None] + chart[a] @ offsets
         candidates /= np.sqrt(np.einsum("aij,aij->aj", candidates, candidates))[:, None]
         values = _cond_entropy(bloch[a], candidates)
+        stencils[a] += 1
+        # A model's step whose point came out above the best value so far is
+        # undone: the centre goes back to the best point.
+        undo = (proposed[a] > 0.0) & (values[:, 4] > best[a])
         rows, i = np.arange(len(a)), values.argmin(1)
         lowest = values[rows, i]
-        gain = best[a] - lowest
-        better = gain > 0.0
+        better = lowest < best[a]
         best[a] = np.where(better, lowest, best[a])
         n[a] = np.where(better[:, None], candidates[rows, :, i], n[a])
-        recentre = (gain > RECENTRE_GAIN) & _STENCIL_EDGE[i] & (recentred[a] < POLISH_RECENTRES)
-        recentred[a] += recentre
-        shrunk[a] += ~recentre
-        # Otherwise the next stencil reaches one cell of this one.
-        half_width[a] *= np.where(recentre, 1.0, 2.0 / (POLISH_POINTS - 1))
-    return shrunk + recentred
+        spot[a] = np.where(better[:, None], offsets[rows, :, i], spot[a])
+        # Quadratic model in stencil units, from central differences: gradient
+        # g, Hessian h and minimum s = -h^-1 g = adj(h) (-g) / det(h).  Where h
+        # is positive definite, s is taken if it lies inside the stencil and
+        # cut at its edge otherwise; both tests come before dividing.
+        f = values.reshape(-1, 3, 3)
+        g_u, g_v = 0.5 * (f[:, 2, 1] - f[:, 0, 1]), 0.5 * (f[:, 1, 2] - f[:, 1, 0])
+        h_uu = f[:, 2, 1] + f[:, 0, 1] - 2.0 * f[:, 1, 1]
+        h_vv = f[:, 1, 2] + f[:, 1, 0] - 2.0 * f[:, 1, 1]
+        h_uv = 0.25 * (f[:, 2, 2] + f[:, 0, 0] - f[:, 2, 0] - f[:, 0, 2])
+        det = h_uu * h_vv - h_uv * h_uv
+        s = np.array([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v])
+        reach = np.abs(s).max(0)
+        convex = ~undo & (h_uu > 0.0) & (det > 0.0)
+        newton = convex & (reach <= det)
+        s = np.where(convex, s / np.where(newton, det, np.where(convex, reach, 1.0)),
+                     _STENCIL[:, i])
+        # Elsewhere the centre moves to the stencil's best point, at the same
+        # width if that point is on the edge and better beyond round-off.
+        edge = ~convex & ~undo & (i != 4) & (values[:, 4] - lowest > POLISH_FLAT)
+        half_width[a] = np.where(undo, np.minimum(width, 0.5 * proposed[a]), width * np.where(
+            newton, np.maximum(NEWTON_SHRINK, np.abs(s).max(0)),
+            np.where(convex, 2.0, np.where(edge, 1.0, 0.5))))
+        proposed[a] = np.where(convex, width, 0.0)
+        centre[a] = np.where(undo[:, None], spot[a], centre[a] + width[:, None] * s.T)
+        active[a] = (undo | (values.max(1) - lowest > POLISH_FLAT)) & (stencils[a] < POLISH_STENCILS)
+    return stencils
 
 
 def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:

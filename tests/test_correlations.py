@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jcqsim import correlations, qmath
+from jcqsim import correlations, device, qmath
 from jcqsim.correlations import (
     Measurement,
     binary_entropy,
@@ -21,7 +21,7 @@ from jcqsim.correlations import (
     quantum_discord,
     von_neumann_entropy,
 )
-from jcqsim.device import EffectiveParams, thermal_state
+from jcqsim.device import DeviceParams, EffectiveParams, thermal_state
 from jcqsim.errors import (
     DimensionError,
     InvalidParameterError,
@@ -178,7 +178,10 @@ class TestMeasureStates:
     @settings(max_examples=25, deadline=None)
     @given(order=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=12))
     def test_any_stack_gives_each_state_its_bits_alone(self, order):
-        assert 0 < correlations._x_entries(_POOL)[0].sum() < len(_POOL)
+        is_x = correlations._x_entries(_POOL)[0]
+        assert 0 < is_x.sum() < len(_POOL)
+        # General states that take the halved seed and the full one.
+        assert (~is_x & exactly_real(_POOL)).any() and (~is_x & ~exactly_real(_POOL)).any()
         columns = measure_states(_POOL[order], correlations.MEASURES)
         for m in correlations.MEASURES:
             alone = np.concatenate([_alone(k)[m] for k in order])
@@ -361,6 +364,26 @@ def random_general_states(rng, count):
     return out
 
 
+def random_real_states(rng, count):
+    """Alternating full-rank and rank-2 states from real Ginibre matrices."""
+    out = []
+    for i in range(count):
+        g = rng.normal(size=(4, 4 if i % 2 == 0 else 2))
+        rho = g @ g.T
+        out.append((rho / np.trace(rho)).astype(complex))
+    return out
+
+
+def device_gibbs_states():
+    """Gibbs states of the default device away from phi_e = 1/2, at and above T = 0."""
+    return [thermal_state(DeviceParams(phi_e=phi_e), t) for phi_e in (0.3, 0.41) for t in (0.0, 0.01)]
+
+
+def exactly_real(states) -> np.ndarray:
+    states = np.asarray(states)
+    return np.count_nonzero(states.imag.reshape(len(states), -1), axis=1) == 0
+
+
 def unit_vector(theta, phi):
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
@@ -381,6 +404,18 @@ class TestOptimizerOnGeneralStates:
         # these states; half a degree keeps the gap inside 5e-5.
         rng = np.random.default_rng(13)
         for rho in random_general_states(rng, 40):
+            for side in ("first", "second"):
+                optimized = quantum_discord(rho, side).discord
+                oracle = discord_grid_oracle(rho, side, 361, 720)
+                assert optimized <= oracle + 1e-12
+                assert abs(optimized - oracle) <= 5e-5
+
+    def test_matches_grid_oracle_on_real_states(self):
+        # Exactly real states seed on the n_y >= 0 half of the seed grid.
+        states = random_real_states(np.random.default_rng(15), 20) + device_gibbs_states()
+        assert exactly_real(states).all()
+        assert not correlations._x_entries(np.array(states))[0].any()
+        for rho in states:
             for side in ("first", "second"):
                 optimized = quantum_discord(rho, side).discord
                 oracle = discord_grid_oracle(rho, side, 361, 720)
@@ -504,17 +539,80 @@ class TestGeneralMaximizer:
         np.fill_diagonal(overlap := np.abs(seed.T @ seed), 0.0)
         assert overlap.max() < 1.0 - 1e-6
 
+    def test_real_seed_is_the_seed_half_with_n_y_at_least_zero(self):
+        seed, real = correlations._SEED, correlations._REAL_SEED
+        assert real.shape == (3, 528)
+        assert np.all(real[1] >= 0.0)
+        # Each seed direction is a real-seed direction or the mirror
+        # n_y -> -n_y of one, and the real seed keeps the seed's order.
+        mirrored = np.array([seed[0], np.abs(seed[1]), seed[2]])
+        assert np.all((real.T @ mirrored).max(0) >= 1.0 - 1e-15)
+        kept = (seed.T[:, None, :] == real.T).all(2).argmax(0)
+        assert np.all(np.diff(kept) > 0)
+
+    def test_real_states_are_even_in_n_y_bit_for_bit(self):
+        states = np.array(random_real_states(np.random.default_rng(36), 10) + device_gibbs_states())
+        mirrored = correlations._SEED * np.array([[1.0], [-1.0], [1.0]])
+        for side in ("first", "second"):
+            bloch = correlations._bloch(states, side)
+            values = correlations._cond_entropy(bloch, correlations._SEED)
+            assert values.tobytes() == correlations._cond_entropy(bloch, mirrored).tobytes()
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.004, 0.05])
+    def test_built_gibbs_states_are_exactly_real(self, temperature):
+        rng = np.random.default_rng(37)
+        count = 200
+        changes = {
+            "phi_e": 0.5 + rng.choice([-1.0, 1.0], count) * rng.uniform(0.02, 0.45, count),
+            "v_x1": rng.uniform(5e-6, 1.2e-4, count), "v_x2": rng.uniform(5e-6, 1.2e-4, count),
+            "phi_x1": rng.uniform(0.0, 1.0, count), "phi_x2": rng.uniform(0.0, 1.0, count)}
+        table = device._coefficient_table(DeviceParams(), changes, np.full(count, temperature))
+        states = device._thermal_stack(*table)
+        assert not correlations._x_entries(states)[0].any()
+        assert exactly_real(states).all()
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_a_local_phase_takes_the_full_seed_to_the_same_optimum(self, monkeypatch, side):
+        # diag(1, e^{i alpha}) on the measured qubit turns its Bloch vectors
+        # about z: the state is no longer real, but discord and theta stay.
+        phase = np.diag([1.0, np.exp(0.7j)])
+        local = np.kron(phase, np.eye(2)) if side == "first" else np.kron(np.eye(2), phase)
+        kernel, seeds = correlations._cond_entropy, []
+        monkeypatch.setattr(correlations, "_cond_entropy",
+                            lambda bloch, n: seeds.append(n) or kernel(bloch, n))
+        for rho in random_real_states(np.random.default_rng(38), 8):
+            turned = local @ rho @ local.conj().T
+            assert not exactly_real([turned])[0]
+            seeds.clear()
+            real = quantum_discord(rho, side)
+            assert seeds[0] is correlations._REAL_SEED
+            seeds.clear()
+            full = quantum_discord(turned, side)
+            assert seeds[0] is correlations._SEED
+            assert abs(real.discord - full.discord) <= 1e-12
+            assert abs(real.optimal_measurement.theta - full.optimal_measurement.theta) <= 1e-6
+
+    def test_kernel_calls_stay_within_the_column_bound(self, monkeypatch):
+        kernel, columns = correlations._cond_entropy, []
+        monkeypatch.setattr(correlations, "_cond_entropy", lambda bloch, n: columns.append(
+            2 * len(bloch) * n.shape[-1]) or kernel(bloch, n))
+        rng = np.random.default_rng(39)
+        states = random_general_states(rng, 9) + random_real_states(rng, 9)
+        correlations.correlation_reports(states)
+        assert max(columns) <= 3972 == correlations.SEED_COLUMNS
+
     def test_curved_valley_is_followed(self):
-        # The tenth-stencil schedule alone stops at theta = 1.3173 on this
-        # state, 1.37e-8 short in classical correlation; one re-centred
-        # stencil reaches the X path's theta = 1.3118.
+        # Shrinking grid stencils alone stop at theta = 1.3173 on this state,
+        # 1.37e-8 short in classical correlation.  The Newton steps follow the
+        # valley to the X path's theta = 1.3118 in ten 3x3 stencils, two of
+        # them after a step that came out above the best point was undone.
         rng = np.random.default_rng(0)
         rho = [random_x_state(rng) for _ in range(2264)][2263]
         cc, theta, evaluations = general_path(rho, "first")
         x_cc, x_m = classical_correlation(rho, "first")
         assert abs(cc - x_cc) <= 1e-12
         assert abs(theta - x_m.theta) < 1e-6
-        assert evaluations == 993 + 11 * 81
+        assert evaluations == 993 + 10 * 9
 
     def test_invariants_on_general_states(self):
         rng = np.random.default_rng(31)
@@ -540,8 +638,12 @@ class TestGeneralMaximizer:
 
     def test_stack_across_blocks_gives_each_state_its_own_result(self):
         rng = np.random.default_rng(33)
-        states = random_general_states(rng, 37)
-        assert 37 > correlations.POLISH_BLOCK > correlations.SEED_BLOCK
+        states = random_general_states(rng, 70)
+        # Every third state made exactly real, so both seeds run in blocks.
+        states[::3] = [0.5 * (rho + rho.conj()) for rho in states[::3]]
+        assert len(states) > correlations.POLISH_BLOCK
+        per_seed_call = correlations.SEED_COLUMNS // (2 * correlations._REAL_SEED.shape[1])
+        assert exactly_real(states).sum() > per_seed_call > 1
         for side in ("first", "second"):
             for rho, in_stack in zip(states, correlations.correlation_reports(states, side)):
                 alone = quantum_discord(rho, side)
@@ -577,9 +679,14 @@ class TestQuantumDiscord:
             assert 0.0 <= report.concurrence <= 1.0
             assert 0.0 <= report.eof <= 1.0
             assert report.optimizer_evaluations == 33 + 6 * 17
-        general = quantum_discord(random_density_matrix(rng, 4))
-        # The 993 seed directions distinct up to sign, ten 9x9 stencils, no re-centring.
-        assert general.optimizer_evaluations == 993 + 10 * 81
+        rho = random_density_matrix(rng, 4)
+        general = quantum_discord(rho)
+        # The 993 seed directions distinct up to sign, then eight 3x3 stencils.
+        assert general.optimizer_evaluations == 993 + 8 * 9
+        # Its real part is a real state: the 528 seed directions with
+        # n_y >= 0, then eight 3x3 stencils.
+        real = quantum_discord(0.5 * (rho + rho.conj()))
+        assert real.optimizer_evaluations == 528 + 8 * 9
 
     def test_sides_agree_for_symmetric_state(self):
         rho = thermal_state(EffectiveParams.symmetric(1.0, 2.0), 0.5)
