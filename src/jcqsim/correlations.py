@@ -9,9 +9,14 @@ states at once.  X states (nonzero only on the diagonal and anti-diagonal, as
 is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
 [0, pi/2]; the optimum can lie inside it (Lu et al., PRA 83, 012327, 2011),
 so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
-exact.  A 33-point theta seed and six shrinking 17-point stencils (135
-evaluations, 7 kernel calls, a last cell below 2e-7 rad) serve the X states
-of a stack 64 at a time.  The other states of a stack are searched together,
+exact.  The X states of a stack are searched 64 at a time: a 33-point theta
+seed, then a 17-point stencil a seed cell either way of the best seed (2
+kernel calls, 50 evaluations).  A state whose best seed is an end of the
+interval, with the stencil's values rising away from it, stops there, and
+so does one whose best three values agree to round-off: every Gibbs state
+of the published figures stops after these 2 calls.  The others take 3-point
+Newton stencils until they converge, one kernel call a stencil and 50 + 3k
+evaluations in all.  The other states of a stack are searched together,
 in blocks that bound each kernel call's memory.  Each state seeds on the 993
 directions of a 33x64 Bloch-angle grid that differ by more than a sign, or,
 if its density matrix is exactly real (as is every Gibbs state built here),
@@ -81,10 +86,20 @@ SEED_COLUMNS = 3972
 # General states per polish call, one call a stencil: 64 * 2 * 9 = 1,152
 # kernel columns.
 POLISH_BLOCK = 64
-# X states: theta alone, a seed cell of pi/64 shrunk 8**6-fold to 1.9e-7 rad.
+# X states: theta alone, in [0, pi/2]; the conditional entropy is even about
+# both ends, so stencils are reflected there.  A seed with cells of pi/64,
+# then one stencil with cells of pi/512 a seed cell either way of the best
+# seed.  A best seed at an end with the stencil's values rising away from it
+# stops there.  The other states take 3-point Newton stencils under the rule
+# above, the first model from the stencil's best value and its neighbours.
+# A state also stops once a Newton step inside a stencil of half-width at
+# most X_NARROW gains at most X_GAIN.  On a wider stencil the model's cubic
+# term can hide the slope: one of half-width pi/1024, 5e-6 rad off an
+# optimum, had values even to 1.3e-15 about its centre, 3e-14 bits above it.
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
-X_POLISH_STEPS = 6
+X_GAIN = 1e-17
+X_NARROW = 2.5e-5
 # X states per search: 64 * 2 * 33 = 4,224 kernel columns, as for general states.
 # Also the states per Hermiticity test, whose copies it bounds.
 X_BLOCK = 64
@@ -282,11 +297,13 @@ _REAL_SEED = _SEED[:, _SEED[1] >= 0.0]
 # Offsets (u, v) of the polish stencil in units of its half-width, u-major:
 # the centre is point 4.
 _STENCIL = np.array(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, -1)
-# Offsets of the X-state stencils in units of their half-width; the first,
-# the seed, spans [0, pi/2].
-_X_STENCILS = [np.linspace(-1.0, 1.0, X_SEED_POINTS)]
-_X_STENCILS += [np.linspace(-1.0, 1.0, X_POLISH_POINTS)] * X_POLISH_STEPS
-_X_EVALUATIONS = sum(map(len, _X_STENCILS))
+# The X-state seed angles, spanning [0, pi/2], its cell and its directions;
+# the offsets of the X-state stencils in units of their half-width.
+_X_SEED = 0.25 * math.pi + 0.25 * math.pi * np.linspace(-1.0, 1.0, X_SEED_POINTS)
+_X_SEED_CELL = 0.5 * math.pi / (X_SEED_POINTS - 1)
+_X_SEED_DIRECTIONS = np.array([np.sin(_X_SEED), np.zeros(X_SEED_POINTS), np.cos(_X_SEED)])
+_X_FINE = np.linspace(-1.0, 1.0, X_POLISH_POINTS)
+_X_NEWTON = np.array([-1.0, 0.0, 1.0])
 
 
 def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
@@ -383,13 +400,15 @@ def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
     return stencils
 
 
-def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
-    """(minimal conditional entropy, theta, phi) of the measured qubit
-    ``side`` for each of a stack of X states (N x 4 x 4).
+def _x_bloch(states: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(Fano matrices, phi) of a stack of X states (N x 4 x 4), rows on the
+    measured qubit ``side``, with its x axis turned to the azimuth phi.
 
-    The measured qubit's x axis is put along the top singular vector of T_xy,
-    which maximizes |b +- T^T n| at any theta: the Fano matrix becomes
-    diag(1, s, 0, T33), s = 2(|rho_14| + |rho_23|), with a3 and b3 at [3, 0], [0, 3].
+    The x axis is put along the top singular vector of T_xy, which maximizes
+    |b +- T^T n| at any theta: the Fano matrix becomes diag(1, s, 0, T33),
+    s = 2(|rho_14| + |rho_23|), with a3 and b3 at [3, 0], [0, 3].  Its
+    conditional entropy at n = (sin theta, 0, cos theta) is even about
+    theta = 0 and theta = pi/2.
     """
     p1, p2, p3, p4 = states[:, range(4), range(4)].real.T
     r14, r23 = states[:, 0, 3], states[:, 1, 2]
@@ -403,25 +422,99 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     # The singular vector's azimuth lines up the phases of rho_14 and rho_23
     # (rho_32 if the second qubit is measured), mod pi: +-n is one measurement.
     phis = -0.5 * (np.angle(r14) + (1.0 if side == "first" else -1.0) * np.angle(r23)) % math.pi
+    return bloch, phis
 
-    rows = np.arange(len(states))
-    best, theta = np.full(len(states), np.inf), np.full(len(states), 0.25 * math.pi)
-    half_width = 0.25 * math.pi
-    for offsets in _X_STENCILS:
-        # np.clip to [0, pi/2], as two cheaper ufuncs with the same result.
-        candidates = theta[:, None] + half_width * offsets
-        candidates = np.minimum(0.5 * math.pi, np.maximum(0.0, candidates))
-        n = np.zeros((len(states), 3, len(offsets)))
-        np.sin(candidates, out=n[:, 0])
-        np.cos(candidates, out=n[:, 2])
-        values = _cond_entropy(bloch, n)
-        i = values.argmin(1)
-        lowest = values[rows, i]
-        better = lowest < best
-        best = np.where(better, lowest, best)
-        theta = np.where(better, candidates[rows, i], theta)
-        half_width *= 2.0 / (len(offsets) - 1)  # one cell of this stencil
-    return best, theta, phis
+
+def _x_values(bloch: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(conditional entropy, angle) at each of N x K angles theta of N X-state
+    Fano matrices, each angle reflected into [0, pi/2] first: the values
+    are even about 0 and pi/2."""
+    thetas = np.abs(thetas) % math.pi
+    thetas = np.minimum(thetas, np.abs(thetas - math.pi))
+    n = np.zeros((len(thetas), 3, thetas.shape[1]))
+    np.sin(thetas, out=n[:, 0])
+    np.cos(thetas, out=n[:, 2])
+    return _cond_entropy(bloch, n), thetas
+
+
+def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
+    """(minimal conditional entropy, theta, phi, evaluations) of the measured
+    qubit ``side`` for each of a stack of X states (N x 4 x 4), over theta
+    in [0, pi/2] at the azimuth of :func:`_x_bloch`.
+
+    Seed on :data:`_X_SEED`, then take one X_POLISH_POINTS stencil a seed
+    cell either way of each state's best seed angle; polish the states whose
+    optimum that leaves open with :func:`_polish_x`.
+    """
+    bloch, phis = _x_bloch(states, side)
+    count = len(states)
+    rows = np.arange(count)
+    values = _cond_entropy(bloch, np.broadcast_to(_X_SEED_DIRECTIONS, (count, 3, X_SEED_POINTS)))
+    i = values.argmin(1)
+    best, theta = values[rows, i], _X_SEED[i]
+    grid = theta[:, None] + _X_SEED_CELL * _X_FINE
+    values, angles = _x_values(bloch, grid)
+    j = values.argmin(1)
+    lowest = values[rows, j]
+    better = lowest < best
+    best = np.where(better, lowest, best)
+    theta = np.where(better, angles[rows, j], theta)
+    evaluations = np.full(count, X_SEED_POINTS + X_POLISH_POINTS)
+    # A best seed at an end of [0, pi/2] whose stencil values rise away from
+    # it on both sides is the optimum: the values are even about the end.
+    mid = X_POLISH_POINTS // 2
+    rise = values[:, 1:] - values[:, :-1]
+    falls = np.maximum(rise[:, :mid].max(1), np.negative(rise[:, mid:]).max(1)) > 0.0
+    a = np.flatnonzero(((i != 0) & (i != X_SEED_POINTS - 1)) | falls)
+    if len(a):
+        # The first model is that of the best stencil value and its two
+        # neighbours.
+        k = np.clip(j[a], 1, X_POLISH_POINTS - 2)[:, None] + np.arange(-1, 2)
+        evaluations += 3 * _polish_x(bloch, theta, best, a, grid[a, k[:, 1]],
+                                     values[a[:, None], k], angles[a[:, None], k])
+    return best, theta, phis, evaluations
+
+
+def _polish_x(bloch, theta, best, a, centre, f, angles) -> np.ndarray:
+    """Newton steps on 3-point stencils in theta, in lockstep, for the
+    states ``a`` of a stack (N x 4 x 4 Fano matrices ``bloch``), from each
+    one's first stencil: values f (len(a) x 3) at the reflected ``angles``
+    of ``centre`` and one cell of the X_POLISH_POINTS stencil either way.
+    ``theta`` and ``best``, each state's best angle and value so far (N),
+    are updated in place.  Returns the number of stencils each state ran.
+
+    The trust-region rule is :func:`_polish`'s, on the model's
+    f(s) = f1 + g s + h s^2 / 2 in stencil units; a state also stops where a
+    step inside a stencil of half-width at most X_NARROW gains at most
+    X_GAIN.
+    """
+    width = np.full(len(a), 2.0 * _X_SEED_CELL / (X_POLISH_POINTS - 1))
+    proposed = np.zeros(len(a))
+    stencils = np.zeros(len(best), dtype=int)
+    while True:
+        rows, i = np.arange(len(a)), f.argmin(1)
+        lowest = f[rows, i]
+        undo = (proposed > 0.0) & (f[:, 1] > best[a])
+        better = lowest < best[a]
+        best[a] = np.where(better, lowest, best[a])
+        theta[a] = np.where(better, angles[rows, i], theta[a])
+        g, h = 0.5 * (f[:, 2] - f[:, 0]), f[:, 2] + f[:, 0] - 2.0 * f[:, 1]
+        convex = ~undo & (h > 0.0)
+        newton = convex & (np.abs(g) <= h)
+        s = np.where(convex, -g / np.where(newton, h, np.where(convex, np.abs(g), 1.0)), i - 1.0)
+        edge = ~convex & ~undo & (i != 1) & (f[:, 1] - lowest > POLISH_FLAT)
+        converged = newton & (g * g <= 2.0 * X_GAIN * h) & (width <= X_NARROW)
+        go = (undo | (f.max(1) - lowest > POLISH_FLAT) & ~converged) & (stencils[a] < POLISH_STENCILS)
+        next_width = np.where(undo, np.minimum(width, 0.5 * proposed), width * np.where(
+            newton, np.maximum(NEWTON_SHRINK, np.abs(s)),
+            np.where(convex, 2.0, np.where(edge, 1.0, 0.5))))
+        proposed = np.where(convex, width, 0.0)
+        centre = np.where(undo, theta[a], centre + width * s)
+        a, centre, width, proposed = a[go], centre[go], next_width[go], proposed[go]
+        if not len(a):
+            return stencils
+        f, angles = _x_values(bloch[a], centre[:, None] + width[:, None] * _X_NEWTON)
+        stencils[a] += 1
 
 
 def _clamp_classical(mi, cc):
@@ -445,11 +538,12 @@ def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -
         is_x, c = _x_entries(states)
     if searched:
         best, theta, phi = np.empty((3, len(states)))
-        evaluations = np.full(len(states), _X_EVALUATIONS)
+        evaluations = np.empty(len(states), dtype=int)
         x, g = np.flatnonzero(is_x), np.flatnonzero(~is_x)
         for start in range(0, len(x), X_BLOCK):
             block = x[start : start + X_BLOCK]
-            best[block], theta[block], phi[block] = _maximize_x(states[block], side)
+            best[block], theta[block], phi[block], evaluations[block] = _maximize_x(
+                states[block], side)
         if len(g):
             best[g], theta[g], phi[g], evaluations[g] = _maximize_general(states[g], side)
         # S(rho_b) from its spectrum: 1 - |b| keeps too few digits near pure.

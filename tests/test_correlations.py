@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jcqsim import correlations, device, qmath
+from jcqsim import correlations, device, qmath, sweep
 from jcqsim.correlations import (
     Measurement,
     binary_entropy,
@@ -42,6 +43,7 @@ from oracles import (
     ground_state_discord_analytic,
     measurement_projector,
     spectral_concurrence,
+    x_stencil_search,
 )
 
 
@@ -479,6 +481,13 @@ def x_states_of_every_kind(rng, per_kind):
     return out
 
 
+def ran_x_path(evaluations):
+    """Whether an evaluation count is the X path's: the 33-point seed, the
+    17-point stencil and k 3-point Newton stencils, k at most the cap."""
+    k, rest = divmod(evaluations - (33 + 17), 3)
+    return rest == 0 and 0 <= k <= correlations.POLISH_STENCILS
+
+
 def general_path(rho, side):
     """(classical correlation, theta, evaluations) of one state from the
     general-state maximizer, whether or not the state is X-shaped."""
@@ -499,7 +508,7 @@ class TestXStateEngine:
             mi = mutual_information(rho)
             for side in ("first", "second"):
                 report = quantum_discord(rho, side)
-                assert report.optimizer_evaluations == 33 + 6 * 17  # the X path ran
+                assert ran_x_path(report.optimizer_evaluations)
                 general, _ = correlations._clamp_classical(mi, general_path(rho, side)[0])
                 oracle = discord_grid_oracle(rho, side, 91, 180)
                 assert report.discord <= oracle + 1e-12
@@ -509,6 +518,51 @@ class TestXStateEngine:
                 keep = "second" if side == "first" else "first"
                 optimum = von_neumann_entropy(qmath.partial_trace(rho, keep)) - cc
                 assert abs(conditional_entropy(rho, m) - optimum) <= 1e-12
+
+    def test_never_above_the_fixed_schedule_search(self):
+        rng = np.random.default_rng(45)
+        states = np.array(x_states_of_every_kind(rng, 16)
+                          + [random_x_state(rng) for _ in range(4000)])
+        ends = np.tile([0.0, 0.5 * math.pi], (len(states), 1))
+        for side in ("first", "second"):
+            best, _, _, evaluations = correlations._maximize_x(states, side)
+            reference, _ = x_stencil_search(states, side)
+            assert (best - reference).max() <= 1e-15
+            assert all(ran_x_path(k) for k in evaluations.tolist())
+            # Some optima lie inside (0, pi/2), below both ends.
+            bloch = correlations._x_bloch(states, side)[0]
+            assert (best < correlations._x_values(bloch, ends)[0].min(1) - 1e-9).any()
+
+    def test_a_wide_stencil_is_not_taken_as_converged(self):
+        # A stencil half a 17-point cell wide, 5e-6 rad from this state's
+        # optimum, has values even to 1.3e-15 about its centre: its cubic
+        # term hides the slope.  Stopping there would leave 3e-14 bits.
+        rho = x_state([0.7622856969220183, 0.039378089205097756,
+                       0.11496312477310694, 0.08337308909977698],
+                      0.06537054452093127 - 0.1555430620926596j,
+                      0.0023874772393309464 - 0.0025106742292512665j)[None]
+        best = correlations._maximize_x(rho, "first")[0]
+        assert best[0] <= x_stencil_search(rho, "first")[0][0] + 1e-15
+
+    def test_gibbs_stacks_take_at_most_three_kernel_calls(self, monkeypatch):
+        kernel, search, calls = correlations._cond_entropy, correlations._maximize_x, []
+
+        def counted_search(states, side):
+            calls.append([len(states), 0])
+            return search(states, side)
+
+        def counted_kernel(bloch, n):
+            calls[-1][1] += 1
+            return kernel(bloch, n)
+
+        monkeypatch.setattr(correlations, "_maximize_x", counted_search)
+        monkeypatch.setattr(correlations, "_cond_entropy", counted_kernel)
+        sweep.optimal_ratio(0.5, (0.1, 50.0))
+        assert len(calls) > 1
+        # A 64-state chunk of fig5's T = 0 surface.
+        spec_x, spec_y = (replace(spec, steps=8) for spec in sweep.figure_preset("fig5")[0])
+        assert len(sweep.sweep_2d(spec_x, spec_y)) == 64 == calls[-1][0]
+        assert max(count for _, count in calls) <= 3
 
     def test_batch_gives_each_state_its_own_result(self):
         rng = np.random.default_rng(21)
@@ -678,7 +732,7 @@ class TestQuantumDiscord:
             assert report.classical_correlation >= 0.0
             assert 0.0 <= report.concurrence <= 1.0
             assert 0.0 <= report.eof <= 1.0
-            assert report.optimizer_evaluations == 33 + 6 * 17
+            assert ran_x_path(report.optimizer_evaluations)
         rho = random_density_matrix(rng, 4)
         general = quantum_discord(rho)
         # The 993 seed directions distinct up to sign, then eight 3x3 stencils.
