@@ -30,7 +30,10 @@ round-off, after 5 to 7 stencils of 9 evaluations on most states (1,038 to
 A seed kernel call serves 2 states (3 real ones) and a polish call, one per
 stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
-the same kernel.
+the same kernel.  Concurrence takes the closed form on X states and the
+spectral path on the others; the Gibbs states of one real Hamiltonian at
+many temperatures (an ESD search) take it from their Boltzmann weights, with
+no state built (:func:`_gibbs_concurrences`).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
+from .device import _boltzmann_weights
 from .errors import (
     DimensionError,
     DomainError,
@@ -161,11 +165,19 @@ def _require_state(states, dim: int | None = None) -> tuple[np.ndarray, np.ndarr
         if np.count_nonzero(np.vecdot(skew, skew).real > qmath.HERMITICITY_RTOL**2):
             raise NotAStateError("state is not Hermitian")
     w = np.linalg.eigvalsh(states)
-    if np.count_nonzero(w[:, 0] < qmath.EIGENVALUE_CLAMP):
-        raise NotAStateError(f"state has negative eigenvalue {w[:, 0].min():.3e}")
+    _require_spectra(w)
+    return states, w
+
+
+def _require_spectra(w: np.ndarray) -> None:
+    """Check that each row of w (N x d) is a density matrix's spectrum: each
+    eigenvalue at least EIGENVALUE_CLAMP, summing to 1 within 1e-9, finite."""
+    if np.count_nonzero(w < qmath.EIGENVALUE_CLAMP):
+        raise NotAStateError(f"state has negative eigenvalue {w.min():.3e}")
     if np.count_nonzero(np.abs(w.sum(1) - 1.0) > 1e-9):
         raise NotAStateError("state trace is not 1")
-    return states, w
+    if np.count_nonzero(np.isfinite(w)) < w.size:
+        raise NotAStateError("state has a non-finite eigenvalue")
 
 
 def _require_side(side: str) -> None:
@@ -634,6 +646,33 @@ def _concurrence(states: np.ndarray, is_x: np.ndarray, c: np.ndarray) -> np.ndar
         lam = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(m)))
         c[general] = np.minimum(1.0, np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]))
     return c
+
+
+def _spin_flip(v: np.ndarray) -> np.ndarray:
+    """M = V^T (sy x sy) V for real eigenvectors V (columns; 1 x 4 x 4) of a
+    real symmetric Hamiltonian, as :func:`_gibbs_concurrences` takes it."""
+    return v.swapaxes(1, 2) @ _YY.real @ v
+
+
+def _gibbs_concurrences(w: np.ndarray, m: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """Concurrence of the Gibbs state of one real symmetric Hamiltonian at each
+    of a stack of temperatures T (N x 1), from its levels w (1 x 4) and
+    m = :func:`_spin_flip` of its eigenvectors V; no state is built.
+
+    Each state is rho = V P V^T, P the diagonal of its Boltzmann weights p.  It
+    is real, and so is Y = sy x sy, so its spin flip is Y rho Y and
+    rho Y rho Y = V P M P M V^T, which is similar to P M P M and so has the
+    eigenvalues of (P^1/2 M P^1/2)^2.  Wootters' square roots of them are
+    |lam|, lam the eigenvalues of the real symmetric P^1/2 M P^1/2, and
+    C = max(0, 2 max|lam| - sum|lam|).  The weights are the states' spectra and
+    are checked as :func:`_require_state` checks a state's.
+    """
+    weights = _boltzmann_weights(w, temperatures)[0]
+    p = weights / weights.sum(1, keepdims=True)
+    _require_spectra(p)
+    root = np.sqrt(p)
+    lam = np.abs(np.linalg.eigvalsh(root[:, :, None] * m * root[:, None, :]))
+    return np.minimum(1.0, np.maximum(0.0, 2.0 * lam.max(1) - lam.sum(1)))
 
 
 def eof_from_concurrence(c: float) -> float:

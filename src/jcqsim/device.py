@@ -297,10 +297,10 @@ def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
     return _hamiltonians([_row(eff)])[0]
 
 
-def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
-    """:func:`gibbs_state` for each of a stack of Hamiltonians, from their
-    eigenvalues w (N x n) and eigenvectors v, at temperatures T (N x 1); one
-    Hamiltonian (w of 1 x n) serves every temperature."""
+def _boltzmann_weights(w: np.ndarray, temperatures: np.ndarray) -> tuple:
+    """(unnormalized Boltzmann weights (N x n), which rows are at T = 0) of
+    ascending energy levels w (N x n, or 1 x n for every row) at temperatures
+    T (N x 1); the mask is None when no T is 0."""
     # Shift by the ground energy so the exponentials never overflow; near
     # T = 0 the gap over T may overflow to inf, whose weight is exactly 0.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -311,6 +311,14 @@ def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.
         # scaled by the Frobenius norm of H, sqrt(sum(w**2)).
         cut = w[:, :1] + GROUND_DEGENERACY_RTOL * np.sqrt(np.vecdot(w, w))[:, None]
         weights = np.where(cold[:, None], w <= cut, weights)
+    return weights, cold
+
+
+def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """:func:`gibbs_state` for each of a stack of Hamiltonians, from their
+    eigenvalues w (N x n) and eigenvectors v, at temperatures T (N x 1); one
+    Hamiltonian (w of 1 x n) serves every temperature."""
+    weights, cold = _boltzmann_weights(w, temperatures)
     rho = (v * weights[:, None, :]) @ v.conj().swapaxes(1, 2)
     z = weights.sum(1)
     if cold is not None:

@@ -11,7 +11,9 @@ coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
 searches (bisection for the ESD temperature, golden section for the
 discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-their next steps ahead as one stack.
+their next steps ahead as one stack.  The ESD search builds no state: it
+reads each stack's concurrences from the Boltzmann weights of its one
+Hamiltonian (:func:`correlations._gibbs_concurrences`).
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlations import MEASURES, measure_states
+from .correlations import MEASURES, _gibbs_concurrences, _spin_flip, measure_states
 from .device import (
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
     _coefficient_table,
-    _gibbs_states,
     _hamiltonians,
     _thermal_stack,
 )
@@ -188,10 +189,6 @@ def _require_tol(tol: float, top: float) -> None:
                                   f"one float spacing at {top:g}; got {tol}")
 
 
-def _column(states: np.ndarray, measure: str) -> list[float]:
-    return measure_states(states, (measure,))[measure].tolist()
-
-
 def _search(f, state, values, children, decide, tol: float):
     """(bracket, midpoint, value there, iterations) of a bracketing search.
 
@@ -277,16 +274,21 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     """Bisect for the temperature where concurrence first hits exactly zero.
 
     Requires entanglement at T -> 0+ and none at t_max; raises BracketError
-    otherwise.  The Hamiltonian is diagonalized once, and T = 0 and t_max
-    are measured as one stack.
+    otherwise.  The real Hamiltonian is diagonalized once, and its
+    eigenvectors give the spin-flip matrix once; each stack of temperatures,
+    T = 0 and t_max the first, takes its concurrences from the Boltzmann
+    weights in one :func:`correlations._gibbs_concurrences` call, which
+    checks the weights as the states' spectra.
     """
     if not 0.0 < t_max < math.inf:
         raise SpecValidationError("t_max must be finite and positive")
     _require_tol(tol, t_max)
-    w, v = np.linalg.eigh(_hamiltonians(_coefficient_table(fixed, {}, np.zeros(1))[0]))
+    # The Hamiltonian is real symmetric by construction.
+    w, v = np.linalg.eigh(_hamiltonians(_coefficient_table(fixed, {}, np.zeros(1))[0]).real)
+    m = _spin_flip(v)
 
     def concurrences(temperatures):
-        return _column(_gibbs_states(w, v, np.array(temperatures)[:, None]), "concurrence")
+        return _gibbs_concurrences(w, m, np.array(temperatures)[:, None]).tolist()
 
     return _bisection(concurrences, t_max, tol)
 
@@ -306,7 +308,8 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
 
     def discords(ratios):
         settings = [("ratio_j_over_eps", np.array(ratios))]
-        return _column(_thermal_stack(*_chunk_controls(fixed, thermal, settings)), "discord")
+        states = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
+        return measure_states(states, ("discord",))["discord"].tolist()
 
     return _golden_section(discords, a0, b0, tol)
 

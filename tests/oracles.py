@@ -1,8 +1,8 @@
 """Verification-only references that the package's fast paths are tested
 against: closed forms, the definitional conditional entropy, an exhaustive
-grid-search discord, a fixed-schedule X-state search and the spectral
-concurrence of any state.  None of them is a production path, so they live
-with the tests."""
+grid-search discord, a fixed-schedule X-state search, the spectral
+concurrence of any state and a 50-digit concurrence of Gibbs states.  None
+of them is a production path, so they live with the tests."""
 
 from __future__ import annotations
 
@@ -205,6 +205,39 @@ def ground_state_discord_analytic(eps: float, j: float) -> float:
         if x > 0.0:
             out -= x * math.log(x) / _LN2
     return out
+
+
+def concurrences_50_digits(eff: EffectiveParams, temperatures) -> list[float]:
+    """Wootters' concurrence of the Gibbs state of ``eff`` at each temperature
+    (K; T = 0 the uniform mixture over the ground space), in 50-digit mpmath
+    arithmetic from the exact float coefficients: the descending square roots
+    l of the spectrum of sqrt(rho) (sy x sy) rho (sy x sy) sqrt(rho), which is
+    real symmetric for the real Gibbs state, give max(0, l1 - l2 - l3 - l4)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        e1, e2, x1, x2, j = (mpmath.mpf(c) for c in
+                             (eff.eps1, eff.eps2, eff.ej1, eff.ej2, eff.j12))
+        h = mpmath.matrix([[e1 + e2, -x2, -x1, j], [-x2, e1 - e2, j, -x1],
+                           [-x1, j, -e1 + e2, -x2], [j, -x1, -x2, -e1 - e2]])
+        flip = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        w, v = mpmath.eigsy(h)
+        w = [w[k] for k in range(4)]
+        ground, scale = min(w), mpmath.sqrt(sum(x * x for x in w))
+        out = []
+        for t in temperatures:
+            if t == 0.0:
+                weights = [mpmath.mpf(x - ground <= 1e-10 * scale) for x in w]
+            else:
+                weights = [mpmath.exp(-(x - ground) / t) for x in w]
+            z = sum(weights)
+            sqrt_rho = v * mpmath.diag([mpmath.sqrt(x / z) for x in weights]) * v.T
+            r = sqrt_rho * flip * sqrt_rho * sqrt_rho * flip * sqrt_rho
+            mu = mpmath.eigsy((r + r.T) / 2, eigvals_only=True)
+            lam = sorted((mpmath.sqrt(max(mpmath.mpf(0), mu[k])) for k in range(4)),
+                         reverse=True)
+            out.append(float(max(mpmath.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])))
+        return out
 
 
 def spectral_concurrence(rho) -> float:

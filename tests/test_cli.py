@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jcqsim import cli, sweep
+from jcqsim import cli, correlations, sweep
 from jcqsim.cli import main
 from jcqsim.correlations import concurrence, quantum_discord
 from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
@@ -337,6 +337,26 @@ class TestCritical:
         )
         assert code == 5
         assert "never entangled" in err
+
+    def test_degenerate_hamiltonian_is_never_entangled_and_exits_5(self, capsys):
+        # H = 0: the T = 0 state is the mixture I/4 over the whole ground space.
+        code, out, err = run_cli(
+            capsys, "critical", "esd", "--eps", "0", "--j", "0", "--t-max", "1"
+        )
+        assert (code, out) == (5, "")
+        assert "never entangled" in err
+
+    def test_esd_weights_that_are_no_spectrum_exit_3(self, capsys, monkeypatch):
+        def spoiled(w, temperatures):
+            weights, cold = boltzmann_weights(w, temperatures)
+            weights[:, -1] = -1e-3
+            return weights, cold
+
+        boltzmann_weights = correlations._boltzmann_weights
+        monkeypatch.setattr(correlations, "_boltzmann_weights", spoiled)
+        code, out, err = run_cli(capsys, "critical", "esd", "--v-x", "7.5e-6", "--t-max", "1")
+        assert (code, out) == (3, "")
+        assert "negative eigenvalue" in err
 
     def test_ratio_at_zero_temperature_is_boundary(self, capsys):
         code, out, _ = run_cli(

@@ -38,6 +38,7 @@ from helpers import (
     random_x_state,
 )
 from oracles import (
+    concurrences_50_digits,
     conditional_entropy,
     discord_grid_oracle,
     ground_state_discord_analytic,
@@ -838,6 +839,76 @@ class TestConcurrence:
     def test_rejects_invalid_state(self):
         with pytest.raises(NotAStateError):
             concurrence(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+
+
+def _seeded_devices(seed: int, count: int) -> list:
+    """Seeded devices, X-shaped (phi_e = 1/2) and general in turn."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        v1, v2 = rng.uniform(5e-6, 100e-6, 2)
+        phi1, phi2 = rng.uniform(0.05, 0.45, 2)
+        phi_e = 0.5 if k % 2 else 0.5 + rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.45)
+        out.append(DeviceParams(v_x1=float(v1), v_x2=float(v2), phi_x1=float(phi1),
+                                phi_x2=float(phi2), phi_e=float(phi_e)))
+    return out
+
+
+def _gibbs_family(fixed):
+    """(levels, spin-flip matrix) of the one Hamiltonian of ``fixed``, as an
+    ESD search forms them."""
+    table = device._coefficient_table(fixed, {}, np.zeros(1))[0]
+    w, v = np.linalg.eigh(device._hamiltonians(table).real)
+    return w, correlations._spin_flip(v)
+
+
+_GIBBS_TEMPERATURES = np.array([0.0, *np.geomspace(1e-4, 1.0, 8)])
+
+
+class TestGibbsConcurrences:
+    """The ESD search's concurrence, read from the Boltzmann weights."""
+
+    def test_matches_the_concurrence_of_each_built_state(self):
+        entangled = 0
+        for fixed in _seeded_devices(51, 24):
+            values = correlations._gibbs_concurrences(*_gibbs_family(fixed),
+                                                      _GIBBS_TEMPERATURES[:, None])
+            expected = [concurrence(thermal_state(fixed, t)) for t in _GIBBS_TEMPERATURES.tolist()]
+            assert np.abs(values - expected).max() <= 5e-10
+            entangled += np.count_nonzero(values > 0.0)
+        assert entangled >= 24
+
+    def test_matches_wootters_at_50_digits(self):
+        pytest.importorskip("mpmath")
+        worst = 0.0
+        for fixed in _seeded_devices(52, 40):
+            values = correlations._gibbs_concurrences(*_gibbs_family(fixed),
+                                                      _GIBBS_TEMPERATURES[:, None])
+            exact = concurrences_50_digits(device.effective_params(fixed),
+                                           _GIBBS_TEMPERATURES.tolist())
+            worst = max(worst, np.abs(values - exact).max())
+        assert worst <= 2e-15
+
+    def test_ground_space_mixture_of_a_degenerate_hamiltonian(self):
+        # H = 0: every level is ground, so T = 0 gives I/4, which is separable.
+        values = correlations._gibbs_concurrences(
+            *_gibbs_family(EffectiveParams.symmetric(0.0, 0.0)), np.array([[0.0], [0.5]]))
+        assert values.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad, message", [(-1e-3, "negative eigenvalue"),
+                                              (math.nan, "non-finite")])
+    def test_weights_are_checked_as_a_state_spectrum(self, monkeypatch, bad, message):
+        boltzmann_weights = correlations._boltzmann_weights
+
+        def spoiled(w, temperatures):
+            weights, cold = boltzmann_weights(w, temperatures)
+            weights[:, -1] = bad
+            return weights, cold
+
+        monkeypatch.setattr(correlations, "_boltzmann_weights", spoiled)
+        with pytest.raises(NotAStateError, match=message):
+            correlations._gibbs_concurrences(*_gibbs_family(EffectiveParams.symmetric(1.0, 2.0)),
+                                             np.array([[0.5]]))
 
 
 class TestEof:

@@ -7,9 +7,7 @@ from jcqsim.device import (
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
-    build_hamiltonian,
     effective_params,
-    gibbs_state,
     thermal_state,
 )
 from jcqsim.errors import BracketError, InvalidParameterError, SpecValidationError
@@ -470,6 +468,11 @@ class TestEsdTemperature:
         with pytest.raises(BracketError):
             esd_temperature(EffectiveParams.symmetric(1.0, 0.0), t_max=1.0)
 
+    def test_degenerate_hamiltonian_never_entangled(self):
+        # H = 0: the T = 0 state is the mixture I/4 over the whole ground space.
+        with pytest.raises(BracketError, match="never entangled"):
+            esd_temperature(EffectiveParams.symmetric(0.0, 0.0), t_max=1.0)
+
     def test_t_max_too_small(self):
         with pytest.raises(BracketError):
             esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1e-6)
@@ -496,29 +499,31 @@ class TestEsdTemperature:
         assert point.bracket[1] - point.bracket[0] <= math.ulp(1.0)
 
     def test_one_hamiltonian_is_diagonalized_once_per_search(self, monkeypatch):
-        fixed = EffectiveParams.symmetric(0.02, -0.02)  # X states: no eigh in concurrence
-        shapes, stacks = [], []
-        eigh, gibbs_states = np.linalg.eigh, sweep._gibbs_states
+        # X states (phi_e = 1/2) and general ones.
+        for fixed in (EffectiveParams.symmetric(0.02, -0.02),
+                      DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6, phi_e=0.3)):
+            shapes, stacks = [], []
+            eigh, kernel = np.linalg.eigh, sweep._gibbs_concurrences
 
-        def counted(a):
-            shapes.append(a.shape)
-            return eigh(a)
+            def counted(a):
+                shapes.append(a.shape)
+                return eigh(a)
 
-        def recorded(w, v, temperatures):
-            stacks.append((w.shape, temperatures[:, 0].tolist(), gibbs_states(w, v, temperatures)))
-            return stacks[-1][2]
+            def recorded(w, m, temperatures):
+                stacks.append((w.shape, m.shape, temperatures[:, 0].tolist(),
+                               kernel(w, m, temperatures)))
+                return stacks[-1][3]
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        monkeypatch.setattr(sweep, "_gibbs_states", recorded)
-        esd_temperature(fixed, t_max=1.0)
-        assert shapes == [(1, 4, 4)]
-        assert stacks[0][1] == [0.0, 1.0]
-        monkeypatch.undo()
-        h = build_hamiltonian(fixed)
-        for w_shape, temperatures, states in stacks:
-            assert w_shape == (1, 4)
-            for t, rho in zip(temperatures, states):
-                assert np.array_equal(rho, gibbs_state(h, ThermalSpec(t)))
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            monkeypatch.setattr(sweep, "_gibbs_concurrences", recorded)
+            esd_temperature(fixed, t_max=1.0)
+            assert shapes == [(1, 4, 4)]
+            assert stacks[0][2] == [0.0, 1.0]
+            monkeypatch.undo()
+            for w_shape, m_shape, temperatures, values in stacks:
+                assert (w_shape, m_shape) == ((1, 4), (1, 4, 4))
+                for t, c in zip(temperatures, values):
+                    assert abs(c - concurrence(thermal_state(fixed, t))) <= 5e-10
 
     def test_discord_survives_past_the_transition(self):
         fixed = EffectiveParams.symmetric(0.02, -0.02)
@@ -619,13 +624,26 @@ class TestSpeculativeSearches:
         assert optimal_ratio(t, bracket, tol) == plain_golden_section(discord, *bracket, tol)
 
     def test_esd_temperature_equals_the_plain_loop(self):
+        # The search reads the concurrence from the Boltzmann weights, the plain
+        # loop from each state: values differ by round-off (the spectral path
+        # by up to about 5e-10 on near-pure states).  At tol = ulp(t_max) a
+        # step can read a point within round-off of the crossing, so there
+        # the brackets may differ by a few float spacings.
         cases = _seeded_esd_cases()
         assert sum(dev.phi_e != 0.5 for dev, _, _ in cases) == len(cases) // 2
         for dev, t_max, tol in cases:
             def conc(t):
                 return concurrence(thermal_state(dev, t))
 
-            assert esd_temperature(dev, t_max, tol) == plain_bisection(conc, t_max, tol)
+            point, plain = esd_temperature(dev, t_max, tol), plain_bisection(conc, t_max, tol)
+            assert (point.kind, point.iterations, point.boundary) == (
+                plain.kind, plain.iterations, plain.boundary)
+            assert abs(point.value_at - plain.value_at) <= 5e-10
+            if tol > math.ulp(t_max):
+                assert (point.location, point.bracket) == (plain.location, plain.bracket)
+            else:
+                ends = (point.location, *point.bracket), (plain.location, *plain.bracket)
+                assert max(abs(a - b) for a, b in zip(*ends)) <= 4 * tol
         assert any(esd_temperature(dev, t_max, tol).iterations == 0
                    for dev, t_max, tol in cases if tol > t_max)
 
@@ -663,14 +681,21 @@ class TestSpeculativeSearches:
         (lambda: esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0), 20),
     ])
     def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations):
+        # A j/eps search measures its ratios' states, an ESD search its
+        # temperatures' concurrences from the Boltzmann weights.
         calls = []
-        measure_states = sweep.measure_states
+        measure_states, kernel = sweep.measure_states, sweep._gibbs_concurrences
 
         def counted(states, measures):
             calls.append(len(states))
             return measure_states(states, measures)
 
+        def counted_kernel(w, m, temperatures):
+            calls.append(len(temperatures))
+            return kernel(w, m, temperatures)
+
         monkeypatch.setattr(sweep, "measure_states", counted)
+        monkeypatch.setattr(sweep, "_gibbs_concurrences", counted_kernel)
         assert search().iterations == iterations
         assert calls[0] == 2
         assert len(calls) <= math.ceil(iterations / sweep.SEARCH_DEPTH) + 2
