@@ -30,8 +30,9 @@ round-off, after 5 to 7 stencils of 9 evaluations on most states (1,038 to
 A seed kernel call serves 2 states (3 real ones) and a polish call, one per
 stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
-the same kernel.  Concurrence takes the closed form on X states and the
-spectral path on the others; the Gibbs states of one real Hamiltonian at
+the same kernel.  Concurrence takes the closed form on X states and, on the
+others, Wootters' spectral path with his square roots taken as singular
+values (:func:`concurrence`); the Gibbs states of one real Hamiltonian at
 many temperatures (an ESD search) take it from their Boltzmann weights, with
 no state built (:func:`_gibbs_concurrences`).
 """
@@ -626,8 +627,11 @@ def concurrence(rho) -> float:
 
     X-shaped states take the closed form
     2 * max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44));
-    other states take the descending square-rooted spectrum of the Hermitian
-    matrix sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
+    other states take max(0, l1 - l2 - l3 - l4) over the descending singular
+    values l of A = sqrt(rho) (sy x sy) sqrt(rho)*.  Their squares are the
+    eigenvalues of A A^dagger = sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho),
+    Wootters' matrix; square roots of those eigenvalues would lose the digits
+    of a small l on a near-pure state.
     """
     states = _require_state([rho], 4)[0]
     return float(_concurrence(states, *_x_entries(states))[0])
@@ -641,10 +645,8 @@ def _concurrence(states: np.ndarray, is_x: np.ndarray, c: np.ndarray) -> np.ndar
         g = states[general]
         w, v = np.linalg.eigh(g)
         sqrt_rho = (v * np.sqrt(np.maximum(0.0, w))[:, None, :]) @ v.conj().swapaxes(1, 2)
-        m = sqrt_rho @ _YY @ g.conj() @ _YY @ sqrt_rho
-        m = 0.5 * (m + m.conj().swapaxes(1, 2))
-        lam = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(m)))
-        c[general] = np.minimum(1.0, np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]))
+        lam = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
+        c[general] = np.minimum(1.0, np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]))
     return c
 
 

@@ -11,7 +11,9 @@ coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
 searches (bisection for the ESD temperature, golden section for the
 discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-their next steps ahead as one stack.  The ESD search builds no state: it
+the steps ahead of them as stacks, the most probable first: the golden section
+guesses where its maximum lies, and the bisection, with no guess, fills its
+stacks breadth-first.  The ESD search builds no state: it
 reads each stack's concurrences from the Boltzmann weights of its one
 Hamiltonian (:func:`correlations._gibbs_concurrences`).
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -57,9 +60,10 @@ DEFAULT_STEPS_1D = 501
 DEFAULT_STEPS_2D = 101
 # Points measured together: amortizes the X search's kernel calls, bounds memory.
 CHUNK_POINTS = 64
-# Search steps measured ahead as one stack of up to 2**SEARCH_DEPTH - 1 points.
-# At 4 a golden-section search takes about half the time; 5 is no faster and
-# its larger stacks raise the peak heap by half.
+# A search measures at most 2**SEARCH_DEPTH - 1 new points as one stack, the
+# most probable steps ahead first; without a guess that is the next
+# SEARCH_DEPTH steps.  The cap bounds a j/eps search's peak heap, which
+# grows with the stack (the temporaries of correlations._cond_entropy).
 SEARCH_DEPTH = 4
 
 
@@ -189,7 +193,7 @@ def _require_tol(tol: float, top: float) -> None:
                                   f"one float spacing at {top:g}; got {tol}")
 
 
-def _search(f, state, values, children, decide, tol: float):
+def _search(f, state, values, children, decide, tol: float, guess=None):
     """(bracket, midpoint, value there, iterations) of a bracketing search.
 
     A state is a tuple (lo, hi, *points): its bracket, then the points whose
@@ -199,35 +203,70 @@ def _search(f, state, values, children, decide, tol: float):
     values and ``f`` maps a list of points to theirs.
 
     Each child's points are fixed float expressions of its parent's bracket,
-    so the points of the next SEARCH_DEPTH steps, one branch for each outcome
-    of each comparison, are known before any of them is measured.  When a
-    point the search reads has no value, the points of the current state and
-    of every state up to SEARCH_DEPTH - 1 comparisons on (a stopping state
-    gives its midpoint and is not expanded) go to ``f`` as one stack:
+    so the states ahead, one branch for each outcome of each comparison, are
+    known before any of their points is measured.  When a point the search
+    reads has no value, the points of the current state and of the states
+    ahead of it go to ``f`` as one stack, the most probable states first:
     deduplicated, without those already measured, and at most
-    2**SEARCH_DEPTH - 1 of them, shallowest first, which bounds its memory.  A
-    point left out is measured when the search reaches it.  A value does not
-    depend on the stack it is measured in, so every decision and result is
-    the bit it would be with one point at a time.
+    2**SEARCH_DEPTH - 1 new points, which bounds its memory (a stopping state
+    gives its midpoint and is not expanded).  A state's probability is its
+    parent's times q, and states of equal probability go breadth-first.  q is
+    1/2 unless ``guess(*state)``, asked once a stack, names a point where the
+    search is likely to end.  Then the child whose bracket midpoint is nearer
+    that point takes q = p and the other 1 - p, where p = (hits + 1) /
+    (guesses + 2) over the search's earlier decisions made with a guess, and
+    a hit is a step to the nearer child.  Without a guess a stack is filled
+    breadth-first.  A point left out is measured when the search reaches it.
+    A value does not depend on the stack it is measured in, and a guess only
+    chooses what is measured ahead, so every decision and result is the bit
+    it would be with one point at a time.
     """
 
     def points(s):
         return (0.5 * (s[0] + s[1]),) if s[1] - s[0] <= tol else s[2:]
 
+    def nearer(pair, g):  # index of the child whose bracket midpoint is nearer g
+        return abs(0.5 * (pair[1][0] + pair[1][1]) - g) < abs(0.5 * (pair[0][0] + pair[0][1]) - g)
+
+    hits = guesses = 0  # over the decisions made with a guess
+    g = None
+
+    def fill(root):  # measure the stack of points ahead of root
+        nonlocal g
+        g = None if guess is None else guess(*root)
+        p = 0.5 if g is None else (hits + 1) / (guesses + 2)
+        q = (p, 1.0 - p)
+        # (-probability, breadth-first index, state): the children of the
+        # state at index i are at 2i + 1 and 2i + 2.
+        ahead, heap = {}, [(-1.0, 0, root)]
+        while heap and len(ahead) < 2**SEARCH_DEPTH - 1:
+            w, i, s = heappop(heap)
+            for x in points(s):
+                if x not in values:
+                    ahead[x] = None
+            if s[1] - s[0] > tol:
+                a, b = children(*s)
+                k = g is not None and nearer((a, b), g)
+                heappush(heap, (w * q[k], 2 * i + 1, a))
+                heappush(heap, (w * q[not k], 2 * i + 2, b))
+        ahead = list(ahead)[: 2**SEARCH_DEPTH - 1]
+        values.update(zip(ahead, f(ahead)))
+
     def read(root):
-        if any(x not in values for x in points(root)):
-            ahead, level = [], [root]
-            for _ in range(SEARCH_DEPTH):
-                ahead += [x for s in level for x in points(s)]
-                level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
-            ahead = [x for x in dict.fromkeys(ahead) if x not in values]
-            ahead = ahead[: 2**SEARCH_DEPTH - 1]
-            values.update(zip(ahead, f(ahead)))
+        try:
+            return [values[x] for x in points(root)]
+        except KeyError:
+            fill(root)
         return [values[x] for x in points(root)]
 
     iterations = 0
     while state[1] - state[0] > tol:
-        state = children(*state)[not decide(*read(state))]
+        pair = children(*state)
+        k = not decide(*read(state))
+        if g is not None:
+            hits += k == nearer(pair, g)
+            guesses += 1
+        state = pair[k]
         iterations += 1
     (value,) = read(state)
     return state[:2], 0.5 * (state[0] + state[1]), value, iterations
@@ -253,17 +292,33 @@ def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
 
 def _golden_section(f, a0: float, b0: float, tol: float) -> CriticalPoint:
     """:func:`optimal_ratio` for the values f (a list of ratios to their
-    discords) gives."""
+    discords) gives.  Each stack is filled around Brent's parabolic guess of
+    the maximum (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973); the guess never replaces a golden-section step."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b0 - invphi * (b0 - a0)
     d = a0 + invphi * (b0 - a0)
 
+    values = dict(zip((c, d), f([c, d])))
+
     def children(a, b, c, d):
         return (a, d, d - invphi * (d - a), c), (c, b, d, c + invphi * (b - c))
 
+    def guess(a, b, c, d):
+        # Brent's parabolic step: the vertex of the parabola through the best
+        # point measured in [a, b] and its measured neighbours, or the end of
+        # [a, b] beyond the best point when no neighbour is measured there.
+        xs = sorted(x for x in values if a <= x <= b)
+        fs = [values[x] for x in xs]
+        i = fs.index(max(fs))
+        if i == 0 or i == len(xs) - 1:
+            return a if i == 0 else b
+        (u, x, w), (fu, fx, fw) = xs[i - 1 : i + 2], fs[i - 1 : i + 2]
+        r, q = (x - u) * (fx - fw), (x - w) * (fx - fu)
+        return x - 0.5 * ((x - u) * r - (x - w) * q) / (r - q)
+
     bracket, location, value_at, iterations = _search(
-        f, (a0, b0, c, d), dict(zip((c, d), f([c, d]))), children,
-        lambda fc, fd: fc >= fd, tol)
+        f, (a0, b0, c, d), values, children, lambda fc, fd: fc >= fd, tol, guess)
     return CriticalPoint(
         "optimal_ratio", location, value_at, bracket, iterations,
         boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
@@ -298,7 +353,9 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
 
     A maximum within 10*tol of either bracket edge is reported with the
     boundary flag set (T = 0 legitimately has no interior maximum).  The two
-    starting points are measured as one stack.
+    starting points are measured as one stack, and the later points as stacks
+    of up to 15 ratios filled around a parabolic guess of the maximum (see
+    :func:`_search`): about 7 stacks at the default tol over (0.1, 50).
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:

@@ -865,6 +865,16 @@ def _gibbs_family(fixed):
 _GIBBS_TEMPERATURES = np.array([0.0, *np.geomspace(1e-4, 1.0, 8)])
 
 
+@functools.cache
+def _wootters_50_digits():
+    """(device, 50-digit concurrences at _GIBBS_TEMPERATURES) of 40 seeded
+    devices: 360 Gibbs states, X-shaped and general."""
+    pytest.importorskip("mpmath")
+    return [(fixed, np.array(concurrences_50_digits(device.effective_params(fixed),
+                                                    _GIBBS_TEMPERATURES.tolist())))
+            for fixed in _seeded_devices(52, 40)]
+
+
 class TestGibbsConcurrences:
     """The ESD search's concurrence, read from the Boltzmann weights."""
 
@@ -874,20 +884,27 @@ class TestGibbsConcurrences:
             values = correlations._gibbs_concurrences(*_gibbs_family(fixed),
                                                       _GIBBS_TEMPERATURES[:, None])
             expected = [concurrence(thermal_state(fixed, t)) for t in _GIBBS_TEMPERATURES.tolist()]
-            assert np.abs(values - expected).max() <= 5e-10
+            assert np.abs(values - expected).max() <= 2e-12
             entangled += np.count_nonzero(values > 0.0)
         assert entangled >= 24
 
     def test_matches_wootters_at_50_digits(self):
-        pytest.importorskip("mpmath")
         worst = 0.0
-        for fixed in _seeded_devices(52, 40):
+        for fixed, exact in _wootters_50_digits():
             values = correlations._gibbs_concurrences(*_gibbs_family(fixed),
                                                       _GIBBS_TEMPERATURES[:, None])
-            exact = concurrences_50_digits(device.effective_params(fixed),
-                                           _GIBBS_TEMPERATURES.tolist())
             worst = max(worst, np.abs(values - exact).max())
         assert worst <= 2e-15
+
+    def test_each_built_state_matches_wootters_at_50_digits(self):
+        # The spectral path takes Wootters' square roots as singular values;
+        # square roots of the eigenvalues of their squares lost digits on
+        # near-pure states, up to 2.2e-10 here.
+        worst = 0.0
+        for fixed, exact in _wootters_50_digits():
+            values = [concurrence(thermal_state(fixed, t)) for t in _GIBBS_TEMPERATURES.tolist()]
+            worst = max(worst, np.abs(values - exact).max())
+        assert worst <= 5e-12
 
     def test_ground_space_mixture_of_a_degenerate_hamiltonian(self):
         # H = 0: every level is ground, so T = 0 gives I/4, which is separable.

@@ -523,7 +523,7 @@ class TestEsdTemperature:
             for w_shape, m_shape, temperatures, values in stacks:
                 assert (w_shape, m_shape) == ((1, 4), (1, 4, 4))
                 for t, c in zip(temperatures, values):
-                    assert abs(c - concurrence(thermal_state(fixed, t))) <= 5e-10
+                    assert abs(c - concurrence(thermal_state(fixed, t))) <= 1e-14
 
     def test_discord_survives_past_the_transition(self):
         fixed = EffectiveParams.symmetric(0.02, -0.02)
@@ -581,7 +581,7 @@ def _seeded_ratio_cases():
     rng = np.random.default_rng(21)
     cases = [(0.0, (0.1, 50.0), 1e-6), (0.5, (0.1, 50.0), math.ulp(50.0)),
              (1.0, (2.0, 3.0), 5.0)]  # tol wider than the bracket: 0 iterations
-    for _ in range(9):
+    for _ in range(24):
         a = float(rng.uniform(0.1, 10.0))
         b = a + float(rng.uniform(0.5, 40.0))
         cases.append((float(rng.uniform(0.0, 2.0)), (a, b), float(10.0 ** rng.uniform(-9, -1))))
@@ -625,10 +625,9 @@ class TestSpeculativeSearches:
 
     def test_esd_temperature_equals_the_plain_loop(self):
         # The search reads the concurrence from the Boltzmann weights, the plain
-        # loop from each state: values differ by round-off (the spectral path
-        # by up to about 5e-10 on near-pure states).  At tol = ulp(t_max) a
-        # step can read a point within round-off of the crossing, so there
-        # the brackets may differ by a few float spacings.
+        # loop from each state: values differ by round-off.  At tol =
+        # ulp(t_max) a step can read a point within round-off of the crossing,
+        # so there the brackets may differ by a few float spacings.
         cases = _seeded_esd_cases()
         assert sum(dev.phi_e != 0.5 for dev, _, _ in cases) == len(cases) // 2
         for dev, t_max, tol in cases:
@@ -638,7 +637,7 @@ class TestSpeculativeSearches:
             point, plain = esd_temperature(dev, t_max, tol), plain_bisection(conc, t_max, tol)
             assert (point.kind, point.iterations, point.boundary) == (
                 plain.kind, plain.iterations, plain.boundary)
-            assert abs(point.value_at - plain.value_at) <= 5e-10
+            assert abs(point.value_at - plain.value_at) <= 1e-15
             if tol > math.ulp(t_max):
                 assert (point.location, point.bracket) == (plain.location, plain.bracket)
             else:
@@ -661,6 +660,20 @@ class TestSpeculativeSearches:
         assert max(map(len, stacks)) <= 2**sweep.SEARCH_DEPTH - 1
         _assert_each_point_measured_once(stacks)
 
+    @pytest.mark.parametrize("bracket, tol, breadth_first", [
+        ((0.0, 6.0), 1e-9, 13), ((1.0, 2.5), 1e-3, 5), ((0.5, 40.0), math.ulp(40.0), 20)])
+    def test_guesses_cost_at_most_one_stack_where_they_fail(self, bracket, tol, breadth_first):
+        # On _bumps the parabola often points at the wrong maximum; filling
+        # the stacks breadth-first took ``breadth_first`` of them.
+        stacks = []
+
+        def batched(points):
+            stacks.append(len(points))
+            return [_bumps(x) for x in points]
+
+        sweep._golden_section(batched, *bracket, tol)
+        assert len(stacks) <= breadth_first + 1
+
     @pytest.mark.parametrize("t_max, tol", [(6.0, 1e-9), (0.45, 1e-3), (40.0, math.ulp(40.0))])
     def test_bisection_on_a_batched_function_with_many_crossings(self, t_max, tol):
         stacks = []
@@ -676,11 +689,11 @@ class TestSpeculativeSearches:
         assert point == plain_bisection(conc, t_max, tol)
         _assert_each_point_measured_once(stacks)
 
-    @pytest.mark.parametrize("search, iterations", [
-        (lambda: optimal_ratio(0.5, (0.1, 50.0)), 37),
-        (lambda: esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0), 20),
+    @pytest.mark.parametrize("search, iterations, most_calls", [
+        (lambda: optimal_ratio(0.5, (0.1, 50.0)), 37, 8),  # 10 breadth-first
+        (lambda: esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0), 20, 7),
     ])
-    def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations):
+    def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations, most_calls):
         # A j/eps search measures its ratios' states, an ESD search its
         # temperatures' concurrences from the Boltzmann weights.
         calls = []
@@ -698,8 +711,33 @@ class TestSpeculativeSearches:
         monkeypatch.setattr(sweep, "_gibbs_concurrences", counted_kernel)
         assert search().iterations == iterations
         assert calls[0] == 2
-        assert len(calls) <= math.ceil(iterations / sweep.SEARCH_DEPTH) + 2
+        assert len(calls) <= most_calls
         assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
+
+    def test_esd_stacks_hold_the_next_four_steps_breadth_first(self, monkeypatch):
+        # The bisection gives no guess, so each stack holds the midpoints of
+        # the next SEARCH_DEPTH levels, level by level, upper half first.
+        stacks, kernel = [], sweep._gibbs_concurrences
+
+        def recorded(w, m, temperatures):
+            stacks.append(temperatures[:, 0].tolist())
+            return kernel(w, m, temperatures)
+
+        def breadth_first(lo, hi):
+            level, out = [(lo, hi)], []
+            for _ in range(sweep.SEARCH_DEPTH):
+                mids = [0.5 * (a + b) for a, b in level]
+                out += mids
+                level = [c for (a, b), x in zip(level, mids) for c in ((x, b), (a, x))]
+            return out
+
+        monkeypatch.setattr(sweep, "_gibbs_concurrences", recorded)
+        point = esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0)
+        roots = [(0.0, 1.0), (0.0, 0.0625), (0.0234375, 0.02734375),
+                 (0.0244140625, 0.024658203125), (0.0244903564453125, 0.024505615234375)]
+        assert stacks == [[0.0, 1.0], *(breadth_first(lo, hi) for lo, hi in roots),
+                          [point.location]]
+        assert point.location == 0.024490833282470703
 
 
 class TestFigurePresets:
