@@ -1,7 +1,12 @@
 """Entropic correlation measures for two-qubit states.
 
-Every measure works on a stack (N, 4, 4) of states, validated once; a public
-measure of one state passes a stack of one.  Quantum discord is the mutual
+Every measure works on a stack (N, 4, 4) of states with their spectra.  A
+public measure validates its stack once (:func:`_require_state`), and a
+public measure of one state passes a stack of one; the states the package
+builds (a sweep chunk, a j/eps search's stack) come real, with their
+Boltzmann weights as spectra, which are checked once (:func:`_require_spectra`)
+in place of that validation.  The kernels take real or complex stacks as
+they are.  Quantum discord is the mutual
 information minus the classical correlation, which maximizes
 S(rho_b) - S(rho | {Pi_k}) over rank-1 projective measurements on one qubit;
 one kernel gives the measured conditional entropy for many directions and
@@ -148,9 +153,10 @@ class CorrelationReport:
 
 
 def _require_state(states, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The one validation boundary: each public measure checks its input here
-    once, as a stack (N x d x d; one state is a stack of one), and hands it,
-    with each state's spectrum (N x d), to unchecked private kernels."""
+    """The one validation boundary for states from outside the package: each
+    public measure checks its input here once, as a complex stack (N x d x d;
+    one state is a stack of one), and hands it, with each state's spectrum
+    (N x d), to unchecked private kernels."""
     states = np.asarray(states, dtype=complex)
     sizes = (2, 4) if dim is None else (dim,)
     if states.ndim != 3 or states.shape[1] != states.shape[2] or states.shape[1] not in sizes:
@@ -567,8 +573,19 @@ def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -
     if entangled:
         columns["concurrence"] = c = _concurrence(states, is_x, c)
     if "eof" in measures:
-        columns["eof"] = np.array([eof_from_concurrence(v) for v in c.tolist()])
+        columns["eof"] = _eof_column(c)
     return columns
+
+
+def _eof_column(c: np.ndarray) -> np.ndarray:
+    """:func:`eof_from_concurrence` of each of an array of concurrences in
+    [0, 1], to the bit: tau takes the same correctly rounded operations in
+    numpy, and the entropy the same ``math.log``, whose last bit ``np.log``
+    need not share."""
+    tau = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
+    log = math.log
+    return np.array([-(t * log(t) + (1.0 - t) * log(1.0 - t)) / _LN2 if 0.0 < t < 1.0 else 0.0
+                     for t in tau.tolist()])
 
 
 def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:

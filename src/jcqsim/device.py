@@ -221,12 +221,16 @@ def interbit_coupling(p: DeviceParams) -> float:
     return _interbit(p, _pi_map(_cos_pi, p.phi_x1), _pi_map(_cos_pi, p.phi_x2))
 
 
-def _coefficients(p) -> tuple:
+def _coefficients(p, cosines=None) -> tuple:
     """(eps1, eps2, ej1, ej2, j12) of controls p by every control map: floats
-    for DeviceParams, arrays wherever a sweep chunk's controls are arrays."""
+    for DeviceParams, arrays wherever a sweep chunk's controls are arrays.
+    ``cosines`` maps a field to cos(pi * its values), mapped already (or
+    None): a sweep maps each value of a flux axis once."""
     eps1, eps2 = epsilon_from_voltage(p, 1), epsilon_from_voltage(p, 2)
     # Each flux's cosine is mapped once and shared by the maps that read it.
-    cos1, cos2, cos_e = (_pi_map(_cos_pi, phi) for phi in (p.phi_x1, p.phi_x2, p.phi_e))
+    cosines = cosines or {}
+    cos1, cos2, cos_e = (_pi_map(_cos_pi, getattr(p, f)) if cosines.get(f) is None else cosines[f]
+                         for f in ("phi_x1", "phi_x2", "phi_e"))
     return (eps1, eps2, _intrabit(p, cos1, cos_e), _intrabit(p, cos2, cos_e),
             _interbit(p, cos1, cos2))
 
@@ -249,9 +253,10 @@ def _raise_first(ok: np.ndarray, check) -> None:
         check(int(ok.argmin()))
 
 
-def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray) -> tuple:
+def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray, cosines=None) -> tuple:
     """(coefficient table (N x 5), temperatures) of N points: ``fixed`` with
-    ``changes`` (field -> N values) at an array of N ``temperatures``.
+    ``changes`` (field -> N values) at an array of N ``temperatures``;
+    ``cosines`` are as :func:`_coefficients` takes them.
 
     Each point is checked as its ThermalSpec, parameter set and
     EffectiveParams would check it: temperature and changed fields first, for
@@ -266,7 +271,7 @@ def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray) -> tuple:
         _raise_first(ok, lambda i: (ThermalSpec(float(temperatures[i])),
                                     replace(fixed, **{k: float(v[i]) for k, v in changes.items()})))
         controls = SimpleNamespace(**{**vars(fixed), **changes})
-        coefficients = _row(controls) if effective else _coefficients(controls)
+        coefficients = _row(controls) if effective else _coefficients(controls, cosines)
     # Filled column by column: about 25 us a chunk less than np.stack of
     # np.broadcast_to views, which a search's many small stacks feel.
     table = np.empty((len(temperatures), len(coefficients)))
@@ -287,13 +292,13 @@ def _hamiltonians(table) -> np.ndarray:
     """:func:`build_hamiltonian` for each row (eps1, eps2, ej1, ej2, j12) of a
     coefficient table (N x 5), as one N x 4 x 4 stack."""
     eps1, eps2, ej1, ej2, j12 = np.asarray(table, dtype=float).reshape(-1, 5).T
-    entries = np.array(
-        [eps1 + eps2, eps1 - eps2, -eps1 + eps2, -eps1 - eps2, -ej1, -ej2, j12], dtype=complex)
+    entries = np.array([eps1 + eps2, eps1 - eps2, -eps1 + eps2, -eps1 - eps2, -ej1, -ej2, j12])
     return entries.T[:, _H_ENTRIES]
 
 
 def build_hamiltonian(eff: EffectiveParams) -> np.ndarray:
-    """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin)."""
+    """Two-qubit Hamiltonian matrix in the |00>,|01>,|10>,|11> basis (kelvin),
+    real symmetric."""
     return _hamiltonians([_row(eff)])[0]
 
 
@@ -314,45 +319,53 @@ def _boltzmann_weights(w: np.ndarray, temperatures: np.ndarray) -> tuple:
     return weights, cold
 
 
-def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
-    """:func:`gibbs_state` for each of a stack of Hamiltonians, from their
-    eigenvalues w (N x n) and eigenvectors v, at temperatures T (N x 1); one
-    Hamiltonian (w of 1 x n) serves every temperature."""
+def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> tuple:
+    """(:func:`gibbs_state` for each of a stack of Hamiltonians, their
+    spectra), from their eigenvalues w (N x n) and eigenvectors v, at
+    temperatures T (N x 1); one Hamiltonian (w of 1 x n) serves every
+    temperature.  A state's spectrum is its Boltzmann weights over their sum,
+    in the order of w.  The state itself is divided by that sum, or at T = 0
+    by the trace of its ground-space projector."""
     weights, cold = _boltzmann_weights(w, temperatures)
     rho = (v * weights[:, None, :]) @ v.conj().swapaxes(1, 2)
     z = weights.sum(1)
+    p = weights / z[:, None]
     if cold is not None:
         z = np.where(cold, np.trace(rho, axis1=1, axis2=2).real, z)
     rho /= z[:, None, None]
     rho += rho.conj().swapaxes(1, 2)
     rho *= 0.5
-    return rho
+    return rho, p
 
 
 def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
     """Equilibrium state exp(-H/T)/Z; at T = 0 the ground-space projector.
 
     A degenerate ground space yields the uniform mixture over it, the
-    T -> 0+ limit of the Gibbs state.
+    T -> 0+ limit of the Gibbs state.  The state is complex, whatever the
+    dtype of h.
     """
     h = qmath.require_hermitian(h, "hamiltonian")
     if h.ndim != 2:
         raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")
-    return _gibbs_states(*np.linalg.eigh(h[None]), np.array([[spec.temperature]]))[0]
+    return _gibbs_states(*np.linalg.eigh(h[None]), np.array([[spec.temperature]]))[0][0]
 
 
-def _thermal_stack(table, temperatures) -> np.ndarray:
-    """Thermal states (N x 4 x 4) of the rows of a checked coefficient table
-    (N x 5), each at its temperature (N of them).
+def _thermal_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray]:
+    """(thermal states (N x 4 x 4), their spectra (N x 4)) of the rows of a
+    checked coefficient table (N x 5), each at its temperature (N of them).
 
     The Hamiltonians are real symmetric by construction, so they are not
-    checked for Hermiticity.
+    checked for Hermiticity, and they are diagonalized in real arithmetic:
+    the states are real.  A state's spectrum is the probabilities of the
+    eigenvectors it is built from, as :func:`_gibbs_states` gives them.
     """
     h = _hamiltonians(table)
     return _gibbs_states(*np.linalg.eigh(h), np.asarray(temperatures, dtype=float)[:, None])
 
 
 def thermal_state(params, temperature: float) -> np.ndarray:
-    """Thermal state for device or effective parameters at the given T (K)."""
+    """Thermal state for device or effective parameters at the given T (K):
+    the real state a sweep row at those controls is measured on."""
     temperatures = np.array([ThermalSpec(temperature).temperature])
-    return _thermal_stack(*_coefficient_table(params, {}, temperatures))[0]
+    return _thermal_stack(*_coefficient_table(params, {}, temperatures))[0][0]

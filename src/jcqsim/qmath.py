@@ -1,7 +1,9 @@
 """Dense complex linear algebra for single- and two-qubit operators.
 
-Matrices are plain complex numpy arrays; only the 2x2 and 4x4 sizes needed
-by the rest of the package are supported.  The two-qubit basis order is
+Matrices are plain complex numpy arrays, or real ones where the package
+builds them real (a Gibbs state of a real Hamiltonian) and a function keeps
+them so; only the 2x2 and 4x4 sizes needed by the rest of the package are
+supported.  The two-qubit basis order is
 |00>, |01>, |10>, |11> with sigma_z|0> = +|0>.
 """
 
@@ -56,8 +58,10 @@ _TRACE_TERMS = np.array([[0, 2, 8, 10, 0, 1, 4, 5], [5, 7, 13, 15, 10, 11, 14, 1
 
 def reduced_states(rho) -> np.ndarray:
     """Both single-qubit reduced states of a two-qubit operator, or of each of
-    a stack (... x 4 x 4) of them: ... x 2 x 2 x 2, the first qubit's first."""
-    rho = np.asarray(rho, dtype=complex)
+    a stack (... x 4 x 4) of them: ... x 2 x 2 x 2, the first qubit's first;
+    real for a real operator, complex otherwise."""
+    rho = np.asarray(rho)
+    rho = rho.astype(np.result_type(rho.dtype, float), copy=False)
     if rho.shape[-2:] != (4, 4):
         raise DimensionError(f"partial_trace expects 4x4 matrices, got {rho.shape}")
     terms = rho.reshape(rho.shape[:-2] + (16,))[..., _TRACE_TERMS]
@@ -65,8 +69,9 @@ def reduced_states(rho) -> np.ndarray:
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator (or of each of a stack);
-    ``keep`` names the surviving subsystem, "first" or "second"."""
+    """Trace out one qubit of a two-qubit operator (or of each of a stack),
+    real for a real operator; ``keep`` names the surviving subsystem,
+    "first" or "second"."""
     if keep not in ("first", "second"):
         raise DimensionError(f"keep must be 'first' or 'second', got {keep!r}")
     return reduced_states(rho)[..., 0 if keep == "first" else 1, :, :]

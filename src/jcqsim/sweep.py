@@ -3,8 +3,12 @@
 Grid points are taken in axis order in chunks of a fixed size on one thread.
 A chunk's swept controls (``SWEEP_VARIABLES``) and temperatures are arrays,
 which :func:`device._coefficient_table` maps and checks at once, as it does a
-search's points; from the Hamiltonian on, the chunk is one (N, 4, 4) stack,
-built and measured at once, and its measure columns fill one slice of the
+search's points; the cosine of each value of a flux axis is mapped once per
+sweep and gathered by each chunk's index.  From the Hamiltonian on, the
+chunk is one (N, 4, 4) stack, built in real arithmetic and measured at once
+on its Boltzmann spectra (:func:`device._thermal_stack`), which are checked
+once as the states' spectra in place of the public validation; its measure
+columns fill one slice of the
 float table that :func:`sweep_1d` and :func:`sweep_2d` return: one row per
 point, its axis values innermost first, then the measures.  Every state's
 coefficients, temperature and result are the bits it gets alone, and bad
@@ -27,13 +31,15 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .correlations import MEASURES, _gibbs_concurrences, _spin_flip, measure_states
+from .correlations import MEASURES, _gibbs_concurrences, _measure, _require_spectra, _spin_flip
 from .device import (
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
     _coefficient_table,
+    _cos_pi,
     _hamiltonians,
+    _pi_map,
     _thermal_stack,
 )
 from .errors import BracketError, SpecValidationError
@@ -51,6 +57,8 @@ SWEEP_VARIABLES = {
     "voltage": SweepVariable(("v_x1", "v_x2"), DeviceParams, "v_x_v"),
 }
 VARIABLES = tuple(SWEEP_VARIABLES)
+# The variables that set local fluxes, whose control maps read cos(pi * value).
+_FLUX_VARIABLES = ("phi_x_common", "phi_x1", "phi_x2")
 
 # Concurrence at or below this is treated as exactly zero (it is a hard
 # max(0, .) in the formula, so no tolerance subtleties arise above ESD).
@@ -133,21 +141,28 @@ class CriticalPoint:
     boundary: bool = False
 
 
-def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_controls(fixed, thermal: ThermalSpec, settings,
+                    cosines=None) -> tuple[np.ndarray, np.ndarray]:
     """(coefficient table (N x 5), temperatures (N)) of one chunk, checked by
     :func:`device._coefficient_table`.
 
     ``settings`` are (variable, values) pairs, each giving one array of N
     values; they are applied in turn, so a later one wins a field both set.
+    ``cosines`` maps a flux variable of ``settings`` to cos(pi * values),
+    mapped already; the other fluxes are mapped here.
     """
+    cosines = cosines or {}
     changes = {"temperature": np.full(len(settings[0][1]), thermal.temperature)}
+    mapped = {}  # field -> its cosines, or None where they are not mapped yet
     for variable, values in settings:
         if variable == "ratio_j_over_eps":  # sets j12 to the ratio times eps1
             with np.errstate(over="ignore"):  # left to the checks, which reject it
                 values = values * fixed.eps1
-        changes.update(dict.fromkeys(SWEEP_VARIABLES[variable].fields, values))
+        fields = SWEEP_VARIABLES[variable].fields
+        changes.update(dict.fromkeys(fields, values))
+        mapped.update(dict.fromkeys(fields, cosines.get(variable)))
     temperatures = changes.pop("temperature")
-    return _coefficient_table(fixed, changes, temperatures)
+    return _coefficient_table(fixed, changes, temperatures, mapped)
 
 
 def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> np.ndarray:
@@ -157,13 +172,19 @@ def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -
     shape = tuple(len(values) for _, values in axes)
     size = math.prod(shape)
     table = np.empty((size, len(axes) + len(measures)))
+    # Each flux axis value's cosine is mapped once, and a chunk gathers them.
+    cosines = {variable: _pi_map(_cos_pi, values) for variable, values in axes
+               if variable in _FLUX_VARIABLES}
     for start in range(0, size, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
-        states = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
-        columns = [values for _, values in reversed(settings)]
+        chunk_cosines = {variable: cosines[variable][i] for (variable, _), i in zip(axes, index)
+                         if variable in cosines}
+        states, p = _thermal_stack(*_chunk_controls(fixed, thermal, settings, chunk_cosines))
+        _require_spectra(p)
+        columns = _measure(states, p, measures)
         table[start : start + len(states)] = np.column_stack(
-            [*columns, *measure_states(states, measures).values()])
+            [*(values for _, values in reversed(settings)), *(columns[m] for m in measures)])
     return table
 
 
@@ -339,7 +360,7 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
         raise SpecValidationError("t_max must be finite and positive")
     _require_tol(tol, t_max)
     # The Hamiltonian is real symmetric by construction.
-    w, v = np.linalg.eigh(_hamiltonians(_coefficient_table(fixed, {}, np.zeros(1))[0]).real)
+    w, v = np.linalg.eigh(_hamiltonians(_coefficient_table(fixed, {}, np.zeros(1))[0]))
     m = _spin_flip(v)
 
     def concurrences(temperatures):
@@ -355,7 +376,8 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     boundary flag set (T = 0 legitimately has no interior maximum).  The two
     starting points are measured as one stack, and the later points as stacks
     of up to 15 ratios filled around a parabolic guess of the maximum (see
-    :func:`_search`): about 7 stacks at the default tol over (0.1, 50).
+    :func:`_search`): about 7 stacks at the default tol over (0.1, 50).  A
+    stack's states are built and measured as a sweep chunk's are.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:
@@ -365,8 +387,9 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
 
     def discords(ratios):
         settings = [("ratio_j_over_eps", np.array(ratios))]
-        states = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
-        return measure_states(states, ("discord",))["discord"].tolist()
+        states, p = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
+        _require_spectra(p)
+        return _measure(states, p, ("discord",))["discord"].tolist()
 
     return _golden_section(discords, a0, b0, tol)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from jcqsim import device
+from jcqsim import correlations, device, sweep
 from jcqsim.device import EffectiveParams, ThermalSpec, effective_params
 from jcqsim.errors import BracketError
 from jcqsim.sweep import CONCURRENCE_FLOOR, CriticalPoint
@@ -151,3 +151,13 @@ def plain_controls(fixed, thermal: ThermalSpec, points):
     effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
     h = device._hamiltonians([device._row(e) for e in effs])
     return h, np.array([s.temperature for s in specs])
+
+
+def built_measures(fixed, thermal: ThermalSpec, settings, measures) -> dict:
+    """The measure columns (and the discord search's theta, phi and
+    evaluations) of the points ``settings``, (variable, values) pairs, as a
+    sweep chunk or a search stack measures them: built by
+    ``device._thermal_stack`` and measured on their Boltzmann spectra."""
+    states, p = device._thermal_stack(*sweep._chunk_controls(fixed, thermal, settings))
+    correlations._require_spectra(p)
+    return correlations._measure(states, p, measures)

@@ -1,8 +1,9 @@
 """Verification-only references that the package's fast paths are tested
 against: closed forms, the definitional conditional entropy, an exhaustive
 grid-search discord, a fixed-schedule X-state search, the spectral
-concurrence of any state and a 50-digit concurrence of Gibbs states.  None
-of them is a production path, so they live with the tests."""
+concurrence of any state, and 50-digit mutual information, conditional
+entropy, discord and concurrence of Gibbs states.  None of them is a
+production path, so they live with the tests."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from jcqsim.correlations import (
     _KEPT,
     _LN2,
     _TWO_PI,
+    SIDES,
     Measurement,
     _bloch,
     _clamp_classical,
@@ -207,6 +209,129 @@ def ground_state_discord_analytic(eps: float, j: float) -> float:
     return out
 
 
+def _gibbs_50_digits(eff: EffectiveParams):
+    """(levels, eigenvectors, weights) of the Gibbs states of ``eff`` in
+    50-digit mpmath arithmetic from the exact float coefficients; weights(T)
+    gives the normalized Boltzmann weights at T (K; T = 0 the uniform
+    mixture over the ground space, cut as the package cuts it).  Call it
+    inside ``mpmath.workdps(50)``."""
+    import mpmath
+
+    e1, e2, x1, x2, j = (mpmath.mpf(c) for c in (eff.eps1, eff.eps2, eff.ej1, eff.ej2, eff.j12))
+    h = mpmath.matrix([[e1 + e2, -x2, -x1, j], [-x2, e1 - e2, j, -x1],
+                       [-x1, j, -e1 + e2, -x2], [j, -x1, -x2, -e1 - e2]])
+    w, v = mpmath.eigsy(h)
+    w = [w[k] for k in range(4)]
+    ground, scale = min(w), mpmath.sqrt(sum(x * x for x in w))
+
+    def weights(t):
+        if t == 0.0:
+            u = [mpmath.mpf(x - ground <= 1e-10 * scale) for x in w]
+        else:
+            u = [mpmath.exp(-(x - ground) / mpmath.mpf(t)) for x in w]
+        return [x / sum(u) for x in u]
+
+    return w, v, weights
+
+
+def _entropy_50_digits(values) -> "mpmath.mpf":
+    """-sum x log2 x over the positive ``values``, in bits."""
+    import mpmath
+
+    return -sum((x * mpmath.log(x, 2) for x in values if x > 0), mpmath.mpf(0))
+
+
+def _qubit_spectrum_50_digits(m) -> list:
+    """Eigenvalues of a Hermitian 2x2 mpmath matrix, in closed form."""
+    import mpmath
+
+    mean, half = (m[0, 0] + m[1, 1]).real / 2, (m[0, 0] - m[1, 1]).real / 2
+    r = mpmath.sqrt(half * half + abs(m[0, 1]) ** 2)
+    return [mean + r, mean - r]
+
+
+def _reduced_50_digits(rho, keep: str):
+    """The reduced state of qubit ``keep`` of a 4x4 mpmath matrix."""
+    import mpmath
+
+    if keep == "first":
+        return mpmath.matrix([[rho[2 * a, 2 * c] + rho[2 * a + 1, 2 * c + 1] for c in range(2)]
+                              for a in range(2)])
+    return mpmath.matrix([[rho[b, d] + rho[b + 2, d + 2] for d in range(2)] for b in range(2)])
+
+
+def _state_50_digits(eff: EffectiveParams, t: float):
+    """The Gibbs state of ``eff`` at T (K) as a 50-digit mpmath matrix, with
+    its spectrum; call it inside ``mpmath.workdps(50)``."""
+    import mpmath
+
+    _, v, weights = _gibbs_50_digits(eff)
+    p = weights(t)
+    return v * mpmath.diag(p) * v.T, p
+
+
+def _marginal_entropies_50_digits(rho) -> dict:
+    """Side name -> entropy of that qubit's reduced state of a 4x4 mpmath
+    matrix."""
+    return {k: _entropy_50_digits(_qubit_spectrum_50_digits(_reduced_50_digits(rho, k)))
+            for k in SIDES}
+
+
+def _conditional_entropy_50_digits(rho, m: Measurement):
+    """Measured conditional entropy of a 4x4 mpmath matrix for ``m`` by the
+    projector sandwich, as :func:`conditional_entropy` takes it."""
+    import mpmath
+
+    theta, phi = mpmath.mpf(m.theta), mpmath.mpf(m.phi)
+    ket = [mpmath.cos(theta / 2), mpmath.sin(theta / 2) * mpmath.expj(phi)]
+    plus = mpmath.matrix([[ket[a] * mpmath.conj(ket[b]) for b in range(2)] for a in range(2)])
+    one = mpmath.eye(2)
+    total = mpmath.mpf(0)
+    for proj in (plus, one - plus):
+        first, second = (proj, one) if m.side == "first" else (one, proj)
+        k = mpmath.matrix([[first[a // 2, b // 2] * second[a % 2, b % 2] for b in range(4)]
+                           for a in range(4)])
+        post = k * rho * k
+        prob = sum((post[a, a] for a in range(4)), mpmath.mpf(0)).real
+        if prob > 0:
+            reduced = _reduced_50_digits(post, _OTHER[m.side]) / prob
+            total += prob * _entropy_50_digits(_qubit_spectrum_50_digits(reduced))
+    return total
+
+
+def mutual_information_50_digits(eff: EffectiveParams, t: float) -> float:
+    """I(rho) = S(rho_a) + S(rho_b) - S(rho) of the Gibbs state of ``eff`` at
+    T (K), in bits, in 50-digit mpmath arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        rho, p = _state_50_digits(eff, t)
+        return float(sum(_marginal_entropies_50_digits(rho).values()) - _entropy_50_digits(p))
+
+
+def conditional_entropy_50_digits(eff: EffectiveParams, t: float, m: Measurement) -> float:
+    """Measured conditional entropy sum_k p_k S(rho_unmeasured|k) of the Gibbs
+    state of ``eff`` at T (K) for the measurement ``m``, in bits, in 50-digit
+    mpmath arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(_conditional_entropy_50_digits(_state_50_digits(eff, t)[0], m))
+
+
+def discord_50_digits(eff: EffectiveParams, t: float, m: Measurement) -> float:
+    """I(rho) - S(rho_unmeasured) + the conditional entropy for ``m``, of the
+    Gibbs state of ``eff`` at T (K), in 50-digit mpmath arithmetic: the
+    discord that ``m`` measures, the discord itself where ``m`` is optimal."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        rho, p = _state_50_digits(eff, t)
+        marginals = _marginal_entropies_50_digits(rho)
+        mi = sum(marginals.values()) - _entropy_50_digits(p)
+        return float(mi - marginals[_OTHER[m.side]] + _conditional_entropy_50_digits(rho, m))
+
+
 def concurrences_50_digits(eff: EffectiveParams, temperatures) -> list[float]:
     """Wootters' concurrence of the Gibbs state of ``eff`` at each temperature
     (K; T = 0 the uniform mixture over the ground space), in 50-digit mpmath
@@ -216,22 +341,11 @@ def concurrences_50_digits(eff: EffectiveParams, temperatures) -> list[float]:
     import mpmath
 
     with mpmath.workdps(50):
-        e1, e2, x1, x2, j = (mpmath.mpf(c) for c in
-                             (eff.eps1, eff.eps2, eff.ej1, eff.ej2, eff.j12))
-        h = mpmath.matrix([[e1 + e2, -x2, -x1, j], [-x2, e1 - e2, j, -x1],
-                           [-x1, j, -e1 + e2, -x2], [j, -x1, -x2, -e1 - e2]])
+        _, v, weights = _gibbs_50_digits(eff)
         flip = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-        w, v = mpmath.eigsy(h)
-        w = [w[k] for k in range(4)]
-        ground, scale = min(w), mpmath.sqrt(sum(x * x for x in w))
         out = []
         for t in temperatures:
-            if t == 0.0:
-                weights = [mpmath.mpf(x - ground <= 1e-10 * scale) for x in w]
-            else:
-                weights = [mpmath.exp(-(x - ground) / t) for x in w]
-            z = sum(weights)
-            sqrt_rho = v * mpmath.diag([mpmath.sqrt(x / z) for x in weights]) * v.T
+            sqrt_rho = v * mpmath.diag([mpmath.sqrt(x) for x in weights(t)]) * v.T
             r = sqrt_rho * flip * sqrt_rho * sqrt_rho * flip * sqrt_rho
             mu = mpmath.eigsy((r + r.T) / 2, eigvals_only=True)
             lam = sorted((mpmath.sqrt(max(mpmath.mpf(0), mu[k])) for k in range(4)),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jcqsim import cli, correlations, sweep
+from jcqsim import cli, correlations, device, sweep
 from jcqsim.cli import main
 from jcqsim.correlations import concurrence, quantum_discord
 from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
@@ -357,6 +357,28 @@ class TestCritical:
         code, out, err = run_cli(capsys, "critical", "esd", "--v-x", "7.5e-6", "--t-max", "1")
         assert (code, out) == (3, "")
         assert "negative eigenvalue" in err
+
+    @pytest.mark.parametrize("bad, message", [(-1e-3, "negative eigenvalue"),
+                                              (math.nan, "non-finite eigenvalue")])
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--variable", "temperature", "--start", "0", "--stop", "0.1", "--steps", "5",
+         "--v-x", "7.5e-6", "--measures", "mutual_information"),
+        ("critical", "ratio", "--temp", "0.5"),
+    ], ids=["sweep", "critical_ratio"])
+    def test_built_weights_that_are_no_spectrum_exit_3(self, capsys, monkeypatch, argv, bad,
+                                                       message):
+        # A sweep chunk or a j/eps stack checks its states' Boltzmann weights
+        # as their spectra, in place of the public validation of each state.
+        def spoiled(w, temperatures):
+            weights, cold = boltzmann_weights(w, temperatures)
+            weights[:, -1] = bad
+            return weights, cold
+
+        boltzmann_weights = device._boltzmann_weights
+        monkeypatch.setattr(device, "_boltzmann_weights", spoiled)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert message in err
 
     def test_ratio_at_zero_temperature_is_boundary(self, capsys):
         code, out, _ = run_cli(

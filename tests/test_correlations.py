@@ -22,7 +22,7 @@ from jcqsim.correlations import (
     quantum_discord,
     von_neumann_entropy,
 )
-from jcqsim.device import DeviceParams, EffectiveParams, thermal_state
+from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
 from jcqsim.errors import (
     DimensionError,
     InvalidParameterError,
@@ -261,9 +261,9 @@ class TestMeasureStates:
         (("eof",), 5), (("concurrence", "eof"), 5),
     ])
     def test_eof_only_when_asked_for(self, monkeypatch, measures, calls):
-        counted = []
-        monkeypatch.setattr(correlations, "eof_from_concurrence",
-                            lambda c: counted.append(c) or eof_from_concurrence(c))
+        counted, column = [], correlations._eof_column
+        monkeypatch.setattr(correlations, "_eof_column",
+                            lambda c: counted.extend(c.tolist()) or column(c))
         states = np.array([thermal_state(EffectiveParams.symmetric(1.0, j), 0.1)
                            for j in (0.5, 1.0, 2.0, 4.0, 8.0)])
         columns = measure_states(states, measures)
@@ -622,8 +622,9 @@ class TestGeneralMaximizer:
             "v_x1": rng.uniform(5e-6, 1.2e-4, count), "v_x2": rng.uniform(5e-6, 1.2e-4, count),
             "phi_x1": rng.uniform(0.0, 1.0, count), "phi_x2": rng.uniform(0.0, 1.0, count)}
         table = device._coefficient_table(DeviceParams(), changes, np.full(count, temperature))
-        states = device._thermal_stack(*table)
+        states, _ = device._thermal_stack(*table)
         assert not correlations._x_entries(states)[0].any()
+        assert states.dtype == float
         assert exactly_real(states).all()
 
     @pytest.mark.parametrize("side", ["first", "second"])
@@ -928,7 +929,76 @@ class TestGibbsConcurrences:
                                              np.array([[0.5]]))
 
 
+def _built_path(fixed, changes: dict, temperatures) -> dict:
+    """Every measure column of the states of ``fixed`` with ``changes`` at
+    ``temperatures``, as a sweep chunk measures them (built real by
+    device._thermal_stack and measured on their Boltzmann spectra), with
+    their coefficient table and the states."""
+    table = device._coefficient_table(fixed, changes, np.asarray(temperatures, dtype=float))
+    states, p = device._thermal_stack(*table)
+    correlations._require_spectra(p)
+    return {**correlations._measure(states, p, correlations.MEASURES),
+            "table": table[0], "states": states}
+
+
+class TestBuiltStatePath:
+    """Built states measured on their Boltzmann spectra give what the complex
+    definitional path gives: gibbs_state of build_hamiltonian, validated and
+    measured by correlation_reports."""
+
+    def test_matches_the_definitional_path(self):
+        rng = np.random.default_rng(61)
+        count = 60
+        temperatures = rng.choice([0.0, 1e-5, 1e-4, 1e-3, 5e-3, 0.02, 0.1], count)
+        changes = {
+            # phi_e away from 1/2 for most points (general states), at 1/2
+            # for the rest (X states).
+            "phi_e": np.where(np.arange(count) % 4 == 0, 0.5,
+                              0.5 + rng.choice([-1.0, 1.0], count) * rng.uniform(0.05, 0.45, count)),
+            "v_x1": rng.uniform(5e-6, 1.2e-4, count), "v_x2": rng.uniform(5e-6, 1.2e-4, count),
+            "phi_x1": rng.uniform(0.0, 1.0, count), "phi_x2": rng.uniform(0.0, 1.0, count)}
+        built = _built_path(DeviceParams(), changes, temperatures)
+        reports = correlations.correlation_reports([
+            device.gibbs_state(device.build_hamiltonian(EffectiveParams(*row)), ThermalSpec(t))
+            for row, t in zip(built["table"].tolist(), temperatures.tolist())])
+        # Near-pure states at the lowest temperatures are among them.
+        assert min(r.mutual_information for r in reports) < 1e-6 < max(r.concurrence for r in reports)
+        is_x = correlations._x_entries(built["states"])[0]
+        assert 0 < np.count_nonzero(is_x) < count
+        for measure in ("mutual_information", "discord", "concurrence", "eof"):
+            definitional = np.array([getattr(r, measure) for r in reports])
+            error = np.abs(built[measure] - definitional)
+            if measure == "concurrence":
+                # A general state's concurrence takes the square root of the
+                # state, which turns round-off in a near-pure state into
+                # errors of up to 4e-12, on either path, against 50 digits
+                # (TestGibbsConcurrences bounds the built path's by 5e-12).
+                assert error[~is_x].max() <= 1e-11
+                error = error[is_x]
+            assert error.max() <= 1e-14, measure
+
+    def test_degenerate_ground_space_has_exactly_zero_discord(self):
+        # eps = 0, j = 2: a twofold ground space, whose uniform mixture is a
+        # classical-quantum state.
+        fixed = EffectiveParams.symmetric(0.0, 2.0)
+        built = _built_path(fixed, {}, [0.0])
+        assert built["discord"].tolist() == [0.0]
+        spec = sweep.SweepSpec("temperature", 0.0, 0.1, fixed, steps=3, measures=("discord",))
+        assert sweep.sweep_1d(spec)[0].tolist() == [0.0, 0.0]
+        assert quantum_discord(thermal_state(fixed, 0.0)).discord == 0.0
+
+
 class TestEof:
+    def test_column_equals_eof_from_concurrence_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        below_one = 1.0 - np.arange(1, 65) * 2.0**-53
+        c = np.concatenate([
+            [0.0, 1.0, 1e-300, 5e-324, 1e-154, 1e-8, 0.5, np.nextafter(1.0, 0.0)], below_one,
+            rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1e-6, 200),
+            10.0 ** rng.uniform(-320.0, 0.0, 200), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 200)])
+        assert correlations._eof_column(c).tolist() == [eof_from_concurrence(v) for v in c.tolist()]
+        assert correlations._eof_column(np.empty(0)).shape == (0,)
+
     def test_zero_concurrence(self):
         assert eof(np.eye(4) / 4) == 0.0
 

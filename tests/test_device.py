@@ -272,27 +272,38 @@ class TestThermalStates:
         ]
         effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
         table = [device._row(eff) for eff in effs]
-        # The stack is built exactly Hermitian, so _thermal_stack does not check it.
+        # The stack is built exactly real symmetric, so _thermal_stack does not
+        # check it, and diagonalizes it in real arithmetic.
         h = device._hamiltonians(table)
-        assert np.array_equal(h, h.conj().swapaxes(1, 2))
+        assert h.dtype == float
+        assert np.array_equal(h, h.swapaxes(1, 2))
         for temperature in (0.0, 5e-324, 1e-3, 0.5, 40.0):
             temperatures = [temperature] * len(params)
             # A temperature sweep mixes T = 0 and T > 0 in one stack.
             temperatures[::3] = [0.0] * len(temperatures[::3])
-            stack = device._thermal_stack(table, temperatures)
-            assert stack.shape == (len(params), 4, 4)
-            for p, eff, t, rho in zip(params, effs, temperatures, stack):
-                assert np.array_equal(rho, gibbs_state(build_hamiltonian(eff), ThermalSpec(t)))
+            stack, spectra = device._thermal_stack(table, temperatures)
+            assert stack.shape == (len(params), 4, 4) and stack.dtype == float
+            assert spectra.shape == (len(params), 4)
+            for p, eff, row, t, rho, w in zip(params, effs, table, temperatures, stack, spectra):
+                alone, w_alone = device._thermal_stack([row], [t])
+                assert np.array_equal(rho, alone[0]) and np.array_equal(w, w_alone[0])
                 assert np.array_equal(rho, thermal_state(p, t))
+                # The complex definitional state, to round-off, and its spectrum
+                # (w is in the order of the energy levels).
+                direct = gibbs_state(build_hamiltonian(eff), ThermalSpec(t))
+                assert np.abs(rho - direct).max() <= 1e-15
+                assert np.abs(np.sort(w) - np.linalg.eigvalsh(direct)).max() <= 4e-15
+                assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_stack(self):
-        assert device._thermal_stack([], []).shape == (0, 4, 4)
+        states, spectra = device._thermal_stack([], [])
+        assert (states.shape, spectra.shape) == ((0, 4, 4), (0, 4))
 
     def test_random_hamiltonians_equal_gibbs_state(self):
         rng = np.random.default_rng(13)
         h = np.array([random_hermitian(rng) for _ in range(9)])
         temperatures = np.array([0.0, 0.2, 1.0] * 3)
-        stack = device._gibbs_states(*np.linalg.eigh(h), temperatures[:, None])
+        stack = device._gibbs_states(*np.linalg.eigh(h), temperatures[:, None])[0]
         for one, t, rho in zip(h, temperatures, stack):
             assert np.array_equal(rho, gibbs_state(one, ThermalSpec(t)))
 
@@ -301,22 +312,26 @@ class TestThermalStates:
         # (1, 4) spectrum, many temperatures in one call.
         h = random_hermitian(np.random.default_rng(14))
         temperatures = [0.0, 5e-324, 0.3, 7.0, 0.0]
-        stack = device._gibbs_states(*np.linalg.eigh(h[None]), np.array(temperatures)[:, None])
+        stack, spectra = device._gibbs_states(*np.linalg.eigh(h[None]),
+                                              np.array(temperatures)[:, None])
         assert stack.shape == (len(temperatures), 4, 4)
-        for t, rho in zip(temperatures, stack):
+        assert spectra.shape == (len(temperatures), 4)
+        for t, rho, w in zip(temperatures, stack, spectra):
             assert np.array_equal(rho, gibbs_state(h, ThermalSpec(t)))
+            assert np.abs(np.sort(w) - np.linalg.eigvalsh(rho)).max() <= 4e-15
 
     def test_gibbs_family_of_no_specs_is_an_empty_stack(self):
         h = random_hermitian(np.random.default_rng(16))
         w, v = np.linalg.eigh(h[None])
-        assert device._gibbs_states(w, v, np.empty((0, 1))).shape == (0, 4, 4)
+        states, spectra = device._gibbs_states(w, v, np.empty((0, 1)))
+        assert (states.shape, spectra.shape) == ((0, 4, 4), (0, 4))
 
     def test_one_spectrum_serves_a_zero_and_a_positive_temperature(self):
         # A (1, 4) spectrum broadcast over temperatures: the T = 0 row is the
         # ground-space projector, not the NaN of 0/0 weights.
         h = random_hermitian(np.random.default_rng(15))
         w, v = np.linalg.eigh(h[None])
-        stack = device._gibbs_states(w, v, np.array([[0.0], [0.3]]))
+        stack = device._gibbs_states(w, v, np.array([[0.0], [0.3]]))[0]
         for t, rho in zip((0.0, 0.3), stack):
             assert np.array_equal(rho, gibbs_state(h, ThermalSpec(t)))
 

@@ -19,6 +19,12 @@ import pytest
 
 from jcqsim import correlations, sweep
 from jcqsim.cli import main
+from jcqsim.correlations import Measurement
+from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, effective_params
+from jcqsim.sweep import SweepSpec
+
+from helpers import built_measures
+from oracles import conditional_entropy_50_digits, discord_50_digits, mutual_information_50_digits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,6 +96,60 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
     assert len(list(tmp_path.iterdir())) == len(list(GOLDEN.iterdir()))
     _assert_golden(tmp_path)
+
+
+# Cells that moved by round-off when built states began to be measured in real
+# arithmetic on their Boltzmann spectra: (golden, data row, column, the value
+# before).  Each is held no farther than before from its 50-digit value.
+MOVED_CELLS = [
+    ("sweep_phi_x_common_phi_e0.3", 14, "mutual_information", 3.96769265e-07),
+    ("sweep_phi_x_common_phi_e0.3", 14, "discord", 1.97694416e-07),
+    ("sweep_phi_x_common_phi_e0.3", 16, "mutual_information", 3.96769265e-07),
+    ("sweep_phi_x_common_phi_e0.3", 16, "discord", 1.97694416e-07),
+    ("sweep_temperature_all_measures", 17, "discord", 6.67984132e-07),
+    ("sweep_temperature_all_measures", 18, "discord", 5.32036941e-07),
+    ("sweep_temperature_all_measures", 19, "discord", 4.28958533e-07),
+]
+# The sweep of each of those goldens, as its CASES command sets it up.
+MOVED_SWEEPS = {
+    "sweep_phi_x_common_phi_e0.3": SweepSpec(
+        "phi_x_common", 0.0, 1.0, DeviceParams(phi_e=0.3), steps=31, thermal=ThermalSpec(0.005)),
+    "sweep_temperature_all_measures": SweepSpec(
+        "temperature", 0.0, 0.1, DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6), steps=21),
+}
+
+
+def _golden_rows(name: str) -> list[dict]:
+    header, *rows = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+
+
+@pytest.mark.parametrize("name, row, column, before", MOVED_CELLS)
+def test_moved_cells_are_no_farther_from_50_digits(name, row, column, before):
+    pytest.importorskip("mpmath")
+    spec = MOVED_SWEEPS[name]
+    settings = [(spec.variable, spec.axis[[row]])]
+    table, temperatures = sweep._chunk_controls(spec.fixed, spec.thermal, settings)
+    eff, t = EffectiveParams(*table[0].tolist()), float(temperatures[0])
+    cells = _golden_rows(name)[row]
+    assert cells[next(iter(cells))] == float(f"{spec.axis[row]:.9g}")
+    if column == "mutual_information":
+        exact = mutual_information_50_digits(eff, t)
+    else:  # the discord the golden row's optimal measurement gives
+        columns = built_measures(spec.fixed, spec.thermal, settings, ("discord",))
+        exact = discord_50_digits(eff, t, Measurement(columns["theta"][0], columns["phi"][0]))
+    assert abs(cells[column] - exact) <= abs(before - exact)
+
+
+def test_moved_report_angles_measure_no_worse_at_50_digits():
+    # The optimum is flat: the angles moved, and the measurement they name
+    # leaves no more conditional entropy than the one before, at 50 digits.
+    pytest.importorskip("mpmath")
+    eff = effective_params(DeviceParams(v_x1=5e-5, v_x2=5e-5, phi_e=0.37))
+    (cells,) = _golden_rows("report_phi_e0.37")
+    now = Measurement(cells["theta_opt"], cells["phi_opt"])
+    assert conditional_entropy_50_digits(eff, 0.01, now) <= conditional_entropy_50_digits(
+        eff, 0.01, Measurement(1.27992326, 3.1415777))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,12 @@ from jcqsim.device import (
     effective_params,
     thermal_state,
 )
-from jcqsim.errors import BracketError, InvalidParameterError, SpecValidationError
+from jcqsim.errors import (
+    BracketError,
+    InvalidParameterError,
+    NotAStateError,
+    SpecValidationError,
+)
 from jcqsim import device, sweep
 from jcqsim.sweep import (
     CHUNK_POINTS,
@@ -28,7 +33,13 @@ from jcqsim.sweep import (
 )
 from jcqsim.correlations import concurrence, quantum_discord
 
-from helpers import apply_axes, plain_bisection, plain_controls, plain_golden_section
+from helpers import (
+    apply_axes,
+    built_measures,
+    plain_bisection,
+    plain_controls,
+    plain_golden_section,
+)
 from oracles import ground_state_discord_analytic
 
 
@@ -136,14 +147,18 @@ class TestSweep1d:
     def test_rows_unchanged_across_a_chunk_boundary(self):
         spec = ratio_spec(steps=CHUNK_POINTS + 6, thermal=ThermalSpec(0.3),
                           measures=("discord", "eof"))
-        alone = [quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, x), 0.3))
-                 for x in spec.axis]
+        alone = [built_measures(spec.fixed, spec.thermal, [(spec.variable, np.array([x]))],
+                                spec.measures) for x in spec.axis]
         table = sweep_1d(spec)
         assert sweep_1d(spec).tobytes() == table.tobytes()
-        # Columns: ratio, discord, eof.
-        for (_, discord, eof), report in zip(table.tolist(), alone):
-            assert abs(discord - report.discord) <= 1e-15
-            assert abs(eof - report.eof) <= 1e-15
+        # Columns: ratio, discord, eof; each row the bits its state gets alone.
+        for (_, discord, eof), columns in zip(table.tolist(), alone):
+            assert (discord, eof) == (columns["discord"][0], columns["eof"][0])
+        # The public path, from each state's own spectrum, agrees to round-off.
+        for (x, discord, eof) in table.tolist():
+            report = quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, x), 0.3))
+            assert abs(discord - report.discord) <= 1e-14
+            assert abs(eof - report.eof) <= 1e-14
 
     def test_requested_measures_only(self):
         spec = ratio_spec(steps=3, measures=("concurrence", "eof"))
@@ -171,30 +186,49 @@ class TestSweep1d:
         [("mutual_information", "discord", "concurrence"), ("mutual_information", "concurrence")],
     )
     def test_one_validation_and_three_spectra_per_state(self, monkeypatch, measures):
-        # Only rho, rho_a and rho_b have spectra to take, each in one stacked
-        # call per chunk; the Gibbs states are X states, so concurrence takes
-        # its closed form and adds none.
+        # Only rho, rho_a and rho_b have spectra to take: rho's are the
+        # Boltzmann weights of the one eigh that builds the chunk, checked
+        # once as spectra, and rho_a's and rho_b's take one stacked eigvalsh
+        # call per chunk.  The built states skip the public validation; they
+        # are X states, so concurrence takes its closed form and adds none.
         from jcqsim import correlations
 
-        calls = {"eigvalsh": 0, "validated": 0}
-        eigvalsh, require_state = np.linalg.eigvalsh, correlations._require_state
+        calls = {"eigh": 0, "eigvalsh": 0, "validated": 0, "public": 0}
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        require_spectra, require_state = sweep._require_spectra, correlations._require_state
 
-        def counted_eigvalsh(*args, **kwargs):
-            calls["eigvalsh"] += 1
-            return eigvalsh(*args, **kwargs)
+        def counted(name, function, size=lambda *args: 1):
+            def call(*args, **kwargs):
+                calls[name] += size(*args)
+                return function(*args, **kwargs)
+            return call
 
-        def counted_require_state(states, *args, **kwargs):
-            calls["validated"] += len(states)
-            return require_state(states, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(correlations, "_require_state", counted_require_state)
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+        monkeypatch.setattr(sweep, "_require_spectra",
+                            counted("validated", require_spectra, lambda w: len(w)))
+        monkeypatch.setattr(correlations, "_require_state", counted("public", require_state))
         spec = SweepSpec("phi_x_common", 0.0, 1.0, DeviceParams(), steps=CHUNK_POINTS,
                          thermal=ThermalSpec(0.005), measures=measures)
         rows = sweep_1d(spec)
         assert len(rows) == CHUNK_POINTS
-        assert calls["validated"] == CHUNK_POINTS
-        assert calls["eigvalsh"] <= 3
+        assert calls == {"eigh": 1, "eigvalsh": 1, "validated": CHUNK_POINTS, "public": 0}
+
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    def test_weights_that_are_no_spectrum_raise(self, monkeypatch, bad):
+        boltzmann_weights = device._boltzmann_weights
+
+        def spoiled(w, temperatures):
+            weights, cold = boltzmann_weights(w, temperatures)
+            weights[1:, -1] = bad
+            return weights, cold
+
+        monkeypatch.setattr(device, "_boltzmann_weights", spoiled)
+        with pytest.raises(NotAStateError):
+            sweep_1d(ratio_spec(steps=3, thermal=ThermalSpec(0.5)))
+        with pytest.raises(NotAStateError):
+            optimal_ratio(0.5, (0.1, 50.0))
 
 
 class TestSweep2d:
@@ -279,11 +313,11 @@ class TestBatchedControls:
 
         def record(coefficients, temperatures):
             chunks.append((coefficients, temperatures))
-            return np.zeros((len(temperatures), 4, 4), dtype=complex)
+            return np.zeros((len(temperatures), 4, 4)), np.full((len(temperatures), 4), 0.25)
 
         monkeypatch.setattr(sweep, "_thermal_stack", record)
-        monkeypatch.setattr(sweep, "measure_states",
-                            lambda states, measures: {m: np.zeros(len(states)) for m in measures})
+        monkeypatch.setattr(sweep, "_measure",
+                            lambda states, w, measures: {m: np.zeros(len(states)) for m in measures})
         table = run()
         assert max(len(t) for _, t in chunks) == CHUNK_POINTS
         coefficients = np.concatenate([coefficients for coefficients, _ in chunks])
@@ -351,6 +385,37 @@ class TestBatchedControls:
         table, temperatures = sweep._chunk_controls(fixed, ThermalSpec(0.0), settings)
         _assert_same_bits(device._hamiltonians(table), temperatures,
                           plain_controls(fixed, ThermalSpec(0.0), points))
+
+    @pytest.mark.parametrize("y, x", [
+        ("phi_x2", "phi_x1"), ("phi_x_common", "phi_x1"), ("phi_x1", "phi_x_common"),
+        ("voltage", "phi_x_common"), ("temperature", "phi_x2"),
+    ])
+    def test_each_flux_axis_value_is_mapped_once_per_sweep(self, monkeypatch, y, x):
+        # A sweep maps each flux axis value's cosine once and gathers it by
+        # each chunk's index; only phi_e and a flux no axis sets are mapped
+        # per chunk.  The coefficients keep the bits of each point alone.
+        steps = {"phi_x1": 13, "phi_x2": 11, "phi_x_common": 9, "voltage": 8, "temperature": 7}
+        stops = {"voltage": 1e-4, "temperature": 0.1}
+        fixed, thermal = DeviceParams(phi_e=0.3, phi_x1=0.7, phi_x2=-0.2), ThermalSpec(0.01)
+        spec_x, spec_y = (SweepSpec(v, 0.0, stops.get(v, 2.0), fixed, steps=steps[v],
+                                    thermal=thermal, measures=("mutual_information",))
+                          for v in (x, y))
+        axes = [(y, spec_y.axis), (x, spec_x.axis)]
+        reference = plain_controls(fixed, thermal, _grid_settings(axes)[1])
+        calls, cos_pi = [], device._cos_pi
+
+        def counted(value):
+            calls.append(value)
+            return cos_pi(value)
+
+        monkeypatch.setattr(device, "_cos_pi", counted)
+        monkeypatch.setattr(sweep, "_cos_pi", counted)
+        _, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_2d(spec_x, spec_y))
+        _assert_same_bits(h, temperatures, reference)
+        mapped = [v for v in (x, y) if v.startswith("phi")]
+        set_fields = {f for v in mapped for f in sweep.SWEEP_VARIABLES[v].fields}
+        chunks = math.ceil(steps[x] * steps[y] / CHUNK_POINTS)
+        assert len(calls) == sum(steps[v] for v in mapped) + chunks * (3 - len(set_fields))
 
     def test_each_flux_cosine_is_mapped_once_per_point(self, monkeypatch):
         fixed, thermal = DeviceParams(phi_e=0.3, phi_x2=0.7), ThermalSpec(0.01)
@@ -618,8 +683,11 @@ class TestSpeculativeSearches:
 
     @pytest.mark.parametrize("t, bracket, tol", _seeded_ratio_cases())
     def test_optimal_ratio_equals_the_plain_loop(self, t, bracket, tol):
+        # One point at a time through the built-state path the search stacks.
         def discord(r):
-            return quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, r), t)).discord
+            settings = [("ratio_j_over_eps", np.array([r]))]
+            return built_measures(EffectiveParams.symmetric(1.0, 0.0), ThermalSpec(t), settings,
+                                  ("discord",))["discord"][0]
 
         assert optimal_ratio(t, bracket, tol) == plain_golden_section(discord, *bracket, tol)
 
@@ -697,17 +765,17 @@ class TestSpeculativeSearches:
         # A j/eps search measures its ratios' states, an ESD search its
         # temperatures' concurrences from the Boltzmann weights.
         calls = []
-        measure_states, kernel = sweep.measure_states, sweep._gibbs_concurrences
+        measure, kernel = sweep._measure, sweep._gibbs_concurrences
 
-        def counted(states, measures):
+        def counted(states, w, measures):
             calls.append(len(states))
-            return measure_states(states, measures)
+            return measure(states, w, measures)
 
         def counted_kernel(w, m, temperatures):
             calls.append(len(temperatures))
             return kernel(w, m, temperatures)
 
-        monkeypatch.setattr(sweep, "measure_states", counted)
+        monkeypatch.setattr(sweep, "_measure", counted)
         monkeypatch.setattr(sweep, "_gibbs_concurrences", counted_kernel)
         assert search().iterations == iterations
         assert calls[0] == 2
