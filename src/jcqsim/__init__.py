@@ -12,7 +12,6 @@ from .correlations import (
     eof_from_concurrence,
     mutual_information,
     quantum_discord,
-    von_neumann_entropy,
 )
 from .device import (
     CONSTANTS,
@@ -25,8 +24,6 @@ from .device import (
     effective_params,
     epsilon_from_voltage,
     gibbs_state,
-    interbit_coupling,
-    intrabit_coupling,
     thermal_state,
 )
 from .errors import (
@@ -38,7 +35,6 @@ from .errors import (
     NotAStateError,
     NotHermitianError,
     SpecValidationError,
-    UnsupportedRegimeError,
 )
 from .qmath import (
     IDENTITY_2,

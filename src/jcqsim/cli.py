@@ -31,7 +31,6 @@ from .errors import (
     InvalidParameterError,
     NotHermitianError,
     SpecValidationError,
-    UnsupportedRegimeError,
 )
 from .sweep import (
     DEFAULT_STEPS_1D,
@@ -415,8 +414,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, DimensionError, NotHermitianError, UnsupportedRegimeError,
-            ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (DomainError, DimensionError, NotHermitianError, ArithmeticError,
+            np.linalg.LinAlgError, MemoryError) as exc:
         # A MemoryError may carry no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL

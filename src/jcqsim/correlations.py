@@ -14,24 +14,24 @@ states at once.  X states (nonzero only on the diagonal and anti-diagonal, as
 is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
 [0, pi/2]; the optimum can lie inside it (Lu et al., PRA 83, 012327, 2011),
 so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
-exact.  The X states of a stack are searched 64 at a time: a 33-point theta
-seed, then a 17-point stencil a seed cell either way of the best seed (2
-kernel calls, 50 evaluations).  A state whose best seed is an end of the
+exact.  Each search seeds on a grid and ends in one trust-region Newton
+polish (:func:`_polish`) on stencils of 3^d points in a chart of d
+dimensions.  The X states of a stack are searched 64 at a time: a 33-point
+theta seed, then a 17-point stencil a seed cell either way of the best seed
+(2 kernel calls, 50 evaluations).  A state whose best seed is an end of the
 interval, with the stencil's values rising away from it, stops there, and
 so does one whose best three values agree to round-off: every Gibbs state
-of the published figures stops after these 2 calls.  The others take 3-point
-Newton stencils until they converge, one kernel call a stencil and 50 + 3k
-evaluations in all.  The other states of a stack are searched together,
-in blocks that bound each kernel call's memory.  Each state seeds on the 993
-directions of a 33x64 Bloch-angle grid that differ by more than a sign, or,
-if its density matrix is exactly real (as is every Gibbs state built here),
-on the 528 of them with n_y >= 0: its conditional entropy is then even in
-n_y.  Then 3x3 stencils fit a quadratic and take its Newton step, within a
-trust region: a step past the stencil is cut at its edge, a step that comes
-out worse is undone, and where the fit is not positive definite the stencil
-moves to its best point.  A state stops once a stencil's values agree to
-round-off, after 5 to 7 stencils of 9 evaluations on most states (1,038 to
-1,056 evaluations in all, or 573 to 591 from the halved seed) and at most 30.
+of the published figures stops after these 2 calls.  The others polish in
+theta (d = 1) until they converge, one kernel call a 3-point stencil and
+50 + 3k evaluations in all.  The other states of a stack are searched
+together, in blocks that bound each kernel call's memory.  Each state seeds
+on the 993 directions of a 33x64 Bloch-angle grid that differ by more than a
+sign, or, if its density matrix is exactly real (as is every Gibbs state
+built here), on the 528 of them with n_y >= 0: its conditional entropy is
+then even in n_y.  Then it polishes on 3x3 stencils in the plane tangent at
+its best seed direction (d = 2) until a stencil's values agree to round-off,
+after 5 to 7 stencils of 9 evaluations on most states (1,038 to 1,056
+evaluations in all, or 573 to 591 from the halved seed) and at most 30.
 A seed kernel call serves 2 states (3 real ones) and a polish call, one per
 stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
@@ -70,21 +70,23 @@ _TWO_PI = 2.0 * math.pi
 # before it stops being round-off and becomes a bug.
 DISCORD_NEGATIVE_TOL = 1e-9
 
-# Optimizer tuning: a coarse seed grid over the Bloch sphere, then 3x3
-# stencils, the first one seed-grid cell (pi/32) either way of the best seed
-# direction.  Each stencil fits a quadratic to its nine values.  Where the fit
-# is positive definite with its minimum inside the stencil, the centre moves
-# there and the stencil shrinks to the step's length, at least
-# NEWTON_SHRINK-fold; with the minimum outside, the centre moves to the
-# stencil's edge along the step and the stencil doubles.  A step whose point
-# comes out above the best value so far is undone: the centre goes back to
-# the best point, the stencil at most half the one that proposed the step.
-# Elsewhere the centre moves to the stencil's best point, at the same width if
-# that point is on the edge and better beyond POLISH_FLAT (a curved valley
-# can lead further than one stencil) and at half the width otherwise.  A
-# state stops once a stencil's values spread by at most POLISH_FLAT, which is
-# round-off (the values of a stencil on a flat optimum spread by a few
-# 1e-15), or after POLISH_STENCILS stencils.
+# Optimizer tuning: a coarse seed grid, then the polish, one trust-region rule
+# on stencils of 3^d points in d = 1 or 2 chart dimensions.  Each stencil fits
+# a quadratic to its values.  Where the fit is positive definite with its
+# minimum inside the stencil, the centre moves there and the stencil shrinks
+# to the step's length, at least NEWTON_SHRINK-fold; with the minimum
+# outside, the centre moves to the stencil's edge along the step and the
+# stencil doubles.  A step whose point comes out above the best value so far
+# is undone: the centre goes back to the best point, the stencil at most half
+# the one that proposed the step.  Elsewhere the centre moves to the stencil's
+# best point, at the same width if that point is on the edge and better
+# beyond POLISH_FLAT (a curved valley can lead further than one stencil) and
+# at half the width otherwise.  A state stops once a stencil's values spread
+# by at most POLISH_FLAT, which is round-off (the values of a stencil on a
+# flat optimum spread by a few 1e-15), or once the polish has measured
+# POLISH_STENCILS stencils.  General states seed on a grid over the Bloch
+# sphere and polish on 3x3 stencils, the first one seed-grid cell (pi/32)
+# either way of the best seed direction.
 SEED_THETA_POINTS = 33
 SEED_PHI_POINTS = 64
 NEWTON_SHRINK = 1.0 / 16.0
@@ -100,12 +102,14 @@ POLISH_BLOCK = 64
 # both ends, so stencils are reflected there.  A seed with cells of pi/64,
 # then one stencil with cells of pi/512 a seed cell either way of the best
 # seed.  A best seed at an end with the stencil's values rising away from it
-# stops there.  The other states take 3-point Newton stencils under the rule
-# above, the first model from the stencil's best value and its neighbours.
-# A state also stops once a Newton step inside a stencil of half-width at
-# most X_NARROW gains at most X_GAIN.  On a wider stencil the model's cubic
-# term can hide the slope: one of half-width pi/1024, 5e-6 rad off an
-# optimum, had values even to 1.3e-15 about its centre, 3e-14 bits above it.
+# stops there.  The other states polish on 3-point stencils in theta, the
+# first model from the stencil's best value and its neighbours, measured
+# already and so not counted against POLISH_STENCILS.  On this path alone a
+# state also stops once a Newton step inside a stencil of half-width at most
+# X_NARROW gains at most X_GAIN (the general polish passes a width of 0).  On
+# a wider stencil the model's cubic term can hide the slope: one of
+# half-width pi/1024, 5e-6 rad off an optimum, had values even to 1.3e-15
+# about its centre, 3e-14 bits above it.
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
 X_GAIN = 1e-17
@@ -204,11 +208,6 @@ def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
     eigenvalues at or below zero contribute nothing."""
     terms = w * np.log2(np.where(w > 0.0, w, 1.0))
     return np.maximum(0.0, -terms.sum(-1))
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    return float(_spectrum_entropy(_require_state([rho])[1])[0])
 
 
 def _mutual_information(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,16 +312,16 @@ _SEED = np.hstack([
 # its conditional entropy is even in n_y, bit for bit: it seeds on the 528
 # directions of _SEED with n_y >= 0 (phi in [0, pi]), in the same order.
 _REAL_SEED = _SEED[:, _SEED[1] >= 0.0]
-# Offsets (u, v) of the polish stencil in units of its half-width, u-major:
-# the centre is point 4.
-_STENCIL = np.array(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, -1)
+# Offsets of the polish stencils in units of their half-width, in d = 1 or 2
+# chart dimensions (u, or (u, v) u-major): the centre is the middle point.
+_STENCILS = {d: np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d, indexing="ij")).reshape(d, -1)
+             for d in (1, 2)}
 # The X-state seed angles, spanning [0, pi/2], its cell and its directions;
-# the offsets of the X-state stencils in units of their half-width.
+# the offsets of the X-state fine stencil in units of its half-width.
 _X_SEED = 0.25 * math.pi + 0.25 * math.pi * np.linspace(-1.0, 1.0, X_SEED_POINTS)
 _X_SEED_CELL = 0.5 * math.pi / (X_SEED_POINTS - 1)
 _X_SEED_DIRECTIONS = np.array([np.sin(_X_SEED), np.zeros(X_SEED_POINTS), np.cos(_X_SEED)])
 _X_FINE = np.linspace(-1.0, 1.0, X_POLISH_POINTS)
-_X_NEWTON = np.array([-1.0, 0.0, 1.0])
 
 
 def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
@@ -331,7 +330,8 @@ def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
 
     Seed exactly real states on :data:`_REAL_SEED` and the others on
     :data:`_SEED`, at most SEED_COLUMNS kernel columns a call, keeping each
-    state's first minimum; then polish in lockstep blocks of POLISH_BLOCK.
+    state's first minimum; then :func:`_polish` in d = 2, on the chart of
+    :func:`_tangent_chart`, in lockstep blocks of POLISH_BLOCK.
     """
     bloch = _bloch(states, side)
     count = len(states)
@@ -347,19 +347,95 @@ def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
             best[block], n[block] = values[np.arange(len(i)), i], seed[:, i].T
     for start in range(0, count, POLISH_BLOCK):
         block = slice(start, start + POLISH_BLOCK)
-        evaluations[block] += 9 * _polish(bloch[block], n[block], best[block])
+        size = len(best[block])
+        # The chart's origin, the best seed, is the first stencil's centre.
+        evaluations[block] += 9 * _polish(
+            _tangent_chart(bloch[block], n[block]), best[block], n[block],
+            *np.zeros((2, size, 2)), np.full(size, math.pi / (SEED_THETA_POINTS - 1)))
     theta, phi = np.array([_angles(v) for v in n]).T
     return best, theta, phi, evaluations
 
 
-def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Newton steps on 3x3 stencils from each state's best direction so far
-    (rows of n, N x 3, value ``best``), run in lockstep; n and best are
-    updated in place.  Returns the number of stencils each state ran."""
-    # Stencils are laid in the chart n0 + u e_theta + v e_phi, put back on
-    # the sphere, of the plane tangent at each state's seed direction n0: it
-    # reaches every measurement but those at right angles to n0 and, unlike a
-    # box in (theta, phi), it does not pinch at the poles.
+def _polish(evaluate, best, found, spot, centre, width, narrow=0.0, first=None) -> np.ndarray:
+    """Newton steps on stencils of 3^d points (d = 1 or 2 chart dimensions),
+    in lockstep over L states.  ``evaluate(rows, offsets)`` gives the values
+    of the states ``rows`` at chart coordinates offsets (len(rows) x d x 3^d),
+    and the chart coordinates and the points to report of those measured.
+    best (L) and found (L x .), each state's best value and point so far, are
+    updated in place; spot (L x d) is that point's chart coordinates, centre
+    (L x d) and width (L) the first stencil's centre and half-width.
+    ``first``, if given, is that stencil's measurement, made already and not
+    counted.  A state also stops where a Newton step inside a stencil of
+    half-width at most ``narrow`` gains at most X_GAIN.  Returns the number
+    of stencils each state measured."""
+    stencil = _STENCILS[centre.shape[1]]
+    mid = stencil.shape[1] // 2
+    proposed = np.zeros(len(best))
+    stencils = np.zeros(len(best), dtype=int)
+    a = np.arange(len(best))
+    while len(a):
+        if first is None:
+            offsets = centre[a, :, None] + width[a, None, None] * stencil
+            values, coords, points = evaluate(a, offsets)
+            stencils[a] += 1
+        else:
+            (values, coords, points), first = first, None
+        w = width[a]
+        # A model's step whose point came out above the best value so far is
+        # undone: the centre goes back to the best point.
+        undo = (proposed[a] > 0.0) & (values[:, mid] > best[a])
+        rows, i = np.arange(len(a)), values.argmin(1)
+        lowest = values[rows, i]
+        better = lowest < best[a]
+        best[a] = np.where(better, lowest, best[a])
+        found[a] = np.where(better[:, None], points[rows, :, i], found[a])
+        spot[a] = np.where(better[:, None], coords[rows, :, i], spot[a])
+        # Where the model is positive definite, its minimum s is taken if it
+        # lies inside the stencil and cut at its edge otherwise; both tests
+        # come before dividing.
+        g, step, det, definite = _quadratic(values)
+        reach = np.abs(step).max(0)
+        convex = ~undo & definite
+        newton = convex & (reach <= det)
+        s = np.where(convex, step / np.where(newton, det, np.where(convex, reach, 1.0)),
+                     stencil[:, i])
+        # Elsewhere the centre moves to the stencil's best point, at the same
+        # width if that point is on the edge and better beyond round-off.
+        edge = ~convex & ~undo & (i != mid) & (values[:, mid] - lowest > POLISH_FLAT)
+        # The step's gain, g . h^-1 g / 2, is at most X_GAIN.
+        settled = newton & (w <= narrow) & (-(g * step).sum(0) <= 2.0 * X_GAIN * det)
+        width[a] = np.where(undo, np.minimum(w, 0.5 * proposed[a]), w * np.where(
+            newton, np.maximum(NEWTON_SHRINK, np.abs(s).max(0)),
+            np.where(convex, 2.0, np.where(edge, 1.0, 0.5))))
+        proposed[a] = np.where(convex, w, 0.0)
+        centre[a] = np.where(undo[:, None], spot[a], centre[a] + w[:, None] * s.T)
+        a = a[(undo | (values.max(1) - lowest > POLISH_FLAT) & ~settled)
+              & (stencils[a] < POLISH_STENCILS)]
+    return stencils
+
+
+def _quadratic(f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(gradient g, adj(h) (-g), det(h), whether h is positive definite) of
+    the quadratic through each row of stencil values f (N x 3^d), in stencil
+    units by central differences: its minimum is s = adj(h) (-g) / det(h)."""
+    if f.shape[1] == 3:
+        g, h = 0.5 * (f[:, 2] - f[:, 0]), f[:, 2] + f[:, 0] - 2.0 * f[:, 1]
+        return g[None], -g[None], h, h > 0.0
+    f = f.reshape(-1, 3, 3)
+    g_u, g_v = g = 0.5 * np.array([f[:, 2, 1] - f[:, 0, 1], f[:, 1, 2] - f[:, 1, 0]])
+    h_uu = f[:, 2, 1] + f[:, 0, 1] - 2.0 * f[:, 1, 1]
+    h_vv = f[:, 1, 2] + f[:, 1, 0] - 2.0 * f[:, 1, 1]
+    h_uv = 0.25 * (f[:, 2, 2] + f[:, 0, 0] - f[:, 2, 0] - f[:, 0, 2])
+    det = h_uu * h_vv - h_uv * h_uv
+    step = np.array([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v])
+    return g, step, det, (h_uu > 0.0) & (det > 0.0)
+
+
+def _tangent_chart(bloch: np.ndarray, n: np.ndarray):
+    """:func:`_polish`'s ``evaluate`` on Fano matrices ``bloch`` in the chart
+    n + u e_theta + v e_phi, put back on the sphere, of the plane tangent at
+    each direction n (N x 3): it reaches every measurement but those at right
+    angles to n and, unlike a box in (theta, phi), does not pinch at a pole."""
     x, y, z = n.T
     theta, phi = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
     ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
@@ -367,56 +443,13 @@ def _polish(bloch: np.ndarray, n: np.ndarray, best: np.ndarray) -> np.ndarray:
     chart[:, 0, 0], chart[:, 1, 0], chart[:, 2, 0] = ct * cp, ct * sp, -st
     chart[:, 0, 1], chart[:, 1, 1] = -sp, cp
     origin = n.copy()
-    # Chart coordinates of the stencil's centre and of the best point so far.
-    centre, spot = np.zeros((2, len(n), 2))
-    half_width = np.full(len(n), math.pi / (SEED_THETA_POINTS - 1))
-    # Half-width of the stencil whose model put the centre where it is; 0
-    # where the centre is a point measured before.
-    proposed = np.zeros(len(n))
-    stencils = np.zeros(len(n), dtype=int)
-    active = np.ones(len(n), dtype=bool)
-    while len(a := np.flatnonzero(active)):
-        width = half_width[a]
-        offsets = centre[a, :, None] + width[:, None, None] * _STENCIL
-        candidates = origin[a, :, None] + chart[a] @ offsets
-        candidates /= np.sqrt(np.einsum("aij,aij->aj", candidates, candidates))[:, None]
-        values = _cond_entropy(bloch[a], candidates)
-        stencils[a] += 1
-        # A model's step whose point came out above the best value so far is
-        # undone: the centre goes back to the best point.
-        undo = (proposed[a] > 0.0) & (values[:, 4] > best[a])
-        rows, i = np.arange(len(a)), values.argmin(1)
-        lowest = values[rows, i]
-        better = lowest < best[a]
-        best[a] = np.where(better, lowest, best[a])
-        n[a] = np.where(better[:, None], candidates[rows, :, i], n[a])
-        spot[a] = np.where(better[:, None], offsets[rows, :, i], spot[a])
-        # Quadratic model in stencil units, from central differences: gradient
-        # g, Hessian h and minimum s = -h^-1 g = adj(h) (-g) / det(h).  Where h
-        # is positive definite, s is taken if it lies inside the stencil and
-        # cut at its edge otherwise; both tests come before dividing.
-        f = values.reshape(-1, 3, 3)
-        g_u, g_v = 0.5 * (f[:, 2, 1] - f[:, 0, 1]), 0.5 * (f[:, 1, 2] - f[:, 1, 0])
-        h_uu = f[:, 2, 1] + f[:, 0, 1] - 2.0 * f[:, 1, 1]
-        h_vv = f[:, 1, 2] + f[:, 1, 0] - 2.0 * f[:, 1, 1]
-        h_uv = 0.25 * (f[:, 2, 2] + f[:, 0, 0] - f[:, 2, 0] - f[:, 0, 2])
-        det = h_uu * h_vv - h_uv * h_uv
-        s = np.array([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v])
-        reach = np.abs(s).max(0)
-        convex = ~undo & (h_uu > 0.0) & (det > 0.0)
-        newton = convex & (reach <= det)
-        s = np.where(convex, s / np.where(newton, det, np.where(convex, reach, 1.0)),
-                     _STENCIL[:, i])
-        # Elsewhere the centre moves to the stencil's best point, at the same
-        # width if that point is on the edge and better beyond round-off.
-        edge = ~convex & ~undo & (i != 4) & (values[:, 4] - lowest > POLISH_FLAT)
-        half_width[a] = np.where(undo, np.minimum(width, 0.5 * proposed[a]), width * np.where(
-            newton, np.maximum(NEWTON_SHRINK, np.abs(s).max(0)),
-            np.where(convex, 2.0, np.where(edge, 1.0, 0.5))))
-        proposed[a] = np.where(convex, width, 0.0)
-        centre[a] = np.where(undo[:, None], spot[a], centre[a] + width[:, None] * s.T)
-        active[a] = (undo | (values.max(1) - lowest > POLISH_FLAT)) & (stencils[a] < POLISH_STENCILS)
-    return stencils
+
+    def evaluate(rows, offsets):
+        points = origin[rows, :, None] + chart[rows] @ offsets
+        points /= np.sqrt(np.einsum("aij,aij->aj", points, points))[:, None]
+        return _cond_entropy(bloch[rows], points), offsets, points
+
+    return evaluate
 
 
 def _x_bloch(states: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -462,8 +495,9 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     in [0, pi/2] at the azimuth of :func:`_x_bloch`.
 
     Seed on :data:`_X_SEED`, then take one X_POLISH_POINTS stencil a seed
-    cell either way of each state's best seed angle; polish the states whose
-    optimum that leaves open with :func:`_polish_x`.
+    cell either way of each state's best seed angle; the states whose optimum
+    that leaves open take :func:`_polish` in d = 1, in theta, with its
+    narrow-stencil stop (X_NARROW, X_GAIN).
     """
     bloch, phis = _x_bloch(states, side)
     count = len(states)
@@ -487,53 +521,23 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     a = np.flatnonzero(((i != 0) & (i != X_SEED_POINTS - 1)) | falls)
     if len(a):
         # The first model is that of the best stencil value and its two
-        # neighbours.
+        # neighbours, measured already.  A point's chart coordinate and the
+        # point reported are both its angle reflected into [0, pi/2], so an
+        # undone step goes back to the best reflected angle.
         k = np.clip(j[a], 1, X_POLISH_POINTS - 2)[:, None] + np.arange(-1, 2)
-        evaluations += 3 * _polish_x(bloch, theta, best, a, grid[a, k[:, 1]],
-                                     values[a[:, None], k], angles[a[:, None], k])
+        first = angles[a[:, None], k][:, None]
+
+        def evaluate(rows, offsets):
+            values, thetas = _x_values(bloch[a[rows]], offsets[:, 0])
+            return values, thetas[:, None], thetas[:, None]
+
+        polished, found, spot = best[a], theta[a][:, None], theta[a][:, None]
+        evaluations[a] += 3 * _polish(
+            evaluate, polished, found, spot, grid[a, k[:, 1]][:, None],
+            np.full(len(a), 2.0 * _X_SEED_CELL / (X_POLISH_POINTS - 1)), X_NARROW,
+            (values[a[:, None], k], first, first))
+        best[a], theta[a] = polished, found[:, 0]
     return best, theta, phis, evaluations
-
-
-def _polish_x(bloch, theta, best, a, centre, f, angles) -> np.ndarray:
-    """Newton steps on 3-point stencils in theta, in lockstep, for the
-    states ``a`` of a stack (N x 4 x 4 Fano matrices ``bloch``), from each
-    one's first stencil: values f (len(a) x 3) at the reflected ``angles``
-    of ``centre`` and one cell of the X_POLISH_POINTS stencil either way.
-    ``theta`` and ``best``, each state's best angle and value so far (N),
-    are updated in place.  Returns the number of stencils each state ran.
-
-    The trust-region rule is :func:`_polish`'s, on the model's
-    f(s) = f1 + g s + h s^2 / 2 in stencil units; a state also stops where a
-    step inside a stencil of half-width at most X_NARROW gains at most
-    X_GAIN.
-    """
-    width = np.full(len(a), 2.0 * _X_SEED_CELL / (X_POLISH_POINTS - 1))
-    proposed = np.zeros(len(a))
-    stencils = np.zeros(len(best), dtype=int)
-    while True:
-        rows, i = np.arange(len(a)), f.argmin(1)
-        lowest = f[rows, i]
-        undo = (proposed > 0.0) & (f[:, 1] > best[a])
-        better = lowest < best[a]
-        best[a] = np.where(better, lowest, best[a])
-        theta[a] = np.where(better, angles[rows, i], theta[a])
-        g, h = 0.5 * (f[:, 2] - f[:, 0]), f[:, 2] + f[:, 0] - 2.0 * f[:, 1]
-        convex = ~undo & (h > 0.0)
-        newton = convex & (np.abs(g) <= h)
-        s = np.where(convex, -g / np.where(newton, h, np.where(convex, np.abs(g), 1.0)), i - 1.0)
-        edge = ~convex & ~undo & (i != 1) & (f[:, 1] - lowest > POLISH_FLAT)
-        converged = newton & (g * g <= 2.0 * X_GAIN * h) & (width <= X_NARROW)
-        go = (undo | (f.max(1) - lowest > POLISH_FLAT) & ~converged) & (stencils[a] < POLISH_STENCILS)
-        next_width = np.where(undo, np.minimum(width, 0.5 * proposed), width * np.where(
-            newton, np.maximum(NEWTON_SHRINK, np.abs(s)),
-            np.where(convex, 2.0, np.where(edge, 1.0, 0.5))))
-        proposed = np.where(convex, width, 0.0)
-        centre = np.where(undo, theta[a], centre + width * s)
-        a, centre, width, proposed = a[go], centre[go], next_width[go], proposed[go]
-        if not len(a):
-            return stencils
-        f, angles = _x_values(bloch[a], centre[:, None] + width[:, None] * _X_NEWTON)
-        stencils[a] += 1
 
 
 def _clamp_classical(mi, cc):

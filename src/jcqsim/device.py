@@ -184,24 +184,17 @@ def epsilon_from_voltage(p: DeviceParams, which: int) -> float:
 
 
 def _intrabit(p, cos_x, cos_e):
-    """The intrabit formula, from the cosines of the qubit's local flux and of
-    the external flux."""
+    """Flux-controlled sigma_x coupling ej of one qubit, in kelvin, from the
+    cosines of its local flux and of the external flux; exactly 0 when the
+    external flux sits at half a flux quantum."""
     return p.xi * 2.0 * p.e_j0 * cos_x * cos_e
 
 
-def intrabit_coupling(p: DeviceParams, which: int) -> float:
-    """Flux-controlled sigma_x coupling of one qubit, in kelvin (an array
-    where a flux is).
-
-    Vanishes exactly when the external flux sits at half a flux quantum.
-    """
-    _check_qubit_index(which)
-    phi_x = p.phi_x1 if which == 1 else p.phi_x2
-    return _intrabit(p, _pi_map(_cos_pi, phi_x), _pi_map(_cos_pi, p.phi_e))
-
-
 def _interbit(p, cos1, cos2):
-    """The interbit formula, from the cosines of both local fluxes."""
+    """Inductance-mediated sigma_x sigma_x coupling j12, in kelvin, from the
+    cosines of both local fluxes: J12 = -pi^2 L E_J1 E_J2 sin^2(pi*phi_e) /
+    phi_0^2 with E_Jk = 2 E_J0 cos(pi*phi_xk), negative for the default
+    controls."""
     e_j0_joule = p.e_j0 * CONSTANTS.k_b
     try:
         prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
@@ -209,16 +202,6 @@ def _interbit(p, cos1, cos2):
         raise InvalidParameterError(f"j12 overflows: e_j0 = {p.e_j0:g} K is too large") from None
     s = _pi_map(_sin_pi, p.phi_e)
     return -prefactor * cos1 * cos2 * s * s / CONSTANTS.k_b
-
-
-def interbit_coupling(p: DeviceParams) -> float:
-    """Inductance-mediated sigma_x sigma_x coupling, in kelvin (an array
-    where a flux is).
-
-    J12 = -pi^2 L E_J1 E_J2 sin^2(pi*phi_e) / phi_0^2 with
-    E_Jk = 2 E_J0 cos(pi*phi_xk); negative for the default controls.
-    """
-    return _interbit(p, _pi_map(_cos_pi, p.phi_x1), _pi_map(_cos_pi, p.phi_x2))
 
 
 def _coefficients(p, cosines=None) -> tuple:

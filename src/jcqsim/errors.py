@@ -29,9 +29,5 @@ class NotAStateError(DomainError):
     """A matrix is not a valid density operator."""
 
 
-class UnsupportedRegimeError(ValueError):
-    """A closed-form path was requested outside the regime it covers."""
-
-
 class BracketError(RuntimeError):
     """A critical-point search bracket does not contain the sought crossing."""

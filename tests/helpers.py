@@ -46,6 +46,21 @@ def random_x_state(rng) -> np.ndarray:
     return rho
 
 
+def random_x_states(rng, count: int) -> np.ndarray:
+    """A stack of ``count`` states drawn as :func:`random_x_state` draws one,
+    each draw vectorised over the stack."""
+    p = rng.dirichlet(np.ones(4), size=count)
+    r14 = rng.uniform(0.0, np.sqrt(p[:, 0] * p[:, 3]))
+    r14 = r14 * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+    r23 = rng.uniform(0.0, np.sqrt(p[:, 1] * p[:, 2]))
+    r23 = r23 * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+    rho = np.zeros((count, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = p
+    rho[:, 0, 3], rho[:, 3, 0] = r14, r14.conj()
+    rho[:, 1, 2], rho[:, 2, 1] = r23, r23.conj()
+    return rho
+
+
 def random_unitary_2(rng) -> np.ndarray:
     """Haar-random single-qubit unitary."""
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -1,9 +1,10 @@
 """Verification-only references that the package's fast paths are tested
-against: closed forms, the definitional conditional entropy, an exhaustive
-grid-search discord, a fixed-schedule X-state search, the spectral
-concurrence of any state, and 50-digit mutual information, conditional
-entropy, discord and concurrence of Gibbs states.  None of them is a
-production path, so they live with the tests."""
+against: closed forms, the one-qubit coupling maps, the von Neumann entropy,
+the definitional conditional entropy, an exhaustive grid-search discord, a
+fixed-schedule X-state search, the spectral concurrence of any state, and
+50-digit mutual information, conditional entropy, discord and concurrence of
+Gibbs states.  None of them is a production path, so they live with the
+tests."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from jcqsim import qmath
+from jcqsim import device, qmath
 from jcqsim.correlations import (
     _KEPT,
     _LN2,
@@ -29,14 +30,39 @@ from jcqsim.correlations import (
     _spectrum_entropy,
     _x_bloch,
 )
-from jcqsim.device import EffectiveParams
-from jcqsim.errors import InvalidParameterError, UnsupportedRegimeError
+from jcqsim.device import DeviceParams, EffectiveParams
+from jcqsim.errors import InvalidParameterError
 
 # Measurement outcomes rarer than this contribute nothing to the
 # conditional entropy.
 PROBABILITY_FLOOR = 1e-14
 # The qubit that measuring ``side`` leaves unmeasured.
 _OTHER = {"first": "second", "second": "first"}
+
+
+class UnsupportedRegimeError(ValueError):
+    """A closed-form path was requested outside the regime it covers."""
+
+
+def intrabit_coupling(p: DeviceParams, which: int) -> float:
+    """Flux-controlled sigma_x coupling of qubit ``which`` (1 or 2), in kelvin,
+    by the map :func:`jcqsim.device.effective_params` applies."""
+    device._check_qubit_index(which)
+    phi_x = p.phi_x1 if which == 1 else p.phi_x2
+    return device._intrabit(p, device._pi_map(device._cos_pi, phi_x),
+                            device._pi_map(device._cos_pi, p.phi_e))
+
+
+def interbit_coupling(p: DeviceParams) -> float:
+    """Inductance-mediated sigma_x sigma_x coupling, in kelvin, by the map
+    :func:`jcqsim.device.effective_params` applies."""
+    return device._interbit(p, device._pi_map(device._cos_pi, p.phi_x1),
+                            device._pi_map(device._cos_pi, p.phi_x2))
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
+    return float(_spectrum_entropy(_require_state([rho])[1])[0])
 
 
 def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:

@@ -20,7 +20,12 @@ from jcqsim.device import (
 from jcqsim.sweep import figure_preset, esd_temperature, sweep_1d, sweep_2d
 
 from helpers import pure_state, random_density_matrix, random_unitary_2, random_x_state
-from oracles import closed_form_thermal, discord_grid_oracle, ground_state_discord_analytic
+from oracles import (
+    closed_form_thermal,
+    discord_grid_oracle,
+    ground_state_discord_analytic,
+    von_neumann_entropy,
+)
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> bool:
@@ -89,7 +94,6 @@ def test_criterion_3_headline_discord_value():
     # derived cross-check of the recorded ratio-25 value: entanglement
     # entropy of the numerically diagonalized ground state
     rho = thermal_state(EffectiveParams.symmetric(1.0, 25.0), 0.0)
-    from jcqsim.correlations import von_neumann_entropy
     from jcqsim.qmath import partial_trace
 
     numeric_25 = von_neumann_entropy(partial_trace(rho, "first"))

@@ -20,7 +20,6 @@ from jcqsim.correlations import (
     measure_states,
     mutual_information,
     quantum_discord,
-    von_neumann_entropy,
 )
 from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
 from jcqsim.errors import (
@@ -36,6 +35,7 @@ from helpers import (
     random_density_matrix,
     random_unitary_2,
     random_x_state,
+    random_x_states,
 )
 from oracles import (
     concurrences_50_digits,
@@ -44,6 +44,7 @@ from oracles import (
     ground_state_discord_analytic,
     measurement_projector,
     spectral_concurrence,
+    von_neumann_entropy,
     x_stencil_search,
 )
 
@@ -498,6 +499,20 @@ def general_path(rho, side):
     return max(0.0, kept - best[0]), theta[0], evaluations[0]
 
 
+@functools.cache
+def x_states_that_polish() -> dict:
+    """Side -> a stack of at least 100 seeded random X states whose theta
+    search, measuring that side, leaves the 17-point stencil for the 1-D
+    polish (more than 50 evaluations).  About 0.07% of draws do."""
+    rng = np.random.default_rng(46)
+    found = {"first": [], "second": []}
+    while min(len(kept) for kept in found.values()) < 100:
+        states = random_x_states(rng, 4096)
+        for side, kept in found.items():
+            kept.extend(states[correlations._maximize_x(states, side)[3] > 50])
+    return {side: np.array(kept) for side, kept in found.items()}
+
+
 class TestXStateEngine:
     def states(self):
         thermal = [thermal_state(EffectiveParams.symmetric(1.0, j), t)
@@ -533,6 +548,26 @@ class TestXStateEngine:
             # Some optima lie inside (0, pi/2), below both ends.
             bloch = correlations._x_bloch(states, side)[0]
             assert (best < correlations._x_values(bloch, ends)[0].min(1) - 1e-9).any()
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_the_theta_polish_is_never_above_either_reference(self, side):
+        # Few states leave the 17-point stencil; these all do.  On a few of
+        # them the general path's coarser seed picks the pole's basin and
+        # stops up to 1e-4 bits above the interior optimum the grid oracle
+        # finds, so it bounds the X path from one side only.
+        states = x_states_that_polish()[side]
+        assert len(states) >= 100
+        reports = correlations.correlation_reports(states, side)
+        for r in reports:
+            assert ran_x_path(r.optimizer_evaluations) and r.optimizer_evaluations > 50
+        best = correlations._maximize_x(states, side)[0]
+        assert (best - x_stencil_search(states, side)[0]).max() <= 1e-15
+        checked, w = correlations._require_state(states, 4)
+        mi, marginals = correlations._mutual_information(checked, w)
+        general = correlations._maximize_general(checked, side)[0]
+        general_cc = np.maximum(0.0, marginals[:, correlations._KEPT[side]] - general)
+        general_discord = correlations._clamp_classical(mi, general_cc)[0]
+        assert (np.array([r.discord for r in reports]) - general_discord).max() <= 1e-12
 
     def test_a_wide_stencil_is_not_taken_as_converged(self):
         # A stencil half a 17-point cell wide, 5e-6 rad from this state's
@@ -579,6 +614,32 @@ class TestXStateEngine:
 
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+class TestPolishCap:
+    # The cap counts the stencils the polish measures: on general states the
+    # first 3x3 stencil is one of them; on X states the first 3-point model
+    # comes from the 17-point stencil, measured before the polish.
+    CAP = 2
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_general_states_stop_at_the_cap(self, monkeypatch, real, side):
+        rng = np.random.default_rng(47)
+        states = np.array(random_real_states(rng, 40) if real else random_general_states(rng, 40))
+        seed = 528 if real else 993
+        assert (correlations._maximize_general(states, side)[3] >= seed + 9 * self.CAP).all()
+        monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
+        assert (correlations._maximize_general(states, side)[3] == seed + 9 * self.CAP).all()
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_x_states_stop_at_the_cap(self, monkeypatch, side):
+        states = x_states_that_polish()[side]
+        stencils = (correlations._maximize_x(states, side)[3] - 50) // 3
+        assert (stencils >= 1).all() and (stencils >= self.CAP).any()
+        monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
+        capped = correlations._maximize_x(states, side)[3]
+        assert (capped == 50 + 3 * np.minimum(stencils, self.CAP)).all()
 
 
 class TestGeneralMaximizer:

@@ -17,19 +17,21 @@ from jcqsim.device import (
     effective_params,
     epsilon_from_voltage,
     gibbs_state,
-    interbit_coupling,
-    intrabit_coupling,
     thermal_state,
 )
 from jcqsim.errors import (
     DimensionError,
     InvalidParameterError,
     NotHermitianError,
-    UnsupportedRegimeError,
 )
 
 from helpers import random_hermitian
-from oracles import closed_form_thermal
+from oracles import (
+    UnsupportedRegimeError,
+    closed_form_thermal,
+    interbit_coupling,
+    intrabit_coupling,
+)
 
 
 class TestConstants:
