@@ -3,9 +3,10 @@
 Every measure works on a stack (N, 4, 4) of states with their spectra.  A
 public measure validates its stack once (:func:`_require_state`), and a
 public measure of one state passes a stack of one; the states the package
-builds (a sweep chunk, a j/eps search's stack) come real, with their
-Boltzmann weights as spectra, which are checked once (:func:`_require_spectra`)
-in place of that validation.  The kernels take real or complex stacks as
+builds (a sweep chunk, a j/eps search's stack) come real, with the
+eigenvectors they are built from and their Boltzmann weights as spectra,
+checked where they are built (:func:`device._boltzmann_spectra`) in place of
+that validation.  The kernels take real or complex stacks as
 they are.  Quantum discord is the mutual
 information minus the classical correlation, which maximizes
 S(rho_b) - S(rho | {Pi_k}) over rank-1 projective measurements on one qubit;
@@ -36,10 +37,10 @@ A seed kernel call serves 2 states (3 real ones) and a polish call, one per
 stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
 the same kernel.  Concurrence takes the closed form on X states and, on the
-others, Wootters' spectral path with his square roots taken as singular
-values (:func:`concurrence`); the Gibbs states of one real Hamiltonian at
-many temperatures (an ESD search) take it from their Boltzmann weights, with
-no state built (:func:`_gibbs_concurrences`).
+others, one kernel, Wootters' form from a state's eigenvectors and spectrum
+(:func:`_wootters`): a built stack's own, the eigenvectors of the one
+Hamiltonian of an ESD search's Gibbs states, none of which is built, or
+those of one ``eigh`` of a stack from outside.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .device import _boltzmann_weights
 from .errors import (
     DimensionError,
     DomainError,
@@ -176,19 +176,8 @@ def _require_state(states, dim: int | None = None) -> tuple[np.ndarray, np.ndarr
         if np.count_nonzero(np.vecdot(skew, skew).real > qmath.HERMITICITY_RTOL**2):
             raise NotAStateError("state is not Hermitian")
     w = np.linalg.eigvalsh(states)
-    _require_spectra(w)
+    qmath._require_spectra(w)
     return states, w
-
-
-def _require_spectra(w: np.ndarray) -> None:
-    """Check that each row of w (N x d) is a density matrix's spectrum: each
-    eigenvalue at least EIGENVALUE_CLAMP, summing to 1 within 1e-9, finite."""
-    if np.count_nonzero(w < qmath.EIGENVALUE_CLAMP):
-        raise NotAStateError(f"state has negative eigenvalue {w.min():.3e}")
-    if np.count_nonzero(np.abs(w.sum(1) - 1.0) > 1e-9):
-        raise NotAStateError("state trace is not 1")
-    if np.count_nonzero(np.isfinite(w)) < w.size:
-        raise NotAStateError("state has a non-finite eigenvalue")
 
 
 def _require_side(side: str) -> None:
@@ -548,10 +537,11 @@ def _clamp_classical(mi, cc):
     return mi - cc, cc
 
 
-def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -> dict:
+def _measure(states: np.ndarray, w: np.ndarray, v, measures, side: str = "first") -> dict:
     """Column arrays of the named :data:`MEASURES` of a checked stack with
-    spectra w, computing only what they need; a discord search (for discord
-    or classical correlation) adds its theta, phi and optimizer_evaluations."""
+    spectra w and, if known (a built stack's), the eigenvectors v they belong
+    to, computing only what they need; a discord search (for discord or
+    classical correlation) adds its theta, phi and optimizer_evaluations."""
     columns = {}
     searched = "discord" in measures or "classical_correlation" in measures
     if searched or "mutual_information" in measures:
@@ -575,7 +565,12 @@ def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -
             columns["mutual_information"], cc)
         columns.update(theta=theta, phi=phi, optimizer_evaluations=evaluations)
     if entangled:
-        columns["concurrence"] = c = _concurrence(states, is_x, c)
+        # A stack from outside takes its eigenvectors from one eigh.
+        g = np.flatnonzero(~is_x)
+        if len(g):
+            p, u = (w[g], v[g]) if v is not None else np.linalg.eigh(states[g])
+            c[g] = _wootters(p, _spin_flip(u))
+        columns["concurrence"] = c
     if "eof" in measures:
         columns["eof"] = _eof_column(c)
     return columns
@@ -584,12 +579,10 @@ def _measure(states: np.ndarray, w: np.ndarray, measures, side: str = "first") -
 def _eof_column(c: np.ndarray) -> np.ndarray:
     """:func:`eof_from_concurrence` of each of an array of concurrences in
     [0, 1], to the bit: tau takes the same correctly rounded operations in
-    numpy, and the entropy the same ``math.log``, whose last bit ``np.log``
-    need not share."""
+    numpy, and each entropy is :func:`binary_entropy`'s (``math.log``, whose
+    last bit ``np.log`` need not share)."""
     tau = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
-    log = math.log
-    return np.array([-(t * log(t) + (1.0 - t) * log(1.0 - t)) / _LN2 if 0.0 < t < 1.0 else 0.0
-                     for t in tau.tolist()])
+    return np.array([binary_entropy(t) for t in tau.tolist()])
 
 
 def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:
@@ -616,7 +609,7 @@ def correlation_reports(states, side: str = "first") -> list[CorrelationReport]:
     """:func:`quantum_discord` for each state of a stack (N x 4 x 4), measured at
     once; each report is the one its state gets alone."""
     _require_side(side)
-    columns = _measure(*_require_state(states, 4), MEASURES, side)
+    columns = _measure(*_require_state(states, 4), None, MEASURES, side)
     names = (*MEASURES, "theta", "phi", "optimizer_evaluations")
     return [CorrelationReport(mi, cc, d, c, e, Measurement(t, f, side), k)
             for mi, cc, d, c, e, t, f, k in zip(*[columns[n].tolist() for n in names])]
@@ -627,7 +620,7 @@ def measure_states(states, measures) -> dict[str, np.ndarray]:
     :data:`MEASURES` in the order given; each value is the one
     :func:`correlation_reports` gives (first qubit measured).  The discord
     search runs only for discord or classical correlation."""
-    columns = _measure(*_require_state(states, 4), measures)
+    columns = _measure(*_require_state(states, 4), None, measures)
     return {m: columns[m] for m in measures}
 
 
@@ -648,53 +641,34 @@ def concurrence(rho) -> float:
 
     X-shaped states take the closed form
     2 * max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44));
-    other states take max(0, l1 - l2 - l3 - l4) over the descending singular
-    values l of A = sqrt(rho) (sy x sy) sqrt(rho)*.  Their squares are the
-    eigenvalues of A A^dagger = sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho),
-    Wootters' matrix; square roots of those eigenvalues would lose the digits
-    of a small l on a near-pure state.
+    other states take Wootters' form from their eigenvectors and spectrum
+    (:func:`_wootters`).
     """
-    states = _require_state([rho], 4)[0]
-    return float(_concurrence(states, *_x_entries(states))[0])
-
-
-def _concurrence(states: np.ndarray, is_x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Unchecked kernel of :func:`concurrence` for a stack: keeps the X closed
-    form ``c`` where ``is_x`` holds, the spectral path elsewhere."""
-    if np.count_nonzero(is_x) < len(states):
-        general = ~is_x
-        g = states[general]
-        w, v = np.linalg.eigh(g)
-        sqrt_rho = (v * np.sqrt(np.maximum(0.0, w))[:, None, :]) @ v.conj().swapaxes(1, 2)
-        lam = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
-        c[general] = np.minimum(1.0, np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]))
-    return c
+    return float(_measure(*_require_state([rho], 4), None, ("concurrence",))["concurrence"][0])
 
 
 def _spin_flip(v: np.ndarray) -> np.ndarray:
-    """M = V^T (sy x sy) V for real eigenvectors V (columns; 1 x 4 x 4) of a
-    real symmetric Hamiltonian, as :func:`_gibbs_concurrences` takes it."""
+    """M = V^T (sy x sy) V for each of a stack of eigenvector matrices V
+    (columns), real or complex, as :func:`_wootters` takes it."""
     return v.swapaxes(1, 2) @ _YY.real @ v
 
 
-def _gibbs_concurrences(w: np.ndarray, m: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
-    """Concurrence of the Gibbs state of one real symmetric Hamiltonian at each
-    of a stack of temperatures T (N x 1), from its levels w (1 x 4) and
-    m = :func:`_spin_flip` of its eigenvectors V; no state is built.
+def _wootters(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Concurrence of each of a stack of states rho = V P V^dagger from its
+    spectrum p (N x 4), P its diagonal, and m = :func:`_spin_flip` of V
+    (N x 4 x 4, or 1 x 4 x 4 for every state).
 
-    Each state is rho = V P V^T, P the diagonal of its Boltzmann weights p.  It
-    is real, and so is Y = sy x sy, so its spin flip is Y rho Y and
-    rho Y rho Y = V P M P M V^T, which is similar to P M P M and so has the
-    eigenvalues of (P^1/2 M P^1/2)^2.  Wootters' square roots of them are
-    |lam|, lam the eigenvalues of the real symmetric P^1/2 M P^1/2, and
-    C = max(0, 2 max|lam| - sum|lam|).  The weights are the states' spectra and
-    are checked as :func:`_require_state` checks a state's.
+    Y = sy x sy is real, so rho Y rho* Y is similar to P M* P M, M = V^T Y V,
+    and so to B* B, B = P^1/2 M P^1/2 symmetric: Wootters' square roots of
+    its eigenvalues (PRL 80, 2245, 1998) are the singular values lam of B,
+    and C = max(0, 2 max lam - sum lam).  A real B (every built state's) has
+    lam = |eigvalsh(B)|; a complex B takes an SVD.  Neither squares a small
+    lam, whose digits a near-pure state would lose.
     """
-    weights = _boltzmann_weights(w, temperatures)[0]
-    p = weights / weights.sum(1, keepdims=True)
-    _require_spectra(p)
-    root = np.sqrt(p)
-    lam = np.abs(np.linalg.eigvalsh(root[:, :, None] * m * root[:, None, :]))
+    root = np.sqrt(np.maximum(p, 0.0))
+    b = root[:, :, None] * m * root[:, None, :]
+    lam = (np.linalg.svd(b, compute_uv=False) if np.iscomplexobj(b)
+           else np.abs(np.linalg.eigvalsh(b)))
     return np.minimum(1.0, np.maximum(0.0, 2.0 * lam.max(1) - lam.sum(1)))
 
 

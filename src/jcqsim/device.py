@@ -15,6 +15,10 @@ bits in Python and in numpy, and the flux cosines apply the scalar functions
 with exact argument reduction to each value, so a chunk's coefficients are
 those of its points mapped one at a time.  Sweep chunks, searches and single
 states alike reach their coefficients through :func:`_coefficient_table`.
+
+One ``eigh`` of a Hamiltonian stack gives its Gibbs states, their
+eigenvectors and their spectra, checked here (:func:`_boltzmann_spectra`);
+the measures take all three and diagonalize no built state again.
 """
 
 from __future__ import annotations
@@ -302,23 +306,32 @@ def _boltzmann_weights(w: np.ndarray, temperatures: np.ndarray) -> tuple:
     return weights, cold
 
 
+def _boltzmann_spectra(w: np.ndarray, temperatures: np.ndarray) -> tuple:
+    """(spectra (N x n), weights, T = 0 mask) of the Gibbs states of levels w
+    at temperatures T: each row of :func:`_boltzmann_weights` over its sum,
+    checked as a density matrix's spectrum, which a spoiled weight is not."""
+    weights, cold = _boltzmann_weights(w, temperatures)
+    p = weights / weights.sum(1, keepdims=True)
+    qmath._require_spectra(p)
+    return p, weights, cold
+
+
 def _gibbs_states(w: np.ndarray, v: np.ndarray, temperatures: np.ndarray) -> tuple:
     """(:func:`gibbs_state` for each of a stack of Hamiltonians, their
-    spectra), from their eigenvalues w (N x n) and eigenvectors v, at
+    spectra, v), from their eigenvalues w (N x n) and eigenvectors v, at
     temperatures T (N x 1); one Hamiltonian (w of 1 x n) serves every
-    temperature.  A state's spectrum is its Boltzmann weights over their sum,
-    in the order of w.  The state itself is divided by that sum, or at T = 0
-    by the trace of its ground-space projector."""
-    weights, cold = _boltzmann_weights(w, temperatures)
+    temperature.  A state's spectrum is that of :func:`_boltzmann_spectra`,
+    in the order of w and v.  The state itself is divided by the weights'
+    sum, or at T = 0 by the trace of its ground-space projector."""
+    p, weights, cold = _boltzmann_spectra(w, temperatures)
     rho = (v * weights[:, None, :]) @ v.conj().swapaxes(1, 2)
     z = weights.sum(1)
-    p = weights / z[:, None]
     if cold is not None:
         z = np.where(cold, np.trace(rho, axis1=1, axis2=2).real, z)
     rho /= z[:, None, None]
     rho += rho.conj().swapaxes(1, 2)
     rho *= 0.5
-    return rho, p
+    return rho, p, v
 
 
 def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
@@ -334,14 +347,14 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
     return _gibbs_states(*np.linalg.eigh(h[None]), np.array([[spec.temperature]]))[0][0]
 
 
-def _thermal_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray]:
-    """(thermal states (N x 4 x 4), their spectra (N x 4)) of the rows of a
-    checked coefficient table (N x 5), each at its temperature (N of them).
+def _thermal_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thermal states, spectra, eigenvectors) of the rows of a checked
+    coefficient table (N x 5), each at its temperature (N of them), as
+    :func:`_gibbs_states` gives them.
 
     The Hamiltonians are real symmetric by construction, so they are not
     checked for Hermiticity, and they are diagonalized in real arithmetic:
-    the states are real.  A state's spectrum is the probabilities of the
-    eigenvectors it is built from, as :func:`_gibbs_states` gives them.
+    the states and eigenvectors are real.
     """
     h = _hamiltonians(table)
     return _gibbs_states(*np.linalg.eigh(h), np.asarray(temperatures, dtype=float)[:, None])

@@ -11,11 +11,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError
+from .errors import DimensionError, NotAStateError, NotHermitianError
 
 HERMITICITY_RTOL = 1e-10
 # Eigenvalues of nominally PSD matrices this far below zero are round-off.
 EIGENVALUE_CLAMP = -1e-12
+
+
+def _require_spectra(w: np.ndarray) -> None:
+    """Check that each row of w (N x d) is a density matrix's spectrum: each
+    eigenvalue at least EIGENVALUE_CLAMP, summing to 1 within 1e-9, finite."""
+    if np.count_nonzero(w < EIGENVALUE_CLAMP):
+        raise NotAStateError(f"state has negative eigenvalue {w.min():.3e}")
+    if np.count_nonzero(np.abs(w.sum(1) - 1.0) > 1e-9):
+        raise NotAStateError("state trace is not 1")
+    if np.count_nonzero(np.isfinite(w)) < w.size:
+        raise NotAStateError("state has a non-finite eigenvalue")
+
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

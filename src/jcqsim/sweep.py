@@ -5,10 +5,10 @@ A chunk's swept controls (``SWEEP_VARIABLES``) and temperatures are arrays,
 which :func:`device._coefficient_table` maps and checks at once, as it does a
 search's points; the cosine of each value of a flux axis is mapped once per
 sweep and gathered by each chunk's index.  From the Hamiltonian on, the
-chunk is one (N, 4, 4) stack, built in real arithmetic and measured at once
-on its Boltzmann spectra (:func:`device._thermal_stack`), which are checked
-once as the states' spectra in place of the public validation; its measure
-columns fill one slice of the
+chunk is one (N, 4, 4) stack, built in real arithmetic with its checked
+Boltzmann spectra and its eigenvectors (:func:`device._thermal_stack`), which
+go to the measures as they come, in place of the public validation; its
+measure columns fill one slice of the
 float table that :func:`sweep_1d` and :func:`sweep_2d` return: one row per
 point, its axis values innermost first, then the measures.  Every state's
 coefficients, temperature and result are the bits it gets alone, and bad
@@ -18,8 +18,8 @@ discord-maximizing j/eps) share one driver, :func:`_search`, which measures
 the steps ahead of them as stacks, the most probable first: the golden section
 guesses where its maximum lies, and the bisection, with no guess, fills its
 stacks breadth-first.  The ESD search builds no state: it
-reads each stack's concurrences from the Boltzmann weights of its one
-Hamiltonian (:func:`correlations._gibbs_concurrences`).
+reads each stack's concurrences from the Boltzmann spectra and the
+eigenvectors of its one Hamiltonian (:func:`esd_temperature`).
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .correlations import MEASURES, _gibbs_concurrences, _measure, _require_spectra, _spin_flip
+from .correlations import MEASURES, _measure, _spin_flip, _wootters
 from .device import (
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
+    _boltzmann_spectra,
     _coefficient_table,
     _cos_pi,
     _hamiltonians,
@@ -180,10 +181,9 @@ def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
         chunk_cosines = {variable: cosines[variable][i] for (variable, _), i in zip(axes, index)
                          if variable in cosines}
-        states, p = _thermal_stack(*_chunk_controls(fixed, thermal, settings, chunk_cosines))
-        _require_spectra(p)
-        columns = _measure(states, p, measures)
-        table[start : start + len(states)] = np.column_stack(
+        stack = _thermal_stack(*_chunk_controls(fixed, thermal, settings, chunk_cosines))
+        columns = _measure(*stack, measures)
+        table[start : start + len(stack[0])] = np.column_stack(
             [*(values for _, values in reversed(settings)), *(columns[m] for m in measures)])
     return table
 
@@ -350,11 +350,11 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     """Bisect for the temperature where concurrence first hits exactly zero.
 
     Requires entanglement at T -> 0+ and none at t_max; raises BracketError
-    otherwise.  The real Hamiltonian is diagonalized once, and its
-    eigenvectors give the spin-flip matrix once; each stack of temperatures,
-    T = 0 and t_max the first, takes its concurrences from the Boltzmann
-    weights in one :func:`correlations._gibbs_concurrences` call, which
-    checks the weights as the states' spectra.
+    otherwise.  No state is built.  The real Hamiltonian is diagonalized
+    once, and its eigenvectors V give M = V^T (sy x sy) V once; each stack of
+    temperatures, T = 0 and t_max the first, takes its states' checked
+    spectra from the Boltzmann weights (:func:`device._boltzmann_spectra`)
+    and their concurrences from one :func:`correlations._wootters` call.
     """
     if not 0.0 < t_max < math.inf:
         raise SpecValidationError("t_max must be finite and positive")
@@ -364,7 +364,7 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     m = _spin_flip(v)
 
     def concurrences(temperatures):
-        return _gibbs_concurrences(w, m, np.array(temperatures)[:, None]).tolist()
+        return _wootters(_boltzmann_spectra(w, np.array(temperatures)[:, None])[0], m).tolist()
 
     return _bisection(concurrences, t_max, tol)
 
@@ -387,9 +387,8 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
 
     def discords(ratios):
         settings = [("ratio_j_over_eps", np.array(ratios))]
-        states, p = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
-        _require_spectra(p)
-        return _measure(states, p, ("discord",))["discord"].tolist()
+        stack = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
+        return _measure(*stack, ("discord",))["discord"].tolist()
 
     return _golden_section(discords, a0, b0, tol)
 

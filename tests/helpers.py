@@ -172,7 +172,7 @@ def built_measures(fixed, thermal: ThermalSpec, settings, measures) -> dict:
     """The measure columns (and the discord search's theta, phi and
     evaluations) of the points ``settings``, (variable, values) pairs, as a
     sweep chunk or a search stack measures them: built by
-    ``device._thermal_stack`` and measured on their Boltzmann spectra."""
-    states, p = device._thermal_stack(*sweep._chunk_controls(fixed, thermal, settings))
-    correlations._require_spectra(p)
-    return correlations._measure(states, p, measures)
+    ``device._thermal_stack`` and measured on their checked Boltzmann spectra
+    and their eigenvectors."""
+    stack = device._thermal_stack(*sweep._chunk_controls(fixed, thermal, settings))
+    return correlations._measure(*stack, measures)

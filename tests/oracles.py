@@ -21,7 +21,6 @@ from jcqsim.correlations import (
     Measurement,
     _bloch,
     _clamp_classical,
-    _concurrence,
     _cond_entropy,
     _grid_directions,
     _mutual_information,
@@ -381,7 +380,12 @@ def concurrences_50_digits(eff: EffectiveParams, temperatures) -> list[float]:
 
 
 def spectral_concurrence(rho) -> float:
-    """Concurrence of any state by the spectral path of
-    :func:`jcqsim.correlations.concurrence`, X-shaped or not."""
-    states = _require_state([rho], 4)[0]
-    return float(_concurrence(states, np.zeros(1, dtype=bool), np.zeros(1))[0])
+    """Concurrence of any state, X-shaped or not, by Wootters' spectral path
+    through sqrt(rho): C = max(0, l1 - l2 - l3 - l4) over the descending
+    singular values l of sqrt(rho) (sy x sy) sqrt(rho)*, whose squares are the
+    eigenvalues of sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho)."""
+    w, v = np.linalg.eigh(_require_state([rho], 4)[0][0])
+    sqrt_rho = (v * np.sqrt(np.maximum(0.0, w))) @ v.conj().T
+    yy = np.kron(qmath.SIGMA_Y, qmath.SIGMA_Y)
+    lam = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
+    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jcqsim import cli, correlations, device, sweep
+from jcqsim import cli, device, sweep
 from jcqsim.cli import main
 from jcqsim.correlations import concurrence, quantum_discord
 from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
@@ -352,8 +352,8 @@ class TestCritical:
             weights[:, -1] = -1e-3
             return weights, cold
 
-        boltzmann_weights = correlations._boltzmann_weights
-        monkeypatch.setattr(correlations, "_boltzmann_weights", spoiled)
+        boltzmann_weights = device._boltzmann_weights
+        monkeypatch.setattr(device, "_boltzmann_weights", spoiled)
         code, out, err = run_cli(capsys, "critical", "esd", "--v-x", "7.5e-6", "--t-max", "1")
         assert (code, out) == (3, "")
         assert "negative eigenvalue" in err

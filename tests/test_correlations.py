@@ -30,6 +30,7 @@ from jcqsim.errors import (
 
 from helpers import (
     bell_phi_plus,
+    built_measures,
     entropy_bits,
     pure_state,
     random_density_matrix,
@@ -683,9 +684,9 @@ class TestGeneralMaximizer:
             "v_x1": rng.uniform(5e-6, 1.2e-4, count), "v_x2": rng.uniform(5e-6, 1.2e-4, count),
             "phi_x1": rng.uniform(0.0, 1.0, count), "phi_x2": rng.uniform(0.0, 1.0, count)}
         table = device._coefficient_table(DeviceParams(), changes, np.full(count, temperature))
-        states, _ = device._thermal_stack(*table)
+        states, _, vectors = device._thermal_stack(*table)
         assert not correlations._x_entries(states)[0].any()
-        assert states.dtype == float
+        assert states.dtype == float and vectors.dtype == float
         assert exactly_real(states).all()
 
     @pytest.mark.parametrize("side", ["first", "second"])
@@ -924,6 +925,13 @@ def _gibbs_family(fixed):
     return w, correlations._spin_flip(v)
 
 
+def _gibbs_concurrences(w, m, temperatures):
+    """Concurrences of the Gibbs states of levels w at temperatures T (N x 1),
+    as an ESD search takes them: Wootters' kernel on their checked Boltzmann
+    spectra and the spin-flip matrix m."""
+    return correlations._wootters(device._boltzmann_spectra(w, temperatures)[0], m)
+
+
 _GIBBS_TEMPERATURES = np.array([0.0, *np.geomspace(1e-4, 1.0, 8)])
 
 
@@ -943,8 +951,7 @@ class TestGibbsConcurrences:
     def test_matches_the_concurrence_of_each_built_state(self):
         entangled = 0
         for fixed in _seeded_devices(51, 24):
-            values = correlations._gibbs_concurrences(*_gibbs_family(fixed),
-                                                      _GIBBS_TEMPERATURES[:, None])
+            values = _gibbs_concurrences(*_gibbs_family(fixed), _GIBBS_TEMPERATURES[:, None])
             expected = [concurrence(thermal_state(fixed, t)) for t in _GIBBS_TEMPERATURES.tolist()]
             assert np.abs(values - expected).max() <= 2e-12
             entangled += np.count_nonzero(values > 0.0)
@@ -953,15 +960,26 @@ class TestGibbsConcurrences:
     def test_matches_wootters_at_50_digits(self):
         worst = 0.0
         for fixed, exact in _wootters_50_digits():
-            values = correlations._gibbs_concurrences(*_gibbs_family(fixed),
-                                                      _GIBBS_TEMPERATURES[:, None])
+            values = _gibbs_concurrences(*_gibbs_family(fixed), _GIBBS_TEMPERATURES[:, None])
+            worst = max(worst, np.abs(values - exact).max())
+        assert worst <= 2e-15
+
+    def test_each_state_built_as_a_sweep_chunk_matches_wootters_at_50_digits(self):
+        # A chunk's general states take Wootters' kernel on the eigenvectors
+        # and Boltzmann spectra they are built from, which no eigh of rho
+        # rounds off.
+        worst = 0.0
+        for fixed, exact in _wootters_50_digits():
+            values = built_measures(fixed, ThermalSpec(0.0), [("temperature", _GIBBS_TEMPERATURES)],
+                                    ("concurrence",))["concurrence"]
             worst = max(worst, np.abs(values - exact).max())
         assert worst <= 2e-15
 
     def test_each_built_state_matches_wootters_at_50_digits(self):
-        # The spectral path takes Wootters' square roots as singular values;
-        # square roots of the eigenvalues of their squares lost digits on
-        # near-pure states, up to 2.2e-10 here.
+        # Passed in from outside, a state takes its eigenvectors and spectrum
+        # from an eigh of rho, whose near-zero eigenvalues carry round-off of
+        # about 1e-17.  Square roots of the eigenvalues of Wootters' matrix
+        # lost more digits on near-pure states, up to 2.2e-10 here.
         worst = 0.0
         for fixed, exact in _wootters_50_digits():
             values = [concurrence(thermal_state(fixed, t)) for t in _GIBBS_TEMPERATURES.tolist()]
@@ -970,35 +988,34 @@ class TestGibbsConcurrences:
 
     def test_ground_space_mixture_of_a_degenerate_hamiltonian(self):
         # H = 0: every level is ground, so T = 0 gives I/4, which is separable.
-        values = correlations._gibbs_concurrences(
+        values = _gibbs_concurrences(
             *_gibbs_family(EffectiveParams.symmetric(0.0, 0.0)), np.array([[0.0], [0.5]]))
         assert values.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("bad, message", [(-1e-3, "negative eigenvalue"),
                                               (math.nan, "non-finite")])
     def test_weights_are_checked_as_a_state_spectrum(self, monkeypatch, bad, message):
-        boltzmann_weights = correlations._boltzmann_weights
+        boltzmann_weights = device._boltzmann_weights
 
         def spoiled(w, temperatures):
             weights, cold = boltzmann_weights(w, temperatures)
             weights[:, -1] = bad
             return weights, cold
 
-        monkeypatch.setattr(correlations, "_boltzmann_weights", spoiled)
+        monkeypatch.setattr(device, "_boltzmann_weights", spoiled)
         with pytest.raises(NotAStateError, match=message):
-            correlations._gibbs_concurrences(*_gibbs_family(EffectiveParams.symmetric(1.0, 2.0)),
-                                             np.array([[0.5]]))
+            _gibbs_concurrences(*_gibbs_family(EffectiveParams.symmetric(1.0, 2.0)),
+                                np.array([[0.5]]))
 
 
 def _built_path(fixed, changes: dict, temperatures) -> dict:
     """Every measure column of the states of ``fixed`` with ``changes`` at
     ``temperatures``, as a sweep chunk measures them (built real by
-    device._thermal_stack and measured on their Boltzmann spectra), with
-    their coefficient table and the states."""
+    device._thermal_stack and measured on their checked Boltzmann spectra and
+    their eigenvectors), with their coefficient table and the states."""
     table = device._coefficient_table(fixed, changes, np.asarray(temperatures, dtype=float))
-    states, p = device._thermal_stack(*table)
-    correlations._require_spectra(p)
-    return {**correlations._measure(states, p, correlations.MEASURES),
+    states, p, v = device._thermal_stack(*table)
+    return {**correlations._measure(states, p, v, correlations.MEASURES),
             "table": table[0], "states": states}
 
 
@@ -1030,10 +1047,11 @@ class TestBuiltStatePath:
             definitional = np.array([getattr(r, measure) for r in reports])
             error = np.abs(built[measure] - definitional)
             if measure == "concurrence":
-                # A general state's concurrence takes the square root of the
-                # state, which turns round-off in a near-pure state into
-                # errors of up to 4e-12, on either path, against 50 digits
-                # (TestGibbsConcurrences bounds the built path's by 5e-12).
+                # On the definitional path a general state takes its
+                # eigenvectors from an eigh of rho, which turns round-off in a
+                # near-pure state into errors of up to 4e-12 against 50
+                # digits (TestGibbsConcurrences bounds it by 5e-12, and the
+                # built path's by 2e-15).
                 assert error[~is_x].max() <= 1e-11
                 error = error[is_x]
             assert error.max() <= 1e-14, measure

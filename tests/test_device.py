@@ -283,12 +283,17 @@ class TestThermalStates:
             temperatures = [temperature] * len(params)
             # A temperature sweep mixes T = 0 and T > 0 in one stack.
             temperatures[::3] = [0.0] * len(temperatures[::3])
-            stack, spectra = device._thermal_stack(table, temperatures)
+            stack, spectra, vectors = device._thermal_stack(table, temperatures)
             assert stack.shape == (len(params), 4, 4) and stack.dtype == float
             assert spectra.shape == (len(params), 4)
-            for p, eff, row, t, rho, w in zip(params, effs, table, temperatures, stack, spectra):
-                alone, w_alone = device._thermal_stack([row], [t])
+            assert vectors.shape == (len(params), 4, 4) and vectors.dtype == float
+            for p, eff, row, t, rho, w, v in zip(params, effs, table, temperatures, stack,
+                                                 spectra, vectors):
+                alone, w_alone, v_alone = device._thermal_stack([row], [t])
                 assert np.array_equal(rho, alone[0]) and np.array_equal(w, w_alone[0])
+                assert np.array_equal(v, v_alone[0])
+                # The state is V P V^T, P the diagonal of its spectrum.
+                assert np.abs((v * w) @ v.T - rho).max() <= 1e-15
                 assert np.array_equal(rho, thermal_state(p, t))
                 # The complex definitional state, to round-off, and its spectrum
                 # (w is in the order of the energy levels).
@@ -298,8 +303,8 @@ class TestThermalStates:
                 assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_stack(self):
-        states, spectra = device._thermal_stack([], [])
-        assert (states.shape, spectra.shape) == ((0, 4, 4), (0, 4))
+        states, spectra, vectors = device._thermal_stack([], [])
+        assert (states.shape, spectra.shape, vectors.shape) == ((0, 4, 4), (0, 4), (0, 4, 4))
 
     def test_random_hamiltonians_equal_gibbs_state(self):
         rng = np.random.default_rng(13)
@@ -314,8 +319,8 @@ class TestThermalStates:
         # (1, 4) spectrum, many temperatures in one call.
         h = random_hermitian(np.random.default_rng(14))
         temperatures = [0.0, 5e-324, 0.3, 7.0, 0.0]
-        stack, spectra = device._gibbs_states(*np.linalg.eigh(h[None]),
-                                              np.array(temperatures)[:, None])
+        stack, spectra, _ = device._gibbs_states(*np.linalg.eigh(h[None]),
+                                                 np.array(temperatures)[:, None])
         assert stack.shape == (len(temperatures), 4, 4)
         assert spectra.shape == (len(temperatures), 4)
         for t, rho, w in zip(temperatures, stack, spectra):
@@ -325,7 +330,7 @@ class TestThermalStates:
     def test_gibbs_family_of_no_specs_is_an_empty_stack(self):
         h = random_hermitian(np.random.default_rng(16))
         w, v = np.linalg.eigh(h[None])
-        states, spectra = device._gibbs_states(w, v, np.empty((0, 1)))
+        states, spectra, _ = device._gibbs_states(w, v, np.empty((0, 1)))
         assert (states.shape, spectra.shape) == ((0, 4, 4), (0, 4))
 
     def test_one_spectrum_serves_a_zero_and_a_positive_temperature(self):

@@ -191,11 +191,30 @@ class TestSweep1d:
         # once as spectra, and rho_a's and rho_b's take one stacked eigvalsh
         # call per chunk.  The built states skip the public validation; they
         # are X states, so concurrence takes its closed form and adds none.
-        from jcqsim import correlations
+        calls = self.count_linear_algebra(monkeypatch, DeviceParams(), measures)
+        assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 0, "validated": CHUNK_POINTS,
+                         "public": 0}
 
-        calls = {"eigh": 0, "eigvalsh": 0, "validated": 0, "public": 0}
-        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-        require_spectra, require_state = sweep._require_spectra, correlations._require_state
+    @pytest.mark.parametrize("measures, eigvalsh", [
+        (("mutual_information", "concurrence"), 2), (("eof",), 1)])
+    def test_general_chunk_concurrence_takes_no_second_eigh(self, monkeypatch, measures,
+                                                            eigvalsh):
+        # General states (phi_e off 1/2) take Wootters' kernel on the
+        # eigenvectors the chunk's one eigh built them from: one real
+        # eigvalsh call for the chunk, and no eigh of rho or SVD.
+        calls = self.count_linear_algebra(monkeypatch, DeviceParams(phi_e=0.3), measures)
+        assert calls == {"eigh": 1, "eigvalsh": eigvalsh, "svd": 0, "validated": CHUNK_POINTS,
+                         "public": 0}
+
+    @staticmethod
+    def count_linear_algebra(monkeypatch, fixed, measures) -> dict:
+        """Calls of eigh, eigvalsh and svd, states checked as spectra, and
+        public validations, in a one-chunk phi_x_common sweep of ``fixed``."""
+        from jcqsim import correlations, qmath
+
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "validated": 0, "public": 0}
+        eigh, eigvalsh, svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd
+        require_spectra, require_state = qmath._require_spectra, correlations._require_state
 
         def counted(name, function, size=lambda *args: 1):
             def call(*args, **kwargs):
@@ -205,14 +224,14 @@ class TestSweep1d:
 
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
-        monkeypatch.setattr(sweep, "_require_spectra",
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        monkeypatch.setattr(qmath, "_require_spectra",
                             counted("validated", require_spectra, lambda w: len(w)))
         monkeypatch.setattr(correlations, "_require_state", counted("public", require_state))
-        spec = SweepSpec("phi_x_common", 0.0, 1.0, DeviceParams(), steps=CHUNK_POINTS,
+        spec = SweepSpec("phi_x_common", 0.0, 1.0, fixed, steps=CHUNK_POINTS,
                          thermal=ThermalSpec(0.005), measures=measures)
-        rows = sweep_1d(spec)
-        assert len(rows) == CHUNK_POINTS
-        assert calls == {"eigh": 1, "eigvalsh": 1, "validated": CHUNK_POINTS, "public": 0}
+        assert len(sweep_1d(spec)) == CHUNK_POINTS
+        return calls
 
 
     @pytest.mark.parametrize("bad", [-1e-3, math.nan])
@@ -313,11 +332,12 @@ class TestBatchedControls:
 
         def record(coefficients, temperatures):
             chunks.append((coefficients, temperatures))
-            return np.zeros((len(temperatures), 4, 4)), np.full((len(temperatures), 4), 0.25)
+            n = len(temperatures)
+            return np.zeros((n, 4, 4)), np.full((n, 4), 0.25), np.zeros((n, 4, 4))
 
         monkeypatch.setattr(sweep, "_thermal_stack", record)
-        monkeypatch.setattr(sweep, "_measure",
-                            lambda states, w, measures: {m: np.zeros(len(states)) for m in measures})
+        monkeypatch.setattr(sweep, "_measure", lambda states, w, v, measures: {
+            m: np.zeros(len(states)) for m in measures})
         table = run()
         assert max(len(t) for _, t in chunks) == CHUNK_POINTS
         coefficients = np.concatenate([coefficients for coefficients, _ in chunks])
@@ -568,19 +588,24 @@ class TestEsdTemperature:
         for fixed in (EffectiveParams.symmetric(0.02, -0.02),
                       DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6, phi_e=0.3)):
             shapes, stacks = [], []
-            eigh, kernel = np.linalg.eigh, sweep._gibbs_concurrences
+            eigh, spectra, kernel = np.linalg.eigh, sweep._boltzmann_spectra, sweep._wootters
 
             def counted(a):
                 shapes.append(a.shape)
                 return eigh(a)
 
-            def recorded(w, m, temperatures):
-                stacks.append((w.shape, m.shape, temperatures[:, 0].tolist(),
-                               kernel(w, m, temperatures)))
+            # Each stack's spectra, then its concurrences from them.
+            def recorded_spectra(w, temperatures):
+                stacks.append([w.shape, None, temperatures[:, 0].tolist(), None])
+                return spectra(w, temperatures)
+
+            def recorded(p, m):
+                stacks[-1][1], stacks[-1][3] = m.shape, kernel(p, m)
                 return stacks[-1][3]
 
             monkeypatch.setattr(np.linalg, "eigh", counted)
-            monkeypatch.setattr(sweep, "_gibbs_concurrences", recorded)
+            monkeypatch.setattr(sweep, "_boltzmann_spectra", recorded_spectra)
+            monkeypatch.setattr(sweep, "_wootters", recorded)
             esd_temperature(fixed, t_max=1.0)
             assert shapes == [(1, 4, 4)]
             assert stacks[0][2] == [0.0, 1.0]
@@ -765,18 +790,18 @@ class TestSpeculativeSearches:
         # A j/eps search measures its ratios' states, an ESD search its
         # temperatures' concurrences from the Boltzmann weights.
         calls = []
-        measure, kernel = sweep._measure, sweep._gibbs_concurrences
+        measure, kernel = sweep._measure, sweep._wootters
 
-        def counted(states, w, measures):
+        def counted(states, w, v, measures):
             calls.append(len(states))
-            return measure(states, w, measures)
+            return measure(states, w, v, measures)
 
-        def counted_kernel(w, m, temperatures):
-            calls.append(len(temperatures))
-            return kernel(w, m, temperatures)
+        def counted_kernel(p, m):
+            calls.append(len(p))
+            return kernel(p, m)
 
         monkeypatch.setattr(sweep, "_measure", counted)
-        monkeypatch.setattr(sweep, "_gibbs_concurrences", counted_kernel)
+        monkeypatch.setattr(sweep, "_wootters", counted_kernel)
         assert search().iterations == iterations
         assert calls[0] == 2
         assert len(calls) <= most_calls
@@ -785,11 +810,11 @@ class TestSpeculativeSearches:
     def test_esd_stacks_hold_the_next_four_steps_breadth_first(self, monkeypatch):
         # The bisection gives no guess, so each stack holds the midpoints of
         # the next SEARCH_DEPTH levels, level by level, upper half first.
-        stacks, kernel = [], sweep._gibbs_concurrences
+        stacks, spectra = [], sweep._boltzmann_spectra
 
-        def recorded(w, m, temperatures):
+        def recorded(w, temperatures):
             stacks.append(temperatures[:, 0].tolist())
-            return kernel(w, m, temperatures)
+            return spectra(w, temperatures)
 
         def breadth_first(lo, hi):
             level, out = [(lo, hi)], []
@@ -799,7 +824,7 @@ class TestSpeculativeSearches:
                 level = [c for (a, b), x in zip(level, mids) for c in ((x, b), (a, x))]
             return out
 
-        monkeypatch.setattr(sweep, "_gibbs_concurrences", recorded)
+        monkeypatch.setattr(sweep, "_boltzmann_spectra", recorded)
         point = esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0)
         roots = [(0.0, 1.0), (0.0, 0.0625), (0.0234375, 0.02734375),
                  (0.0244140625, 0.024658203125), (0.0244903564453125, 0.024505615234375)]
