@@ -11,10 +11,11 @@ kelvin (E / k_B), so beta = 1/T with T in kelvin.
 Each control map is written once, over controls that are floats (a
 DeviceParams) or, for a sweep chunk, arrays of one length wherever the chunk
 varies them.  Elementwise float arithmetic in the same order gives the same
-bits in Python and in numpy, and the flux cosines apply the scalar functions
-with exact argument reduction to each value, so a chunk's coefficients are
-those of its points mapped one at a time.  Sweep chunks, searches and single
-states alike reach their coefficients through :func:`_coefficient_table`.
+bits in Python and in numpy.  The flux maps cos(pi*x) and sin(pi*x) are numpy
+expressions too, whose argument reduction is exact and whose one rounding
+after pi*x is np.cos or np.sin, so a chunk's coefficients are those of its
+points mapped one at a time.  Sweep chunks, searches and single states alike
+reach their coefficients through :func:`_coefficient_table`.
 
 One ``eigh`` of a Hamiltonian stack gives its Gibbs states, their
 eigenvectors and their spectra, checked here (:func:`_boltzmann_spectra`);
@@ -47,8 +48,9 @@ CONSTANTS = PhysicalConstants()
 # Eigenvalues within this relative distance of the minimum belong to the
 # ground eigenspace when taking the T -> 0 limit.
 GROUND_DEGENERACY_RTOL = 1e-10
-# Largest Hamiltonian coefficient, K: above it the Frobenius norm of H, which
-# scales that ground-space cut, overflows and every level would count as ground.
+# Largest Hamiltonian coefficient, or entry of a Hamiltonian passed in, K:
+# above it the Frobenius norm of H, which scales that ground-space cut,
+# overflows and every level would count as ground.
 MAX_ENERGY_K = 1e150
 
 
@@ -129,41 +131,34 @@ class ThermalSpec:
             raise InvalidParameterError("temperature must be finite and >= 0")
 
 
-def _cos_pi(x: float) -> float:
-    """cos(pi*x) with exact argument reduction.
+def _cos_pi(x):
+    """cos(pi*x) of a float, or of each value of an array, with exact argument
+    reduction: exactly 2-periodic in x and exactly zero at half-integers,
+    which the flux maps rely on.
 
-    Exactly 2-periodic in x and exactly zero at half-integers, which the
-    flux maps rely on.
+    x is folded onto y in [0, 1], where cos(pi*x) = cos(pi*y), then onto
+    [0, 1/2] by cos(pi*y) = -cos(pi*(1 - y)).  The value each fold keeps is
+    exact (Sterbenz), so np.cos is the only rounding after the product with
+    pi; the sign of 1/2 - y, exact too, gives the sign and the zeros.
     """
-    y = abs(math.fmod(x, 2.0))
-    if y > 1.0:
-        y = 2.0 - y
-    if y == 0.5:
-        return 0.0
-    if y > 0.5:
-        return -math.cos(math.pi * (1.0 - y))
-    return math.cos(math.pi * y)
+    y = np.abs(np.fmod(x, 2.0))
+    y = np.minimum(y, 2.0 - y)
+    return np.cos(np.pi * np.minimum(y, 1.0 - y)) * np.sign(0.5 - y)
 
 
-def _sin_pi(x: float) -> float:
-    """sin(pi*x) with exact argument reduction; exactly zero at integers."""
-    y = math.fmod(x, 2.0)
-    if y < 0.0:
-        y += 2.0
-    sign = 1.0
-    if y > 1.0:
-        y = y - 1.0
-        sign = -1.0
-    if y == 0.0 or y == 1.0:
-        return 0.0
-    if y > 0.5:
-        y = 1.0 - y
-    return sign * math.sin(math.pi * y)
+def _sin_pi(x):
+    """sin(pi*x) of a float, or of each value of an array, with exact argument
+    reduction; exactly zero at integers.
 
-
-def _pi_map(f, x):
-    """``f`` (:func:`_cos_pi` or :func:`_sin_pi`) of a float, or of each value of an array."""
-    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+    x is taken to y in [0, 2), then to [0, 1] with a sign by sin(pi*y) =
+    -sin(pi*(y - 1)), and onto [0, 1/2] by sin(pi*y) = sin(pi*(1 - y)); the
+    final + 0.0 turns a -0.0 into 0.0.
+    """
+    y = np.fmod(x, 2.0)
+    y = y + 2.0 * (y < 0.0)
+    upper = y > 1.0
+    y = y - upper
+    return (1.0 - 2.0 * upper) * np.sin(np.pi * np.minimum(y, 1.0 - y)) + 0.0
 
 
 def _check_qubit_index(which: int) -> None:
@@ -204,27 +199,23 @@ def _interbit(p, cos1, cos2):
         prefactor = 4.0 * e_j0_joule**2 * math.pi**2 * p.l / CONSTANTS.phi_0**2
     except OverflowError:
         raise InvalidParameterError(f"j12 overflows: e_j0 = {p.e_j0:g} K is too large") from None
-    s = _pi_map(_sin_pi, p.phi_e)
+    s = _sin_pi(p.phi_e)
     return -prefactor * cos1 * cos2 * s * s / CONSTANTS.k_b
 
 
-def _coefficients(p, cosines=None) -> tuple:
+def _coefficients(p) -> tuple:
     """(eps1, eps2, ej1, ej2, j12) of controls p by every control map: floats
-    for DeviceParams, arrays wherever a sweep chunk's controls are arrays.
-    ``cosines`` maps a field to cos(pi * its values), mapped already (or
-    None): a sweep maps each value of a flux axis once."""
+    for DeviceParams, arrays wherever a sweep chunk's controls are arrays."""
     eps1, eps2 = epsilon_from_voltage(p, 1), epsilon_from_voltage(p, 2)
     # Each flux's cosine is mapped once and shared by the maps that read it.
-    cosines = cosines or {}
-    cos1, cos2, cos_e = (_pi_map(_cos_pi, getattr(p, f)) if cosines.get(f) is None else cosines[f]
-                         for f in ("phi_x1", "phi_x2", "phi_e"))
+    cos1, cos2, cos_e = _cos_pi(p.phi_x1), _cos_pi(p.phi_x2), _cos_pi(p.phi_e)
     return (eps1, eps2, _intrabit(p, cos1, cos_e), _intrabit(p, cos2, cos_e),
             _interbit(p, cos1, cos2))
 
 
 def effective_params(p: DeviceParams) -> EffectiveParams:
     """Collect all control maps into the effective Hamiltonian coefficients."""
-    return EffectiveParams(*_coefficients(p))
+    return EffectiveParams(*map(float, _coefficients(p)))
 
 
 def _row(eff: EffectiveParams) -> tuple:
@@ -240,10 +231,9 @@ def _raise_first(ok: np.ndarray, check) -> None:
         check(int(ok.argmin()))
 
 
-def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray, cosines=None) -> tuple:
+def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray) -> tuple:
     """(coefficient table (N x 5), temperatures) of N points: ``fixed`` with
-    ``changes`` (field -> N values) at an array of N ``temperatures``;
-    ``cosines`` are as :func:`_coefficients` takes them.
+    ``changes`` (field -> N values) at an array of N ``temperatures``.
 
     Each point is checked as its ThermalSpec, parameter set and
     EffectiveParams would check it: temperature and changed fields first, for
@@ -258,7 +248,7 @@ def _coefficient_table(fixed, changes: dict, temperatures: np.ndarray, cosines=N
         _raise_first(ok, lambda i: (ThermalSpec(float(temperatures[i])),
                                     replace(fixed, **{k: float(v[i]) for k, v in changes.items()})))
         controls = SimpleNamespace(**{**vars(fixed), **changes})
-        coefficients = _row(controls) if effective else _coefficients(controls, cosines)
+        coefficients = _row(controls) if effective else _coefficients(controls)
     # Filled column by column: about 25 us a chunk less than np.stack of
     # np.broadcast_to views, which a search's many small stacks feel.
     table = np.empty((len(temperatures), len(coefficients)))
@@ -339,8 +329,13 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
 
     A degenerate ground space yields the uniform mixture over it, the
     T -> 0+ limit of the Gibbs state.  The state is complex, whatever the
-    dtype of h.
+    dtype of h.  Each entry of h must be finite and at most MAX_ENERGY_K in
+    magnitude; that is checked before any arithmetic on h.
     """
+    h = np.asarray(h, dtype=complex)
+    if not (np.abs(h) <= MAX_ENERGY_K).all():
+        raise InvalidParameterError(
+            f"hamiltonian entries must be finite with |entry| <= {MAX_ENERGY_K:g} K")
     h = qmath.require_hermitian(h, "hamiltonian")
     if h.ndim != 2:
         raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")

@@ -3,12 +3,11 @@
 Grid points are taken in axis order in chunks of a fixed size on one thread.
 A chunk's swept controls (``SWEEP_VARIABLES``) and temperatures are arrays,
 which :func:`device._coefficient_table` maps and checks at once, as it does a
-search's points; the cosine of each value of a flux axis is mapped once per
-sweep and gathered by each chunk's index.  From the Hamiltonian on, the
-chunk is one (N, 4, 4) stack, built in real arithmetic with its checked
-Boltzmann spectra and its eigenvectors (:func:`device._thermal_stack`), which
-go to the measures as they come, in place of the public validation; its
-measure columns fill one slice of the
+search's points; the sweep does not know which controls are fluxes.  From the
+Hamiltonian on, the chunk is one (N, 4, 4) stack, built in real arithmetic
+with its checked Boltzmann spectra and its eigenvectors
+(:func:`device._thermal_stack`), which go to the measures as they come, in
+place of the public validation; its measure columns fill one slice of the
 float table that :func:`sweep_1d` and :func:`sweep_2d` return: one row per
 point, its axis values innermost first, then the measures.  Every state's
 coefficients, temperature and result are the bits it gets alone, and bad
@@ -17,9 +16,9 @@ searches (bisection for the ESD temperature, golden section for the
 discord-maximizing j/eps) share one driver, :func:`_search`, which measures
 the steps ahead of them as stacks, the most probable first: the golden section
 guesses where its maximum lies, and the bisection, with no guess, fills its
-stacks breadth-first.  The ESD search builds no state: it
-reads each stack's concurrences from the Boltzmann spectra and the
-eigenvectors of its one Hamiltonian (:func:`esd_temperature`).
+stacks breadth-first.  The ESD search builds no state: it reads each stack's
+concurrences from the Boltzmann spectra and the eigenvectors of its one
+Hamiltonian (:func:`esd_temperature`).
 """
 
 from __future__ import annotations
@@ -38,9 +37,7 @@ from .device import (
     ThermalSpec,
     _boltzmann_spectra,
     _coefficient_table,
-    _cos_pi,
     _hamiltonians,
-    _pi_map,
     _thermal_stack,
 )
 from .errors import BracketError, SpecValidationError
@@ -58,8 +55,6 @@ SWEEP_VARIABLES = {
     "voltage": SweepVariable(("v_x1", "v_x2"), DeviceParams, "v_x_v"),
 }
 VARIABLES = tuple(SWEEP_VARIABLES)
-# The variables that set local fluxes, whose control maps read cos(pi * value).
-_FLUX_VARIABLES = ("phi_x_common", "phi_x1", "phi_x2")
 
 # Concurrence at or below this is treated as exactly zero (it is a hard
 # max(0, .) in the formula, so no tolerance subtleties arise above ESD).
@@ -142,28 +137,21 @@ class CriticalPoint:
     boundary: bool = False
 
 
-def _chunk_controls(fixed, thermal: ThermalSpec, settings,
-                    cosines=None) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, np.ndarray]:
     """(coefficient table (N x 5), temperatures (N)) of one chunk, checked by
     :func:`device._coefficient_table`.
 
     ``settings`` are (variable, values) pairs, each giving one array of N
     values; they are applied in turn, so a later one wins a field both set.
-    ``cosines`` maps a flux variable of ``settings`` to cos(pi * values),
-    mapped already; the other fluxes are mapped here.
     """
-    cosines = cosines or {}
     changes = {"temperature": np.full(len(settings[0][1]), thermal.temperature)}
-    mapped = {}  # field -> its cosines, or None where they are not mapped yet
     for variable, values in settings:
         if variable == "ratio_j_over_eps":  # sets j12 to the ratio times eps1
             with np.errstate(over="ignore"):  # left to the checks, which reject it
                 values = values * fixed.eps1
-        fields = SWEEP_VARIABLES[variable].fields
-        changes.update(dict.fromkeys(fields, values))
-        mapped.update(dict.fromkeys(fields, cosines.get(variable)))
+        changes.update(dict.fromkeys(SWEEP_VARIABLES[variable].fields, values))
     temperatures = changes.pop("temperature")
-    return _coefficient_table(fixed, changes, temperatures, mapped)
+    return _coefficient_table(fixed, changes, temperatures)
 
 
 def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> np.ndarray:
@@ -173,15 +161,10 @@ def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -
     shape = tuple(len(values) for _, values in axes)
     size = math.prod(shape)
     table = np.empty((size, len(axes) + len(measures)))
-    # Each flux axis value's cosine is mapped once, and a chunk gathers them.
-    cosines = {variable: _pi_map(_cos_pi, values) for variable, values in axes
-               if variable in _FLUX_VARIABLES}
     for start in range(0, size, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
-        chunk_cosines = {variable: cosines[variable][i] for (variable, _), i in zip(axes, index)
-                         if variable in cosines}
-        stack = _thermal_stack(*_chunk_controls(fixed, thermal, settings, chunk_cosines))
+        stack = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
         columns = _measure(*stack, measures)
         table[start : start + len(stack[0])] = np.column_stack(
             [*(values for _, values in reversed(settings)), *(columns[m] for m in measures)])

@@ -1,10 +1,10 @@
 """Verification-only references that the package's fast paths are tested
-against: closed forms, the one-qubit coupling maps, the von Neumann entropy,
-the definitional conditional entropy, an exhaustive grid-search discord, a
-fixed-schedule X-state search, the spectral concurrence of any state, and
-50-digit mutual information, conditional entropy, discord and concurrence of
-Gibbs states.  None of them is a production path, so they live with the
-tests."""
+against: closed forms, the scalar flux maps cos(pi*x) and sin(pi*x), the
+one-qubit coupling maps, the von Neumann entropy, the definitional
+conditional entropy, an exhaustive grid-search discord, a fixed-schedule
+X-state search, the spectral concurrence of any state, and 50-digit mutual
+information, conditional entropy, discord and concurrence of Gibbs states.
+None of them is a production path, so they live with the tests."""
 
 from __future__ import annotations
 
@@ -43,20 +43,50 @@ class UnsupportedRegimeError(ValueError):
     """A closed-form path was requested outside the regime it covers."""
 
 
+def scalar_cos_pi(x: float) -> float:
+    """cos(pi*x) of one float with exact argument reduction, by branches on
+    the folded argument: the reference that :func:`jcqsim.device._cos_pi` must
+    match bit for bit."""
+    y = abs(math.fmod(x, 2.0))
+    if y > 1.0:
+        y = 2.0 - y
+    if y == 0.5:
+        return 0.0
+    if y > 0.5:
+        return -math.cos(math.pi * (1.0 - y))
+    return math.cos(math.pi * y)
+
+
+def scalar_sin_pi(x: float) -> float:
+    """sin(pi*x) of one float with exact argument reduction, by branches on
+    the folded argument: the reference that :func:`jcqsim.device._sin_pi` must
+    match bit for bit."""
+    y = math.fmod(x, 2.0)
+    if y < 0.0:
+        y += 2.0
+    sign = 1.0
+    if y > 1.0:
+        y = y - 1.0
+        sign = -1.0
+    if y == 0.0 or y == 1.0:
+        return 0.0
+    if y > 0.5:
+        y = 1.0 - y
+    return sign * math.sin(math.pi * y)
+
+
 def intrabit_coupling(p: DeviceParams, which: int) -> float:
     """Flux-controlled sigma_x coupling of qubit ``which`` (1 or 2), in kelvin,
     by the map :func:`jcqsim.device.effective_params` applies."""
     device._check_qubit_index(which)
     phi_x = p.phi_x1 if which == 1 else p.phi_x2
-    return device._intrabit(p, device._pi_map(device._cos_pi, phi_x),
-                            device._pi_map(device._cos_pi, p.phi_e))
+    return device._intrabit(p, device._cos_pi(phi_x), device._cos_pi(p.phi_e))
 
 
 def interbit_coupling(p: DeviceParams) -> float:
     """Inductance-mediated sigma_x sigma_x coupling, in kelvin, by the map
     :func:`jcqsim.device.effective_params` applies."""
-    return device._interbit(p, device._pi_map(device._cos_pi, p.phi_x1),
-                            device._pi_map(device._cos_pi, p.phi_x2))
+    return device._interbit(p, device._cos_pi(p.phi_x1), device._cos_pi(p.phi_x2))
 
 
 def von_neumann_entropy(rho) -> float:

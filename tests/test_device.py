@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from jcqsim import device, qmath
 from jcqsim.device import (
     CONSTANTS,
+    MAX_ENERGY_K,
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
@@ -31,6 +32,8 @@ from oracles import (
     closed_form_thermal,
     interbit_coupling,
     intrabit_coupling,
+    scalar_cos_pi,
+    scalar_sin_pi,
 )
 
 
@@ -414,6 +417,7 @@ class TestEffectiveParams:
         assert eff.eps2 == epsilon_from_voltage(p, 2)
         assert eff.ej1 == intrabit_coupling(p, 1) == 0.0
         assert eff.j12 == interbit_coupling(p)
+        assert {type(v) for v in vars(effective_params(DeviceParams(phi_e=0.3))).values()} == {float}
 
     def test_thermal_state_accepts_both_kinds(self):
         rho_dev = thermal_state(DeviceParams(), 0.01)
@@ -438,3 +442,53 @@ class TestFluxTrig:
     def test_matches_library_trig(self, x):
         assert device._cos_pi(x) == pytest.approx(math.cos(math.pi * x), abs=1e-12)
         assert device._sin_pi(x) == pytest.approx(math.sin(math.pi * x), abs=1e-12)
+
+    @staticmethod
+    def flux_values():
+        """1,050,000 seeded values: uniform on +-10 and +-1e6, multiples of 1/4
+        on both ranges and their float neighbours, subnormals, then +-0, the
+        smallest subnormal and the smallest normal of each sign."""
+        rng = np.random.default_rng(24)
+        quarters = np.concatenate([rng.integers(-40, 41, 50_000),
+                                   rng.integers(-4 * 10**6, 4 * 10**6 + 1, 50_000)]) / 4.0
+        subnormals = rng.integers(1, 2**52, 24_997).view(float)
+        return np.concatenate([
+            rng.uniform(-10.0, 10.0, 350_000), rng.uniform(-1e6, 1e6, 350_000),
+            quarters, np.nextafter(quarters, math.inf), np.nextafter(quarters, -math.inf),
+            subnormals, -subnormals, [0.0, -0.0, 5e-324, -5e-324],
+            [2.2250738585072014e-308, -2.2250738585072014e-308]])
+
+    @pytest.mark.parametrize("name, reference", [("_cos_pi", scalar_cos_pi),
+                                                 ("_sin_pi", scalar_sin_pi)])
+    def test_maps_equal_the_scalar_references_bit_for_bit(self, name, reference):
+        f, x = getattr(device, name), self.flux_values()
+        mapped = f(x)
+        expected = np.array([reference(v) for v in x.tolist()])
+        assert mapped.dtype == np.float64 and mapped.shape == x.shape
+        assert np.array_equal(mapped.view(np.int64), expected.view(np.int64))
+        # A value alone (a Python float, as DeviceParams holds it) gets the
+        # bits it gets in an array: every 25th value of each kind, and the
+        # six special values at the end.
+        sample = np.r_[0 : len(x) : 25, len(x) - 6 : len(x)]
+        alone = np.array([f(v) for v in x[sample].tolist()])
+        assert np.array_equal(alone.view(np.int64), mapped[sample].view(np.int64))
+
+
+class TestGibbsStateInput:
+    @pytest.mark.parametrize("h, t", [
+        (np.diag([math.inf, 0.0, 0.0, 0.0]), 1.0),
+        (np.diag([math.inf, 0.0, 0.0, 0.0]), 0.0),
+        (np.diag([math.nan, 0.0, 0.0, 0.0]), 0.0),
+        (np.diag([math.nan, 0.0, 0.0, 0.0]), 1.0),
+        (np.diag([1e308, -1e308, 0.0, 0.0]), 1.0),
+        (np.full((4, 4), 1e200), 1.0),
+    ])
+    def test_entries_that_are_not_finite_or_too_large_are_rejected(self, h, t):
+        # Rejected before any arithmetic on h: no numpy RuntimeWarning, which
+        # the test settings turn into an error, comes first.
+        with pytest.raises(InvalidParameterError, match="hamiltonian entries must be finite"):
+            gibbs_state(h, ThermalSpec(t))
+
+    def test_entries_at_the_bound_are_accepted(self):
+        rho = gibbs_state(np.diag([MAX_ENERGY_K, -MAX_ENERGY_K, 0.0, 0.0]), ThermalSpec(1.0))
+        assert np.array_equal(rho, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))

@@ -36,8 +36,8 @@ def test_every_name_the_tracer_wraps_resolves():
 def test_verification_references_live_only_in_the_tests():
     names = {"UnsupportedRegimeError", "closed_form_thermal", "conditional_entropy",
              "discord_grid_oracle", "ground_state_discord_analytic", "interbit_coupling",
-             "intrabit_coupling", "measurement_projector", "spectral_concurrence",
-             "von_neumann_entropy"}
+             "intrabit_coupling", "measurement_projector", "scalar_cos_pi", "scalar_sin_pi",
+             "spectral_concurrence", "von_neumann_entropy"}
     assert names <= set(vars(oracles))
     modules = [jcqsim] + [importlib.import_module(f"jcqsim.{m.name}")
                           for m in pkgutil.iter_modules(jcqsim.__path__) if m.name != "__main__"]

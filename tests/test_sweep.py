@@ -411,9 +411,10 @@ class TestBatchedControls:
         ("voltage", "phi_x_common"), ("temperature", "phi_x2"),
     ])
     def test_each_flux_axis_value_is_mapped_once_per_sweep(self, monkeypatch, y, x):
-        # A sweep maps each flux axis value's cosine once and gathers it by
-        # each chunk's index; only phi_e and a flux no axis sets are mapped
-        # per chunk.  The coefficients keep the bits of each point alone.
+        # Each chunk maps its fluxes in three _cos_pi calls (phi_x1, phi_x2,
+        # phi_e), whatever its size and whichever axes set them, so each
+        # flux axis value of a chunk is mapped in one call.  The coefficients
+        # keep the bits of each point alone.
         steps = {"phi_x1": 13, "phi_x2": 11, "phi_x_common": 9, "voltage": 8, "temperature": 7}
         stops = {"voltage": 1e-4, "temperature": 0.1}
         fixed, thermal = DeviceParams(phi_e=0.3, phi_x1=0.7, phi_x2=-0.2), ThermalSpec(0.01)
@@ -429,13 +430,9 @@ class TestBatchedControls:
             return cos_pi(value)
 
         monkeypatch.setattr(device, "_cos_pi", counted)
-        monkeypatch.setattr(sweep, "_cos_pi", counted)
         _, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_2d(spec_x, spec_y))
         _assert_same_bits(h, temperatures, reference)
-        mapped = [v for v in (x, y) if v.startswith("phi")]
-        set_fields = {f for v in mapped for f in sweep.SWEEP_VARIABLES[v].fields}
-        chunks = math.ceil(steps[x] * steps[y] / CHUNK_POINTS)
-        assert len(calls) == sum(steps[v] for v in mapped) + chunks * (3 - len(set_fields))
+        assert len(calls) == 3 * math.ceil(steps[x] * steps[y] / CHUNK_POINTS)
 
     def test_each_flux_cosine_is_mapped_once_per_point(self, monkeypatch):
         fixed, thermal = DeviceParams(phi_e=0.3, phi_x2=0.7), ThermalSpec(0.01)
@@ -444,9 +441,9 @@ class TestBatchedControls:
         params = [apply_axes(fixed, thermal, *point)[0] for point in points]
         rows = np.array([device._row(effective_params(p)) for p in params])
         reference = plain_controls(fixed, thermal, points)
-        calls = []
+        calls = []  # each value mapped
         cos_pi = device._cos_pi
-        monkeypatch.setattr(device, "_cos_pi", lambda x: calls.append(x) or cos_pi(x))
+        monkeypatch.setattr(device, "_cos_pi", lambda x: calls.extend(np.ravel(x)) or cos_pi(x))
         table, temperatures = sweep._chunk_controls(fixed, thermal, settings)
         # phi_x1 and phi_x2 once per point, phi_e once per chunk.
         assert len(calls) <= 130
