@@ -3,10 +3,12 @@
 Parameters come from an optional JSON config file, overridable key by key
 with flags of the same name and then with shorthand flags; ``SCHEMA`` and
 ``SHORTHANDS`` are the one place that pairs a key with its section, field and
-flag.  A sweep's float table is written with one '%.9g' row template, and
-``critical`` rounds its bracket outward, so that the printed one holds the
-point.  All CSV output uses '.' decimals, 9 significant digits and '\\n' line
-endings, and is byte-identical across runs and ``--threads`` values.
+flag.  Every float row is written with one '%.9g' row template: a sweep's
+table and ``report``'s, which is the one-row sweep at its controls, so that
+it prints the cells of the ``sweep`` row there.  ``critical`` rounds its
+bracket outward, so that the printed one holds the point.  All CSV output
+uses '.' decimals, 9 significant digits and '\\n' line endings, and is
+byte-identical across runs and ``--threads`` values.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import quantum_discord
-from .device import DeviceParams, EffectiveParams, ThermalSpec, thermal_state
+from .device import DeviceParams, EffectiveParams, ThermalSpec
 from .errors import (
     BracketError,
     ConfigError,
@@ -39,6 +40,7 @@ from .sweep import (
     SWEEP_VARIABLES,
     VARIABLES,
     SweepSpec,
+    _sweep_table,
     esd_temperature,
     figure_preset,
     optimal_ratio,
@@ -238,10 +240,11 @@ def _write_plot_script(csv_path: Path, text: str) -> None:
 
 def _cmd_report(args) -> int:
     fields = _resolve(args, _load_config(args.config, args.sections))
-    report = quantum_discord(thermal_state(_params(args, fields), _thermal(fields).temperature))
-    m = report.optimal_measurement
-    row = [_fmt(getattr(report, measure)) for measure in MEASURES] + [_fmt(m.theta), _fmt(m.phi)]
-    _write_csv(args.out, REPORT_HEADER, ",".join(row) + "\n")
+    params, thermal = _params(args, fields), _thermal(fields)
+    # The sweep row at these controls, without its temperature column.
+    axis = [("temperature", np.array([thermal.temperature]))]
+    table = _sweep_table(params, thermal, axis, (*MEASURES, "theta", "phi"))
+    _write_csv(args.out, REPORT_HEADER, _table_csv(table[:, 1:]))
     return EXIT_OK
 
 

@@ -48,8 +48,9 @@ CONSTANTS = PhysicalConstants()
 # Eigenvalues within this relative distance of the minimum belong to the
 # ground eigenspace when taking the T -> 0 limit.
 GROUND_DEGENERACY_RTOL = 1e-10
-# Largest Hamiltonian coefficient, or entry of a Hamiltonian passed in, K:
-# above it the Frobenius norm of H, which scales that ground-space cut,
+# Largest Hamiltonian coefficient, K.  An entry of H sums at most two
+# coefficients, so an entry of a Hamiltonian passed in may reach 4 times it:
+# far above that the Frobenius norm of H, which scales that ground-space cut,
 # overflows and every level would count as ground.
 MAX_ENERGY_K = 1e150
 
@@ -329,13 +330,14 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
 
     A degenerate ground space yields the uniform mixture over it, the
     T -> 0+ limit of the Gibbs state.  The state is complex, whatever the
-    dtype of h.  Each entry of h must be finite and at most MAX_ENERGY_K in
-    magnitude; that is checked before any arithmetic on h.
+    dtype of h.  Each entry of h must be finite and at most 4 * MAX_ENERGY_K
+    in magnitude, so the Hamiltonian of every EffectiveParams is accepted;
+    that is checked before any arithmetic on h.
     """
     h = np.asarray(h, dtype=complex)
-    if not (np.abs(h) <= MAX_ENERGY_K).all():
+    if not (np.abs(h) <= 4 * MAX_ENERGY_K).all():
         raise InvalidParameterError(
-            f"hamiltonian entries must be finite with |entry| <= {MAX_ENERGY_K:g} K")
+            f"hamiltonian entries must be finite with |entry| <= {4 * MAX_ENERGY_K:g} K")
     h = qmath.require_hermitian(h, "hamiltonian")
     if h.ndim != 2:
         raise DimensionError(f"hamiltonian must be 2x2 or 4x4, got shape {h.shape}")

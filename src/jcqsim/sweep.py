@@ -9,14 +9,17 @@ with its checked Boltzmann spectra and its eigenvectors
 (:func:`device._thermal_stack`), which go to the measures as they come, in
 place of the public validation; its measure columns fill one slice of the
 float table that :func:`sweep_1d` and :func:`sweep_2d` return: one row per
-point, its axis values innermost first, then the measures.  Every state's
-coefficients, temperature and result are the bits it gets alone, and bad
-input raises the error of the first offending point in axis order.  The two
-searches (bisection for the ESD temperature, golden section for the
-discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-the steps ahead of them as stacks, the most probable first: the golden section
-guesses where its maximum lies, and the bisection, with no guess, fills its
-stacks breadth-first.  The ESD search builds no state: it reads each stack's
+point, its axis values innermost first, then the measures.  That table
+(:func:`_sweep_table`) is the one place where controls become measures: the
+CLI's ``report`` is its one-row table over a temperature axis, and each stack
+of the j/eps search a table over its ratios.  Every state's coefficients,
+temperature and result are the bits it gets alone, and bad input raises the
+error of the first offending point in axis order.  The two searches
+(bisection for the ESD temperature, golden section for the discord-maximizing
+j/eps) share one driver, :func:`_search`, which measures the steps ahead of
+them as stacks, the most probable first: the golden section guesses where its
+maximum lies, and the bisection, with no guess, fills its stacks
+breadth-first.  The ESD search builds no state: it reads each stack's
 concurrences from the Boltzmann spectra and the eigenvectors of its one
 Hamiltonian (:func:`esd_temperature`).
 """
@@ -360,7 +363,8 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     starting points are measured as one stack, and the later points as stacks
     of up to 15 ratios filled around a parabolic guess of the maximum (see
     :func:`_search`): about 7 stacks at the default tol over (0.1, 50).  A
-    stack's states are built and measured as a sweep chunk's are.
+    stack is the sweep table over its ratios, so each discord is the one a
+    ratio sweep prints at that ratio.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:
@@ -369,9 +373,8 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     fixed, thermal = EffectiveParams.symmetric(1.0, 0.0), ThermalSpec(t)
 
     def discords(ratios):
-        settings = [("ratio_j_over_eps", np.array(ratios))]
-        stack = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
-        return _measure(*stack, ("discord",))["discord"].tolist()
+        axes = [("ratio_j_over_eps", np.array(ratios))]
+        return _sweep_table(fixed, thermal, axes, ("discord",))[:, 1].tolist()
 
     return _golden_section(discords, a0, b0, tol)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from jcqsim import cli, device, sweep
 from jcqsim.cli import main
-from jcqsim.correlations import concurrence, quantum_discord
+from jcqsim.correlations import MEASURES, concurrence, quantum_discord
 from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
 from jcqsim.errors import DomainError
 
@@ -95,6 +95,30 @@ class TestReport:
         eff = effective_params(DeviceParams(v_x1=2e-5, v_x2=2e-5))
         report = quantum_discord(thermal_state(eff, 0.0))
         assert rows[0][2] == format(report.discord, ".9g")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_report_prints_the_sweep_row_at_its_controls(self, capsys, seed):
+        # Seeded device points, X-shaped (phi_e = 1/2) and not, at T = 0 and
+        # T > 0: the report's five cells are those of the temperature sweep
+        # whose first grid point has the same controls.
+        rng = np.random.default_rng(2600 + seed)
+        for k in range(8):
+            controls = ["--v-x1-v", repr(rng.uniform(0.0, 1e-4)),
+                        "--v-x2-v", repr(rng.uniform(0.0, 1e-4)),
+                        "--phi-x1", repr(rng.uniform(0.0, 2.0)),
+                        "--phi-x2", repr(rng.uniform(0.0, 2.0)),
+                        "--phi-e", repr(0.5 if k % 2 else rng.uniform(0.0, 1.0))]
+            t = 0.0 if k % 4 < 2 else rng.uniform(1e-3, 0.05)
+            code, out, _ = run_cli(capsys, "report", *controls, "--temp", repr(t))
+            assert code == 0
+            report = parse_csv(out)[1][0]
+            code, out, _ = run_cli(capsys, "sweep", *controls, "--variable", "temperature",
+                                   "--start", repr(t), "--stop", repr(t + 1.0), "--steps", "2",
+                                   "--measures", *MEASURES)
+            assert code == 0
+            header, rows = parse_csv(out)
+            assert header == ["temperature_k", *MEASURES]
+            assert rows[0][1:] == report[:5], controls + [repr(t)]
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
@@ -496,20 +520,20 @@ class TestSweepCommand:
 
 class TestExitCodeMapping:
     def test_numerical_domain_error_maps_to_3(self, capsys, monkeypatch):
-        def boom(rho, side="first"):
+        def boom(*args):  # the measures of the report's one-row sweep
             raise DomainError("synthetic domain failure")
 
-        monkeypatch.setattr(cli, "quantum_discord", boom)
+        monkeypatch.setattr(sweep, "_measure", boom)
         code, _, err = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "1")
         assert code == 3
         assert "synthetic" in err
 
     @pytest.mark.parametrize("error", [OverflowError, FloatingPointError, np.linalg.LinAlgError])
     def test_arithmetic_and_eigensolver_errors_map_to_3(self, capsys, monkeypatch, error):
-        def boom(rho, side="first"):
+        def boom(*args):  # the measures of the report's one-row sweep
             raise error("synthetic failure")
 
-        monkeypatch.setattr(cli, "quantum_discord", boom)
+        monkeypatch.setattr(sweep, "_measure", boom)
         code, _, err = run_cli(capsys, "report", "--eps", "1", "--j", "2", "--temp", "1")
         assert (code, err) == (3, "error: synthetic failure\n")
 

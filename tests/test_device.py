@@ -492,3 +492,14 @@ class TestGibbsStateInput:
     def test_entries_at_the_bound_are_accepted(self):
         rho = gibbs_state(np.diag([MAX_ENERGY_K, -MAX_ENERGY_K, 0.0, 0.0]), ThermalSpec(1.0))
         assert np.array_equal(rho, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+
+
+class TestEnergyBoundsAgree:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_gibbs_state_accepts_every_effective_hamiltonian(self, sign, t):
+        # Coefficients at the bound sum to 2 * MAX_ENERGY_K on the diagonal:
+        # gibbs_state takes the Hamiltonian thermal_state builds its state from.
+        eff = EffectiveParams(*[sign * MAX_ENERGY_K] * 5)
+        rho = gibbs_state(build_hamiltonian(eff), ThermalSpec(t))
+        assert_allclose(rho, thermal_state(eff, t), rtol=0, atol=1e-15)
