@@ -4,11 +4,15 @@ Parameters come from an optional JSON config file, overridable key by key
 with flags of the same name and then with shorthand flags; ``SCHEMA`` and
 ``SHORTHANDS`` are the one place that pairs a key with its section, field and
 flag.  Every float row is written with one '%.9g' row template: a sweep's
-table and ``report``'s, which is the one-row sweep at its controls, so that
+rows and ``report``'s, which is the one-row sweep at its controls, so that
 it prints the cells of the ``sweep`` row there.  ``critical`` rounds its
-bracket outward, so that the printed one holds the point.  All CSV output
-uses '.' decimals, 9 significant digits and '\\n' line endings, and is
-byte-identical across runs and ``--threads`` values.
+bracket outward, so that the printed one holds the point.  One writer,
+:func:`_write_csv`, writes every CSV from text blocks as they come: ``sweep``
+and ``figure`` hand it one block per measured chunk, so no whole table is
+held, and it opens ``--out`` only once the first block is made, so input the
+first chunk rejects writes nothing.  All CSV output uses '.' decimals, 9
+significant digits and '\\n' line endings, and is byte-identical across runs
+and ``--threads`` values.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ from .sweep import (
     SWEEP_VARIABLES,
     VARIABLES,
     SweepSpec,
+    _grid,
+    _sweep_chunks,
     _sweep_table,
     esd_temperature,
     figure_preset,
     optimal_ratio,
-    sweep_1d,
-    sweep_2d,
 )
 
 EXIT_OK = 0
@@ -190,10 +194,27 @@ def _thermal(fields: dict) -> ThermalSpec:
     return ThermalSpec(fields["thermal"].get("temperature", 0.0))
 
 
-def _write_csv(path: Path | None, header: list[str], body: str) -> None:
+def _sweep_csv(*specs: SweepSpec, label: str | None = None):
+    """:func:`_table_csv` of each chunk of the sweep of one spec or of an x
+    and a y spec, made as the chunk is measured; the specs are checked at
+    once."""
+    return (_table_csv(rows, label) for rows in _sweep_chunks(*_grid(*specs)))
+
+
+def _write_csv(path: Path | None, header: list[str], blocks) -> None:
+    """Write the header, then each text block of ``blocks`` as it comes.
+
+    The first block is made before ``path`` is opened, so an error in it
+    writes nothing and creates no file; an error in a later one leaves the
+    blocks before it written.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
     stream = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
-        stream.write(",".join(header) + "\n" + body)
+        stream.write(",".join(header) + "\n" + first)
+        for block in blocks:
+            stream.write(block)
     finally:
         if path is not None:
             stream.close()
@@ -244,7 +265,7 @@ def _cmd_report(args) -> int:
     # The sweep row at these controls, without its temperature column.
     axis = [("temperature", np.array([thermal.temperature]))]
     table = _sweep_table(params, thermal, axis, (*MEASURES, "theta", "phi"))
-    _write_csv(args.out, REPORT_HEADER, _table_csv(table[:, 1:]))
+    _write_csv(args.out, REPORT_HEADER, [_table_csv(table[:, 1:])])
     return EXIT_OK
 
 
@@ -259,10 +280,9 @@ def _cmd_figure(args) -> int:
         for suffix, pair in zip(("_a", "_b"), presets):
             spec_x, spec_y = (_with_steps(spec, args.steps) for spec in pair)
             path = out.with_name(out.stem + suffix + (out.suffix or ".csv"))
-            table = sweep_2d(spec_x, spec_y)
             axes = [SWEEP_VARIABLES[spec.variable].column for spec in (spec_x, spec_y)]
             header = ["series", *axes, *spec_x.measures]
-            _write_csv(path, header, _table_csv(table, spec_x.label))
+            _write_csv(path, header, _sweep_csv(spec_x, spec_y, label=spec_x.label))
             if args.emit_plot_script:
                 _write_plot_script(
                     path,
@@ -273,7 +293,8 @@ def _cmd_figure(args) -> int:
     specs = [_with_steps(spec, args.steps) for spec in presets]
     axis = SWEEP_VARIABLES[specs[0].variable].column
     header = ["series", axis, *specs[0].measures]
-    _write_csv(out, header, "".join(_table_csv(sweep_1d(spec), spec.label) for spec in specs))
+    _write_csv(out, header,
+               (block for spec in specs for block in _sweep_csv(spec, label=spec.label)))
     if args.emit_plot_script:
         _write_plot_script(
             out,
@@ -293,7 +314,7 @@ def _cmd_critical(args) -> int:
               for x, r in zip(point.bracket, (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)))
     row = [point.kind, _fmt(point.location), _fmt(point.value_at), lo, hi,
            str(point.iterations), "1" if point.boundary else "0"]
-    _write_csv(args.out, CRITICAL_HEADER, ",".join(row) + "\n")
+    _write_csv(args.out, CRITICAL_HEADER, [",".join(row) + "\n"])
     return EXIT_OK
 
 
@@ -314,7 +335,7 @@ def _cmd_sweep(args) -> int:
         measures=tuple(measures),
     )
     header = [SWEEP_VARIABLES[spec.variable].column, *spec.measures]
-    _write_csv(args.out, header, _table_csv(sweep_1d(spec)))
+    _write_csv(args.out, header, _sweep_csv(spec))
     return EXIT_OK
 
 

@@ -208,8 +208,11 @@ def _coefficients(p) -> tuple:
     """(eps1, eps2, ej1, ej2, j12) of controls p by every control map: floats
     for DeviceParams, arrays wherever a sweep chunk's controls are arrays."""
     eps1, eps2 = epsilon_from_voltage(p, 1), epsilon_from_voltage(p, 2)
-    # Each flux's cosine is mapped once and shared by the maps that read it.
-    cos1, cos2, cos_e = _cos_pi(p.phi_x1), _cos_pi(p.phi_x2), _cos_pi(p.phi_e)
+    # Each flux's cosine is mapped once and shared by the maps that read it:
+    # the fixed (float) fluxes together in one call, each swept array alone.
+    fluxes = (p.phi_x1, p.phi_x2, p.phi_e)
+    fixed = iter(_cos_pi(np.array([x for x in fluxes if not isinstance(x, np.ndarray)])).tolist())
+    cos1, cos2, cos_e = (_cos_pi(x) if isinstance(x, np.ndarray) else next(fixed) for x in fluxes)
     return (eps1, eps2, _intrabit(p, cos1, cos_e), _intrabit(p, cos2, cos_e),
             _interbit(p, cos1, cos2))
 

@@ -7,19 +7,21 @@ search's points; the sweep does not know which controls are fluxes.  From the
 Hamiltonian on, the chunk is one (N, 4, 4) stack, built in real arithmetic
 with its checked Boltzmann spectra and its eigenvectors
 (:func:`device._thermal_stack`), which go to the measures as they come, in
-place of the public validation; its measure columns fill one slice of the
-float table that :func:`sweep_1d` and :func:`sweep_2d` return: one row per
-point, its axis values innermost first, then the measures.  That table
-(:func:`_sweep_table`) is the one place where controls become measures: the
-CLI's ``report`` is its one-row table over a temperature axis, and each stack
-of the j/eps search a table over its ratios.  Every state's coefficients,
-temperature and result are the bits it gets alone, and bad input raises the
-error of the first offending point in axis order.  The two searches
-(bisection for the ESD temperature, golden section for the discord-maximizing
-j/eps) share one driver, :func:`_search`, which measures the steps ahead of
-them as stacks, the most probable first: the golden section guesses where its
-maximum lies, and the bisection, with no guess, fills its stacks
-breadth-first.  The ESD search builds no state: it reads each stack's
+place of the public validation; the chunk's rows, one per point with its axis
+values innermost first and then the measures, are yielded as they are
+measured.  That generator (:func:`_sweep_chunks`) is the one place where
+controls become measures.  :func:`sweep_1d` and :func:`sweep_2d` fill one
+float table from it, as do the CLI's ``report`` (its one-row table over a
+temperature axis) and each stack of the j/eps search (a table over its
+ratios); the CLI's ``sweep`` and ``figure`` write each chunk's rows as they
+come, so their memory is a few chunks and the axes.  Every state's
+coefficients, temperature and result are the bits it gets alone, and bad
+input raises the error of the first offending point in axis order.  The two
+searches (bisection for the ESD temperature, golden section for the
+discord-maximizing j/eps) share one driver, :func:`_search`, which measures
+the steps ahead of them as stacks, the most probable first: the golden
+section guesses where its maximum lies, and the bisection, with no guess,
+fills its stacks breadth-first.  The ESD search builds no state: it reads each stack's
 concurrences from the Boltzmann spectra and the eigenvectors of its one
 Hamiltonian (:func:`esd_temperature`).
 """
@@ -157,32 +159,37 @@ def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, 
     return _coefficient_table(fixed, changes, temperatures)
 
 
-def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> np.ndarray:
-    """The table over the grid of ``axes``, (variable, axis values) pairs, outer
-    first: the last varies fastest and is applied last.  A row holds its axis
-    values innermost first, then ``measures``."""
+def _sweep_chunks(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]):
+    """The rows of the grid of ``axes``, (variable, axis values) pairs, outer
+    first, one chunk of at most ``CHUNK_POINTS`` rows at a time: the last axis
+    varies fastest and is applied last.  A row holds its axis values innermost
+    first, then ``measures``.  The one place where controls become measures."""
     shape = tuple(len(values) for _, values in axes)
     size = math.prod(shape)
-    table = np.empty((size, len(axes) + len(measures)))
     for start in range(0, size, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
-        stack = _thermal_stack(*_chunk_controls(fixed, thermal, settings))
-        columns = _measure(*stack, measures)
-        table[start : start + len(stack[0])] = np.column_stack(
+        columns = _measure(*_thermal_stack(*_chunk_controls(fixed, thermal, settings)), measures)
+        yield np.column_stack(
             [*(values for _, values in reversed(settings)), *(columns[m] for m in measures)])
+
+
+def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -> np.ndarray:
+    """All rows of :func:`_sweep_chunks` as one float table."""
+    size = math.prod(len(values) for _, values in axes)
+    table = np.empty((size, len(axes) + len(measures)))
+    start = 0
+    for rows in _sweep_chunks(fixed, thermal, axes, measures):
+        table[start : start + len(rows)] = rows
+        start += len(rows)
     return table
 
 
-def sweep_1d(spec: SweepSpec) -> np.ndarray:
-    """Evaluate the requested measures along one axis, ascending order: one
-    row (axis value, *spec.measures) per point."""
-    return _sweep_table(spec.fixed, spec.thermal, [(spec.variable, spec.axis)], spec.measures)
-
-
-def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> np.ndarray:
-    """Evaluate over a 2-D grid, row-major (y outer, x inner): one row
-    (x, y, *measures) per point; x wins a field both axes set."""
+def _grid(spec_x: SweepSpec, spec_y: SweepSpec | None = None) -> tuple:
+    """(fixed, thermal, axes, measures) of the grid of one spec, or of a pair
+    with y outer and x inner, for :func:`_sweep_chunks`."""
+    if spec_y is None:
+        return spec_x.fixed, spec_x.thermal, [(spec_x.variable, spec_x.axis)], spec_x.measures
     if spec_x.variable == spec_y.variable:
         raise SpecValidationError("2-D sweeps need two distinct variables")
     if spec_x.fixed != spec_y.fixed or spec_x.thermal != spec_y.thermal:
@@ -190,7 +197,19 @@ def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> np.ndarray:
     if spec_x.measures != spec_y.measures:
         raise SpecValidationError("2-D sweep specs must share measures")
     axes = [(spec_y.variable, spec_y.axis), (spec_x.variable, spec_x.axis)]
-    return _sweep_table(spec_x.fixed, spec_x.thermal, axes, spec_x.measures)
+    return spec_x.fixed, spec_x.thermal, axes, spec_x.measures
+
+
+def sweep_1d(spec: SweepSpec) -> np.ndarray:
+    """Evaluate the requested measures along one axis, ascending order: one
+    row (axis value, *spec.measures) per point."""
+    return _sweep_table(*_grid(spec))
+
+
+def sweep_2d(spec_x: SweepSpec, spec_y: SweepSpec) -> np.ndarray:
+    """Evaluate over a 2-D grid, row-major (y outer, x inner): one row
+    (x, y, *measures) per point; x wins a field both axes set."""
+    return _sweep_table(*_grid(spec_x, spec_y))
 
 
 def _require_tol(tol: float, top: float) -> None:

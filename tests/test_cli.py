@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import math
@@ -19,8 +20,14 @@ from hypothesis import strategies as st
 
 from jcqsim import cli, device, sweep
 from jcqsim.cli import main
-from jcqsim.correlations import MEASURES, concurrence, quantum_discord
-from jcqsim.device import DeviceParams, EffectiveParams, effective_params, thermal_state
+from jcqsim.correlations import MEASURES, concurrence
+from jcqsim.device import (
+    DeviceParams,
+    EffectiveParams,
+    ThermalSpec,
+    effective_params,
+    thermal_state,
+)
 from jcqsim.errors import DomainError
 
 
@@ -33,6 +40,16 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def sweep_row(capsys, controls, t):
+    """The measure cells of the ``sweep`` row at ``controls`` and temperature
+    ``t``: the first point of a two-point temperature sweep."""
+    code, out, _ = run_cli(capsys, "sweep", *controls, "--variable", "temperature",
+                           "--start", repr(t), "--stop", repr(t + 1.0), "--steps", "2",
+                           "--measures", *MEASURES)
+    assert code == 0
+    return parse_csv(out)[1][0][1:]
 
 
 class TestReport:
@@ -76,25 +93,23 @@ class TestReport:
         )
         assert code == 0
         _, rows = parse_csv(out)
-        report = quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, 2.0), 0.5))
-        expected = [
-            report.mutual_information,
-            report.classical_correlation,
-            report.discord,
-            report.concurrence,
-            report.eof,
-            report.optimal_measurement.theta,
-            report.optimal_measurement.phi,
-        ]
-        assert rows[0] == [format(v, ".9g") for v in expected]
+        # The measures of the sweep row at these controls, and the optimal
+        # measurement of the sweep table's row there.
+        axis = [("temperature", np.array([0.5, 1.5]))]
+        angles = sweep._sweep_table(EffectiveParams.symmetric(1.0, 2.0), ThermalSpec(0.5),
+                                    axis, (*MEASURES, "theta", "phi"))[0, -2:]
+        expected = sweep_row(capsys, ["--eps", "1", "--j", "2"], 0.5)
+        assert rows[0] == expected + [format(v, ".9g") for v in angles]
 
     def test_device_mode_matches_effective_map(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--v-x", "2e-5", "--temp", "0")
         assert code == 0
         _, rows = parse_csv(out)
         eff = effective_params(DeviceParams(v_x1=2e-5, v_x2=2e-5))
-        report = quantum_discord(thermal_state(eff, 0.0))
-        assert rows[0][2] == format(report.discord, ".9g")
+        # The sweep row at the effective map's coefficients.
+        controls = [arg for k in ("eps1", "eps2", "ej1", "ej2", "j12")
+                    for arg in (f"--{k}-k", repr(getattr(eff, k)))]
+        assert rows[0][2] == sweep_row(capsys, controls, 0.0)[2]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_report_prints_the_sweep_row_at_its_controls(self, capsys, seed):
@@ -164,9 +179,8 @@ class TestConfigHandling:
         }))
         code, out, _ = run_cli(capsys, "report", "--config", str(cfg))
         assert code == 0
-        report = quantum_discord(thermal_state(EffectiveParams.symmetric(1.0, 2.0), 0.5))
         _, rows = parse_csv(out)
-        assert rows[0][2] == format(report.discord, ".9g")
+        assert rows[0][2] == sweep_row(capsys, ["--eps", "1", "--j", "2"], 0.5)[2]
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -516,6 +530,62 @@ class TestSweepCommand:
             "--stop", "0.0", "--steps", "5", "--eps", "1", "--j", "2",
         )
         assert code == 2
+
+
+_TEMPERATURE_SWEEP = ["sweep", "--eps", "1", "--j", "2", "--variable", "temperature",
+                      "--start", "0", "--stop", "1",
+                      "--measures", "mutual_information", "concurrence", "eof"]
+
+
+class TestStreamedOutput:
+    """``sweep`` writes each chunk's rows as the chunk is measured."""
+
+    def test_peak_heap_is_bounded_by_a_chunk_not_the_table(self, tmp_path):
+        # The table of 20,001 rows would take about 4 MB as one string and its
+        # floats; the axis alone is 160 KB.
+        out = str(tmp_path / "sweep.csv")
+        assert main([*_TEMPERATURE_SWEEP, "--steps", "101", "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            code = main([*_TEMPERATURE_SWEEP, "--steps", "20001", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(Path(out).read_text().splitlines()) == 20002
+        assert peak < 512 * 1024
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_stops_the_sweep_at_once(self, capsys, monkeypatch):
+        measured, measure = [], sweep._measure
+
+        def counted(*args):
+            measured.append(None)
+            return measure(*args)
+
+        monkeypatch.setattr(sweep, "_measure", counted)
+        code, out, err = run_cli(capsys, *_TEMPERATURE_SWEEP, "--steps", "200001",
+                                 "--out", "/dev/full")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert 1 <= len(measured) <= 8  # of 3,126 chunks
+
+    def test_invalid_point_past_the_first_chunk_keeps_the_rows_before(self, capsys):
+        # eps1 overflows from a grid point past the first chunk on: the
+        # complete chunks before it are written, then the error.
+        axis = np.linspace(0.0, 2e147, 201)
+        bad = next(i for i, v in enumerate(axis.tolist()) if not abs(
+            device.epsilon_from_voltage(DeviceParams(v_x1=v, v_x2=v), 1)) <= device.MAX_ENERGY_K)
+        assert bad >= sweep.CHUNK_POINTS
+        code, out, err = run_cli(capsys, "sweep", "--variable", "voltage", "--start", "0",
+                                 "--stop", "2e147", "--steps", "201", "--phi-e", "0.5",
+                                 "--measures", "concurrence")
+        assert (code, err) == (2, "error: eps1 must be finite with |eps1| <= 1e+150 K\n")
+        kept = bad // sweep.CHUNK_POINTS * sweep.CHUNK_POINTS
+        rows = sweep._sweep_table(DeviceParams(phi_e=0.5), ThermalSpec(0.0),
+                                  [("voltage", axis[:kept])], ("concurrence",))
+        assert out == "v_x_v,concurrence\n" + cli._table_csv(rows)
 
 
 class TestExitCodeMapping:

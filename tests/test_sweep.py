@@ -411,10 +411,10 @@ class TestBatchedControls:
         ("voltage", "phi_x_common"), ("temperature", "phi_x2"),
     ])
     def test_each_flux_axis_value_is_mapped_once_per_sweep(self, monkeypatch, y, x):
-        # Each chunk maps its fluxes in three _cos_pi calls (phi_x1, phi_x2,
-        # phi_e), whatever its size and whichever axes set them, so each
-        # flux axis value of a chunk is mapped in one call.  The coefficients
-        # keep the bits of each point alone.
+        # Each chunk maps its fluxes in one _cos_pi call per swept flux field
+        # and one for the fixed ones (phi_e always), whatever its size, so
+        # each flux axis value of a chunk is mapped in one call.  The
+        # coefficients keep the bits of each point alone.
         steps = {"phi_x1": 13, "phi_x2": 11, "phi_x_common": 9, "voltage": 8, "temperature": 7}
         stops = {"voltage": 1e-4, "temperature": 0.1}
         fixed, thermal = DeviceParams(phi_e=0.3, phi_x1=0.7, phi_x2=-0.2), ThermalSpec(0.01)
@@ -432,7 +432,8 @@ class TestBatchedControls:
         monkeypatch.setattr(device, "_cos_pi", counted)
         _, h, temperatures = self.sweep_chunks(monkeypatch, lambda: sweep_2d(spec_x, spec_y))
         _assert_same_bits(h, temperatures, reference)
-        assert len(calls) == 3 * math.ceil(steps[x] * steps[y] / CHUNK_POINTS)
+        swept = {f for v in (x, y) for f in sweep.SWEEP_VARIABLES[v].fields} & {"phi_x1", "phi_x2"}
+        assert len(calls) == (len(swept) + 1) * math.ceil(steps[x] * steps[y] / CHUNK_POINTS)
 
     def test_each_flux_cosine_is_mapped_once_per_point(self, monkeypatch):
         fixed, thermal = DeviceParams(phi_e=0.3, phi_x2=0.7), ThermalSpec(0.01)
