@@ -4,9 +4,9 @@ Parameters come from an optional JSON config file, overridable key by key
 with flags of the same name and then with shorthand flags; ``SCHEMA`` and
 ``SHORTHANDS`` are the one place that pairs a key with its section, field and
 flag.  Every float row is written with one '%.9g' row template: a sweep's
-rows and ``report``'s, which is the one-row sweep at its controls, so that
-it prints the cells of the ``sweep`` row there.  ``critical`` rounds its
-bracket outward, so that the printed one holds the point.  One writer,
+rows, ``report``'s, which is the one-row sweep at its controls, so that it
+prints the cells of the ``sweep`` row there, and ``critical``'s, which
+rounds its bracket outward first, so that the printed one holds the point.  One writer,
 :func:`_write_csv`, writes every CSV from text blocks as they come: ``sweep``
 and ``figure`` hand it one block per measured chunk, so no whole table is
 held, and it opens ``--out`` only once the first block is made, so input the
@@ -103,13 +103,9 @@ CRITICAL_HEADER = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def _table_csv(table: np.ndarray, label: str | None = None) -> str:
-    """CSV lines of a float table, every cell as :func:`_fmt` writes it, each
-    line after a ``label`` cell if one is given."""
+    """CSV lines of a float table, every cell to 9 significant digits
+    (``'%.9g'``), each line after a ``label`` cell if one is given."""
     row = "" if label is None else label.replace("%", "%%") + ","
     row += ",".join(["%.9g"] * table.shape[1]) + "\n"
     return row * len(table) % tuple(table.ravel().tolist())
@@ -310,11 +306,10 @@ def _cmd_critical(args) -> int:
     else:
         point = optimal_ratio(_thermal(fields).temperature, tuple(args.bracket), tol=args.tol)
     # Rounded outward to 9 digits, the printed bracket still holds the point.
-    lo, hi = (_fmt(decimal.Context(prec=9, rounding=r).create_decimal_from_float(x))
+    lo, hi = (float(decimal.Context(prec=9, rounding=r).create_decimal_from_float(x))
               for x, r in zip(point.bracket, (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)))
-    row = [point.kind, _fmt(point.location), _fmt(point.value_at), lo, hi,
-           str(point.iterations), "1" if point.boundary else "0"]
-    _write_csv(args.out, CRITICAL_HEADER, [",".join(row) + "\n"])
+    row = [point.location, point.value_at, lo, hi, point.iterations, point.boundary]
+    _write_csv(args.out, CRITICAL_HEADER, [_table_csv(np.array([row], dtype=float), point.kind)])
     return EXIT_OK
 
 

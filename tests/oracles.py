@@ -2,8 +2,9 @@
 against: closed forms, the scalar flux maps cos(pi*x) and sin(pi*x), the
 one-qubit coupling maps, the von Neumann entropy, the definitional
 conditional entropy, an exhaustive grid-search discord, a fixed-schedule
-X-state search, the spectral concurrence of any state, and 50-digit mutual
-information, conditional entropy, discord and concurrence of Gibbs states.
+X-state search, the spectral concurrence of any state, 50-digit mutual
+information, conditional entropy, discord and concurrence of Gibbs states,
+and the 50-digit entanglement of formation of a concurrence.
 None of them is a production path, so they live with the tests."""
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from jcqsim.correlations import (
     _x_bloch,
 )
 from jcqsim.device import DeviceParams, EffectiveParams
-from jcqsim.errors import InvalidParameterError
+from jcqsim.errors import InvalidParameterError, NotAStateError
 
 # Measurement outcomes rarer than this contribute nothing to the
 # conditional entropy.
@@ -90,8 +91,13 @@ def interbit_coupling(p: DeviceParams) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    return float(_spectrum_entropy(_require_state([rho])[1])[0])
+    """Entropy -sum(lam * log2 lam) of a 2x2 or 4x4 density matrix, in bits."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise NotAStateError("state has a non-finite entry")
+    w = np.linalg.eigvalsh(qmath.require_hermitian(rho, "state"))[None]
+    qmath._require_spectra(w)
+    return float(_spectrum_entropy(w)[0])
 
 
 def closed_form_thermal(eff: EffectiveParams, t: float) -> np.ndarray:
@@ -165,7 +171,7 @@ def conditional_entropy(rho, m: Measurement) -> float:
     Definitional path: each outcome is the explicit projector sandwich
     (Pi_k x I) rho (Pi_k x I) followed by a partial trace.
     """
-    rho = _require_state([rho], 4)[0][0]
+    rho = _require_state([rho])[0][0]
     proj = measurement_projector(m.theta, m.phi)
     keep = _OTHER[m.side]
     total = 0.0
@@ -190,7 +196,7 @@ def discord_grid_oracle(
     Searches theta over n_theta points on [0, pi] inclusive and phi over
     n_phi points on [0, 2*pi); upper-bounds the true discord.
     """
-    states, w = _require_state([rho], 4)
+    states, w = _require_state([rho])
     _require_side(side)
     if n_theta < 2 or n_phi < 2:
         raise InvalidParameterError("grid needs at least 2 points per angle")
@@ -387,6 +393,21 @@ def discord_50_digits(eff: EffectiveParams, t: float, m: Measurement) -> float:
         return float(mi - marginals[_OTHER[m.side]] + _conditional_entropy_50_digits(rho, m))
 
 
+def eof_50_digits(c: float) -> float:
+    """Entanglement of formation H(u) of concurrence C, in bits, in 50-digit
+    mpmath arithmetic: u = C^2 / (2 (1 + sqrt(1 - C^2))), the smaller
+    probability (1 - sqrt(1 - C^2))/2 without its cancellation, and
+    ln(1 - u) as log1p(-u): at 50 digits 1 - u rounds to 1 for u below 1e-50."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        c = mpmath.mpf(c)
+        u = c * c / (2 * (1 + mpmath.sqrt(1 - c * c)))
+        if u == 0:
+            return 0.0
+        return float(-(u * mpmath.log(u) + (1 - u) * mpmath.log1p(-u)) / mpmath.log(2))
+
+
 def concurrences_50_digits(eff: EffectiveParams, temperatures) -> list[float]:
     """Wootters' concurrence of the Gibbs state of ``eff`` at each temperature
     (K; T = 0 the uniform mixture over the ground space), in 50-digit mpmath
@@ -414,7 +435,7 @@ def spectral_concurrence(rho) -> float:
     through sqrt(rho): C = max(0, l1 - l2 - l3 - l4) over the descending
     singular values l of sqrt(rho) (sy x sy) sqrt(rho)*, whose squares are the
     eigenvalues of sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho)."""
-    w, v = np.linalg.eigh(_require_state([rho], 4)[0][0])
+    w, v = np.linalg.eigh(_require_state([rho])[0][0])
     sqrt_rho = (v * np.sqrt(np.maximum(0.0, w))) @ v.conj().T
     yy = np.kron(qmath.SIGMA_Y, qmath.SIGMA_Y)
     lam = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)

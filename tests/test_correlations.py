@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from oracles import (
     concurrences_50_digits,
     conditional_entropy,
     discord_grid_oracle,
+    eof_50_digits,
     ground_state_discord_analytic,
     measurement_projector,
     spectral_concurrence,
@@ -244,7 +246,7 @@ class TestMeasureStates:
         states = np.array([random_density_matrix(rng, 4) for _ in range(2000)])
         tracemalloc.start()
         try:
-            correlations._require_state(states, 4)
+            correlations._require_state(states)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,7 +258,7 @@ class TestMeasureStates:
         states = np.array([random_density_matrix(rng, 4) for _ in range(2000)])
         states[at, 0, 1] += 2e-10
         with pytest.raises(NotAStateError, match="not Hermitian"):
-            correlations._require_state(states, 4)
+            correlations._require_state(states)
 
     @pytest.mark.parametrize("measures, calls", [
         (("concurrence",), 0), (("mutual_information", "concurrence"), 0),
@@ -494,7 +496,7 @@ def ran_x_path(evaluations):
 def general_path(rho, side):
     """(classical correlation, theta, evaluations) of one state from the
     general-state maximizer, whether or not the state is X-shaped."""
-    states, w = correlations._require_state([rho], 4)
+    states, w = correlations._require_state([rho])
     kept = correlations._mutual_information(states, w)[1][0, correlations._KEPT[side]]
     best, theta, _, evaluations = correlations._maximize_general(states, side)
     return max(0.0, kept - best[0]), theta[0], evaluations[0]
@@ -563,7 +565,7 @@ class TestXStateEngine:
             assert ran_x_path(r.optimizer_evaluations) and r.optimizer_evaluations > 50
         best = correlations._maximize_x(states, side)[0]
         assert (best - x_stencil_search(states, side)[0]).max() <= 1e-15
-        checked, w = correlations._require_state(states, 4)
+        checked, w = correlations._require_state(states)
         mi, marginals = correlations._mutual_information(checked, w)
         general = correlations._maximize_general(checked, side)[0]
         general_cc = np.maximum(0.0, marginals[:, correlations._KEPT[side]] - general)
@@ -1077,6 +1079,22 @@ class TestEof:
             10.0 ** rng.uniform(-320.0, 0.0, 200), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 200)])
         assert correlations._eof_column(c).tolist() == [eof_from_concurrence(v) for v in c.tolist()]
         assert correlations._eof_column(np.empty(0)).shape == (0,)
+
+    def test_column_and_scalar_are_within_2e_15_of_50_digits(self):
+        # H(tau) with tau = (1 + sqrt(1 - C^2))/2 near 1 lost digits to 1 - tau
+        # (up to 3.4e-4 relative for C in 1e-6..1e-4, and 0 below 1.05e-8).
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        c = np.concatenate([[0.0, 5e-324, 1e-300, 1.0], 10.0 ** rng.uniform(-12.0, 0.0, 2000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            column = correlations._eof_column(c)
+            scalar = [eof_from_concurrence(v) for v in c.tolist()]
+        assert column.tolist() == scalar
+        assert not np.signbit(column).any()
+        assert not np.signbit(scalar).any()
+        expected = np.array([eof_50_digits(v) for v in c.tolist()])
+        assert np.all(np.abs(column - expected) <= 2e-15 * expected)
 
     def test_zero_concurrence(self):
         assert eof(np.eye(4) / 4) == 0.0

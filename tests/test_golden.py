@@ -24,7 +24,12 @@ from jcqsim.device import DeviceParams, EffectiveParams, ThermalSpec, effective_
 from jcqsim.sweep import SweepSpec
 
 from helpers import built_measures
-from oracles import conditional_entropy_50_digits, discord_50_digits, mutual_information_50_digits
+from oracles import (
+    conditional_entropy_50_digits,
+    discord_50_digits,
+    eof_50_digits,
+    mutual_information_50_digits,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,6 +155,21 @@ def test_moved_report_angles_measure_no_worse_at_50_digits():
     now = Measurement(cells["theta_opt"], cells["phi_opt"])
     assert conditional_entropy_50_digits(eff, 0.01, now) <= conditional_entropy_50_digits(
         eff, 0.01, Measurement(1.27992326, 3.1415777))
+
+
+def test_every_eof_cell_prints_its_50_digit_value(monkeypatch, capsys):
+    # Concurrences down to 1e-12 and 0: EoF taken as H(tau), tau =
+    # (1 + sqrt(1 - C^2))/2, lost digits to 1 - tau and misprinted 12 cells.
+    pytest.importorskip("mpmath")
+    seen, column = [], correlations._eof_column
+    monkeypatch.setattr(correlations, "_eof_column",
+                        lambda c: seen.extend(c.tolist()) or column(c))
+    assert main(["sweep", "--variable", "temperature", "--start", "0", "--stop", "0.1",
+                 "--steps", "2001", "--v-x", "1e-4", "--measures", "concurrence", "eof"]) == 0
+    _, *rows = capsys.readouterr().out.splitlines()
+    cells = [row.split(",")[1:] for row in rows]
+    assert [c for c, _ in cells] == ["%.9g" % c for c in seen]
+    assert [e for _, e in cells] == ["%.9g" % eof_50_digits(c) for c in seen]
 
 
 if __name__ == "__main__":
