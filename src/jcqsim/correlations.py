@@ -16,24 +16,24 @@ is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
 [0, pi/2]; the optimum can lie inside it (Lu et al., PRA 83, 012327, 2011),
 so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
 exact.  Each search seeds on a grid and ends in one trust-region Newton
-polish (:func:`_polish`) on stencils of 3^d points in a chart of d
-dimensions.  The X states of a stack are searched 64 at a time: a 33-point
-theta seed, then a 17-point stencil a seed cell either way of the best seed
-(2 kernel calls, 50 evaluations).  A state whose best seed is an end of the
-interval, with the stencil's values rising away from it, stops there, and
-so does one whose best three values agree to round-off: every Gibbs state
-of the published figures stops after these 2 calls.  The others polish in
-theta (d = 1) until they converge, one kernel call a 3-point stencil and
-50 + 3k evaluations in all.  The other states of a stack are searched
-together, in blocks that bound each kernel call's memory.  Each state seeds
-on the 993 directions of a 33x64 Bloch-angle grid that differ by more than a
-sign, or, if its density matrix is exactly real (as is every Gibbs state
-built here), on the 528 of them with n_y >= 0: its conditional entropy is
-then even in n_y.  Then it polishes on 3x3 stencils in the plane tangent at
-its best seed direction (d = 2) until a stencil's values agree to round-off,
-after 5 to 7 stencils of 9 evaluations on most states (1,038 to 1,056
-evaluations in all, or 573 to 591 from the halved seed) and at most 30.
-A seed kernel call serves 2 states (3 real ones) and a polish call, one per
+polish (:func:`_polish`) on 3x3 stencils in the plane tangent at its best
+direction so far, until a stencil's values agree to round-off; it measures
+at most 30 stencils of 9 evaluations.  The X states of a stack are searched
+64 at a time: a 33-point theta seed, then a 17-point stencil a seed cell
+either way of the best seed (2 kernel calls, 50 evaluations).  A state whose
+best seed is an end of the interval, with the stencil's values rising away
+from it, stops there, and so does one whose best stencil value and its two
+neighbours agree to round-off: every Gibbs state of the published figures
+stops after these 2 calls.  The others polish from their best angle in
+their own X frame, one kernel call a stencil and 50 + 9k evaluations in
+all.  The other states of a stack are searched together, in blocks that
+bound each kernel call's memory.  Each state seeds on the 993 directions of
+a 33x64 Bloch-angle grid that differ by more than a sign, or, if its density
+matrix is exactly real (as is every Gibbs state built here), on the 528 of
+them with n_y >= 0: its conditional entropy is then even in n_y.  Then it
+polishes from its best seed direction, after 5 to 7 stencils on most states
+(1,038 to 1,056 evaluations in all, or 573 to 591 from the halved seed).  A
+seed kernel call serves 2 states (3 real ones) and a polish call, one per
 stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
 the same kernel.  Concurrence takes the closed form on X states and, on the
@@ -76,8 +76,8 @@ _TWO_PI = 2.0 * math.pi
 DISCORD_NEGATIVE_TOL = 1e-9
 
 # Optimizer tuning: a coarse seed grid, then the polish, one trust-region rule
-# on stencils of 3^d points in d = 1 or 2 chart dimensions.  Each stencil fits
-# a quadratic to its values.  Where the fit is positive definite with its
+# on 3x3 stencils in the plane tangent at a direction.  Each stencil fits a
+# quadratic to its values.  Where the fit is positive definite with its
 # minimum inside the stencil, the centre moves there and the stencil shrinks
 # to the step's length, at least NEWTON_SHRINK-fold; with the minimum
 # outside, the centre moves to the stencil's edge along the step and the
@@ -90,8 +90,8 @@ DISCORD_NEGATIVE_TOL = 1e-9
 # by at most POLISH_FLAT, which is round-off (the values of a stencil on a
 # flat optimum spread by a few 1e-15), or once the polish has measured
 # POLISH_STENCILS stencils.  General states seed on a grid over the Bloch
-# sphere and polish on 3x3 stencils, the first one seed-grid cell (pi/32)
-# either way of the best seed direction.
+# sphere and polish, the first stencil one seed-grid cell (pi/32) either way
+# of the best seed direction.
 SEED_THETA_POINTS = 33
 SEED_PHI_POINTS = 64
 NEWTON_SHRINK = 1.0 / 16.0
@@ -104,21 +104,15 @@ SEED_COLUMNS = 3972
 # kernel columns.
 POLISH_BLOCK = 64
 # X states: theta alone, in [0, pi/2]; the conditional entropy is even about
-# both ends, so stencils are reflected there.  A seed with cells of pi/64,
-# then one stencil with cells of pi/512 a seed cell either way of the best
-# seed.  A best seed at an end with the stencil's values rising away from it
-# stops there.  The other states polish on 3-point stencils in theta, the
-# first model from the stencil's best value and its neighbours, measured
-# already and so not counted against POLISH_STENCILS.  On this path alone a
-# state also stops once a Newton step inside a stencil of half-width at most
-# X_NARROW gains at most X_GAIN (the general polish passes a width of 0).  On
-# a wider stencil the model's cubic term can hide the slope: one of
-# half-width pi/1024, 5e-6 rad off an optimum, had values even to 1.3e-15
-# about its centre, 3e-14 bits above it.
+# both ends.  A seed with cells of pi/64, then one stencil with cells of
+# pi/512 a seed cell either way of the best seed, reflected at the ends.  A
+# best seed at an end with the stencil's values rising away from it stops
+# there, and so does a state whose best stencil value and its two neighbours
+# (the three at an end of the stencil) spread by at most POLISH_FLAT.  The
+# other states polish in their X frame, the first stencil one fine cell
+# (pi/512) either way of their best angle.
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
-X_GAIN = 1e-17
-X_NARROW = 2.5e-5
 # X states per search: 64 * 2 * 33 = 4,224 kernel columns, as for general states.
 # Also the states per Hermiticity test, whose copies it bounds.
 X_BLOCK = 64
@@ -194,6 +188,8 @@ def binary_entropy(tau: float) -> float:
     It is :func:`_binary_entropies` of the smaller probability
     min(tau, 1 - tau), which is exact (1 - tau is, for tau >= 1/2), and so
     within a few 1e-16 relative of the true value."""
+    if not 0.0 <= tau <= 1.0:
+        raise InvalidParameterError(f"tau must be in [0, 1], got {tau}")
     return float(_binary_entropies(np.array([min(tau, 1.0 - tau)]))[0])
 
 
@@ -315,10 +311,9 @@ _SEED = np.hstack([
 # its conditional entropy is even in n_y, bit for bit: it seeds on the 528
 # directions of _SEED with n_y >= 0 (phi in [0, pi]), in the same order.
 _REAL_SEED = _SEED[:, _SEED[1] >= 0.0]
-# Offsets of the polish stencils in units of their half-width, in d = 1 or 2
-# chart dimensions (u, or (u, v) u-major): the centre is the middle point.
-_STENCILS = {d: np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d, indexing="ij")).reshape(d, -1)
-             for d in (1, 2)}
+# Offsets (u, v) of the polish stencil in units of its half-width, u-major:
+# the centre is the middle point.
+_STENCIL = np.array(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, -1)
 # The X-state seed angles, spanning [0, pi/2], its cell and its directions;
 # the offsets of the X-state fine stencil in units of its half-width.
 _X_SEED = 0.25 * math.pi + 0.25 * math.pi * np.linspace(-1.0, 1.0, X_SEED_POINTS)
@@ -333,8 +328,8 @@ def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
 
     Seed exactly real states on :data:`_REAL_SEED` and the others on
     :data:`_SEED`, at most SEED_COLUMNS kernel columns a call, keeping each
-    state's first minimum; then :func:`_polish` in d = 2, on the chart of
-    :func:`_tangent_chart`, in lockstep blocks of POLISH_BLOCK.
+    state's first minimum; then :func:`_polish` from the best seed
+    direction, in lockstep blocks of POLISH_BLOCK.
     """
     bloch = _bloch(states, side)
     count = len(states)
@@ -350,38 +345,32 @@ def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
             best[block], n[block] = values[np.arange(len(i)), i], seed[:, i].T
     for start in range(0, count, POLISH_BLOCK):
         block = slice(start, start + POLISH_BLOCK)
-        size = len(best[block])
-        # The chart's origin, the best seed, is the first stencil's centre.
-        evaluations[block] += 9 * _polish(
-            _tangent_chart(bloch[block], n[block]), best[block], n[block],
-            *np.zeros((2, size, 2)), np.full(size, math.pi / (SEED_THETA_POINTS - 1)))
+        width = np.full(len(best[block]), math.pi / (SEED_THETA_POINTS - 1))
+        evaluations[block] += 9 * _polish(bloch[block], best[block], n[block], width)
     return best, *_angles(n.T), evaluations
 
 
-def _polish(evaluate, best, found, spot, centre, width, narrow=0.0, first=None) -> np.ndarray:
-    """Newton steps on stencils of 3^d points (d = 1 or 2 chart dimensions),
-    in lockstep over L states.  ``evaluate(rows, offsets)`` gives the values
-    of the states ``rows`` at chart coordinates offsets (len(rows) x d x 3^d),
-    and the chart coordinates and the points to report of those measured.
-    best (L) and found (L x .), each state's best value and point so far, are
-    updated in place; spot (L x d) is that point's chart coordinates, centre
-    (L x d) and width (L) the first stencil's centre and half-width.
-    ``first``, if given, is that stencil's measurement, made already and not
-    counted.  A state also stops where a Newton step inside a stencil of
-    half-width at most ``narrow`` gains at most X_GAIN.  Returns the number
-    of stencils each state measured."""
-    stencil = _STENCILS[centre.shape[1]]
-    mid = stencil.shape[1] // 2
+def _polish(bloch, best, n, width) -> np.ndarray:
+    """Newton steps on 3x3 stencils, in lockstep over L states with Fano
+    matrices bloch (L x 4 x 4), in the chart n + u e_theta + v e_phi of the
+    plane tangent at each state's starting direction n (L x 3,
+    :func:`_tangent_chart`), put back on the sphere.  best (L) and n, each
+    state's best value so far and its direction, are updated in place;
+    width (L) is the half-width of the first stencil, centred on n.  Returns
+    the number of stencils each state measured."""
+    chart, origin = _tangent_chart(n), n.copy()
+    mid = _STENCIL.shape[1] // 2
+    # Chart coordinates of each stencil's centre and of the best point.
+    centre, spot = np.zeros((2, len(best), 2))
     proposed = np.zeros(len(best))
     stencils = np.zeros(len(best), dtype=int)
     a = np.arange(len(best))
     while len(a):
-        if first is None:
-            offsets = centre[a, :, None] + width[a, None, None] * stencil
-            values, coords, points = evaluate(a, offsets)
-            stencils[a] += 1
-        else:
-            (values, coords, points), first = first, None
+        offsets = centre[a, :, None] + width[a, None, None] * _STENCIL
+        points = origin[a, :, None] + chart[a] @ offsets
+        points /= np.sqrt(np.einsum("aij,aij->aj", points, points))[:, None]
+        values = _cond_entropy(bloch[a], points)
+        stencils[a] += 1
         w = width[a]
         # A model's step whose point came out above the best value so far is
         # undone: the centre goes back to the best point.
@@ -390,54 +379,50 @@ def _polish(evaluate, best, found, spot, centre, width, narrow=0.0, first=None) 
         lowest = values[rows, i]
         better = lowest < best[a]
         best[a] = np.where(better, lowest, best[a])
-        found[a] = np.where(better[:, None], points[rows, :, i], found[a])
-        spot[a] = np.where(better[:, None], coords[rows, :, i], spot[a])
+        n[a] = np.where(better[:, None], points[rows, :, i], n[a])
+        spot[a] = np.where(better[:, None], offsets[rows, :, i], spot[a])
         # Where the model is positive definite, its minimum s is taken if it
         # lies inside the stencil and cut at its edge otherwise; both tests
         # come before dividing.
-        g, step, det, definite = _quadratic(values)
+        step, det, definite = _quadratic(values)
         reach = np.abs(step).max(0)
         convex = ~undo & definite
         newton = convex & (reach <= det)
         s = np.where(convex, step / np.where(newton, det, np.where(convex, reach, 1.0)),
-                     stencil[:, i])
+                     _STENCIL[:, i])
         # Elsewhere the centre moves to the stencil's best point, at the same
         # width if that point is on the edge and better beyond round-off.
         edge = ~convex & ~undo & (i != mid) & (values[:, mid] - lowest > POLISH_FLAT)
-        # The step's gain, g . h^-1 g / 2, is at most X_GAIN.
-        settled = newton & (w <= narrow) & (-(g * step).sum(0) <= 2.0 * X_GAIN * det)
         width[a] = np.where(undo, np.minimum(w, 0.5 * proposed[a]), w * np.where(
             newton, np.maximum(NEWTON_SHRINK, np.abs(s).max(0)),
             np.where(convex, 2.0, np.where(edge, 1.0, 0.5))))
         proposed[a] = np.where(convex, w, 0.0)
         centre[a] = np.where(undo[:, None], spot[a], centre[a] + w[:, None] * s.T)
-        a = a[(undo | (values.max(1) - lowest > POLISH_FLAT) & ~settled)
-              & (stencils[a] < POLISH_STENCILS)]
+        a = a[(undo | (values.max(1) - lowest > POLISH_FLAT)) & (stencils[a] < POLISH_STENCILS)]
     return stencils
 
 
 def _quadratic(f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(gradient g, adj(h) (-g), det(h), whether h is positive definite) of
-    the quadratic through each row of stencil values f (N x 3^d), in stencil
-    units by central differences: its minimum is s = adj(h) (-g) / det(h)."""
-    if f.shape[1] == 3:
-        g, h = 0.5 * (f[:, 2] - f[:, 0]), f[:, 2] + f[:, 0] - 2.0 * f[:, 1]
-        return g[None], -g[None], h, h > 0.0
+    """(adj(h) (-g), det(h), whether h is positive definite) of the quadratic
+    through each row of 3x3 stencil values f (N x 9), with gradient g and
+    Hessian h in stencil units by central differences: its minimum is
+    s = adj(h) (-g) / det(h)."""
     f = f.reshape(-1, 3, 3)
-    g_u, g_v = g = 0.5 * np.array([f[:, 2, 1] - f[:, 0, 1], f[:, 1, 2] - f[:, 1, 0]])
+    g_u, g_v = 0.5 * (f[:, 2, 1] - f[:, 0, 1]), 0.5 * (f[:, 1, 2] - f[:, 1, 0])
     h_uu = f[:, 2, 1] + f[:, 0, 1] - 2.0 * f[:, 1, 1]
     h_vv = f[:, 1, 2] + f[:, 1, 0] - 2.0 * f[:, 1, 1]
     h_uv = 0.25 * (f[:, 2, 2] + f[:, 0, 0] - f[:, 2, 0] - f[:, 0, 2])
     det = h_uu * h_vv - h_uv * h_uv
     step = np.array([h_uv * g_v - h_vv * g_u, h_uv * g_u - h_uu * g_v])
-    return g, step, det, (h_uu > 0.0) & (det > 0.0)
+    return step, det, (h_uu > 0.0) & (det > 0.0)
 
 
-def _tangent_chart(bloch: np.ndarray, n: np.ndarray):
-    """:func:`_polish`'s ``evaluate`` on Fano matrices ``bloch`` in the chart
-    n + u e_theta + v e_phi, put back on the sphere, of the plane tangent at
-    each direction n (N x 3): it reaches every measurement but those at right
-    angles to n and, unlike a box in (theta, phi), does not pinch at a pole."""
+def _tangent_chart(n: np.ndarray) -> np.ndarray:
+    """Basis (e_theta, e_phi), the columns of each N x 3 x 2 slice, of the
+    plane tangent at each direction n (N x 3).  The chart n + u e_theta +
+    v e_phi, put back on the sphere, reaches every measurement but those at
+    right angles to n and, unlike a box in (theta, phi), does not pinch at a
+    pole."""
     # The chart's azimuth is atan2's, unfolded: folding into [0, 2*pi) would
     # round it.
     theta, phi = _angles(n.T)[0], np.arctan2(n[:, 1], n[:, 0])
@@ -445,14 +430,7 @@ def _tangent_chart(bloch: np.ndarray, n: np.ndarray):
     chart = np.zeros((len(n), 3, 2))
     chart[:, 0, 0], chart[:, 1, 0], chart[:, 2, 0] = ct * cp, ct * sp, -st
     chart[:, 0, 1], chart[:, 1, 1] = -sp, cp
-    origin = n.copy()
-
-    def evaluate(rows, offsets):
-        points = origin[rows, :, None] + chart[rows] @ offsets
-        points /= np.sqrt(np.einsum("aij,aij->aj", points, points))[:, None]
-        return _cond_entropy(bloch[rows], points), offsets, points
-
-    return evaluate
+    return chart
 
 
 def _x_bloch(states: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -498,9 +476,11 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     in [0, pi/2] at the azimuth of :func:`_x_bloch`.
 
     Seed on :data:`_X_SEED`, then take one X_POLISH_POINTS stencil a seed
-    cell either way of each state's best seed angle; the states whose optimum
-    that leaves open take :func:`_polish` in d = 1, in theta, with its
-    narrow-stencil stop (X_NARROW, X_GAIN).
+    cell either way of each state's best seed angle.  The states whose
+    optimum that leaves open take :func:`_polish` in their X frame from
+    (sin theta, 0, cos theta) at their best angle theta; the values are even
+    in n_x and in n_z there, so the direction it finds folds back to
+    theta = atan2(|n_x|, |n_z|) in [0, pi/2], at the same azimuth.
     """
     bloch, phis = _x_bloch(states, side)
     count = len(states)
@@ -508,8 +488,7 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     values = _cond_entropy(bloch, np.broadcast_to(_X_SEED_DIRECTIONS, (count, 3, X_SEED_POINTS)))
     i = values.argmin(1)
     best, theta = values[rows, i], _X_SEED[i]
-    grid = theta[:, None] + _X_SEED_CELL * _X_FINE
-    values, angles = _x_values(bloch, grid)
+    values, angles = _x_values(bloch, theta[:, None] + _X_SEED_CELL * _X_FINE)
     j = values.argmin(1)
     lowest = values[rows, j]
     better = lowest < best
@@ -521,25 +500,16 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     mid = X_POLISH_POINTS // 2
     rise = values[:, 1:] - values[:, :-1]
     falls = np.maximum(rise[:, :mid].max(1), np.negative(rise[:, mid:]).max(1)) > 0.0
-    a = np.flatnonzero(((i != 0) & (i != X_SEED_POINTS - 1)) | falls)
+    # So is a best stencil value whose neighbours agree with it to round-off.
+    near = values[rows[:, None], np.clip(j, 1, X_POLISH_POINTS - 2)[:, None] + np.arange(-1, 2)]
+    flat = near.max(1) - near.min(1) <= POLISH_FLAT
+    a = np.flatnonzero((((i != 0) & (i != X_SEED_POINTS - 1)) | falls) & ~flat)
     if len(a):
-        # The first model is that of the best stencil value and its two
-        # neighbours, measured already.  A point's chart coordinate and the
-        # point reported are both its angle reflected into [0, pi/2], so an
-        # undone step goes back to the best reflected angle.
-        k = np.clip(j[a], 1, X_POLISH_POINTS - 2)[:, None] + np.arange(-1, 2)
-        first = angles[a[:, None], k][:, None]
-
-        def evaluate(rows, offsets):
-            values, thetas = _x_values(bloch[a[rows]], offsets[:, 0])
-            return values, thetas[:, None], thetas[:, None]
-
-        polished, found, spot = best[a], theta[a][:, None], theta[a][:, None]
-        evaluations[a] += 3 * _polish(
-            evaluate, polished, found, spot, grid[a, k[:, 1]][:, None],
-            np.full(len(a), 2.0 * _X_SEED_CELL / (X_POLISH_POINTS - 1)), X_NARROW,
-            (values[a[:, None], k], first, first))
-        best[a], theta[a] = polished, found[:, 0]
+        polished = best[a]
+        n = np.array([np.sin(theta[a]), np.zeros(len(a)), np.cos(theta[a])]).T
+        evaluations[a] += 9 * _polish(bloch[a], polished, n,
+                                      np.full(len(a), 2.0 * _X_SEED_CELL / (X_POLISH_POINTS - 1)))
+        best[a], theta[a] = polished, np.arctan2(np.abs(n[:, 0]), np.abs(n[:, 2]))
     return best, theta, phis, evaluations
 
 

@@ -85,6 +85,8 @@ class DeviceParams:
     def __post_init__(self):
         if not abs(self.n) <= 1e6:
             raise InvalidParameterError("n must satisfy |n| <= 1e6 (a Cooper-pair offset)")
+        if not float(self.n).is_integer():
+            raise InvalidParameterError(f"n must be an integer, got {self.n!r}")
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value}")

@@ -488,8 +488,8 @@ def x_states_of_every_kind(rng, per_kind):
 
 def ran_x_path(evaluations):
     """Whether an evaluation count is the X path's: the 33-point seed, the
-    17-point stencil and k 3-point Newton stencils, k at most the cap."""
-    k, rest = divmod(evaluations - (33 + 17), 3)
+    17-point stencil and k 3x3 Newton stencils, k at most the cap."""
+    k, rest = divmod(evaluations - (33 + 17), 9)
     return rest == 0 and 0 <= k <= correlations.POLISH_STENCILS
 
 
@@ -505,7 +505,7 @@ def general_path(rho, side):
 @functools.cache
 def x_states_that_polish() -> dict:
     """Side -> a stack of at least 100 seeded random X states whose theta
-    search, measuring that side, leaves the 17-point stencil for the 1-D
+    search, measuring that side, leaves the 17-point stencil for the
     polish (more than 50 evaluations).  About 0.07% of draws do."""
     rng = np.random.default_rng(46)
     found = {"first": [], "second": []}
@@ -572,6 +572,39 @@ class TestXStateEngine:
         general_discord = correlations._clamp_classical(mi, general_cc)[0]
         assert (np.array([r.discord for r in reports]) - general_discord).max() <= 1e-12
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_a_polished_state_reports_its_x_frame_measurement(self, side):
+        # The polish may leave the xz plane of the X frame; the direction it
+        # finds folds back to theta in [0, pi/2] at the frame's own azimuth,
+        # and the reported measurement attains the value the polish found.
+        states = x_states_that_polish()[side]
+        best, theta, phi, _ = correlations._maximize_x(states, side)
+        assert phi.tobytes() == correlations._x_bloch(states, side)[1].tobytes()
+        assert ((0.0 <= theta) & (theta <= 0.5 * math.pi)).all()
+        for rho, value, t, f in zip(states, best, theta, phi):
+            assert abs(conditional_entropy(rho, Measurement(t, f, side)) - value) <= 1e-14
+
+    def test_every_published_state_stops_after_the_seed_and_stencil(self, monkeypatch):
+        # Every Gibbs state of the five published grids is an X state whose
+        # search ends after the 33-point seed and the 17-point stencil.
+        search, evaluations = correlations._maximize_x, []
+
+        def counted_search(states, side):
+            found = search(states, side)
+            evaluations.append(found[3])
+            return found
+
+        monkeypatch.setattr(correlations, "_maximize_x", counted_search)
+        points = 0
+        for name in ("fig2a", "fig2b", "fig3", "fig4"):
+            for spec in sweep.figure_preset(name):
+                points += len(sweep.sweep_1d(spec))
+        for spec_x, spec_y in sweep.figure_preset("fig5"):
+            points += len(sweep.sweep_2d(spec_x, spec_y))
+        counts = np.concatenate(evaluations)
+        assert len(counts) == points > 26_000
+        assert (counts == 33 + 17).all()
+
     def test_a_wide_stencil_is_not_taken_as_converged(self):
         # A stencil half a 17-point cell wide, 5e-6 rad from this state's
         # optimum, has values even to 1.3e-15 about its centre: its cubic
@@ -620,9 +653,9 @@ SWAP = np.eye(4)[[0, 2, 1, 3]]
 
 
 class TestPolishCap:
-    # The cap counts the stencils the polish measures: on general states the
-    # first 3x3 stencil is one of them; on X states the first 3-point model
-    # comes from the 17-point stencil, measured before the polish.
+    # The cap counts the 3x3 stencils the polish measures, the first one
+    # included; the X path's 17-point stencil, measured before the polish, is
+    # not one of them.
     CAP = 2
 
     @pytest.mark.parametrize("side", ["first", "second"])
@@ -638,11 +671,11 @@ class TestPolishCap:
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_x_states_stop_at_the_cap(self, monkeypatch, side):
         states = x_states_that_polish()[side]
-        stencils = (correlations._maximize_x(states, side)[3] - 50) // 3
+        stencils = (correlations._maximize_x(states, side)[3] - 50) // 9
         assert (stencils >= 1).all() and (stencils >= self.CAP).any()
         monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
         capped = correlations._maximize_x(states, side)[3]
-        assert (capped == 50 + 3 * np.minimum(stencils, self.CAP)).all()
+        assert (capped == 50 + 9 * np.minimum(stencils, self.CAP)).all()
 
 
 class TestGeneralMaximizer:
@@ -1119,6 +1152,11 @@ class TestEof:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("tau", [1.5, -0.2, 1.0 + 1e-15, float("nan"), float("inf")])
+    def test_binary_entropy_rejects_a_bias_outside_0_1(self, tau):
+        with pytest.raises(InvalidParameterError, match=r"tau must be in \[0, 1\]"):
+            binary_entropy(tau)
 
 
 class TestGroundStateDiscordAnalytic:

@@ -58,6 +58,15 @@ class TestDeviceParams:
         with pytest.raises(InvalidParameterError):
             DeviceParams(e_j0=-0.1)
 
+    @pytest.mark.parametrize("n", [0.5, -2.25, 1e6 - 0.5])
+    def test_non_integer_cooper_pair_offset_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            DeviceParams(n=n)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.0, 1e6])
+    def test_integer_cooper_pair_offset_accepted(self, n):
+        assert DeviceParams(n=n).n == n
+
 
 class TestChargeEnergy:
     def test_paper_default_capacitances(self):
