@@ -13,28 +13,32 @@ S(rho_b) - S(rho | {Pi_k}) over rank-1 projective measurements on one qubit;
 one kernel gives the measured conditional entropy for many directions and
 states at once.  X states (nonzero only on the diagonal and anti-diagonal, as
 is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
-[0, pi/2]; the optimum can lie inside it (Lu et al., PRA 83, 012327, 2011),
-so theta in {0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not
-exact.  Each search seeds on a grid and ends in one trust-region Newton
-polish (:func:`_polish`) on 3x3 stencils in the plane tangent at its best
+[0, pi/2].  Where the sufficient conditions of Chen, Zhang, Yu, Yi and Oh
+(PRA 84, 042313, 2011) hold, theta = 0 or theta = pi/2 is optimal, and a
+state takes that end at 1 evaluation (theta = 0 if both hold), its value in
+closed form at either end.  That is 26,376 of the 26,414 Gibbs states of the published figures.  Elsewhere the optimum can
+lie inside the interval (Lu et al., PRA 83, 012327, 2011), so theta in
+{0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not exact.
+Each search seeds on a grid and ends in one trust-region Newton polish
+(:func:`_polish`) on 3x3 stencils in the plane tangent at its best
 direction so far, until a stencil's values agree to round-off; it measures
-at most 30 stencils of 9 evaluations.  The X states of a stack are searched
-64 at a time: a 33-point theta seed, then a 17-point stencil a seed cell
-either way of the best seed (2 kernel calls, 50 evaluations).  A state whose
-best seed is an end of the interval, with the stencil's values rising away
-from it, stops there, and so does one whose best stencil value and its two
-neighbours agree to round-off: every Gibbs state of the published figures
-stops after these 2 calls.  The others polish from their best angle in
-their own X frame, one kernel call a stencil and 50 + 9k evaluations in
-all.  The other states of a stack are searched together, in blocks that
-bound each kernel call's memory.  Each state seeds on the 993 directions of
-a 33x64 Bloch-angle grid that differ by more than a sign, or, if its density
-matrix is exactly real (as is every Gibbs state built here), on the 528 of
-them with n_y >= 0: its conditional entropy is then even in n_y.  Then it
-polishes from its best seed direction, after 5 to 7 stencils on most states
-(1,038 to 1,056 evaluations in all, or 573 to 591 from the halved seed).  A
-seed kernel call serves 2 states (3 real ones) and a polish call, one per
-stencil, up to 64 states.
+at most 30 stencils of 9 evaluations.  The uncertified X states of a stack
+are searched 64 at a time: a 33-point theta seed, then a 17-point stencil a
+seed cell either way of the best seed (2 kernel calls, 50 evaluations).  A
+state whose best seed is an end of the interval, with the stencil's values
+rising away from it, stops there, and so does one whose best stencil value
+and its two neighbours agree to round-off: the 38 uncertified Gibbs states
+of the published figures stop after these 2 calls.  The others polish from
+their best angle in their own X frame, one kernel call a stencil and 50 + 9k
+evaluations in all.  The other states of a stack are searched together, in
+blocks that bound each kernel call's memory.  Each state seeds on the 993
+directions of a 33x64 Bloch-angle grid that differ by more than a sign, or,
+if its density matrix is exactly real (as is every Gibbs state built here),
+on the 528 of them with n_y >= 0: its conditional entropy is then even in
+n_y.  Then it polishes from its best seed direction, after 5 to 7 stencils
+on most states (1,038 to 1,056 evaluations in all, or 573 to 591 from the
+halved seed).  A seed kernel call serves 2 states (3 real ones) and a
+polish call, one per stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
 the same kernel.  Concurrence takes the closed form on X states and, on the
 others, one kernel, Wootters' form from a state's eigenvectors and spectrum
@@ -45,7 +49,8 @@ the binary entropy of the smaller of Wootters' two probabilities,
 u = C^2 / (2 (1 + sqrt(1 - C^2))), by one numpy kernel
 (:func:`_binary_entropies`, with ln(1 - u) as log1p(-u)) that the EoF
 column, :func:`eof_from_concurrence` and :func:`binary_entropy` share: no
-step cancels, so small concurrences keep their digits.
+step cancels, so small concurrences keep their digits, down to those whose
+square is no longer a normal float, where u is formed from ln C.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ MEASURES = ("mutual_information", "classical_correlation", "discord", "concurren
 _KEPT = {"first": 1, "second": 0}
 
 _LN2 = math.log(2.0)
+# The smallest normal float, 2^-1022.
+_TINY = 2.2250738585072014e-308
 _TWO_PI = 2.0 * math.pi
 
 # Classical correlation may exceed mutual information by at most this much
@@ -475,6 +482,75 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     qubit ``side`` for each of a stack of X states (N x 4 x 4), over theta
     in [0, pi/2] at the azimuth of :func:`_x_bloch`.
 
+    A state that :func:`_x_certificates` certifies takes its end at 1
+    evaluation, in closed form (:func:`_x_pole_entropy` at theta = 0,
+    :func:`_x_equator_entropy` at pi/2), theta = 0 if both ends are
+    certified.  The others take :func:`_search_x`, each state's
+    certificates and result its own whatever the stack.
+    """
+    bloch, phis = _x_bloch(states, side)
+    zero, half = _x_certificates(states, side)
+    half &= ~zero
+    best = np.empty(len(states))
+    theta = np.where(half, 0.5 * math.pi, 0.0)
+    evaluations = np.ones(len(states), dtype=int)
+    if np.count_nonzero(zero):
+        best[zero] = _x_pole_entropy(states[zero], side)
+    if np.count_nonzero(half):
+        best[half] = _x_equator_entropy(states[half], side)
+    a = np.flatnonzero(~zero & ~half)
+    if len(a):
+        best[a], theta[a], evaluations[a] = _search_x(bloch[a])
+    return best, theta, phis, evaluations
+
+
+def _x_certificates(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
+    """Whether theta = 0 (sigma_z) and whether theta = pi/2 (sigma_x) is the
+    optimal measurement of the qubit ``side`` of each of a stack of X states
+    (N x 4 x 4), by the sufficient conditions of Chen, Zhang, Yu, Yi and Oh
+    (PRA 84, 042313, 2011).  With c = |rho_14| + |rho_23|:
+    theta = 0 where (rho_11 - rho_22)(rho_44 - rho_33) >= c^2 (the first
+    qubit measured; rho_22 and rho_33 trade places for the second), theta =
+    pi/2 where |sqrt(rho_11 rho_44) - sqrt(rho_22 rho_33)| <= c.  Both tests
+    are inclusive: on the boundary the optimum is still the end."""
+    p = states[:, range(4), range(4)].real
+    c = np.abs(states[:, 0, 3]) + np.abs(states[:, 1, 2])
+    k = 1 if side == "first" else 2
+    zero = (p[:, 0] - p[:, k]) * (p[:, 3] - p[:, 3 - k]) >= c * c
+    roots = np.sqrt(np.maximum(p[:, [0, 1]] * p[:, [3, 2]], 0.0))
+    return zero, np.abs(roots[:, 0] - roots[:, 1]) <= c
+
+
+def _x_pole_entropy(states: np.ndarray, side: str) -> np.ndarray:
+    """Conditional entropy at theta = 0 of a stack of X states (N x 4 x 4),
+    the qubit ``side`` measured: S(diag rho) - S(diag rho_a), rho_a the
+    measured qubit's state, taken as the sum over its two outcomes of
+    m H(q / m), each outcome's probability m times the binary entropy of
+    the smaller of its two levels q.  Every term is nonnegative, so nothing
+    cancels."""
+    p = states[:, range(4), range(4)].real
+    pairs = p[:, [[0, 1], [2, 3]]] if side == "first" else p[:, [[0, 2], [1, 3]]]
+    m = pairs.sum(2)
+    return (m * _binary_entropies(pairs.min(2) / np.where(m > 0.0, m, 1.0))).sum(1)
+
+
+def _x_equator_entropy(states: np.ndarray, side: str) -> np.ndarray:
+    """Conditional entropy at theta = pi/2 of a stack of X states (N x 4 x 4),
+    the qubit ``side`` measured.  Both outcomes are equally likely and leave
+    the other qubit with Bloch length r = hypot(2c, m0 - m1), m0 and m1 its
+    populations and c = |rho_14| + |rho_23|, so it is H(q) with q = (1 - r)/2
+    taken as 2 (m0 m1 - c^2) / (1 + r), which does not cancel as r -> 1."""
+    p = states[:, range(4), range(4)].real
+    m0, m1 = (p[:, [[0, 2], [1, 3]]] if side == "first" else p[:, [[0, 1], [2, 3]]]).sum(2).T
+    c = np.abs(states[:, 0, 3]) + np.abs(states[:, 1, 2])
+    return _binary_entropies(2.0 * (m0 * m1 - c * c) / (1.0 + np.hypot(2.0 * c, m0 - m1)))
+
+
+def _search_x(bloch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(minimal conditional entropy, theta, evaluations) over theta in
+    [0, pi/2] for each of a stack of X-state Fano matrices from
+    :func:`_x_bloch`.
+
     Seed on :data:`_X_SEED`, then take one X_POLISH_POINTS stencil a seed
     cell either way of each state's best seed angle.  The states whose
     optimum that leaves open take :func:`_polish` in their X frame from
@@ -482,8 +558,7 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
     in n_x and in n_z there, so the direction it finds folds back to
     theta = atan2(|n_x|, |n_z|) in [0, pi/2], at the same azimuth.
     """
-    bloch, phis = _x_bloch(states, side)
-    count = len(states)
+    count = len(bloch)
     rows = np.arange(count)
     values = _cond_entropy(bloch, np.broadcast_to(_X_SEED_DIRECTIONS, (count, 3, X_SEED_POINTS)))
     i = values.argmin(1)
@@ -510,7 +585,7 @@ def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
         evaluations[a] += 9 * _polish(bloch[a], polished, n,
                                       np.full(len(a), 2.0 * _X_SEED_CELL / (X_POLISH_POINTS - 1)))
         best[a], theta[a] = polished, np.arctan2(np.abs(n[:, 0]), np.abs(n[:, 2]))
-    return best, theta, phis, evaluations
+    return best, theta, evaluations
 
 
 def _clamp_classical(mi, cc):
@@ -563,8 +638,20 @@ def _measure(states: np.ndarray, w: np.ndarray, v, measures, side: str = "first"
 def _eof_column(c: np.ndarray) -> np.ndarray:
     """:func:`eof_from_concurrence` of each of an array of concurrences in
     [0, 1]: the binary entropy of u = (1 - sqrt(1 - C^2))/2, taken as
-    C^2 / (2 (1 + sqrt(1 - C^2))), which does not cancel as C -> 0."""
-    return _binary_entropies(c * c / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))))
+    C^2 / (2 (1 + sqrt(1 - C^2))), which does not cancel as C -> 0.
+
+    Where C^2 is below the smallest normal float it has lost digits, and
+    there the entropy is u (1 - ln u) / ln 2 (the next term is u^2 / 2), with
+    ln u = 2 ln C + ln(1 / (2 (1 + sqrt(1 - C^2)))) and u formed from C
+    scaled by 2^300, then scaled back once at the end."""
+    root = 2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
+    eof = _binary_entropies(c * c / root)
+    tiny = np.flatnonzero((c > 0.0) & (c * c < _TINY))
+    if len(tiny):
+        small, root = c[tiny], root[tiny]
+        ln_u = 2.0 * np.log(small) - np.log(root)
+        eof[tiny] = np.ldexp(np.ldexp(small, 300) ** 2 / root * ((1.0 - ln_u) / _LN2), -600)
+    return eof
 
 
 def classical_correlation(rho, side: str = "first") -> tuple[float, Measurement]:
@@ -657,8 +744,8 @@ def _wootters(p: np.ndarray, m: np.ndarray) -> np.ndarray:
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation H((1 + sqrt(1 - C^2))/2) for concurrence C
     (Wootters, PRL 80, 2245, 1998), in bits, as :func:`_eof_column` takes it:
-    within a few 1e-16 relative of the true value for C from about 1.5e-154
-    (below it C^2 is no longer a normal float) to 1."""
+    within a few 1e-16 relative of the true value, plus one unit of the last
+    place (2^-1074) where that is below the smallest normal float."""
     if not 0.0 <= c <= 1.0:
         raise InvalidParameterError(f"concurrence must be in [0, 1], got {c}")
     return float(_eof_column(np.array([c], dtype=float))[0])

@@ -123,7 +123,34 @@ class SweepSpec:
 
     @property
     def axis(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+        """The whole grid, np.linspace(start, stop, steps) bit for bit."""
+        return _Linspace(self.start, self.stop, self.steps)[np.arange(self.steps)]
+
+
+@dataclass(frozen=True)
+class _Linspace:
+    """The grid np.linspace(start, stop, steps) as a sweep axis that holds
+    no values: :func:`_sweep_chunks` takes each chunk's from their indices,
+    by linspace's own arithmetic, so a sweep's memory does not grow with its
+    axis."""
+
+    start: float
+    stop: float
+    steps: int
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        # index * step + start, where a step that underflows to 0 is taken
+        # as index / (steps - 1) * span, and the last index is stop.
+        div = self.steps - 1
+        span = float(self.stop) - float(self.start)
+        step = span / div
+        i = np.asarray(index, dtype=float)
+        values = i * step if step != 0.0 else i / div * span
+        values += float(self.start)
+        return np.where(np.asarray(index) == div, float(self.stop), values)
 
 
 @dataclass(frozen=True)
@@ -162,8 +189,10 @@ def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, 
 def _sweep_chunks(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]):
     """The rows of the grid of ``axes``, (variable, axis values) pairs, outer
     first, one chunk of at most ``CHUNK_POINTS`` rows at a time: the last axis
-    varies fastest and is applied last.  A row holds its axis values innermost
-    first, then ``measures``.  The one place where controls become measures."""
+    varies fastest and is applied last.  Axis values are an array or a
+    :class:`_Linspace`, indexed by each chunk's indices.  A row holds its
+    axis values innermost first, then ``measures``.  The one place where
+    controls become measures."""
     shape = tuple(len(values) for _, values in axes)
     size = math.prod(shape)
     for start in range(0, size, CHUNK_POINTS):
@@ -188,16 +217,18 @@ def _sweep_table(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]) -
 def _grid(spec_x: SweepSpec, spec_y: SweepSpec | None = None) -> tuple:
     """(fixed, thermal, axes, measures) of the grid of one spec, or of a pair
     with y outer and x inner, for :func:`_sweep_chunks`."""
+    def axis(spec):
+        return spec.variable, _Linspace(spec.start, spec.stop, spec.steps)
+
     if spec_y is None:
-        return spec_x.fixed, spec_x.thermal, [(spec_x.variable, spec_x.axis)], spec_x.measures
+        return spec_x.fixed, spec_x.thermal, [axis(spec_x)], spec_x.measures
     if spec_x.variable == spec_y.variable:
         raise SpecValidationError("2-D sweeps need two distinct variables")
     if spec_x.fixed != spec_y.fixed or spec_x.thermal != spec_y.thermal:
         raise SpecValidationError("2-D sweep specs must share fixed parameters")
     if spec_x.measures != spec_y.measures:
         raise SpecValidationError("2-D sweep specs must share measures")
-    axes = [(spec_y.variable, spec_y.axis), (spec_x.variable, spec_x.axis)]
-    return spec_x.fixed, spec_x.thermal, axes, spec_x.measures
+    return spec_x.fixed, spec_x.thermal, [axis(spec_y), axis(spec_x)], spec_x.measures
 
 
 def sweep_1d(spec: SweepSpec) -> np.ndarray:

@@ -4,7 +4,8 @@ one-qubit coupling maps, the von Neumann entropy, the definitional
 conditional entropy, an exhaustive grid-search discord, a fixed-schedule
 X-state search, the spectral concurrence of any state, 50-digit mutual
 information, conditional entropy, discord and concurrence of Gibbs states,
-and the 50-digit entanglement of formation of a concurrence.
+the 50-digit conditional entropy of an X state at a polar angle of its X
+frame, and the 50-digit entanglement of formation of a concurrence.
 None of them is a production path, so they live with the tests."""
 
 from __future__ import annotations
@@ -391,6 +392,38 @@ def discord_50_digits(eff: EffectiveParams, t: float, m: Measurement) -> float:
         marginals = _marginal_entropies_50_digits(rho)
         mi = sum(marginals.values()) - _entropy_50_digits(p)
         return float(mi - marginals[_OTHER[m.side]] + _conditional_entropy_50_digits(rho, m))
+
+
+def x_conditional_entropy_50_digits(rho, side: str, thetas) -> list:
+    """Measured conditional entropy of an X state ``rho`` (4 x 4, taken as its
+    exact float entries), the qubit ``side`` measured at each polar angle
+    theta of its X frame (the azimuth of ``correlations._x_bloch``), in bits,
+    in 50-digit mpmath arithmetic, as :func:`_conditional_entropy_50_digits`
+    takes it (rho as it is, not renormalized).  With a3 and b3 the z Bloch
+    components of the measured and the other qubit, T33 = rho_11 - rho_22 -
+    rho_33 + rho_44 and s = 2 (|rho_14| + |rho_23|), the outcome +-1 has
+    weight w = (tr rho +- a3 cos theta)/2 and leaves eigenvalues (2w +- r)/4,
+    r = sqrt(s^2 sin^2 theta + (b3 +- T33 cos theta)^2); the conditional
+    entropy is sum w log2 w - sum lam log2 lam.  Returns mpmath numbers."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(float(rho[k, k].real)) for k in range(4)]
+        s = 2 * sum(abs(mpmath.mpc(complex(rho[i, j]))) for i, j in ((0, 3), (1, 2)))
+        z1, z2 = p[0] + p[1] - p[2] - p[3], p[0] - p[1] + p[2] - p[3]
+        a3, b3 = (z1, z2) if side == "first" else (z2, z1)
+        t33 = p[0] - p[1] - p[2] + p[3]
+        out = []
+        for theta in thetas:
+            c, n = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+            total = mpmath.mpf(0)
+            for sign in (1, -1):
+                w = (sum(p) + sign * a3 * c) / 2
+                r = mpmath.sqrt((s * n) ** 2 + (b3 + sign * t33 * c) ** 2)
+                total += _entropy_50_digits([(2 * w + r) / 4, (2 * w - r) / 4])
+                total -= _entropy_50_digits([w])
+            out.append(total)
+        return out
 
 
 def eof_50_digits(c: float) -> float:

@@ -555,6 +555,22 @@ class TestStreamedOutput:
         assert len(Path(out).read_text().splitlines()) == 20002
         assert peak < 512 * 1024
 
+    def test_peak_heap_does_not_grow_with_the_axis(self, tmp_path):
+        # Each chunk takes its axis values from its indices: the whole axis
+        # of 200,001 points would take 1.6 MB on its own.
+        out = str(tmp_path / "sweep.csv")
+        assert main([*_TEMPERATURE_SWEEP, "--steps", "101", "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            code = main([*_TEMPERATURE_SWEEP, "--steps", "200001", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(out) as f:
+            assert sum(1 for _ in f) == 200002
+        assert peak < 512 * 1024
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_write_error_stops_the_sweep_at_once(self, capsys, monkeypatch):
         measured, measure = [], sweep._measure
@@ -613,11 +629,12 @@ class TestExitCodeMapping:
         (MemoryError(), "error: MemoryError\n"),
     ])
     def test_memory_error_maps_to_3(self, capsys, monkeypatch, error, message):
-        # The axis of a trillion steps is never allocated: its allocation raises.
+        # The axis of a trillion steps is never allocated whole; the first
+        # chunk's measures run out of memory.
         def no_memory(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(sweep.np, "linspace", no_memory)
+        monkeypatch.setattr(sweep, "_measure", no_memory)
         code, out, err = run_cli(capsys, "sweep", "--variable", "temperature", "--start", "0",
                                  "--stop", "1", "--steps", "1000000000000", "--eps", "1",
                                  "--j", "2")

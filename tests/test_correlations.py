@@ -48,6 +48,7 @@ from oracles import (
     measurement_projector,
     spectral_concurrence,
     von_neumann_entropy,
+    x_conditional_entropy_50_digits,
     x_stencil_search,
 )
 
@@ -487,10 +488,11 @@ def x_states_of_every_kind(rng, per_kind):
 
 
 def ran_x_path(evaluations):
-    """Whether an evaluation count is the X path's: the 33-point seed, the
-    17-point stencil and k 3x3 Newton stencils, k at most the cap."""
+    """Whether an evaluation count is the X path's: 1 for a certified end,
+    else the 33-point seed, the 17-point stencil and k 3x3 Newton stencils,
+    k at most the cap."""
     k, rest = divmod(evaluations - (33 + 17), 9)
-    return rest == 0 and 0 <= k <= correlations.POLISH_STENCILS
+    return evaluations == 1 or (rest == 0 and 0 <= k <= correlations.POLISH_STENCILS)
 
 
 def general_path(rho, side):
@@ -539,6 +541,7 @@ class TestXStateEngine:
                 assert abs(conditional_entropy(rho, m) - optimum) <= 1e-12
 
     def test_never_above_the_fixed_schedule_search(self):
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(45)
         states = np.array(x_states_of_every_kind(rng, 16)
                           + [random_x_state(rng) for _ in range(4000)])
@@ -546,10 +549,18 @@ class TestXStateEngine:
         for side in ("first", "second"):
             best, _, _, evaluations = correlations._maximize_x(states, side)
             reference, _ = x_stencil_search(states, side)
-            assert (best - reference).max() <= 1e-15
             assert all(ran_x_path(k) for k in evaluations.tolist())
-            # Some optima lie inside (0, pi/2), below both ends.
+            # A state certified at theta = 0 is held to its 50-digit value
+            # there, the optimum: on 2 of them the reference's kernel values
+            # lie 1.3e-15 below it.  Every other state is held to the
+            # reference.
+            zero = correlations._x_certificates(states, side)[0]
+            assert (best[~zero] - reference[~zero]).max() <= 1e-15
+            exact = [x_conditional_entropy_50_digits(states[k], side, [0.0])[0]
+                     for k in np.flatnonzero(zero)]
+            assert np.abs(best[zero] - np.array(exact, dtype=float)).max() <= 3e-16
             bloch = correlations._x_bloch(states, side)[0]
+            # Some optima lie inside (0, pi/2), below both ends.
             assert (best < correlations._x_values(bloch, ends)[0].min(1) - 1e-9).any()
 
     @pytest.mark.parametrize("side", ["first", "second"])
@@ -585,8 +596,9 @@ class TestXStateEngine:
             assert abs(conditional_entropy(rho, Measurement(t, f, side)) - value) <= 1e-14
 
     def test_every_published_state_stops_after_the_seed_and_stencil(self, monkeypatch):
-        # Every Gibbs state of the five published grids is an X state whose
-        # search ends after the 33-point seed and the 17-point stencil.
+        # Every Gibbs state of the five published grids is an X state that
+        # takes a certified end (1 evaluation) or whose search ends after the
+        # 33-point seed and the 17-point stencil; 99.9% are certified.
         search, evaluations = correlations._maximize_x, []
 
         def counted_search(states, side):
@@ -603,7 +615,8 @@ class TestXStateEngine:
             points += len(sweep.sweep_2d(spec_x, spec_y))
         counts = np.concatenate(evaluations)
         assert len(counts) == points > 26_000
-        assert (counts == 33 + 17).all()
+        assert np.isin(counts, (1, 33 + 17)).all()
+        assert np.count_nonzero(counts == 1) > 0.99 * points
 
     def test_a_wide_stencil_is_not_taken_as_converged(self):
         # A stencil half a 17-point cell wide, 5e-6 rad from this state's
@@ -676,6 +689,101 @@ class TestPolishCap:
         monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
         capped = correlations._maximize_x(states, side)[3]
         assert (capped == 50 + 9 * np.minimum(stencils, self.CAP)).all()
+
+
+def _on_boundary(rng, count, side, which):
+    """Seeded X states with c = |rho_14| + |rho_23| on the boundary of one
+    certificate of ``side``: c^2 = (rho_11 - rho_22)(rho_44 - rho_33) (the
+    first qubit measured; rho_22 and rho_33 trade places for the second) for
+    ``which`` "zero", c = |sqrt(rho_11 rho_44) - sqrt(rho_22 rho_33)| for
+    "half"; c is split so that the state is positive."""
+    out = []
+    k = 1 if side == "first" else 2
+    while len(out) < count:
+        p = rng.dirichlet(np.ones(4))
+        product = (p[0] - p[k]) * (p[3] - p[3 - k])
+        if which == "zero":
+            if product < 0.0:
+                continue
+            c = math.sqrt(product)
+        else:
+            c = abs(math.sqrt(p[0] * p[3]) - math.sqrt(p[1] * p[2]))
+        top14, top23 = math.sqrt(p[0] * p[3]), math.sqrt(p[1] * p[2])
+        if c > top14 + top23:
+            continue
+        c14 = rng.uniform(max(0.0, c - top23), min(c, top14))
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+        out.append(x_state(p, c14 * phases[0], (c - c14) * phases[1]))
+    return out
+
+
+class TestXCertificates:
+    """theta = 0 or pi/2 is an X state's optimal measurement where Chen,
+    Zhang, Yu, Yi and Oh's conditions (PRA 84, 042313, 2011) hold; such a
+    state takes that end at 1 evaluation."""
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_certified_ends_are_optimal_at_50_digits(self, side):
+        # At 50 digits, from each state's exact float entries, a certified
+        # end leaves no more conditional entropy than any angle of a fine
+        # grid: on seeded states, on each boundary, on the product state of
+        # `report --eps 1 --j 0 --temp 0`, on states with zero coherences and
+        # on pure states with rho_22 = rho_33 = 0.  A state certified in
+        # floats can lie outside its boundary by round-off, which moves the
+        # optimum off the end by about 1e-8 rad and lowers it by about 1e-32
+        # bits.  A pure state lies on both boundaries, and its float entries
+        # are a mixed state with eigenvalues of about 1e-17: its values at
+        # all angles are within a few 1e-16 of 0, and either end can be the
+        # lower one.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(70)
+        product = thermal_state(EffectiveParams.symmetric(1.0, 0.0), 0.0)
+        diagonal = [x_state(p, 0.0, 0.0) for p in rng.dirichlet(np.ones(4), 6)]
+        diagonal += [x_state([0.1, 0.1, 0.3, 0.5], 0.0, 0.0), x_state([0.25] * 4, 0.0, 0.0)]
+        states = np.array([product, *random_x_states(rng, 24), *diagonal,
+                           *_on_boundary(rng, 8, side, "zero"),
+                           *_on_boundary(rng, 8, side, "half"),
+                           *(pure_state([a, 0.0, 0.0, b]) for a, b in
+                             rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))])
+        pure = np.arange(len(states)) >= len(states) - 4
+        best, theta, _, evaluations = correlations._maximize_x(states, side)
+        zero, half = correlations._x_certificates(states, side)
+        certified = zero | half
+        assert ((evaluations == 1) == certified).all()
+        assert (theta[zero] == 0.0).all() and (theta[half & ~zero] == 0.5 * math.pi).all()
+        # The product state is certified at both ends and takes theta = 0.
+        assert zero[0] and half[0] and theta[0] == 0.0
+        assert zero.sum() >= 8 and (half & ~zero).sum() >= 8
+        # Each end's closed form keeps its digits.
+        grid = np.linspace(0.0, 0.5 * math.pi, 181).tolist()
+        for k in np.flatnonzero(certified):
+            end, *others = x_conditional_entropy_50_digits(states[k], side, [theta[k], *grid])
+            assert end - min(others) <= (1e-15 if pure[k] else 1e-30)
+            assert abs(best[k] - end) <= 3e-16
+
+    def test_certified_ends_are_never_above_the_search(self):
+        # 106,496 seeded state-sides, plain and mixed with 0.1% and 50% of
+        # I/4.  No state that the search would polish is certified; no
+        # certified state's value is more than 1e-15 above the fixed-schedule
+        # search's; the states left to the search get its bits, stack or
+        # no stack.
+        rng = np.random.default_rng(101)
+        certified = total = 0
+        for draw in range(13):
+            mix = (0.0, 1e-3, 0.5)[draw % 3]
+            states = (1.0 - mix) * random_x_states(rng, 4096) + 0.25 * mix * np.eye(4)
+            for side in ("first", "second"):
+                best, _, _, evaluations = correlations._maximize_x(states, side)
+                bloch = correlations._x_bloch(states, side)[0]
+                search_best, _, searched = correlations._search_x(bloch)
+                ends = evaluations == 1
+                assert not (ends & (searched > 33 + 17)).any()
+                assert (evaluations[~ends] == searched[~ends]).all()
+                assert best[~ends].tobytes() == search_best[~ends].tobytes()
+                assert (best[ends] - x_stencil_search(states[ends], side)[0]).max() <= 1e-15
+                certified += np.count_nonzero(ends)
+                total += len(states)
+        assert total == 106_496 and certified > 0.8 * total
 
 
 class TestGeneralMaximizer:
@@ -1128,6 +1236,22 @@ class TestEof:
         assert not np.signbit(scalar).any()
         expected = np.array([eof_50_digits(v) for v in c.tolist()])
         assert np.all(np.abs(column - expected) <= 2e-15 * expected)
+
+    def test_keeps_its_digits_where_c_squared_is_not_a_normal_float(self):
+        # Below C = 1.49e-154, C^2 loses digits as it underflows: EoF was off
+        # by 1.1e-13 relative near C = 1e-155 and by 1.1e-3 near 1e-160.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(71)
+        c = np.concatenate([10.0 ** rng.uniform(-160.0, -150.0, 3000),
+                            [1e-160, 1e-150, 1.4916681462400413e-154, 1.4916681462400414e-154]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            column = correlations._eof_column(c)
+        assert column.tolist() == [eof_from_concurrence(v) for v in c.tolist()]
+        expected = np.array([eof_50_digits(v) for v in c.tolist()])
+        # Both sides of the smallest normal float are among the values.
+        assert expected.min() < np.finfo(float).tiny < expected.max()
+        assert np.all(np.abs(column - expected) <= 2e-15 * expected + 2.0**-1074)
 
     def test_zero_concurrence(self):
         assert eof(np.eye(4) / 4) == 0.0

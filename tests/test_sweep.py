@@ -110,6 +110,23 @@ class TestSweepSpecValidation:
         spec = ratio_spec(start=0.0, stop=1.0, steps=5)
         assert np.allclose(spec.axis, [0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize("start, stop, steps", [
+        (0.0, 1.0, 11), (0.1, 50.0, 501), (-1.0, 3.0, 200_001), (5e-6, 1e-4, 25),
+        (1e-300, 1e-299, 5), (1.0, 1.0 + 2.0**-50, 9), (-1e307, 1e307, 3), (2, 7, 6),
+        # A subnormal step, and steps that underflow to 0, which linspace
+        # takes as index / (steps - 1) times the span.
+        (0.0, 1e-320, 7), (0.0, 5e-324, 3), (0.0, 1e-322, 1000), (-5e-324, 5e-324, 4),
+    ])
+    def test_chunk_axis_values_equal_linspace_bit_for_bit(self, start, stop, steps):
+        expected = np.linspace(start, stop, steps)
+        axis = sweep._Linspace(start, stop, steps)
+        assert len(axis) == steps
+        assert axis[np.arange(steps)].tobytes() == expected.tobytes()
+        chunks = np.array_split(np.arange(steps), max(1, steps // sweep.CHUNK_POINTS))
+        assert np.concatenate([axis[i] for i in chunks]).tobytes() == expected.tobytes()
+        index = np.random.default_rng(steps).integers(0, steps, 50)
+        assert axis[index].tobytes() == expected[index].tobytes()
+
 
 class TestSweep1d:
     def test_ratio_sweep_monotone_and_matches_analytic(self):
