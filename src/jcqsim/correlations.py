@@ -11,14 +11,19 @@ they are.  Quantum discord is the mutual
 information minus the classical correlation, which maximizes
 S(rho_b) - S(rho | {Pi_k}) over rank-1 projective measurements on one qubit;
 one kernel gives the measured conditional entropy for many directions and
-states at once.  X states (nonzero only on the diagonal and anti-diagonal, as
-is every Gibbs state at phi_e = 1/2) reduce exactly to one angle theta in
-[0, pi/2].  Where the sufficient conditions of Chen, Zhang, Yu, Yi and Oh
+states at once.  Measuring the second qubit of rho is measuring the first
+qubit of SWAP rho SWAP at the same angles, so :func:`_measure` hands the
+searches the qubit-swapped stack for it, and every function below it
+measures the first qubit.  X states (nonzero only on the diagonal and
+anti-diagonal, as is every Gibbs state at phi_e = 1/2) reduce exactly to one
+angle theta in [0, pi/2], and each one's populations, rho_14 and rho_23 are
+read once.  Where the sufficient conditions of Chen, Zhang, Yu, Yi and Oh
 (PRA 84, 042313, 2011) hold, theta = 0 or theta = pi/2 is optimal, and a
 state takes that end at 1 evaluation (theta = 0 if both hold), its value in
-closed form at either end.  That is 26,376 of the 26,414 Gibbs states of the published figures.  Elsewhere the optimum can
-lie inside the interval (Lu et al., PRA 83, 012327, 2011), so theta in
-{0, pi/2} alone (Ali, Rau and Alber, PRA 81, 042105, 2010) is not exact.
+closed form at either end.  That is 26,376 of the 26,414 Gibbs states of the
+published figures.  Elsewhere the optimum can lie inside the interval
+(Lu et al., PRA 83, 012327, 2011), so theta in {0, pi/2} alone (Ali, Rau
+and Alber, PRA 81, 042105, 2010) is not exact.
 Each search seeds on a grid and ends in one trust-region Newton polish
 (:func:`_polish`) on 3x3 stencils in the plane tangent at its best
 direction so far, until a stencil's values agree to round-off; it measures
@@ -107,9 +112,10 @@ POLISH_STENCILS = 30
 # Kernel columns per seed call, at least one state's: two states on the full
 # seed (2 * 2 * 993 = 3,972), three on the real states' half (3,168).
 SEED_COLUMNS = 3972
-# General states per polish call, one call a stencil: 64 * 2 * 9 = 1,152
-# kernel columns.
-POLISH_BLOCK = 64
+# States per kernel call of a polish, one call a stencil (64 * 2 * 9 = 1,152
+# kernel columns), and of an uncertified X search (64 * 2 * 33 = 4,224 for
+# its seed); also the states per Hermiticity test, whose copies it bounds.
+STATE_BLOCK = 64
 # X states: theta alone, in [0, pi/2]; the conditional entropy is even about
 # both ends.  A seed with cells of pi/64, then one stencil with cells of
 # pi/512 a seed cell either way of the best seed, reflected at the ends.  A
@@ -120,9 +126,6 @@ POLISH_BLOCK = 64
 # (pi/512) either way of their best angle.
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
-# X states per search: 64 * 2 * 33 = 4,224 kernel columns, as for general states.
-# Also the states per Hermiticity test, whose copies it bounds.
-X_BLOCK = 64
 
 # Row-major flat indices of the entries off the diagonal and anti-diagonal,
 # then of rho_14, rho_23, rho_22, rho_11, rho_33 and rho_44.
@@ -145,8 +148,7 @@ class Measurement:
             raise InvalidParameterError(f"theta must be in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < _TWO_PI:
             raise InvalidParameterError(f"phi must be in [0, 2*pi), got {self.phi}")
-        if self.side not in SIDES:
-            raise InvalidParameterError(f"side must be one of {SIDES}, got {self.side!r}")
+        _require_side(self.side)
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,9 @@ def _require_state(states) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(np.isfinite(states)) < states.size:
         raise NotAStateError("state has a non-finite entry")
     # A state's Frobenius norm is at most 1, so Hermiticity is judged to an
-    # absolute tolerance, X_BLOCK states at a time to bound the copies.
-    for start in range(0, len(states), X_BLOCK):
-        block = states[start : start + X_BLOCK]
+    # absolute tolerance, STATE_BLOCK states at a time to bound the copies.
+    for start in range(0, len(states), STATE_BLOCK):
+        block = states[start : start + STATE_BLOCK]
         skew = (block - block.conj().swapaxes(1, 2)).reshape(len(block), -1)
         if np.count_nonzero(np.vecdot(skew, skew).real > qmath.HERMITICITY_RTOL**2):
             raise NotAStateError("state is not Hermitian")
@@ -250,12 +252,11 @@ _FANO = np.array([np.kron(s, t).T.ravel() for s in _PAULIS for t in _PAULIS])
 _YY = qmath.kron(qmath.SIGMA_Y, qmath.SIGMA_Y)
 
 
-def _bloch(rho: np.ndarray, side: str) -> np.ndarray:
+def _bloch(rho: np.ndarray) -> np.ndarray:
     """Fano matrix [[1, b], [a, T]] of a state or of each state of a stack,
-    rows on the measured qubit ``side``."""
+    rows on the first qubit, the measured one."""
     lead = rho.shape[:-2]
-    r = (_FANO @ rho.reshape(*lead, 16, 1)).real.reshape(*lead, 4, 4)
-    return r if side == "first" else np.swapaxes(r, -1, -2)
+    return (_FANO @ rho.reshape(*lead, 16, 1)).real.reshape(*lead, 4, 4)
 
 
 def _cond_entropy(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -329,16 +330,16 @@ _X_SEED_DIRECTIONS = np.array([np.sin(_X_SEED), np.zeros(X_SEED_POINTS), np.cos(
 _X_FINE = np.linspace(-1.0, 1.0, X_POLISH_POINTS)
 
 
-def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
-    """(minimal conditional entropy, theta, phi, evaluations) of the measured
-    qubit ``side`` for each of a stack of states (N x 4 x 4).
+def _maximize_general(states: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(minimal conditional entropy, theta, phi, evaluations) of each of a
+    stack of states (N x 4 x 4), its first qubit measured.
 
     Seed exactly real states on :data:`_REAL_SEED` and the others on
     :data:`_SEED`, at most SEED_COLUMNS kernel columns a call, keeping each
     state's first minimum; then :func:`_polish` from the best seed
-    direction, in lockstep blocks of POLISH_BLOCK.
+    direction, in lockstep blocks of STATE_BLOCK.
     """
-    bloch = _bloch(states, side)
+    bloch = _bloch(states)
     count = len(states)
     real = np.count_nonzero(states.imag.reshape(count, 16), axis=1) == 0
     n, best = np.empty((count, 3)), np.empty(count)
@@ -350,8 +351,8 @@ def _maximize_general(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
             values = _cond_entropy(bloch[block], seed)
             i = values.argmin(1)
             best[block], n[block] = values[np.arange(len(i)), i], seed[:, i].T
-    for start in range(0, count, POLISH_BLOCK):
-        block = slice(start, start + POLISH_BLOCK)
+    for start in range(0, count, STATE_BLOCK):
+        block = slice(start, start + STATE_BLOCK)
         width = np.full(len(best[block]), math.pi / (SEED_THETA_POINTS - 1))
         evaluations[block] += 9 * _polish(bloch[block], best[block], n[block], width)
     return best, *_angles(n.T), evaluations
@@ -440,29 +441,23 @@ def _tangent_chart(n: np.ndarray) -> np.ndarray:
     return chart
 
 
-def _x_bloch(states: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """(Fano matrices, phi) of a stack of X states (N x 4 x 4), rows on the
-    measured qubit ``side``, with its x axis turned to the azimuth phi.
+def _x_bloch(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Fano matrices of X states from their populations p (N x 4) and
+    c = |rho_14| + |rho_23| (N), rows on the first qubit, the measured one,
+    with its x axis turned to the azimuth of :func:`_maximize_x`.
 
     The x axis is put along the top singular vector of T_xy, which maximizes
     |b +- T^T n| at any theta: the Fano matrix becomes diag(1, s, 0, T33),
-    s = 2(|rho_14| + |rho_23|), with a3 and b3 at [3, 0], [0, 3].  Its
-    conditional entropy at n = (sin theta, 0, cos theta) is even about
-    theta = 0 and theta = pi/2.
+    s = 2c, with a3 and b3 at [3, 0], [0, 3].  Its conditional entropy at
+    n = (sin theta, 0, cos theta) is even about theta = 0 and theta = pi/2.
     """
-    p1, p2, p3, p4 = states[:, range(4), range(4)].real.T
-    r14, r23 = states[:, 0, 3], states[:, 1, 2]
-    bloch = np.zeros((len(states), 4, 4))
+    p1, p2, p3, p4 = p.T
+    bloch = np.zeros((len(p), 4, 4))
     bloch[:, 0, 0] = 1.0
-    bloch[:, 1, 1] = 2.0 * (np.abs(r14) + np.abs(r23))
+    bloch[:, 1, 1] = 2.0 * c
     bloch[:, 3, 0], bloch[:, 0, 3] = p1 + p2 - p3 - p4, p1 - p2 + p3 - p4
     bloch[:, 3, 3] = p1 - p2 - p3 + p4
-    if side == "second":
-        bloch = np.swapaxes(bloch, 1, 2)
-    # The singular vector's azimuth lines up the phases of rho_14 and rho_23
-    # (rho_32 if the second qubit is measured), mod pi: +-n is one measurement.
-    phis = -0.5 * (np.angle(r14) + (1.0 if side == "first" else -1.0) * np.angle(r23)) % math.pi
-    return bloch, phis
+    return bloch
 
 
 def _x_values(bloch: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,72 +472,74 @@ def _x_values(bloch: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.nda
     return _cond_entropy(bloch, n), thetas
 
 
-def _maximize_x(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
-    """(minimal conditional entropy, theta, phi, evaluations) of the measured
-    qubit ``side`` for each of a stack of X states (N x 4 x 4), over theta
-    in [0, pi/2] at the azimuth of :func:`_x_bloch`.
+def _maximize_x(states: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(minimal conditional entropy, theta, phi, evaluations) of each of a
+    stack of X states (N x 4 x 4), its first qubit measured, over theta in
+    [0, pi/2] at the azimuth phi that lines up the phases of rho_14 and
+    rho_23, mod pi (+-n is one measurement).
 
-    A state that :func:`_x_certificates` certifies takes its end at 1
-    evaluation, in closed form (:func:`_x_pole_entropy` at theta = 0,
+    Each state's populations, rho_14 and rho_23 are read once, here, and
+    c = |rho_14| + |rho_23| is formed once.  A state that
+    :func:`_x_certificates` certifies takes its end at 1 evaluation, in
+    closed form (:func:`_x_pole_entropy` at theta = 0,
     :func:`_x_equator_entropy` at pi/2), theta = 0 if both ends are
-    certified.  The others take :func:`_search_x`, each state's
-    certificates and result its own whatever the stack.
+    certified.  Only the others get an X-frame Fano matrix
+    (:func:`_x_bloch`) and take :func:`_search_x`, STATE_BLOCK at a time,
+    each state's certificates and result its own whatever the stack.
     """
-    bloch, phis = _x_bloch(states, side)
-    zero, half = _x_certificates(states, side)
+    p = states[:, range(4), range(4)].real
+    r14, r23 = states[:, 0, 3], states[:, 1, 2]
+    c = np.abs(r14) + np.abs(r23)
+    phis = -0.5 * (np.angle(r14) + np.angle(r23)) % math.pi
+    zero, half = _x_certificates(p, c)
     half &= ~zero
     best = np.empty(len(states))
     theta = np.where(half, 0.5 * math.pi, 0.0)
     evaluations = np.ones(len(states), dtype=int)
     if np.count_nonzero(zero):
-        best[zero] = _x_pole_entropy(states[zero], side)
+        best[zero] = _x_pole_entropy(p[zero])
     if np.count_nonzero(half):
-        best[half] = _x_equator_entropy(states[half], side)
+        best[half] = _x_equator_entropy(p[half], c[half])
     a = np.flatnonzero(~zero & ~half)
-    if len(a):
-        best[a], theta[a], evaluations[a] = _search_x(bloch[a])
+    for start in range(0, len(a), STATE_BLOCK):
+        block = a[start : start + STATE_BLOCK]
+        best[block], theta[block], evaluations[block] = _search_x(_x_bloch(p[block], c[block]))
     return best, theta, phis, evaluations
 
 
-def _x_certificates(states: np.ndarray, side: str) -> tuple[np.ndarray, ...]:
+def _x_certificates(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     """Whether theta = 0 (sigma_z) and whether theta = pi/2 (sigma_x) is the
-    optimal measurement of the qubit ``side`` of each of a stack of X states
-    (N x 4 x 4), by the sufficient conditions of Chen, Zhang, Yu, Yi and Oh
-    (PRA 84, 042313, 2011).  With c = |rho_14| + |rho_23|:
-    theta = 0 where (rho_11 - rho_22)(rho_44 - rho_33) >= c^2 (the first
-    qubit measured; rho_22 and rho_33 trade places for the second), theta =
-    pi/2 where |sqrt(rho_11 rho_44) - sqrt(rho_22 rho_33)| <= c.  Both tests
-    are inclusive: on the boundary the optimum is still the end."""
-    p = states[:, range(4), range(4)].real
-    c = np.abs(states[:, 0, 3]) + np.abs(states[:, 1, 2])
-    k = 1 if side == "first" else 2
-    zero = (p[:, 0] - p[:, k]) * (p[:, 3] - p[:, 3 - k]) >= c * c
+    optimal measurement of the first qubit of each of a stack of X states
+    with populations p (N x 4) and c = |rho_14| + |rho_23| (N), by the
+    sufficient conditions of Chen, Zhang, Yu, Yi and Oh (PRA 84, 042313,
+    2011): theta = 0 where (rho_11 - rho_22)(rho_44 - rho_33) >= c^2, theta
+    = pi/2 where |sqrt(rho_11 rho_44) - sqrt(rho_22 rho_33)| <= c.  Both
+    tests are inclusive: on the boundary the optimum is still the end."""
+    zero = (p[:, 0] - p[:, 1]) * (p[:, 3] - p[:, 2]) >= c * c
     roots = np.sqrt(np.maximum(p[:, [0, 1]] * p[:, [3, 2]], 0.0))
     return zero, np.abs(roots[:, 0] - roots[:, 1]) <= c
 
 
-def _x_pole_entropy(states: np.ndarray, side: str) -> np.ndarray:
-    """Conditional entropy at theta = 0 of a stack of X states (N x 4 x 4),
-    the qubit ``side`` measured: S(diag rho) - S(diag rho_a), rho_a the
-    measured qubit's state, taken as the sum over its two outcomes of
-    m H(q / m), each outcome's probability m times the binary entropy of
-    the smaller of its two levels q.  Every term is nonnegative, so nothing
-    cancels."""
-    p = states[:, range(4), range(4)].real
-    pairs = p[:, [[0, 1], [2, 3]]] if side == "first" else p[:, [[0, 2], [1, 3]]]
+def _x_pole_entropy(p: np.ndarray) -> np.ndarray:
+    """Conditional entropy at theta = 0 of a stack of X states with
+    populations p (N x 4), the first qubit measured: S(diag rho) -
+    S(diag rho_a), rho_a the measured qubit's state, taken as the sum over
+    its two outcomes of m H(q / m), each outcome's probability m times the
+    binary entropy of the smaller of its two levels q.  Every term is
+    nonnegative, so nothing cancels."""
+    pairs = p.reshape(-1, 2, 2)
     m = pairs.sum(2)
     return (m * _binary_entropies(pairs.min(2) / np.where(m > 0.0, m, 1.0))).sum(1)
 
 
-def _x_equator_entropy(states: np.ndarray, side: str) -> np.ndarray:
-    """Conditional entropy at theta = pi/2 of a stack of X states (N x 4 x 4),
-    the qubit ``side`` measured.  Both outcomes are equally likely and leave
-    the other qubit with Bloch length r = hypot(2c, m0 - m1), m0 and m1 its
-    populations and c = |rho_14| + |rho_23|, so it is H(q) with q = (1 - r)/2
-    taken as 2 (m0 m1 - c^2) / (1 + r), which does not cancel as r -> 1."""
-    p = states[:, range(4), range(4)].real
-    m0, m1 = (p[:, [[0, 2], [1, 3]]] if side == "first" else p[:, [[0, 1], [2, 3]]]).sum(2).T
-    c = np.abs(states[:, 0, 3]) + np.abs(states[:, 1, 2])
+def _x_equator_entropy(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Conditional entropy at theta = pi/2 of a stack of X states with
+    populations p (N x 4) and c = |rho_14| + |rho_23| (N), the first qubit
+    measured.  Both outcomes are equally likely and leave the other qubit
+    with Bloch length r = hypot(2c, m0 - m1), m0 and m1 its populations, so
+    it is H(q) with q = (1 - r)/2 taken as 2 (m0 m1 - c^2) / (1 + r), which
+    does not cancel as r -> 1."""
+    m0, m1 = (p[:, :2] + p[:, 2:]).T
     return _binary_entropies(2.0 * (m0 * m1 - c * c) / (1.0 + np.hypot(2.0 * c, m0 - m1)))
 
 
@@ -609,15 +606,18 @@ def _measure(states: np.ndarray, w: np.ndarray, v, measures, side: str = "first"
     if searched or entangled:
         is_x, c = _x_entries(states)
     if searched:
+        # The searches measure the first qubit: the second is the first of
+        # the qubit-swapped states, at the same angles.
+        measured = states if side == "first" else states[:, [0, 2, 1, 3]][:, :, [0, 2, 1, 3]]
         best, theta, phi = np.empty((3, len(states)))
         evaluations = np.empty(len(states), dtype=int)
         x, g = np.flatnonzero(is_x), np.flatnonzero(~is_x)
-        for start in range(0, len(x), X_BLOCK):
-            block = x[start : start + X_BLOCK]
-            best[block], theta[block], phi[block], evaluations[block] = _maximize_x(
-                states[block], side)
+        if len(x):
+            # An all-X stack (every Gibbs state at phi_e = 1/2) is not copied.
+            best[x], theta[x], phi[x], evaluations[x] = _maximize_x(
+                measured[x] if len(g) else measured)
         if len(g):
-            best[g], theta[g], phi[g], evaluations[g] = _maximize_general(states[g], side)
+            best[g], theta[g], phi[g], evaluations[g] = _maximize_general(measured[g])
         # S(rho_b) from its spectrum: 1 - |b| keeps too few digits near pure.
         cc = np.maximum(0.0, marginals[:, _KEPT[side]] - best)
         columns["discord"], columns["classical_correlation"] = _clamp_classical(
@@ -689,6 +689,9 @@ def measure_states(states, measures) -> dict[str, np.ndarray]:
     :data:`MEASURES` in the order given; each value is the one
     :func:`correlation_reports` gives (first qubit measured).  The discord
     search runs only for discord or classical correlation."""
+    if isinstance(measures, str) or any(m not in MEASURES for m in measures):
+        raise InvalidParameterError(
+            f"measures must be a sequence of names from {MEASURES}, got {measures!r}")
     columns = _measure(*_require_state(states), None, measures)
     return {m: columns[m] for m in measures}
 

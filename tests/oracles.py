@@ -202,7 +202,9 @@ def discord_grid_oracle(
     if n_theta < 2 or n_phi < 2:
         raise InvalidParameterError("grid needs at least 2 points per angle")
     mi, marginals = _mutual_information(states, w)
-    bloch = _bloch(states[0], side)
+    # The oracle keeps its own frame per side: the second qubit's rows are
+    # the first's Fano matrix transposed.
+    bloch = _bloch(states[0]) if side == "first" else _bloch(states[0]).T
 
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = _TWO_PI * np.arange(n_phi) / n_phi
@@ -223,7 +225,11 @@ def x_stencil_search(states: np.ndarray, side: str) -> tuple[np.ndarray, np.ndar
     33-point seed, then six 17-point stencils, each spanning one cell of the
     last either way and clipped to the interval (135 evaluations, a last cell
     of 1.9e-7 rad).  The reference for :func:`jcqsim.correlations._maximize_x`."""
-    bloch = _x_bloch(states, side)[0]
+    p = states[:, range(4), range(4)].real
+    bloch = _x_bloch(p, np.abs(states[:, 0, 3]) + np.abs(states[:, 1, 2]))
+    # Its own frame per side, as for the grid oracle.
+    if side == "second":
+        bloch = bloch.swapaxes(1, 2)
     rows = np.arange(len(states))
     best, theta = np.full(len(states), np.inf), np.full(len(states), 0.25 * math.pi)
     half_width = 0.25 * math.pi
@@ -397,7 +403,7 @@ def discord_50_digits(eff: EffectiveParams, t: float, m: Measurement) -> float:
 def x_conditional_entropy_50_digits(rho, side: str, thetas) -> list:
     """Measured conditional entropy of an X state ``rho`` (4 x 4, taken as its
     exact float entries), the qubit ``side`` measured at each polar angle
-    theta of its X frame (the azimuth of ``correlations._x_bloch``), in bits,
+    theta of its X frame (the azimuth of ``correlations._maximize_x``), in bits,
     in 50-digit mpmath arithmetic, as :func:`_conditional_entropy_50_digits`
     takes it (rho as it is, not renormalized).  With a3 and b3 the z Bloch
     components of the measured and the other qubit, T33 = rho_11 - rho_22 -

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -276,6 +277,15 @@ class TestMeasureStates:
         assert list(columns) == list(measures)
         assert [len(column) for column in columns.values()] == [len(states)] * len(measures)
 
+    @pytest.mark.parametrize("measures", [["foo"], ("discord", "Discord"), "discord", "eof"],
+                             ids=["unknown", "miscased", "bare-discord", "bare-eof"])
+    def test_names_outside_measures_are_rejected(self, measures):
+        # A bare string is not a sequence of names: iterating it once gave
+        # KeyError: 'd'.
+        states = np.array([thermal_state(EffectiveParams.symmetric(1.0, 0.5), 0.1)])
+        with pytest.raises(InvalidParameterError, match=re.escape(str(correlations.MEASURES))):
+            measure_states(states, measures)
+
     def test_empty_stack_gives_no_rows(self):
         empty = np.zeros((0, 4, 4), dtype=complex)
         assert correlations.correlation_reports(empty) == []
@@ -334,7 +344,8 @@ class TestConditionalEntropy:
             phi = rng.uniform(0, 2 * np.pi)
             for side in ("first", "second"):
                 n = correlations._grid_directions([theta], [phi])
-                fast = float(correlations._cond_entropy(correlations._bloch(rho, side), n)[0])
+                bloch = correlations._bloch(measured_first(rho, side))
+                fast = float(correlations._cond_entropy(bloch, n)[0])
                 slow = conditional_entropy(rho, Measurement(theta, phi, side))
                 assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -495,12 +506,25 @@ def ran_x_path(evaluations):
     return evaluations == 1 or (rest == 0 and 0 <= k <= correlations.POLISH_STENCILS)
 
 
+def measured_first(states, side):
+    """A state or a stack with the qubit ``side`` first, as
+    ``correlations._measure`` hands it to the discord searches."""
+    return states if side == "first" else states[..., [0, 2, 1, 3], :][..., [0, 2, 1, 3]]
+
+
+def x_reads(states, side):
+    """(populations, |rho_14| + |rho_23|) of a stack of X states with the
+    qubit ``side`` first, as ``correlations._maximize_x`` reads them."""
+    first = measured_first(states, side)
+    return first[:, range(4), range(4)].real, np.abs(first[:, 0, 3]) + np.abs(first[:, 1, 2])
+
+
 def general_path(rho, side):
     """(classical correlation, theta, evaluations) of one state from the
     general-state maximizer, whether or not the state is X-shaped."""
     states, w = correlations._require_state([rho])
     kept = correlations._mutual_information(states, w)[1][0, correlations._KEPT[side]]
-    best, theta, _, evaluations = correlations._maximize_general(states, side)
+    best, theta, _, evaluations = correlations._maximize_general(measured_first(states, side))
     return max(0.0, kept - best[0]), theta[0], evaluations[0]
 
 
@@ -514,7 +538,7 @@ def x_states_that_polish() -> dict:
     while min(len(kept) for kept in found.values()) < 100:
         states = random_x_states(rng, 4096)
         for side, kept in found.items():
-            kept.extend(states[correlations._maximize_x(states, side)[3] > 50])
+            kept.extend(states[correlations._maximize_x(measured_first(states, side))[3] > 50])
     return {side: np.array(kept) for side, kept in found.items()}
 
 
@@ -547,19 +571,19 @@ class TestXStateEngine:
                           + [random_x_state(rng) for _ in range(4000)])
         ends = np.tile([0.0, 0.5 * math.pi], (len(states), 1))
         for side in ("first", "second"):
-            best, _, _, evaluations = correlations._maximize_x(states, side)
+            best, _, _, evaluations = correlations._maximize_x(measured_first(states, side))
             reference, _ = x_stencil_search(states, side)
             assert all(ran_x_path(k) for k in evaluations.tolist())
             # A state certified at theta = 0 is held to its 50-digit value
             # there, the optimum: on 2 of them the reference's kernel values
             # lie 1.3e-15 below it.  Every other state is held to the
             # reference.
-            zero = correlations._x_certificates(states, side)[0]
+            zero = correlations._x_certificates(*x_reads(states, side))[0]
             assert (best[~zero] - reference[~zero]).max() <= 1e-15
             exact = [x_conditional_entropy_50_digits(states[k], side, [0.0])[0]
                      for k in np.flatnonzero(zero)]
             assert np.abs(best[zero] - np.array(exact, dtype=float)).max() <= 3e-16
-            bloch = correlations._x_bloch(states, side)[0]
+            bloch = correlations._x_bloch(*x_reads(states, side))
             # Some optima lie inside (0, pi/2), below both ends.
             assert (best < correlations._x_values(bloch, ends)[0].min(1) - 1e-9).any()
 
@@ -574,11 +598,11 @@ class TestXStateEngine:
         reports = correlations.correlation_reports(states, side)
         for r in reports:
             assert ran_x_path(r.optimizer_evaluations) and r.optimizer_evaluations > 50
-        best = correlations._maximize_x(states, side)[0]
+        best = correlations._maximize_x(measured_first(states, side))[0]
         assert (best - x_stencil_search(states, side)[0]).max() <= 1e-15
         checked, w = correlations._require_state(states)
         mi, marginals = correlations._mutual_information(checked, w)
-        general = correlations._maximize_general(checked, side)[0]
+        general = correlations._maximize_general(measured_first(checked, side))[0]
         general_cc = np.maximum(0.0, marginals[:, correlations._KEPT[side]] - general)
         general_discord = correlations._clamp_classical(mi, general_cc)[0]
         assert (np.array([r.discord for r in reports]) - general_discord).max() <= 1e-12
@@ -589,8 +613,10 @@ class TestXStateEngine:
         # finds folds back to theta in [0, pi/2] at the frame's own azimuth,
         # and the reported measurement attains the value the polish found.
         states = x_states_that_polish()[side]
-        best, theta, phi, _ = correlations._maximize_x(states, side)
-        assert phi.tobytes() == correlations._x_bloch(states, side)[1].tobytes()
+        first = measured_first(states, side)
+        best, theta, phi, _ = correlations._maximize_x(first)
+        azimuth = -0.5 * (np.angle(first[:, 0, 3]) + np.angle(first[:, 1, 2])) % math.pi
+        assert phi.tobytes() == azimuth.tobytes()
         assert ((0.0 <= theta) & (theta <= 0.5 * math.pi)).all()
         for rho, value, t, f in zip(states, best, theta, phi):
             assert abs(conditional_entropy(rho, Measurement(t, f, side)) - value) <= 1e-14
@@ -601,8 +627,8 @@ class TestXStateEngine:
         # 33-point seed and the 17-point stencil; 99.9% are certified.
         search, evaluations = correlations._maximize_x, []
 
-        def counted_search(states, side):
-            found = search(states, side)
+        def counted_search(states):
+            found = search(states)
             evaluations.append(found[3])
             return found
 
@@ -626,15 +652,15 @@ class TestXStateEngine:
                        0.11496312477310694, 0.08337308909977698],
                       0.06537054452093127 - 0.1555430620926596j,
                       0.0023874772393309464 - 0.0025106742292512665j)[None]
-        best = correlations._maximize_x(rho, "first")[0]
+        best = correlations._maximize_x(rho)[0]
         assert best[0] <= x_stencil_search(rho, "first")[0][0] + 1e-15
 
     def test_gibbs_stacks_take_at_most_three_kernel_calls(self, monkeypatch):
         kernel, search, calls = correlations._cond_entropy, correlations._maximize_x, []
 
-        def counted_search(states, side):
+        def counted_search(states):
             calls.append([len(states), 0])
-            return search(states, side)
+            return search(states)
 
         def counted_kernel(bloch, n):
             calls[-1][1] += 1
@@ -677,17 +703,19 @@ class TestPolishCap:
         rng = np.random.default_rng(47)
         states = np.array(random_real_states(rng, 40) if real else random_general_states(rng, 40))
         seed = 528 if real else 993
-        assert (correlations._maximize_general(states, side)[3] >= seed + 9 * self.CAP).all()
+        assert (correlations._maximize_general(measured_first(states, side))[3]
+                >= seed + 9 * self.CAP).all()
         monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
-        assert (correlations._maximize_general(states, side)[3] == seed + 9 * self.CAP).all()
+        assert (correlations._maximize_general(measured_first(states, side))[3]
+                == seed + 9 * self.CAP).all()
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_x_states_stop_at_the_cap(self, monkeypatch, side):
         states = x_states_that_polish()[side]
-        stencils = (correlations._maximize_x(states, side)[3] - 50) // 9
+        stencils = (correlations._maximize_x(measured_first(states, side))[3] - 50) // 9
         assert (stencils >= 1).all() and (stencils >= self.CAP).any()
         monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
-        capped = correlations._maximize_x(states, side)[3]
+        capped = correlations._maximize_x(measured_first(states, side))[3]
         assert (capped == 50 + 9 * np.minimum(stencils, self.CAP)).all()
 
 
@@ -746,8 +774,8 @@ class TestXCertificates:
                            *(pure_state([a, 0.0, 0.0, b]) for a, b in
                              rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))])
         pure = np.arange(len(states)) >= len(states) - 4
-        best, theta, _, evaluations = correlations._maximize_x(states, side)
-        zero, half = correlations._x_certificates(states, side)
+        best, theta, _, evaluations = correlations._maximize_x(measured_first(states, side))
+        zero, half = correlations._x_certificates(*x_reads(states, side))
         certified = zero | half
         assert ((evaluations == 1) == certified).all()
         assert (theta[zero] == 0.0).all() and (theta[half & ~zero] == 0.5 * math.pi).all()
@@ -773,8 +801,8 @@ class TestXCertificates:
             mix = (0.0, 1e-3, 0.5)[draw % 3]
             states = (1.0 - mix) * random_x_states(rng, 4096) + 0.25 * mix * np.eye(4)
             for side in ("first", "second"):
-                best, _, _, evaluations = correlations._maximize_x(states, side)
-                bloch = correlations._x_bloch(states, side)[0]
+                best, _, _, evaluations = correlations._maximize_x(measured_first(states, side))
+                bloch = correlations._x_bloch(*x_reads(states, side))
                 search_best, _, searched = correlations._search_x(bloch)
                 ends = evaluations == 1
                 assert not (ends & (searched > 33 + 17)).any()
@@ -814,7 +842,7 @@ class TestGeneralMaximizer:
         states = np.array(random_real_states(np.random.default_rng(36), 10) + device_gibbs_states())
         mirrored = correlations._SEED * np.array([[1.0], [-1.0], [1.0]])
         for side in ("first", "second"):
-            bloch = correlations._bloch(states, side)
+            bloch = correlations._bloch(measured_first(states, side))
             values = correlations._cond_entropy(bloch, correlations._SEED)
             assert values.tobytes() == correlations._cond_entropy(bloch, mirrored).tobytes()
 
@@ -888,6 +916,29 @@ class TestGeneralMaximizer:
             for r, s in zip(reports, mirrored):
                 assert abs(r.discord - s.discord) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["x", "complex", "real"])
+    def test_the_second_qubit_is_the_first_of_the_swapped_state(self, kind):
+        # Measuring the second qubit is measuring the first of SWAP rho SWAP
+        # at the same angles, bit for bit.  Discord is not compared: the
+        # swapped stack's own spectrum gives its mutual information.  SWAP
+        # moves entries: a product with it could flip the sign of a zero
+        # coherence, and with it the azimuth atan2 gives.
+        rng = np.random.default_rng(35)
+        states = np.array({
+            "x": lambda: [*x_states_of_every_kind(rng, 16), *random_x_states(rng, 1000),
+                          *x_states_that_polish()["second"]],
+            "complex": lambda: random_general_states(rng, 100),
+            "real": lambda: random_real_states(rng, 100),
+        }[kind]())
+        second = correlations.correlation_reports(states, "second")
+        first = correlations.correlation_reports(measured_first(states, "second"), "first")
+        for name, field in (("classical_correlation", lambda r: r.classical_correlation),
+                            ("theta", lambda r: r.optimal_measurement.theta),
+                            ("phi", lambda r: r.optimal_measurement.phi),
+                            ("optimizer_evaluations", lambda r: r.optimizer_evaluations)):
+            got, want = (np.array([field(r) for r in reports]) for reports in (second, first))
+            assert got.tobytes() == want.tobytes(), name
+
     def test_product_states_have_no_discord(self):
         rng = np.random.default_rng(32)
         qubit = [random_density_matrix(rng, 2) for _ in range(400)]
@@ -902,7 +953,7 @@ class TestGeneralMaximizer:
         states = random_general_states(rng, 70)
         # Every third state made exactly real, so both seeds run in blocks.
         states[::3] = [0.5 * (rho + rho.conj()) for rho in states[::3]]
-        assert len(states) > correlations.POLISH_BLOCK
+        assert len(states) > correlations.STATE_BLOCK
         per_seed_call = correlations.SEED_COLUMNS // (2 * correlations._REAL_SEED.shape[1])
         assert exactly_real(states).sum() > per_seed_call > 1
         for side in ("first", "second"):

@@ -81,8 +81,9 @@ def test_output_matches_golden_bytes(name, tmp_path):
 
 @pytest.mark.parametrize("module, settings", [
     *((sweep, {"CHUNK_POINTS": n}) for n in (1, 7, 256, 4096)),
-    (correlations, {"X_BLOCK": 1, "SEED_COLUMNS": 1, "POLISH_BLOCK": 1}),
-    (correlations, {"X_BLOCK": 7, "SEED_COLUMNS": 5 * 2 * 993, "POLISH_BLOCK": 3}),
+    (correlations, {"STATE_BLOCK": 1, "SEED_COLUMNS": 1}),
+    (correlations, {"STATE_BLOCK": 3, "SEED_COLUMNS": 5 * 2 * 993}),
+    (correlations, {"STATE_BLOCK": 7, "SEED_COLUMNS": 5 * 2 * 993}),
     *((sweep, {"SEARCH_DEPTH": n}) for n in (1, 2, 5)),
 ], ids=lambda x: ",".join(f"{k}={v}" for k, v in x.items()) if isinstance(x, dict)
    else x.__name__)
