@@ -127,6 +127,9 @@ STATE_BLOCK = 64
 X_SEED_POINTS = 33
 X_POLISH_POINTS = 17
 
+# A state is X-shaped where every entry off its diagonal and anti-diagonal is
+# at most this in modulus.
+X_SHAPE_TOL = 1e-12
 # Row-major flat indices of the entries off the diagonal and anti-diagonal,
 # then of rho_14, rho_23, rho_22, rho_11, rho_33 and rho_44.
 _X_ENTRIES = np.array([1, 2, 4, 7, 8, 11, 13, 14, 3, 6, 5, 0, 10, 15])
@@ -698,14 +701,14 @@ def measure_states(states, measures) -> dict[str, np.ndarray]:
 
 def _x_entries(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each state of a stack is X-shaped (every entry off the diagonal
-    and anti-diagonal at most 1e-12 in modulus), and its X concurrence
+    and anti-diagonal at most X_SHAPE_TOL in modulus), and its X concurrence
     2 * max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))."""
     e = states.reshape(len(states), 16).take(_X_ENTRIES, 1)
     moduli = np.hypot(e[:, :10].real, e[:, :10].imag)
     p = e[:, 10:].real
     c12 = moduli[:, 8:] - np.sqrt(np.maximum(p[:, :2] * p[:, 2:], 0.0))
     c = np.minimum(1.0, 2.0 * np.maximum(0.0, np.maximum(c12[:, 0], c12[:, 1])))
-    return moduli[:, :8].max(1) <= 1e-12, c
+    return moduli[:, :8].max(1) <= X_SHAPE_TOL, c
 
 
 def concurrence(rho) -> float:

@@ -23,7 +23,10 @@ the steps ahead of them as stacks, the most probable first: the golden
 section guesses where its maximum lies, and the bisection, with no guess,
 fills its stacks breadth-first.  The ESD search builds no state: it reads each stack's
 concurrences from the Boltzmann spectra and the eigenvectors of its one
-Hamiltonian (:func:`esd_temperature`).
+Hamiltonian (:func:`esd_temperature`).  Where every Gibbs state of that
+Hamiltonian is X-shaped it does not stack: each step is decided in Python
+by the closed-form concurrence (:func:`_x_bisection`), since a stack costs
+a numpy call whatever its points.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .correlations import MEASURES, _measure, _spin_flip, _wootters
+from .correlations import MEASURES, X_SHAPE_TOL, _measure, _spin_flip, _wootters
 from .device import (
     DeviceParams,
     EffectiveParams,
@@ -64,6 +67,9 @@ VARIABLES = tuple(SWEEP_VARIABLES)
 # Concurrence at or below this is treated as exactly zero (it is a hard
 # max(0, .) in the formula, so no tolerance subtleties arise above ESD).
 CONCURRENCE_FLOOR = 1e-12
+# A step of an X-shaped ESD search is decided by its closed-form concurrence
+# unless that is within this of CONCURRENCE_FLOOR; then by the Wootters kernel.
+ESD_BAND = 1e-10
 
 DEFAULT_STEPS_1D = 501
 DEFAULT_STEPS_2D = 101
@@ -329,14 +335,19 @@ def _search(f, state, values, children, decide, tol: float, guess=None):
     return state[:2], 0.5 * (state[0] + state[1]), value, iterations
 
 
+def _require_esd_bracket(c0: float, c_max: float, t_max: float) -> None:
+    # Entangled at T = 0, separable at t_max.
+    if c0 <= CONCURRENCE_FLOOR:
+        raise BracketError("state is never entangled: concurrence is zero at T = 0")
+    if c_max > CONCURRENCE_FLOOR:
+        raise BracketError(f"concurrence is still positive at t_max = {t_max}")
+
+
 def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
     """:func:`esd_temperature` for the values f (a list of temperatures to
     their concurrences) gives."""
     values = dict(zip((0.0, t_max), f([0.0, t_max])))
-    if values[0.0] <= CONCURRENCE_FLOOR:
-        raise BracketError("state is never entangled: concurrence is zero at T = 0")
-    if values[t_max] > CONCURRENCE_FLOOR:
-        raise BracketError(f"concurrence is still positive at t_max = {t_max}")
+    _require_esd_bracket(values[0.0], values[t_max], t_max)
 
     def children(lo, hi, mid):
         return (mid, hi, 0.5 * (mid + hi)), (lo, mid, 0.5 * (lo + mid))
@@ -391,6 +402,8 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     temperatures, T = 0 and t_max the first, takes its states' checked
     spectra from the Boltzmann weights (:func:`device._boltzmann_spectra`)
     and their concurrences from one :func:`correlations._wootters` call.
+    Where V makes every Gibbs state X-shaped, the steps are decided one by
+    one in closed form instead (:func:`_x_bisection`), with the same result.
     """
     if not 0.0 < t_max < math.inf:
         raise SpecValidationError("t_max must be finite and positive")
@@ -402,7 +415,52 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     def concurrences(temperatures):
         return _wootters(_boltzmann_spectra(w, np.array(temperatures)[:, None])[0], m).tolist()
 
+    # Every Gibbs state of H is X-shaped where, for each entry off the
+    # diagonal and anti-diagonal, its levels' eigenvector products sum to at
+    # most X_SHAPE_TOL in modulus.
+    if np.abs(v[0, [0, 0, 1, 2]] * v[0, [1, 2, 3, 3]]).sum(1).max() <= X_SHAPE_TOL:
+        return _x_bisection(concurrences, w, v, m, t_max, tol)
     return _bisection(concurrences, t_max, tol)
+
+
+def _x_concurrence(levels: list, products: list, t: float) -> float:
+    """Unclamped X concurrence 2 max(|rho_14| - sqrt(rho_22 rho_33),
+    |rho_23| - sqrt(rho_11 rho_44)) of the Gibbs state at t > 0 of ascending
+    ``levels``, from its Boltzmann weights, shifted as in
+    :func:`device._boltzmann_weights`, and ``products``, the eigenvector
+    products V_1k V_4k, V_2k V_3k, V_2k^2, V_3k^2, V_1k^2 and V_4k^2 of each
+    level k."""
+    a0, a1, a2, a3 = [math.exp(-(e - levels[0]) / t) for e in levels]
+    r14, r23, r22, r33, r11, r44 = [a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+                                    for x0, x1, x2, x3 in products]
+    return 2.0 * max(abs(r14) - math.sqrt(r22 * r33),
+                     abs(r23) - math.sqrt(r11 * r44)) / (a0 + a1 + a2 + a3)
+
+
+def _x_bisection(f, w, v, m, t_max: float, tol: float) -> CriticalPoint:
+    """:func:`_bisection` of f, the concurrences of a Hamiltonian with levels
+    w and eigenvectors v (m = :func:`correlations._spin_flip` of v) whose
+    Gibbs states are all X-shaped, one step at a time in Python.  A step
+    reads :func:`_x_concurrence`, or f where that is within ESD_BAND of
+    CONCURRENCE_FLOOR, so it decides as f does.  Then the spectra of every
+    step are checked as f checks them, and f's kernel measures T = 0, t_max
+    and the midpoint as one stack, for the bracket checks and the value at
+    the midpoint."""
+    levels = w[0].tolist()
+    products = (v[0, [0, 1, 1, 2, 0, 3]] * v[0, [3, 2, 1, 2, 0, 3]]).tolist()
+    lo, hi, steps = 0.0, t_max, []
+    while hi - lo > tol:
+        t = 0.5 * (lo + hi)
+        c = _x_concurrence(levels, products, t)
+        if abs(c - CONCURRENCE_FLOOR) <= ESD_BAND:
+            (c,) = f([t])
+        lo, hi = (t, hi) if c > CONCURRENCE_FLOOR else (lo, t)
+        steps.append(t)
+    location = 0.5 * (lo + hi)
+    p = _boltzmann_spectra(w, np.array([0.0, t_max, location, *steps])[:, None])[0]
+    c0, c_max, value_at = _wootters(p[:3], m).tolist()
+    _require_esd_bracket(c0, c_max, t_max)
+    return CriticalPoint("esd_temperature", location, value_at, (lo, hi), len(steps))
 
 
 def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> CriticalPoint:

@@ -44,6 +44,9 @@ from oracles import ground_state_discord_analytic
 
 
 _HALF_MAX = 0.5 * np.finfo(float).max
+# Intrabit couplings put its Gibbs states off the X shape, so its ESD search
+# takes the stacked path (sweep._bisection).
+NOT_X = EffectiveParams(0.02, 0.02, 0.005, 0.005, -0.02)
 
 
 def ratio_spec(**overrides):
@@ -599,9 +602,8 @@ class TestEsdTemperature:
         assert point.bracket[1] - point.bracket[0] <= math.ulp(1.0)
 
     def test_one_hamiltonian_is_diagonalized_once_per_search(self, monkeypatch):
-        # X states (phi_e = 1/2) and general ones.
-        for fixed in (EffectiveParams.symmetric(0.02, -0.02),
-                      DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6, phi_e=0.3)):
+        # Stacked searches: intrabit couplings, and phi_e away from 1/2.
+        for fixed in (NOT_X, DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6, phi_e=0.3)):
             shapes, stacks = [], []
             eigh, spectra, kernel = np.linalg.eigh, sweep._boltzmann_spectra, sweep._wootters
 
@@ -799,7 +801,7 @@ class TestSpeculativeSearches:
 
     @pytest.mark.parametrize("search, iterations, most_calls", [
         (lambda: optimal_ratio(0.5, (0.1, 50.0)), 37, 8),  # 10 breadth-first
-        (lambda: esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0), 20, 7),
+        (lambda: esd_temperature(NOT_X, t_max=1.0), 20, 7),
     ])
     def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations, most_calls):
         # A j/eps search measures its ratios' states, an ESD search its
@@ -840,12 +842,200 @@ class TestSpeculativeSearches:
             return out
 
         monkeypatch.setattr(sweep, "_boltzmann_spectra", recorded)
-        point = esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0)
+        point = esd_temperature(NOT_X, t_max=1.0)
         roots = [(0.0, 1.0), (0.0, 0.0625), (0.0234375, 0.02734375),
-                 (0.0244140625, 0.024658203125), (0.0244903564453125, 0.024505615234375)]
+                 (0.0244140625, 0.024658203125), (0.0245513916015625, 0.024566650390625)]
         assert stacks == [[0.0, 1.0], *(breadth_first(lo, hi) for lo, hi in roots),
                           [point.location]]
-        assert point.location == 0.024490833282470703
+        assert point.location == 0.024551868438720703
+
+
+# v_x1 where eps1 = 0 at n = 0: c v_x1 = e.
+_EPS1_ZERO_VOLTAGE = device.CONSTANTS.e / DeviceParams().c
+
+
+def _seeded_x_esd_cases():
+    """3,000 (fixed, t_max, tol) cases: 600 Hamiltonians at phi_e = 1/2, each
+    at one t_max from 1e-4 to 20 K and five tolerances."""
+    rng = np.random.default_rng(33)
+    cases = []
+    for k in range(600):
+        phi1, phi2 = rng.uniform(0.0, 1.0, 2).tolist()
+        if k % 3 == 0:  # device points
+            v1, v2 = rng.uniform(0.0, 120e-6, 2).tolist()
+            fixed = DeviceParams(v_x1=v1, v_x2=v2, phi_x1=phi1, phi_x2=phi2)
+        elif k % 3 == 1:  # near eps1 = 0, where eigh may mix the parity blocks
+            u = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 6.0))
+            fixed = DeviceParams(v_x1=_EPS1_ZERO_VOLTAGE * (1.0 + u),
+                                 v_x2=float(rng.uniform(0.0, 120e-6)), phi_x1=phi1, phi_x2=phi2)
+        else:  # effective parameters without intrabit coupling
+            eps1, eps2, j12 = rng.uniform(-1.0, 1.0, 3).tolist()
+            fixed = EffectiveParams(eps1, eps2, 0.0, 0.0, j12)
+        t_max = float(10.0 ** rng.uniform(-4.0, math.log10(20.0)))
+        for tol in (math.ulp(t_max), 1e-9 * t_max, 1e-6, 0.3 * t_max, 2.0 * t_max):
+            cases.append((fixed, t_max, tol))
+    return cases
+
+
+def _outcome(fixed, t_max, tol):
+    """The CriticalPoint of an ESD search, or the type and message of its
+    BracketError."""
+    try:
+        return esd_temperature(fixed, t_max, tol)
+    except BracketError as error:
+        return type(error), str(error)
+
+
+def _stacked_outcomes(monkeypatch, cases):
+    """:func:`_outcome` of each case with every Hamiltonian on the stacked path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "_x_bisection",
+                      lambda f, w, v, m, t_max, tol: sweep._bisection(f, t_max, tol))
+        return [_outcome(*case) for case in cases]
+
+
+class TestXEsdSearch:
+    """An ESD search whose Gibbs states are all X-shaped decides its steps by
+    their closed-form concurrence, and returns the stacked search's result."""
+
+    def test_equals_the_stacked_search(self, monkeypatch):
+        cases = _seeded_x_esd_cases()
+        x_bisection, kernel = sweep._x_bisection, sweep._wootters
+        undecided, kernel_rows = [], []
+
+        def counted(*args):  # counts the X search's one-row kernel calls
+            start = len(kernel_rows)
+            try:
+                return x_bisection(*args)
+            finally:
+                undecided.append(kernel_rows[start:].count(1))
+
+        def counted_kernel(p, m):
+            kernel_rows.append(len(p))
+            return kernel(p, m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "_x_bisection", counted)
+            patch.setattr(sweep, "_wootters", counted_kernel)
+            outcomes = [_outcome(*case) for case in cases]
+        assert outcomes == _stacked_outcomes(monkeypatch, cases)
+        # Both paths, both errors, results and steps decided by the kernel.
+        assert 2000 < len(undecided) < len(cases)
+        errors = [o[1] for o in outcomes if isinstance(o, tuple)]
+        assert any("never entangled" in e for e in errors)
+        assert any("still positive" in e for e in errors)
+        assert len(errors) < len(cases) - 500
+        assert sum(undecided) > 1000
+
+    def test_a_band_without_end_sends_every_step_to_the_kernel(self, monkeypatch):
+        cases = _seeded_x_esd_cases()[::10]
+        kernel_rows, kernel = [], sweep._wootters
+
+        def counted_kernel(p, m):
+            kernel_rows.append(len(p))
+            return kernel(p, m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "ESD_BAND", math.inf)
+            patch.setattr(sweep, "_wootters", counted_kernel)
+            outcomes = [_outcome(*case) for case in cases]
+        assert outcomes == _stacked_outcomes(monkeypatch, cases)
+        steps = sum(o.iterations for o in outcomes if isinstance(o, CriticalPoint))
+        assert kernel_rows.count(1) >= steps > 1000
+
+    def test_closed_form_is_within_a_thousandth_of_the_band_of_the_kernel(self, monkeypatch):
+        # The closed form of each X Hamiltonian of the seeded cases, against
+        # the concurrence of the stacked search, at 200 temperatures from
+        # 1e-6 to 20 K.
+        searches, x_bisection = [], sweep._x_bisection
+
+        def recorded(f, w, v, m, t_max, tol):
+            searches.append((w, v, m))
+            return x_bisection(f, w, v, m, t_max, tol)
+
+        monkeypatch.setattr(sweep, "_x_bisection", recorded)
+        for fixed, _, _ in _seeded_x_esd_cases()[::5]:
+            _outcome(fixed, 1.0, 2.0)
+        temperatures = 10.0 ** np.random.default_rng(34).uniform(-6.0, math.log10(20.0), 200)
+        gaps = []
+        for w, v, m in searches:
+            kernel = sweep._wootters(device._boltzmann_spectra(w, temperatures[:, None])[0], m)
+            u = v[0]
+            products = np.array([u[0] * u[3], u[1] * u[2], u[1] ** 2, u[2] ** 2,
+                                 u[0] ** 2, u[3] ** 2]).tolist()
+            closed = [sweep._x_concurrence(w[0].tolist(), products, t)
+                      for t in temperatures.tolist()]
+            gaps.append(np.abs(np.clip(closed, 0.0, 1.0) - kernel).max())
+        assert len(searches) * len(temperatures) >= 100_000
+        assert max(gaps) <= sweep.ESD_BAND / 1000.0
+
+    @pytest.mark.parametrize("tol", [1e-6, math.ulp(1.0)])
+    def test_one_eigh_then_one_kernel_stack_and_one_call_per_undecided_step(
+            self, monkeypatch, tol):
+        shapes, kernel_rows, spectra, closed = [], [], [], []
+        eigh, boltzmann_spectra = np.linalg.eigh, sweep._boltzmann_spectra
+        kernel, x_concurrence = sweep._wootters, sweep._x_concurrence
+
+        def counted(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        def recorded_spectra(w, temperatures):
+            spectra.append(temperatures[:, 0].tolist())
+            return boltzmann_spectra(w, temperatures)
+
+        def counted_kernel(p, m):
+            kernel_rows.append(len(p))
+            return kernel(p, m)
+
+        def recorded_closed(levels, products, t):
+            closed.append((t, x_concurrence(levels, products, t)))
+            return closed[-1][1]
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(sweep, "_boltzmann_spectra", recorded_spectra)
+        monkeypatch.setattr(sweep, "_wootters", counted_kernel)
+        monkeypatch.setattr(sweep, "_x_concurrence", recorded_closed)
+        point = esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0, tol=tol)
+        undecided = [t for t, c in closed if abs(c - sweep.CONCURRENCE_FLOOR) <= sweep.ESD_BAND]
+        assert shapes == [(1, 4, 4)]
+        assert kernel_rows == [1] * len(undecided) + [3]
+        assert spectra == [[t] for t in undecided] + [
+            [0.0, 1.0, point.location, *(t for t, _ in closed)]]
+        assert len(closed) == point.iterations
+        assert (len(undecided) > 0) == (tol < 1e-9)
+
+    def test_weights_of_every_step_are_checked(self, monkeypatch):
+        # Spoil the weights of the steps alone: not those of T = 0, t_max and
+        # the midpoint, which come first in the one stack after the steps.
+        boltzmann_weights = device._boltzmann_weights
+
+        def spoiled(w, temperatures):
+            weights, cold = boltzmann_weights(w, temperatures)
+            weights[3:, -1] = -1e-3
+            return weights, cold
+
+        monkeypatch.setattr(device, "_boltzmann_weights", spoiled)
+        with pytest.raises(NotAStateError):
+            esd_temperature(EffectiveParams.symmetric(0.02, -0.02), t_max=1.0)
+
+    @pytest.mark.parametrize("fixed", [
+        EffectiveParams(-3.4e-5, 6.0, 0.0, 0.0, -0.73),  # products off the X shape 4.6e-11
+        DeviceParams(v_x1=1e-12, v_x2=7.5e-6),  # near eps1 = 0; 2.9e-9
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, math.ulp(1.0)])
+    def test_mixed_parity_blocks_take_the_stacked_path(self, monkeypatch, fixed, tol):
+        searches, bisection = [], sweep._bisection
+
+        def recorded(f, t_max, tol):
+            searches.append(f)
+            return bisection(f, t_max, tol)
+
+        monkeypatch.setattr(sweep, "_bisection", recorded)
+        monkeypatch.setattr(sweep, "_x_bisection", None)
+        point = esd_temperature(fixed, t_max=1.0, tol=tol)
+        (f,) = searches
+        assert point == plain_bisection(lambda t: f([t])[0], 1.0, tol)
 
 
 class TestFigurePresets:
