@@ -133,6 +133,8 @@ X_SHAPE_TOL = 1e-12
 # Row-major flat indices of the entries off the diagonal and anti-diagonal,
 # then of rho_14, rho_23, rho_22, rho_11, rho_33 and rho_44.
 _X_ENTRIES = np.array([1, 2, 4, 7, 8, 11, 13, 14, 3, 6, 5, 0, 10, 15])
+# Row-major flat indices of SWAP rho SWAP in rho: rows and columns |01>, |10> swapped.
+_FLAT_SWAP = (4 * np.array([0, 2, 1, 3])[:, None] + [0, 2, 1, 3]).ravel()
 
 
 @dataclass(frozen=True)
@@ -611,7 +613,8 @@ def _measure(states: np.ndarray, w: np.ndarray, v, measures, side: str = "first"
     if searched:
         # The searches measure the first qubit: the second is the first of
         # the qubit-swapped states, at the same angles.
-        measured = states if side == "first" else states[:, [0, 2, 1, 3]][:, :, [0, 2, 1, 3]]
+        measured = (states if side == "first" else
+                    states.reshape(len(states), 16)[:, _FLAT_SWAP].reshape(-1, 4, 4))
         best, theta, phi = np.empty((3, len(states)))
         evaluations = np.empty(len(states), dtype=int)
         x, g = np.flatnonzero(is_x), np.flatnonzero(~is_x)

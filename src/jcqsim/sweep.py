@@ -26,7 +26,10 @@ concurrences from the Boltzmann spectra and the eigenvectors of its one
 Hamiltonian (:func:`esd_temperature`).  Where every Gibbs state of that
 Hamiltonian is X-shaped it does not stack: each step is decided in Python
 by the closed-form concurrence (:func:`_x_bisection`), since a stack costs
-a numpy call whatever its points.
+a numpy call whatever its points.  The j/eps search, whose states are all
+X states, decides its steps in Python by the closed-form discord
+(:func:`_x_discord`) while that is clear beyond round-off, and stacks the
+rest.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ import numpy as np
 
 from .correlations import MEASURES, X_SHAPE_TOL, _measure, _spin_flip, _wootters
 from .device import (
+    GROUND_DEGENERACY_RTOL,
+    MAX_ENERGY_K,
     DeviceParams,
     EffectiveParams,
     ThermalSpec,
@@ -70,6 +75,11 @@ CONCURRENCE_FLOOR = 1e-12
 # A step of an X-shaped ESD search is decided by its closed-form concurrence
 # unless that is within this of CONCURRENCE_FLOOR; then by the Wootters kernel.
 ESD_BAND = 1e-10
+# A j/eps search step is decided by the closed-form discords of its two points
+# (_x_discord) where they differ by more than the sum of their bands: this at
+# T = 0, and this times 1 + R/T at T > 0, R = hypot(2, j/eps) the largest
+# level, whose round-off in eigh the Boltzmann weights amplify by R/T.
+RATIO_BAND = 32 * math.ulp(1.0)
 
 DEFAULT_STEPS_1D = 501
 DEFAULT_STEPS_2D = 101
@@ -315,12 +325,12 @@ def _search(f, state, values, children, decide, tol: float, guess=None):
         ahead = list(ahead)[: 2**SEARCH_DEPTH - 1]
         values.update(zip(ahead, f(ahead)))
 
-    def read(root):
-        try:
-            return [values[x] for x in points(root)]
-        except KeyError:
-            fill(root)
-        return [values[x] for x in points(root)]
+    def read(root):  # a stack of one point may leave one of root's two
+        while True:
+            try:
+                return [values[x] for x in points(root)]
+            except KeyError:
+                fill(root)
 
     iterations = 0
     while state[1] - state[0] > tol:
@@ -358,26 +368,46 @@ def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
     return CriticalPoint("esd_temperature", location, value_at, bracket, iterations)
 
 
-def _golden_section(f, a0: float, b0: float, tol: float) -> CriticalPoint:
+def _golden_section(f, a0: float, b0: float, tol: float, estimate=None) -> CriticalPoint:
     """:func:`optimal_ratio` for the values f (a list of ratios to their
     discords) gives.  Each stack is filled around Brent's parabolic guess of
     the maximum (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973); the guess never replaces a golden-section step."""
+    Derivatives, 1973); the guess never replaces a golden-section step.
+
+    ``estimate``, if given, maps a point to (value, band), f's value within
+    band, or to None.  After f measures the two starting points, a step whose
+    two values, from f or estimated, differ by more than the sum of their
+    bands is decided in Python, as f's values would decide it; the stacks
+    take over from the first step that is not, and measure the value at the
+    midpoint.  Estimates also feed the guess."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b0 - invphi * (b0 - a0)
     d = a0 + invphi * (b0 - a0)
 
     values = dict(zip((c, d), f([c, d])))
+    known = {x: (value, 0.0) for x, value in values.items()}
 
     def children(a, b, c, d):
         return (a, d, d - invphi * (d - a), c), (c, b, d, c + invphi * (b - c))
 
+    state, steps = (a0, b0, c, d), 0
+    while estimate is not None and state[1] - state[0] > tol:
+        for x in state[2:]:
+            if x not in known:
+                known[x] = estimate(x)
+        fc, fd = known[state[2]], known[state[3]]
+        if fc is None or fd is None or abs(fc[0] - fd[0]) <= fc[1] + fd[1]:
+            break
+        state = children(*state)[fc[0] < fd[0]]
+        steps += 1
+
     def guess(a, b, c, d):
         # Brent's parabolic step: the vertex of the parabola through the best
-        # point measured in [a, b] and its measured neighbours, or the end of
-        # [a, b] beyond the best point when no neighbour is measured there.
-        xs = sorted(x for x in values if a <= x <= b)
-        fs = [values[x] for x in xs]
+        # point measured (or estimated) in [a, b] and its neighbours, or the
+        # end of [a, b] beyond the best point when it has no neighbour there.
+        seen = {x: e[0] for x, e in known.items() if e is not None} | values
+        xs = sorted(x for x in seen if a <= x <= b)
+        fs = [seen[x] for x in xs]
         i = fs.index(max(fs))
         if i == 0 or i == len(xs) - 1:
             return a if i == 0 else b
@@ -386,9 +416,9 @@ def _golden_section(f, a0: float, b0: float, tol: float) -> CriticalPoint:
         return x - 0.5 * ((x - u) * r - (x - w) * q) / (r - q)
 
     bracket, location, value_at, iterations = _search(
-        f, (a0, b0, c, d), values, children, lambda fc, fd: fc >= fd, tol, guess)
+        f, state, values, children, lambda fc, fd: fc >= fd, tol, guess)
     return CriticalPoint(
-        "optimal_ratio", location, value_at, bracket, iterations,
+        "optimal_ratio", location, value_at, bracket, steps + iterations,
         boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
     )
 
@@ -442,17 +472,21 @@ def _x_bisection(f, w, v, m, t_max: float, tol: float) -> CriticalPoint:
     w and eigenvectors v (m = :func:`correlations._spin_flip` of v) whose
     Gibbs states are all X-shaped, one step at a time in Python.  A step
     reads :func:`_x_concurrence`, or f where that is within ESD_BAND of
-    CONCURRENCE_FLOOR, so it decides as f does.  Then the spectra of every
-    step are checked as f checks them, and f's kernel measures T = 0, t_max
-    and the midpoint as one stack, for the bracket checks and the value at
-    the midpoint."""
+    CONCURRENCE_FLOOR, so it decides as f does; the first such step while
+    no step has been entangled has f measure T = 0 first, so a state never
+    entangled fails there.  Then the spectra of every step are checked as f
+    checks them, and f's kernel measures T = 0, t_max and the midpoint as
+    one stack, for the bracket checks and the value at the midpoint."""
     levels = w[0].tolist()
     products = (v[0, [0, 1, 1, 2, 0, 3]] * v[0, [3, 2, 1, 2, 0, 3]]).tolist()
-    lo, hi, steps = 0.0, t_max, []
+    lo, hi, steps, checked = 0.0, t_max, [], False
     while hi - lo > tol:
         t = 0.5 * (lo + hi)
         c = _x_concurrence(levels, products, t)
         if abs(c - CONCURRENCE_FLOOR) <= ESD_BAND:
+            if lo == 0.0 and not checked:  # no step is entangled yet: is T = 0?
+                _require_esd_bracket(f([0.0])[0], 0.0, t_max)  # t_max waits for the end
+                checked = True
             (c,) = f([t])
         lo, hi = (t, hi) if c > CONCURRENCE_FLOOR else (lo, t)
         steps.append(t)
@@ -463,16 +497,69 @@ def _x_bisection(f, w, v, m, t_max: float, tol: float) -> CriticalPoint:
     return CriticalPoint("esd_temperature", location, value_at, (lo, hi), len(steps))
 
 
+def _x_discord(ratio: float, t: float):
+    """(discord, band) of the Gibbs state at t of
+    EffectiveParams.symmetric(1.0, ratio), ratio > 0, in closed form: within
+    the band of the discord its ratio-sweep row measures, which
+    :func:`correlations._maximize_x` takes at theta = 0 or pi/2 by the same
+    certificates.  None where neither certificate holds, where the ground
+    space at T = 0 is, or is within round-off of, two levels (a state whose
+    discord is a difference of entropies near 1.5 bits), or where ratio
+    exceeds MAX_ENERGY_K.
+
+    The parity blocks [[a, ratio], [ratio, -a]], a = 2 and a = 0, have levels
+    -r, -ratio, ratio, r, r = hypot(2, ratio), weighted as in
+    :func:`device._boltzmann_weights`; 1 - 2/r is taken as ratio^2 / (r (r +
+    2)), which does not cancel."""
+    if not ratio <= MAX_ENERGY_K:
+        return None
+    r = math.hypot(2.0, ratio)
+    gap = 4.0 / (r + ratio)  # r - ratio
+    if t == 0.0:  # the ground space: -r alone, unless -ratio is in the cut
+        if gap <= GROUND_DEGENERACY_RTOL * math.sqrt(2.0) * math.hypot(r, ratio) + RATIO_BAND * r:
+            return None
+        lower, upper, top, band = 0.0, 0.0, 0.0, RATIO_BAND
+    else:
+        lower, upper = math.exp(-gap / t), math.exp(-(r + ratio) / t)
+        top, band = math.exp(-2.0 * r / t), RATIO_BAND * (1.0 + r / t)
+    z = 1.0 + lower + upper + top
+    small = ratio / r * (ratio / (r + 2.0))
+    p1, p2 = (small + top * (2.0 - small)) / (2.0 * z), (lower + upper) / (2.0 * z)
+    p4 = (2.0 - small + top * small) / (2.0 * z)  # p3 = p2
+    c = ((1.0 - top) * ratio / r + lower - upper) / (2.0 * z)
+    m0, m1 = p1 + p2, p2 + p4  # each qubit's populations
+
+    def entropy(q):
+        return max(0.0, -sum(x * math.log2(x) for x in q if x > 0.0))
+
+    def binary(u):  # correlations._binary_entropies
+        return 0.0 if u <= 0.0 else -(u * math.log(u) + (1.0 - u) * math.log1p(-u)) / math.log(2.0)
+
+    if (p1 - p2) * (p4 - p2) >= c * c:  # correlations._x_pole_entropy
+        best = sum(m * binary(min(q) / m) for m, q in ((m0, (p1, p2)), (m1, (p2, p4))) if m > 0.0)
+    elif abs(math.sqrt(p1 * p4) - p2) <= c:  # correlations._x_equator_entropy
+        best = binary(2.0 * (m0 * m1 - c * c) / (1.0 + math.hypot(2.0 * c, m0 - m1)))
+    else:
+        return None
+    marginal = entropy((m0, m1))
+    mi = max(0.0, 2.0 * marginal - entropy((1.0 / z, lower / z, upper / z, top / z)))
+    return mi - min(max(0.0, marginal - best), mi), band  # correlations._clamp_classical
+
+
 def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> CriticalPoint:
     """Golden-section maximization of thermal discord over j/eps at eps = 1 K.
 
     A maximum within 10*tol of either bracket edge is reported with the
     boundary flag set (T = 0 legitimately has no interior maximum).  The two
-    starting points are measured as one stack, and the later points as stacks
-    of up to 15 ratios filled around a parabolic guess of the maximum (see
-    :func:`_search`): about 7 stacks at the default tol over (0.1, 50).  A
-    stack is the sweep table over its ratios, so each discord is the one a
-    ratio sweep prints at that ratio.
+    starting points are measured as one stack.  Then each step whose two
+    closed-form discords (:func:`_x_discord`) differ by more than their
+    bands is decided in Python; from the first that is not, the later points
+    are measured as stacks of up to 15 ratios filled around a parabolic
+    guess of the maximum (see :func:`_golden_section` and :func:`_search`),
+    and the value at the midpoint always is: about 3 stacks at the default
+    tol over (0.1, 50), 7 on the stacks alone.  A stack is the sweep table
+    over its ratios, so each decision and value is the one ratio-sweep rows
+    give.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:
@@ -484,7 +571,7 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
         axes = [("ratio_j_over_eps", np.array(ratios))]
         return _sweep_table(fixed, thermal, axes, ("discord",))[:, 1].tolist()
 
-    return _golden_section(discords, a0, b0, tol)
+    return _golden_section(discords, a0, b0, tol, lambda ratio: _x_discord(ratio, t))
 
 
 FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5")

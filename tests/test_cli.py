@@ -654,6 +654,12 @@ _OUT_OF_RANGE = [
 class TestOutOfRangeInput:
     """Input that once ended in a traceback or in a silent row of zeros."""
 
+    def test_ratio_search_beyond_the_largest_coupling_exits_2(self, capsys):
+        # The first stack's ratios are checked before any step is decided.
+        code, out, err = run_cli(capsys, "critical", "ratio", "--temp", "0.5",
+                                 "--bracket", "0.1", "1e200", "--tol", "1e190")
+        assert (code, out, err) == (2, "", "error: j12 must be finite with |j12| <= 1e+150 K\n")
+
     @pytest.mark.parametrize("config, message", _OUT_OF_RANGE)
     def test_report_exits_2_naming_the_quantity(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "big.json"

@@ -571,6 +571,21 @@ class TestEsdTemperature:
         with pytest.raises(BracketError):
             esd_temperature(EffectiveParams.symmetric(1.0, 0.0), t_max=1.0)
 
+    def test_a_state_never_entangled_fails_at_its_first_kernel_call(self, monkeypatch):
+        # Its X concurrence is within round-off of the floor from the fourth
+        # step on; that step's kernel call is the first, at T = 0 alone.
+        rows, kernel = [], sweep._wootters
+
+        def counted(p, m):
+            rows.append(len(p))
+            return kernel(p, m)
+
+        monkeypatch.setattr(sweep, "_wootters", counted)
+        with pytest.raises(BracketError) as error:
+            esd_temperature(EffectiveParams.symmetric(1.0, 0.0), t_max=1.0)
+        assert str(error.value) == "state is never entangled: concurrence is zero at T = 0"
+        assert rows == [1]
+
     def test_degenerate_hamiltonian_never_entangled(self):
         # H = 0: the T = 0 state is the mixture I/4 over the whole ground space.
         with pytest.raises(BracketError, match="never entangled"):
@@ -709,6 +724,19 @@ def _seeded_esd_cases():
     return cases
 
 
+def _stack_every_ratio_step(patch):
+    """Have optimal_ratio leave every step to the stacked driver."""
+    golden_section = sweep._golden_section
+    patch.setattr(sweep, "_golden_section",
+                  lambda f, a0, b0, tol, estimate=None: golden_section(f, a0, b0, tol))
+
+
+def _stacked_ratio(patch, t, bracket, tol):
+    """optimal_ratio on the stacked driver alone."""
+    _stack_every_ratio_step(patch)
+    return optimal_ratio(t, bracket, tol)
+
+
 def _bumps(x: float) -> float:
     # Several local maxima of different heights, and flat steps that tie.
     return math.floor(8.0 * math.sin(3.0 * x) + 5.0 * math.sin(11.0 * x)) / 8.0
@@ -800,8 +828,11 @@ class TestSpeculativeSearches:
         _assert_each_point_measured_once(stacks)
 
     @pytest.mark.parametrize("search, iterations, most_calls", [
-        (lambda: optimal_ratio(0.5, (0.1, 50.0)), 37, 8),  # 10 breadth-first
-        (lambda: esd_temperature(NOT_X, t_max=1.0), 20, 7),
+        # 10 breadth-first
+        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 8),
+        (lambda patch: esd_temperature(NOT_X, t_max=1.0), 20, 7),
+        # Steps decided in closed form: the first stack, then one at the end.
+        (lambda patch: optimal_ratio(0.5, (0.1, 50.0)), 37, 3),
     ])
     def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations, most_calls):
         # A j/eps search measures its ratios' states, an ESD search its
@@ -819,7 +850,7 @@ class TestSpeculativeSearches:
 
         monkeypatch.setattr(sweep, "_measure", counted)
         monkeypatch.setattr(sweep, "_wootters", counted_kernel)
-        assert search().iterations == iterations
+        assert search(monkeypatch).iterations == iterations
         assert calls[0] == 2
         assert len(calls) <= most_calls
         assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
@@ -1036,6 +1067,93 @@ class TestXEsdSearch:
         point = esd_temperature(fixed, t_max=1.0, tol=tol)
         (f,) = searches
         assert point == plain_bisection(lambda t: f([t])[0], 1.0, tol)
+
+
+def _seeded_x_ratio_cases():
+    """1,200 (t, bracket, tol) cases: T = 0 and T from 1e-6 to 1e3 K, brackets
+    up to 1e5, tol from one float spacing to wider than the bracket."""
+    rng = np.random.default_rng(34)
+    cases = [(0.5, (0.1, 1e200), 1e190),  # j12 out of range at the first stack
+             (0.0, (0.1, 3e5), 1e-6), (0.0, (5e4, 2e5), 1e-3)]  # two ground levels
+    for k in range(1197):
+        if k % 6 == 0:
+            t = 0.0
+        elif k % 6 == 1:  # where some small ratios are certified by neither end
+            t = float(rng.uniform(0.035, 0.045))
+        else:
+            t = float(10.0 ** rng.uniform(-6.0, 3.0))
+        a = float(10.0 ** rng.uniform(-3.0, 4.0))
+        b = min(1e5, a + float(10.0 ** rng.uniform(-2.0, 5.0)))
+        if k % 6 == 1:
+            a, b = sorted(rng.uniform(1e-3, 0.6, 2).tolist())
+        tol = (math.ulp(b), 1e-9 * (b - a), 1e-6, 0.3 * (b - a), 2.0 * (b - a))[k % 5]
+        cases.append((t, (a, b), max(tol, math.ulp(b))))
+    return cases
+
+
+def _ratio_outcome(t, bracket, tol):
+    """The CriticalPoint of a j/eps search, or the type and message of its error."""
+    try:
+        return optimal_ratio(t, bracket, tol)
+    except (InvalidParameterError, SpecValidationError) as error:
+        return type(error), str(error)
+
+
+class TestXRatioSearch:
+    """A j/eps search decides its steps by closed-form discords where they are
+    apart by more than their bands, and returns the stacked search's result."""
+
+    def test_equals_the_stacked_search(self, monkeypatch):
+        cases = _seeded_x_ratio_cases()
+        x_discord, search = sweep._x_discord, sweep._search
+        estimates, handed = [], []
+
+        def recorded(ratio, t):
+            estimates.append((t, x_discord(ratio, t)))
+            return estimates[-1][1]
+
+        def recorded_search(f, state, values, children, decide, tol, guess=None):
+            handed.append(state[1] - state[0] > tol)
+            return search(f, state, values, children, decide, tol, guess)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "_x_discord", recorded)
+            patch.setattr(sweep, "_search", recorded_search)
+            outcomes = [_ratio_outcome(*case) for case in cases]
+        with monkeypatch.context() as patch:
+            _stack_every_ratio_step(patch)
+            assert outcomes == [_ratio_outcome(*case) for case in cases]
+        # Errors, handoffs to the stacks, searches decided in Python to the
+        # end, and points certified by neither end (T > 0).
+        points = [o for o in outcomes if isinstance(o, CriticalPoint)]
+        assert len(points) == len(cases) - 1
+        assert 100 < sum(handed) < len(points) - 100
+        assert sum(p.iterations > 20 for p, h in zip(points, handed) if not h) > 100
+        assert sum(e is None for t, e in estimates if t > 0.0) > 10
+        assert sum(e is None for t, e in estimates if t == 0.0) > 0
+
+    def test_closed_form_is_within_a_quarter_of_its_band(self):
+        # Against the discord of the ratio-sweep rows of 200 temperatures,
+        # T = 0 among them, at 64 ratios each from 1e-6 to 1e5.
+        rng = np.random.default_rng(35)
+        fixed, gaps, missing = EffectiveParams.symmetric(1.0, 0.0), [], 0
+        for k in range(200):
+            t = 0.0 if k % 8 == 0 else float(10.0 ** rng.uniform(-6.0, 3.0))
+            ratios = 10.0 ** rng.uniform(-6.0, 5.0, 64)
+            rows = sweep._sweep_table(fixed, ThermalSpec(t), [("ratio_j_over_eps", ratios)],
+                                      ("discord",))
+            for ratio, discord in zip(ratios.tolist(), rows[:, 1].tolist()):
+                estimate = sweep._x_discord(ratio, t)
+                if estimate is None:
+                    missing += 1
+                else:
+                    gaps.append(abs(estimate[0] - discord) / estimate[1])
+        assert missing < 200 and len(gaps) > 12_000
+        assert max(gaps) <= 0.25
+
+    @pytest.mark.parametrize("ratio, t", [(1.1e5, 0.0), (1e7, 0.0), (1.5e150, 1e200)])
+    def test_no_closed_form_for_two_ground_levels_or_a_coupling_out_of_range(self, ratio, t):
+        assert sweep._x_discord(ratio, t) is None
 
 
 class TestFigurePresets:
