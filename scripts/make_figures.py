@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from jcqsim.cli import main as jcqsim_main
+from jcqsim.cli import EXIT_IO, main as jcqsim_main
 from jcqsim.sweep import FIGURES
 
 
@@ -21,7 +21,11 @@ def main() -> int:
     parser.add_argument("--steps", type=int, help="override the preset grid sizes")
     args = parser.parse_args()
 
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     for which in args.figures:
         out = args.outdir / f"{which}.csv"
         argv = ["figure", which, "--out", str(out), "--emit-plot-script"]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from jcqsim.cli import EXIT_CONFIG, EXIT_IO
 from jcqsim.errors import InvalidParameterError, SpecValidationError
 from jcqsim.sweep import optimal_ratio
 
@@ -30,7 +31,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.points < 1:
         print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
-        return 2
+        return EXIT_CONFIG
 
     rows = []
     try:
@@ -42,13 +43,17 @@ def main() -> int:
                   f"discord={point.value_at:.6f}{flag}")
     except (InvalidParameterError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CONFIG
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["temperature_k", "critical_ratio", "discord_at_max", "boundary"])
-        for t, ratio, value, boundary in rows:
-            writer.writerow([f"{t:.9g}", f"{ratio:.9g}", f"{value:.9g}", boundary])
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["temperature_k", "critical_ratio", "discord_at_max", "boundary"])
+            for t, ratio, value, boundary in rows:
+                writer.writerow([f"{t:.9g}", f"{ratio:.9g}", f"{value:.9g}", boundary])
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"wrote {args.out}")
     return 0
 

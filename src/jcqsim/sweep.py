@@ -19,14 +19,13 @@ coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
 searches (bisection for the ESD temperature, golden section for the
 discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-the steps ahead of them as stacks, the most probable first: the golden
-section guesses where its maximum lies, and the bisection, with no guess,
-fills its stacks breadth-first.  The ESD search builds no state: it reads each stack's
-concurrences from the Boltzmann spectra and the eigenvectors of its one
-Hamiltonian (:func:`esd_temperature`).  Where every Gibbs state of that
-Hamiltonian is X-shaped it does not stack: each step is decided in Python
-by the closed-form concurrence (:func:`_x_bisection`), since a stack costs
-a numpy call whatever its points.  The j/eps search, whose states are all
+the steps ahead of them as stacks, filled breadth-first.  The ESD search
+builds no state: it reads each stack's concurrences from the Boltzmann
+spectra and the eigenvectors of its one Hamiltonian
+(:func:`esd_temperature`).  Where every Gibbs state of that Hamiltonian is
+X-shaped it does not stack: each step is decided in Python by the
+closed-form concurrence (:func:`_x_bisection`), since a stack costs a numpy
+call whatever its points.  The j/eps search, whose states are all
 X states, decides its steps in Python by the closed-form discord
 (:func:`_x_discord`) while that is clear beyond round-off, and stacks the
 rest.
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -85,9 +83,9 @@ DEFAULT_STEPS_1D = 501
 DEFAULT_STEPS_2D = 101
 # Points measured together: amortizes the X search's kernel calls, bounds memory.
 CHUNK_POINTS = 64
-# A search measures at most 2**SEARCH_DEPTH - 1 new points as one stack, the
-# most probable steps ahead first; without a guess that is the next
-# SEARCH_DEPTH steps.  The cap bounds a j/eps search's peak heap, which
+# A search measures at most 2**SEARCH_DEPTH - 1 new points as one stack,
+# breadth-first: the points of the next SEARCH_DEPTH steps, or of more steps
+# where those hold fewer.  The cap bounds a j/eps search's peak heap, which
 # grows with the stack (the temporaries of correlations._cond_entropy).
 SEARCH_DEPTH = 4
 
@@ -266,7 +264,7 @@ def _require_tol(tol: float, top: float) -> None:
                                   f"one float spacing at {top:g}; got {tol}")
 
 
-def _search(f, state, values, children, decide, tol: float, guess=None):
+def _search(f, state, values, children, decide, tol: float):
     """(bracket, midpoint, value there, iterations) of a bracketing search.
 
     A state is a tuple (lo, hi, *points): its bracket, then the points whose
@@ -279,49 +277,22 @@ def _search(f, state, values, children, decide, tol: float, guess=None):
     so the states ahead, one branch for each outcome of each comparison, are
     known before any of their points is measured.  When a point the search
     reads has no value, the points of the current state and of the states
-    ahead of it go to ``f`` as one stack, the most probable states first:
-    deduplicated, without those already measured, and at most
-    2**SEARCH_DEPTH - 1 new points, which bounds its memory (a stopping state
-    gives its midpoint and is not expanded).  A state's probability is its
-    parent's times q, and states of equal probability go breadth-first.  q is
-    1/2 unless ``guess(*state)``, asked once a stack, names a point where the
-    search is likely to end.  Then the child whose bracket midpoint is nearer
-    that point takes q = p and the other 1 - p, where p = (hits + 1) /
-    (guesses + 2) over the search's earlier decisions made with a guess, and
-    a hit is a step to the nearer child.  Without a guess a stack is filled
-    breadth-first.  A point left out is measured when the search reaches it.
-    A value does not depend on the stack it is measured in, and a guess only
-    chooses what is measured ahead, so every decision and result is the bit
-    it would be with one point at a time.
+    ahead of it go to ``f`` as one stack, level by level: deduplicated,
+    without those already measured, and at most 2**SEARCH_DEPTH - 1 new
+    points, which bounds its memory (a stopping state gives its midpoint and
+    is not expanded).  A point left out is measured when the search reaches
+    it.  A value does not depend on the stack it is measured in, so every
+    decision and result is the bit it would be with one point at a time.
     """
 
     def points(s):
         return (0.5 * (s[0] + s[1]),) if s[1] - s[0] <= tol else s[2:]
 
-    def nearer(pair, g):  # index of the child whose bracket midpoint is nearer g
-        return abs(0.5 * (pair[1][0] + pair[1][1]) - g) < abs(0.5 * (pair[0][0] + pair[0][1]) - g)
-
-    hits = guesses = 0  # over the decisions made with a guess
-    g = None
-
     def fill(root):  # measure the stack of points ahead of root
-        nonlocal g
-        g = None if guess is None else guess(*root)
-        p = 0.5 if g is None else (hits + 1) / (guesses + 2)
-        q = (p, 1.0 - p)
-        # (-probability, breadth-first index, state): the children of the
-        # state at index i are at 2i + 1 and 2i + 2.
-        ahead, heap = {}, [(-1.0, 0, root)]
-        while heap and len(ahead) < 2**SEARCH_DEPTH - 1:
-            w, i, s = heappop(heap)
-            for x in points(s):
-                if x not in values:
-                    ahead[x] = None
-            if s[1] - s[0] > tol:
-                a, b = children(*s)
-                k = g is not None and nearer((a, b), g)
-                heappush(heap, (w * q[k], 2 * i + 1, a))
-                heappush(heap, (w * q[not k], 2 * i + 2, b))
+        ahead, level = {}, [root]
+        while level and len(ahead) < 2**SEARCH_DEPTH - 1:
+            ahead.update(dict.fromkeys(x for s in level for x in points(s) if x not in values))
+            level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
         ahead = list(ahead)[: 2**SEARCH_DEPTH - 1]
         values.update(zip(ahead, f(ahead)))
 
@@ -334,12 +305,7 @@ def _search(f, state, values, children, decide, tol: float, guess=None):
 
     iterations = 0
     while state[1] - state[0] > tol:
-        pair = children(*state)
-        k = not decide(*read(state))
-        if g is not None:
-            hits += k == nearer(pair, g)
-            guesses += 1
-        state = pair[k]
+        state = children(*state)[not decide(*read(state))]
         iterations += 1
     (value,) = read(state)
     return state[:2], 0.5 * (state[0] + state[1]), value, iterations
@@ -370,16 +336,14 @@ def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
 
 def _golden_section(f, a0: float, b0: float, tol: float, estimate=None) -> CriticalPoint:
     """:func:`optimal_ratio` for the values f (a list of ratios to their
-    discords) gives.  Each stack is filled around Brent's parabolic guess of
-    the maximum (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973); the guess never replaces a golden-section step.
+    discords) gives, its stacks filled breadth-first by :func:`_search`.
 
     ``estimate``, if given, maps a point to (value, band), f's value within
     band, or to None.  After f measures the two starting points, a step whose
     two values, from f or estimated, differ by more than the sum of their
     bands is decided in Python, as f's values would decide it; the stacks
     take over from the first step that is not, and measure the value at the
-    midpoint.  Estimates also feed the guess."""
+    midpoint."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b0 - invphi * (b0 - a0)
     d = a0 + invphi * (b0 - a0)
@@ -401,22 +365,8 @@ def _golden_section(f, a0: float, b0: float, tol: float, estimate=None) -> Criti
         state = children(*state)[fc[0] < fd[0]]
         steps += 1
 
-    def guess(a, b, c, d):
-        # Brent's parabolic step: the vertex of the parabola through the best
-        # point measured (or estimated) in [a, b] and its neighbours, or the
-        # end of [a, b] beyond the best point when it has no neighbour there.
-        seen = {x: e[0] for x, e in known.items() if e is not None} | values
-        xs = sorted(x for x in seen if a <= x <= b)
-        fs = [seen[x] for x in xs]
-        i = fs.index(max(fs))
-        if i == 0 or i == len(xs) - 1:
-            return a if i == 0 else b
-        (u, x, w), (fu, fx, fw) = xs[i - 1 : i + 2], fs[i - 1 : i + 2]
-        r, q = (x - u) * (fx - fw), (x - w) * (fx - fu)
-        return x - 0.5 * ((x - u) * r - (x - w) * q) / (r - q)
-
     bracket, location, value_at, iterations = _search(
-        f, state, values, children, lambda fc, fd: fc >= fd, tol, guess)
+        f, state, values, children, lambda fc, fd: fc >= fd, tol)
     return CriticalPoint(
         "optimal_ratio", location, value_at, bracket, steps + iterations,
         boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
@@ -554,12 +504,11 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     starting points are measured as one stack.  Then each step whose two
     closed-form discords (:func:`_x_discord`) differ by more than their
     bands is decided in Python; from the first that is not, the later points
-    are measured as stacks of up to 15 ratios filled around a parabolic
-    guess of the maximum (see :func:`_golden_section` and :func:`_search`),
-    and the value at the midpoint always is: about 3 stacks at the default
-    tol over (0.1, 50), 7 on the stacks alone.  A stack is the sweep table
-    over its ratios, so each decision and value is the one ratio-sweep rows
-    give.
+    are measured as stacks of up to 15 ratios filled breadth-first (see
+    :func:`_golden_section` and :func:`_search`), and the value at the
+    midpoint always is: about 3 stacks at the default tol over (0.1, 50), 10
+    on the stacks alone.  A stack is the sweep table over its ratios, so each
+    decision and value is the one ratio-sweep rows give.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:

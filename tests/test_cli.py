@@ -951,3 +951,20 @@ def test_ratio_script_rejects_bad_input_with_exit_2(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio_vs_temperature.py", "--points", "1", "--out", "/nonexistent/ratio.csv"],
+    ["make_figures.py", "--figures", "fig2a", "--steps", "5", "--outdir", "/dev/full/figs"],
+])
+def test_scripts_exit_4_on_an_output_path_they_cannot_write(argv):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == cli.EXIT_IO
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -798,19 +798,49 @@ class TestSpeculativeSearches:
         assert max(map(len, stacks)) <= 2**sweep.SEARCH_DEPTH - 1
         _assert_each_point_measured_once(stacks)
 
-    @pytest.mark.parametrize("bracket, tol, breadth_first", [
-        ((0.0, 6.0), 1e-9, 13), ((1.0, 2.5), 1e-3, 5), ((0.5, 40.0), math.ulp(40.0), 20)])
-    def test_guesses_cost_at_most_one_stack_where_they_fail(self, bracket, tol, breadth_first):
-        # On _bumps the parabola often points at the wrong maximum; filling
-        # the stacks breadth-first took ``breadth_first`` of them.
+    @pytest.mark.parametrize("bracket, tol", [((0.0, 6.0), 1e-9), ((1.0, 2.5), 1e-3),
+                                              ((0.5, 40.0), math.ulp(40.0))])
+    def test_golden_section_stacks_are_filled_breadth_first(self, bracket, tol):
+        # After the first stack of two, each stack holds the new points of the
+        # states ahead of the one that needed it, level by level, lower part
+        # first, up to 2**SEARCH_DEPTH - 1 of them: the next SEARCH_DEPTH
+        # levels, and more where points of different branches coincide.  A
+        # state within tol has only its midpoint and no children.
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
         stacks = []
 
         def batched(points):
-            stacks.append(len(points))
+            stacks.append(list(points))
             return [_bumps(x) for x in points]
 
+        def points(s):
+            return (0.5 * (s[0] + s[1]),) if s[1] - s[0] <= tol else s[2:]
+
+        def children(a, b, c, d):
+            return (a, d, d - invphi * (d - a), c), (c, b, d, c + invphi * (b - c))
+
+        def breadth_first(root, seen):
+            level, out = [root], []
+            while level and len(out) < 2**sweep.SEARCH_DEPTH - 1:
+                for x in (x for s in level for x in points(s)):
+                    if x not in seen and x not in out:
+                        out.append(x)
+                level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
+            return out[: 2**sweep.SEARCH_DEPTH - 1]
+
         sweep._golden_section(batched, *bracket, tol)
-        assert len(stacks) <= breadth_first + 1
+        a, b = bracket
+        state = (a, b, b - invphi * (b - a), a + invphi * (b - a))
+        expected, seen = [list(state[2:])], set(state[2:])
+        while True:
+            if not seen.issuperset(points(state)):
+                expected.append(breadth_first(state, seen))
+                seen.update(expected[-1])
+            if state[1] - state[0] <= tol:
+                break
+            state = children(*state)[_bumps(state[2]) < _bumps(state[3])]
+        assert stacks == expected
+        assert len(stacks) > 3
 
     @pytest.mark.parametrize("t_max, tol", [(6.0, 1e-9), (0.45, 1e-3), (40.0, math.ulp(40.0))])
     def test_bisection_on_a_batched_function_with_many_crossings(self, t_max, tol):
@@ -829,7 +859,7 @@ class TestSpeculativeSearches:
 
     @pytest.mark.parametrize("search, iterations, most_calls", [
         # 10 breadth-first
-        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 8),
+        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 10),
         (lambda patch: esd_temperature(NOT_X, t_max=1.0), 20, 7),
         # Steps decided in closed form: the first stack, then one at the end.
         (lambda patch: optimal_ratio(0.5, (0.1, 50.0)), 37, 3),
@@ -1112,9 +1142,9 @@ class TestXRatioSearch:
             estimates.append((t, x_discord(ratio, t)))
             return estimates[-1][1]
 
-        def recorded_search(f, state, values, children, decide, tol, guess=None):
+        def recorded_search(f, state, values, children, decide, tol):
             handed.append(state[1] - state[0] > tol)
-            return search(f, state, values, children, decide, tol, guess)
+            return search(f, state, values, children, decide, tol)
 
         with monkeypatch.context() as patch:
             patch.setattr(sweep, "_x_discord", recorded)
