@@ -9,6 +9,7 @@ nothing is asserted) and writes a CSV.
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +33,12 @@ def main() -> int:
     if args.points < 1:
         print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
         return EXIT_CONFIG
+    # Checked before the searches, and without creating the file.
+    folder = args.out.parent
+    if not (folder.is_dir() and os.access(folder, os.W_OK)):
+        print(f"error: cannot write {args.out}: {folder} is not a writable directory",
+              file=sys.stderr)
+        return EXIT_IO
 
     rows = []
     try:

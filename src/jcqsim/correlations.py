@@ -2,12 +2,15 @@
 
 Every measure works on a stack (N, 4, 4) of states with their spectra.  A
 public measure validates its stack once (:func:`_require_state`), and a
-public measure of one state passes a stack of one; the states the package
-builds (a sweep chunk, a j/eps search's stack) come real, with the
-eigenvectors they are built from and their Boltzmann weights as spectra,
-checked where they are built (:func:`device._boltzmann_spectra`) in place of
-that validation.  The kernels take real or complex stacks as
-they are.  Quantum discord is the mutual
+public measure of one state passes a stack of one; the rows the package
+builds (a sweep chunk, a j/eps search's stack) come real, with their
+Boltzmann weights as spectra, checked where they are built
+(:func:`device._boltzmann_spectra`) in place of that validation: a row with
+ej1 = ej2 = 0 as the six entries of its X state, with no 4x4 state, and the
+others as states with the eigenvectors they are built from.  An X-shaped
+state from outside reaches the same X measures through its entries
+(:func:`_x_entries`).  The kernels take real or complex stacks as they
+are.  Quantum discord is the mutual
 information minus the classical correlation, which maximizes
 S(rho_b) - S(rho | {Pi_k}) over rank-1 projective measurements on one qubit;
 one kernel gives the measured conditional entropy for many directions and
@@ -45,7 +48,9 @@ on most states (1,038 to 1,056 evaluations in all, or 573 to 591 from the
 halved seed).  A seed kernel call serves 2 states (3 real ones) and a
 polish call, one per stencil, up to 64 states.
 The test suite checks the optimizer against an exhaustive grid search over
-the same kernel.  Concurrence takes the closed form on X states and, on the
+the same kernel.  Mutual information of an X state comes from its spectrum
+and its diagonal marginals, and of the others from one eigvalsh of their
+reduced states.  Concurrence takes the closed form on X states and, on the
 others, one kernel, Wootters' form from a state's eigenvectors and spectrum
 (:func:`_wootters`): a built stack's own, the eigenvectors of the one
 Hamiltonian of an ESD search's Gibbs states, none of which is built, or
@@ -131,8 +136,11 @@ X_POLISH_POINTS = 17
 # at most this in modulus.
 X_SHAPE_TOL = 1e-12
 # Row-major flat indices of the entries off the diagonal and anti-diagonal,
-# then of rho_14, rho_23, rho_22, rho_11, rho_33 and rho_44.
-_X_ENTRIES = np.array([1, 2, 4, 7, 8, 11, 13, 14, 3, 6, 5, 0, 10, 15])
+# then of an X state's entries: rho_11, rho_22, rho_33, rho_44, rho_14, rho_23.
+_X_ENTRIES = np.array([1, 2, 4, 7, 8, 11, 13, 14, 0, 5, 10, 15, 3, 6])
+# An X state's populations times this are its qubits' populations, the
+# first's then the second's: the spectra of its reduced states.
+_X_MARGINALS = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=float)
 # Row-major flat indices of SWAP rho SWAP in rho: rows and columns |01>, |10> swapped.
 _FLAT_SWAP = (4 * np.array([0, 2, 1, 3])[:, None] + [0, 2, 1, 3]).ravel()
 
@@ -223,11 +231,14 @@ def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -terms.sum(-1))
 
 
-def _mutual_information(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mutual_information(states, w: np.ndarray, reduced=None) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked kernel of :func:`mutual_information` for a stack with
     spectra w; also returns the entropy of each qubit's reduced state (N x 2,
-    in SIDES order), from one eigvalsh call over all of them."""
-    marginals = _spectrum_entropy(np.linalg.eigvalsh(qmath.reduced_states(states)))
+    in SIDES order), from the spectra of the reduced states (N x 2 x 2) if
+    given, else from one eigvalsh call over all of them."""
+    if reduced is None:
+        reduced = np.linalg.eigvalsh(qmath.reduced_states(states))
+    marginals = _spectrum_entropy(reduced)
     mi = marginals[:, 0] + marginals[:, 1] - _spectrum_entropy(w)
     if np.count_nonzero(mi < -1e-10):
         raise DomainError(f"mutual information came out negative: {mi.min()}")
@@ -236,7 +247,7 @@ def _mutual_information(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, 
 
 def mutual_information(rho) -> float:
     """I(rho) = S(rho_a) + S(rho_b) - S(rho), in bits."""
-    return float(_mutual_information(*_require_state([rho]))[0][0])
+    return float(_measure(*_outside([rho]), ("mutual_information",))["mutual_information"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +488,13 @@ def _x_values(bloch: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.nda
     return _cond_entropy(bloch, n), thetas
 
 
-def _maximize_x(states: np.ndarray) -> tuple[np.ndarray, ...]:
+def _maximize_x(entries: np.ndarray) -> tuple[np.ndarray, ...]:
     """(minimal conditional entropy, theta, phi, evaluations) of each of a
-    stack of X states (N x 4 x 4), its first qubit measured, over theta in
-    [0, pi/2] at the azimuth phi that lines up the phases of rho_14 and
-    rho_23, mod pi (+-n is one measurement).
+    stack of X states given by their entries (N x 6, as :func:`_x_entries`
+    reads them), its first qubit measured, over theta in [0, pi/2] at the
+    azimuth phi that lines up the phases of rho_14 and rho_23, mod pi (+-n
+    is one measurement).
 
-    Each state's populations, rho_14 and rho_23 are read once, here, and
     c = |rho_14| + |rho_23| is formed once.  A state that
     :func:`_x_certificates` certifies takes its end at 1 evaluation, in
     closed form (:func:`_x_pole_entropy` at theta = 0,
@@ -492,15 +503,14 @@ def _maximize_x(states: np.ndarray) -> tuple[np.ndarray, ...]:
     (:func:`_x_bloch`) and take :func:`_search_x`, STATE_BLOCK at a time,
     each state's certificates and result its own whatever the stack.
     """
-    p = states[:, range(4), range(4)].real
-    r14, r23 = states[:, 0, 3], states[:, 1, 2]
+    p, r14, r23 = entries[:, :4].real, entries[:, 4], entries[:, 5]
     c = np.abs(r14) + np.abs(r23)
     phis = -0.5 * (np.angle(r14) + np.angle(r23)) % math.pi
     zero, half = _x_certificates(p, c)
     half &= ~zero
-    best = np.empty(len(states))
+    best = np.empty(len(p))
     theta = np.where(half, 0.5 * math.pi, 0.0)
-    evaluations = np.ones(len(states), dtype=int)
+    evaluations = np.ones(len(p), dtype=int)
     if np.count_nonzero(zero):
         best[zero] = _x_pole_entropy(p[zero])
     if np.count_nonzero(half):
@@ -598,47 +608,72 @@ def _clamp_classical(mi, cc):
     return mi - cc, cc
 
 
-def _measure(states: np.ndarray, w: np.ndarray, v, measures, side: str = "first") -> dict:
-    """Column arrays of the named :data:`MEASURES` of a checked stack with
-    spectra w and, if known (a built stack's), the eigenvectors v they belong
-    to, computing only what they need; a discord search (for discord or
-    classical correlation) adds its theta, phi and optimizer_evaluations."""
-    columns = {}
+def _measure(x, entries, states, w, v, measures, side: str = "first") -> dict:
+    """Column arrays of the named :data:`MEASURES` of a checked stack of N
+    rows with spectra w (N x 4), computing only what they need; a discord
+    search (for discord or classical correlation) adds its theta, phi and
+    optimizer_evaluations.  The rows x (a mask) are X states given by their
+    entries (as :func:`_x_entries` reads them, in row order), the others
+    states with, if known (a built stack's), the eigenvectors v their
+    spectra belong to.  A state X-shaped within X_SHAPE_TOL, as is every X
+    state from outside, joins the X rows.  X rows take the closed forms: mutual information from
+    the spectrum and the diagonal marginals, :func:`_maximize_x`, and the X
+    concurrence; the others eigvalsh of their marginals,
+    :func:`_maximize_general` and :func:`_wootters`."""
+    k, g = np.flatnonzero(x), np.flatnonzero(~x)
+    if len(g):
+        shaped, e = _x_entries(states)
+        if np.count_nonzero(shaped):
+            k, entries = np.concatenate([k, g[shaped]]), np.concatenate([entries, e[shaped]])
+            g, states, v = g[~shaped], states[~shaped], None if v is None else v[~shaped]
     searched = "discord" in measures or "classical_correlation" in measures
-    if searched or "mutual_information" in measures:
-        columns["mutual_information"], marginals = _mutual_information(states, w)
+    informed = searched or "mutual_information" in measures
     entangled = "concurrence" in measures or "eof" in measures
-    if searched or entangled:
-        is_x, c = _x_entries(states)
+    mi, c, best, theta, phi = np.empty((5, len(w)))
+    marginals, evaluations = np.empty((len(w), 2)), np.empty(len(w), dtype=int)
+    if informed and len(k):
+        diagonal = (entries[:, :4].real @ _X_MARGINALS).reshape(-1, 2, 2)
+        mi[k], marginals[k] = _mutual_information(None, w[k], diagonal)
+    if informed and len(g):
+        mi[g], marginals[g] = _mutual_information(states, w[g])
     if searched:
         # The searches measure the first qubit: the second is the first of
         # the qubit-swapped states, at the same angles.
-        measured = (states if side == "first" else
-                    states.reshape(len(states), 16)[:, _FLAT_SWAP].reshape(-1, 4, 4))
-        best, theta, phi = np.empty((3, len(states)))
-        evaluations = np.empty(len(states), dtype=int)
-        x, g = np.flatnonzero(is_x), np.flatnonzero(~is_x)
-        if len(x):
-            # An all-X stack (every Gibbs state at phi_e = 1/2) is not copied.
-            best[x], theta[x], phi[x], evaluations[x] = _maximize_x(
-                measured[x] if len(g) else measured)
+        if len(k):
+            measured = entries if side == "first" else np.concatenate(
+                [entries[:, [0, 2, 1, 3, 4]], entries[:, 5:].conj()], 1)  # rho_32 = rho_23*
+            best[k], theta[k], phi[k], evaluations[k] = _maximize_x(measured)
         if len(g):
-            best[g], theta[g], phi[g], evaluations[g] = _maximize_general(measured[g])
+            measured = (states if side == "first" else
+                        states.reshape(len(g), 16)[:, _FLAT_SWAP].reshape(-1, 4, 4))
+            best[g], theta[g], phi[g], evaluations[g] = _maximize_general(measured)
+    columns = {"mutual_information": mi} if informed else {}
+    if searched:
         # S(rho_b) from its spectrum: 1 - |b| keeps too few digits near pure.
         cc = np.maximum(0.0, marginals[:, _KEPT[side]] - best)
-        columns["discord"], columns["classical_correlation"] = _clamp_classical(
-            columns["mutual_information"], cc)
+        columns["discord"], columns["classical_correlation"] = _clamp_classical(mi, cc)
         columns.update(theta=theta, phi=phi, optimizer_evaluations=evaluations)
     if entangled:
-        # A stack from outside takes its eigenvectors from one eigh.
-        g = np.flatnonzero(~is_x)
+        if len(k):
+            p = entries[:, :4].real  # rho_22 rho_33, then rho_11 rho_44
+            c12 = np.abs(entries[:, 4:]) - np.sqrt(np.maximum(p[:, 1::-1] * p[:, 2:], 0.0))
+            c[k] = np.minimum(1.0, 2.0 * np.maximum(0.0, c12.max(1)))
         if len(g):
-            p, u = (w[g], v[g]) if v is not None else np.linalg.eigh(states[g])
+            # A stack from outside takes its eigenvectors from one eigh.
+            p, u = (w[g], v) if v is not None else np.linalg.eigh(states)
             c[g] = _wootters(p, _spin_flip(u))
         columns["concurrence"] = c
     if "eof" in measures:
         columns["eof"] = _eof_column(c)
     return columns
+
+
+def _outside(states) -> tuple:
+    """A stack from outside, checked by :func:`_require_state`, as
+    :func:`_measure` takes it: no row given by its X entries, and no
+    eigenvectors."""
+    states, w = _require_state(states)
+    return np.zeros(len(states), dtype=bool), np.empty((0, 6)), states, w, None
 
 
 def _eof_column(c: np.ndarray) -> np.ndarray:
@@ -684,7 +719,7 @@ def correlation_reports(states, side: str = "first") -> list[CorrelationReport]:
     """:func:`quantum_discord` for each state of a stack (N x 4 x 4), measured at
     once; each report is the one its state gets alone."""
     _require_side(side)
-    columns = _measure(*_require_state(states), None, MEASURES, side)
+    columns = _measure(*_outside(states), MEASURES, side)
     names = (*MEASURES, "theta", "phi", "optimizer_evaluations")
     return [CorrelationReport(mi, cc, d, c, e, Measurement(t, f, side), k)
             for mi, cc, d, c, e, t, f, k in zip(*[columns[n].tolist() for n in names])]
@@ -698,20 +733,16 @@ def measure_states(states, measures) -> dict[str, np.ndarray]:
     if isinstance(measures, str) or any(m not in MEASURES for m in measures):
         raise InvalidParameterError(
             f"measures must be a sequence of names from {MEASURES}, got {measures!r}")
-    columns = _measure(*_require_state(states), None, measures)
+    columns = _measure(*_outside(states), measures)
     return {m: columns[m] for m in measures}
 
 
 def _x_entries(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each state of a stack is X-shaped (every entry off the diagonal
-    and anti-diagonal at most X_SHAPE_TOL in modulus), and its X concurrence
-    2 * max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))."""
+    and anti-diagonal at most X_SHAPE_TOL in modulus), and its entries rho_11,
+    rho_22, rho_33, rho_44, rho_14 and rho_23 (N x 6)."""
     e = states.reshape(len(states), 16).take(_X_ENTRIES, 1)
-    moduli = np.hypot(e[:, :10].real, e[:, :10].imag)
-    p = e[:, 10:].real
-    c12 = moduli[:, 8:] - np.sqrt(np.maximum(p[:, :2] * p[:, 2:], 0.0))
-    c = np.minimum(1.0, 2.0 * np.maximum(0.0, np.maximum(c12[:, 0], c12[:, 1])))
-    return moduli[:, :8].max(1) <= X_SHAPE_TOL, c
+    return np.abs(e[:, :8]).max(1) <= X_SHAPE_TOL, e[:, 8:]
 
 
 def concurrence(rho) -> float:
@@ -722,7 +753,7 @@ def concurrence(rho) -> float:
     other states take Wootters' form from their eigenvectors and spectrum
     (:func:`_wootters`).
     """
-    return float(_measure(*_require_state([rho]), None, ("concurrence",))["concurrence"][0])
+    return float(_measure(*_outside([rho]), ("concurrence",))["concurrence"][0])
 
 
 def _spin_flip(v: np.ndarray) -> np.ndarray:

@@ -17,9 +17,14 @@ after pi*x is np.cos or np.sin, so a chunk's coefficients are those of its
 points mapped one at a time.  Sweep chunks, searches and single states alike
 reach their coefficients through :func:`_coefficient_table`.
 
-One ``eigh`` of a Hamiltonian stack gives its Gibbs states, their
-eigenvectors and their spectra, checked here (:func:`_boltzmann_spectra`);
-the measures take all three and diagonalize no built state again.
+A row of coefficients with ej1 = ej2 = 0 exactly (phi_e = 1/2, every
+published figure's) has an X-shaped Gibbs state, given in closed form from
+its two parity blocks (:func:`_x_stack`): its spectrum and its six entries,
+with no eigh and no 4x4 state.  For the other rows one ``eigh`` of their
+Hamiltonian stack gives the Gibbs states, their eigenvectors and their
+spectra.  Both paths' spectra are checked here (:func:`_boltzmann_spectra`),
+and :func:`_thermal_rows` routes each row by its coefficients alone; the
+measures diagonalize no built state again.
 """
 
 from __future__ import annotations
@@ -349,17 +354,89 @@ def gibbs_state(h, spec: ThermalSpec) -> np.ndarray:
     return _gibbs_states(*np.linalg.eigh(h[None]), np.array([[spec.temperature]]))[0][0]
 
 
-def _thermal_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(thermal states, spectra, eigenvectors) of the rows of a checked
-    coefficient table (N x 5), each at its temperature (N of them), as
-    :func:`_gibbs_states` gives them.
+# a = eps1 + eps2, eps1 - eps2 of the blocks on {|00>, |11>} and {|01>, |10>}.
+_BLOCK_SIGNS = np.array([1.0, -1.0])
+# Columns of the spectrum of levels -R, -r, r, R holding the weights q- of
+# both blocks, then their q+: the block of larger r holds the outer levels.
+_OUTER_FIRST, _OUTER_SECOND = np.array([0, 1, 3, 2]), np.array([1, 0, 2, 3])
+
+
+def _x_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray]:
+    """(entries (N x 6: rho_11, rho_22, rho_33, rho_44, rho_14, rho_23),
+    spectra) of the Gibbs states of rows of a checked coefficient table (an
+    N x 5 array) with ej1 = ej2 = 0, each at its temperature (an array), in
+    closed form: no eigh.
+
+    H splits into the blocks a sz + j12 sx on {|00>, |11>}, a = eps1 + eps2,
+    and on {|01>, |10>}, a = eps1 - eps2, with levels -r and r, r =
+    hypot(a, j12).  The spectrum is :func:`_boltzmann_spectra` of the levels
+    -R, -r, r, R in ascending order, so a block's lower and upper level take
+    the weights q- and q+ of its place there.  The lower level's eigenvector
+    puts u = (1 - |a|/r)/2 on the basis state of higher energy, taken as
+    (j12/r)(j12/(r + |a|))/2, which cancels for neither sign of a; a block
+    then holds q+ - u (q+ - q-) on that state, q- + u (q+ - q-) on the other,
+    and (q+ - q-) j12/(2r) off the diagonal.
+    """
+    a, j = table[:, :1] + table[:, 1:2] * _BLOCK_SIGNS, table[:, 4:]
+    r = np.hypot(a, j)
+    levels = np.sort(r, 1)
+    p = _boltzmann_spectra(np.concatenate([-levels[:, ::-1], levels], 1), temperatures[:, None])[0]
+    q = np.where(r[:, :1] >= r[:, 1:], p[:, _OUTER_FIRST], p[:, _OUTER_SECOND])
+    r = np.maximum(r, 5e-324)  # r = 0 where j12 = a = 0, and there q- = q+
+    half = 0.5 * j / r
+    d = q[:, 2:] - q[:, :2]
+    ud = half * (j / (r + np.abs(a))) * d
+    major, minor = q[:, :2] + ud, q[:, 2:] - ud
+    up = a >= 0.0
+    entries = [np.where(up, minor, major), np.where(up, major, minor)[:, ::-1], half * d + 0.0]
+    return np.concatenate(entries, 1), p  # + 0.0: no -0.0 off the diagonal, whose phase is pi
+
+
+def _x_rows(table: np.ndarray) -> np.ndarray:
+    """Which rows of a coefficient table (N x 5) have ej1 = ej2 = 0 exactly:
+    their Gibbs states are X states, taken by :func:`_x_stack`."""
+    return (table[:, 2] == 0.0) & (table[:, 3] == 0.0)
+
+
+def _thermal_rows(table, temperatures) -> tuple:
+    """(X rows, their entries, the other rows' states, spectra, the other
+    rows' eigenvectors) of the rows of a checked coefficient table (N x 5),
+    each at its temperature, as :func:`correlations._measure` takes them:
+    the X rows (:func:`_x_rows`) in closed form by :func:`_x_stack`, the
+    others by one ``eigh`` as :func:`_gibbs_states` gives them.  The spectra
+    (N x 4) are in row order; a row's values never depend on the others.
 
     The Hamiltonians are real symmetric by construction, so they are not
     checked for Hermiticity, and they are diagonalized in real arithmetic:
     the states and eigenvectors are real.
     """
-    h = _hamiltonians(table)
-    return _gibbs_states(*np.linalg.eigh(h), np.asarray(temperatures, dtype=float)[:, None])
+    x, w = _x_rows(table), np.empty((len(table), 4))
+    entries, states = np.empty((0, 6)), np.empty((0, 4, 4))
+    if np.count_nonzero(x):
+        entries, w[x] = _x_stack(table[x], temperatures[x])
+    v = states
+    if np.count_nonzero(~x):
+        h = _hamiltonians(table[~x])
+        states, w[~x], v = _gibbs_states(*np.linalg.eigh(h), temperatures[~x, None])
+    return x, entries, states, w, v
+
+
+def _thermal_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thermal states, spectra, eigenvectors) of the rows of a checked
+    coefficient table (N x 5), each at its temperature (N of them), as
+    :func:`_gibbs_states` gives them from one real ``eigh``, except that an
+    X row's state and spectrum are those of :func:`_x_stack`: the entries
+    its sweep row is measured on.
+    """
+    table = np.asarray(table, dtype=float).reshape(-1, 5)
+    temperatures = np.asarray(temperatures, dtype=float)
+    states, p, v = _gibbs_states(*np.linalg.eigh(_hamiltonians(table)), temperatures[:, None])
+    x = _x_rows(table)
+    entries, p[x] = _x_stack(table[x], temperatures[x])
+    states[x] = 0.0  # then rho_11, ..., rho_44, rho_14 = rho_41 and rho_23 = rho_32
+    flat = states.reshape(-1, 16)
+    flat[np.ix_(x, [0, 5, 10, 15, 3, 12, 6, 9])] = entries[:, [0, 1, 2, 3, 4, 4, 5, 5]]
+    return states, p, v
 
 
 def thermal_state(params, temperature: float) -> np.ndarray:

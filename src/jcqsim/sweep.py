@@ -4,16 +4,18 @@ Grid points are taken in axis order in chunks of a fixed size on one thread.
 A chunk's swept controls (``SWEEP_VARIABLES``) and temperatures are arrays,
 which :func:`device._coefficient_table` maps and checks at once, as it does a
 search's points; the sweep does not know which controls are fluxes.  From the
-Hamiltonian on, the chunk is one (N, 4, 4) stack, built in real arithmetic
-with its checked Boltzmann spectra and its eigenvectors
-(:func:`device._thermal_stack`), which go to the measures as they come, in
-place of the public validation; the chunk's rows, one per point with its axis
-values innermost first and then the measures, are yielded as they are
-measured.  That generator (:func:`_sweep_chunks`) is the one place where
-controls become measures.  :func:`sweep_1d` and :func:`sweep_2d` fill one
-float table from it, as do the CLI's ``report`` (its one-row table over a
-temperature axis) and each stack of the j/eps search (a table over its
-ratios); the CLI's ``sweep`` and ``figure`` write each chunk's rows as they
+coefficients on, each row takes one of two paths by its coefficients alone
+(:func:`device._thermal_rows`): a row with ej1 = ej2 = 0 is an X state given
+in closed form by its entries, the others one (N, 4, 4) stack built by one
+real ``eigh`` with its eigenvectors.  Their checked Boltzmann spectra go to
+the measures with them as they come, in place of the public validation; the
+chunk's rows, one per point with its axis values innermost first and then
+the measures, are yielded as they are measured.  That generator
+(:func:`_sweep_chunks`) is the one place where controls become measures.
+:func:`sweep_1d` and :func:`sweep_2d` fill one float table from it, as do
+the CLI's ``report`` (its one-row table over a temperature axis) and each
+stack of the j/eps search (a table over its ratios); the CLI's ``sweep``
+and ``figure`` write each chunk's rows as they
 come, so their memory is a few chunks and the axes.  Every state's
 coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
@@ -49,7 +51,7 @@ from .device import (
     _boltzmann_spectra,
     _coefficient_table,
     _hamiltonians,
-    _thermal_stack,
+    _thermal_rows,
 )
 from .errors import BracketError, SpecValidationError
 
@@ -76,7 +78,8 @@ ESD_BAND = 1e-10
 # A j/eps search step is decided by the closed-form discords of its two points
 # (_x_discord) where they differ by more than the sum of their bands: this at
 # T = 0, and this times 1 + R/T at T > 0, R = hypot(2, j/eps) the largest
-# level, whose round-off in eigh the Boltzmann weights amplify by R/T.
+# level, whose round-off in the stack's closed-form levels the Boltzmann
+# weights amplify by R/T.
 RATIO_BAND = 32 * math.ulp(1.0)
 
 DEFAULT_STEPS_1D = 501
@@ -212,7 +215,7 @@ def _sweep_chunks(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]):
     for start in range(0, size, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
-        columns = _measure(*_thermal_stack(*_chunk_controls(fixed, thermal, settings)), measures)
+        columns = _measure(*_thermal_rows(*_chunk_controls(fixed, thermal, settings)), measures)
         yield np.column_stack(
             [*(values for _, values in reversed(settings)), *(columns[m] for m in measures)])
 

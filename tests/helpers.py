@@ -171,8 +171,8 @@ def plain_controls(fixed, thermal: ThermalSpec, points):
 def built_measures(fixed, thermal: ThermalSpec, settings, measures) -> dict:
     """The measure columns (and the discord search's theta, phi and
     evaluations) of the points ``settings``, (variable, values) pairs, as a
-    sweep chunk or a search stack measures them: built by
-    ``device._thermal_stack`` and measured on their checked Boltzmann spectra
-    and their eigenvectors."""
-    stack = device._thermal_stack(*sweep._chunk_controls(fixed, thermal, settings))
-    return correlations._measure(*stack, measures)
+    sweep chunk or a search stack measures them: routed by
+    ``device._thermal_rows``, the X rows in closed form and the others built
+    by ``eigh``, and measured on their checked Boltzmann spectra."""
+    rows = device._thermal_rows(*sweep._chunk_controls(fixed, thermal, settings))
+    return correlations._measure(*rows, measures)

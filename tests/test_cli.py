@@ -953,6 +953,22 @@ def test_ratio_script_rejects_bad_input_with_exit_2(tmp_path, argv):
     assert not out.exists()
 
 
+def test_ratio_script_checks_its_output_before_any_search():
+    # 40 searches would run before the file is opened: the directory is
+    # checked first, and no search runs.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ratio_vs_temperature.py"), "--points", "40",
+         "--out", "/nonexistent/ratio.csv"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == cli.EXIT_IO
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "T=" not in proc.stdout and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["ratio_vs_temperature.py", "--points", "1", "--out", "/nonexistent/ratio.csv"],
     ["make_figures.py", "--figures", "fig2a", "--steps", "5", "--outdir", "/dev/full/figs"],

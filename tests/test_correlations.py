@@ -47,6 +47,7 @@ from oracles import (
     eof_50_digits,
     ground_state_discord_analytic,
     measurement_projector,
+    mutual_information_50_digits,
     spectral_concurrence,
     von_neumann_entropy,
     x_conditional_entropy_50_digits,
@@ -512,6 +513,12 @@ def measured_first(states, side):
     return states if side == "first" else states[..., [0, 2, 1, 3], :][..., [0, 2, 1, 3]]
 
 
+def x_first(states, side):
+    """The X entries of a stack of X states with the qubit ``side`` first, as
+    ``correlations._measure`` hands them to ``correlations._maximize_x``."""
+    return correlations._x_entries(measured_first(states, side))[1]
+
+
 def x_reads(states, side):
     """(populations, |rho_14| + |rho_23|) of a stack of X states with the
     qubit ``side`` first, as ``correlations._maximize_x`` reads them."""
@@ -538,7 +545,7 @@ def x_states_that_polish() -> dict:
     while min(len(kept) for kept in found.values()) < 100:
         states = random_x_states(rng, 4096)
         for side, kept in found.items():
-            kept.extend(states[correlations._maximize_x(measured_first(states, side))[3] > 50])
+            kept.extend(states[correlations._maximize_x(x_first(states, side))[3] > 50])
     return {side: np.array(kept) for side, kept in found.items()}
 
 
@@ -571,7 +578,7 @@ class TestXStateEngine:
                           + [random_x_state(rng) for _ in range(4000)])
         ends = np.tile([0.0, 0.5 * math.pi], (len(states), 1))
         for side in ("first", "second"):
-            best, _, _, evaluations = correlations._maximize_x(measured_first(states, side))
+            best, _, _, evaluations = correlations._maximize_x(x_first(states, side))
             reference, _ = x_stencil_search(states, side)
             assert all(ran_x_path(k) for k in evaluations.tolist())
             # A state certified at theta = 0 is held to its 50-digit value
@@ -598,7 +605,7 @@ class TestXStateEngine:
         reports = correlations.correlation_reports(states, side)
         for r in reports:
             assert ran_x_path(r.optimizer_evaluations) and r.optimizer_evaluations > 50
-        best = correlations._maximize_x(measured_first(states, side))[0]
+        best = correlations._maximize_x(x_first(states, side))[0]
         assert (best - x_stencil_search(states, side)[0]).max() <= 1e-15
         checked, w = correlations._require_state(states)
         mi, marginals = correlations._mutual_information(checked, w)
@@ -614,7 +621,7 @@ class TestXStateEngine:
         # and the reported measurement attains the value the polish found.
         states = x_states_that_polish()[side]
         first = measured_first(states, side)
-        best, theta, phi, _ = correlations._maximize_x(first)
+        best, theta, phi, _ = correlations._maximize_x(correlations._x_entries(first)[1])
         azimuth = -0.5 * (np.angle(first[:, 0, 3]) + np.angle(first[:, 1, 2])) % math.pi
         assert phi.tobytes() == azimuth.tobytes()
         assert ((0.0 <= theta) & (theta <= 0.5 * math.pi)).all()
@@ -652,7 +659,7 @@ class TestXStateEngine:
                        0.11496312477310694, 0.08337308909977698],
                       0.06537054452093127 - 0.1555430620926596j,
                       0.0023874772393309464 - 0.0025106742292512665j)[None]
-        best = correlations._maximize_x(rho)[0]
+        best = correlations._maximize_x(correlations._x_entries(rho)[1])[0]
         assert best[0] <= x_stencil_search(rho, "first")[0][0] + 1e-15
 
     def test_gibbs_stacks_take_at_most_three_kernel_calls(self, monkeypatch):
@@ -712,10 +719,10 @@ class TestPolishCap:
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_x_states_stop_at_the_cap(self, monkeypatch, side):
         states = x_states_that_polish()[side]
-        stencils = (correlations._maximize_x(measured_first(states, side))[3] - 50) // 9
+        stencils = (correlations._maximize_x(x_first(states, side))[3] - 50) // 9
         assert (stencils >= 1).all() and (stencils >= self.CAP).any()
         monkeypatch.setattr(correlations, "POLISH_STENCILS", self.CAP)
-        capped = correlations._maximize_x(measured_first(states, side))[3]
+        capped = correlations._maximize_x(x_first(states, side))[3]
         assert (capped == 50 + 9 * np.minimum(stencils, self.CAP)).all()
 
 
@@ -774,7 +781,7 @@ class TestXCertificates:
                            *(pure_state([a, 0.0, 0.0, b]) for a, b in
                              rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))])
         pure = np.arange(len(states)) >= len(states) - 4
-        best, theta, _, evaluations = correlations._maximize_x(measured_first(states, side))
+        best, theta, _, evaluations = correlations._maximize_x(x_first(states, side))
         zero, half = correlations._x_certificates(*x_reads(states, side))
         certified = zero | half
         assert ((evaluations == 1) == certified).all()
@@ -801,7 +808,7 @@ class TestXCertificates:
             mix = (0.0, 1e-3, 0.5)[draw % 3]
             states = (1.0 - mix) * random_x_states(rng, 4096) + 0.25 * mix * np.eye(4)
             for side in ("first", "second"):
-                best, _, _, evaluations = correlations._maximize_x(measured_first(states, side))
+                best, _, _, evaluations = correlations._maximize_x(x_first(states, side))
                 bloch = correlations._x_bloch(*x_reads(states, side))
                 search_best, _, searched = correlations._search_x(bloch)
                 ends = evaluations == 1
@@ -1204,13 +1211,14 @@ class TestGibbsConcurrences:
 
 def _built_path(fixed, changes: dict, temperatures) -> dict:
     """Every measure column of the states of ``fixed`` with ``changes`` at
-    ``temperatures``, as a sweep chunk measures them (built real by
-    device._thermal_stack and measured on their checked Boltzmann spectra and
-    their eigenvectors), with their coefficient table and the states."""
+    ``temperatures``, as a sweep chunk measures them (routed by
+    device._thermal_rows: X rows in closed form, the others built real by
+    eigh, measured on their checked Boltzmann spectra), with their
+    coefficient table and which rows are X rows."""
     table = device._coefficient_table(fixed, changes, np.asarray(temperatures, dtype=float))
-    states, p, v = device._thermal_stack(*table)
-    return {**correlations._measure(states, p, v, correlations.MEASURES),
-            "table": table[0], "states": states}
+    rows = device._thermal_rows(*table)
+    return {**correlations._measure(*rows, correlations.MEASURES),
+            "table": table[0], "x": rows[0]}
 
 
 class TestBuiltStatePath:
@@ -1235,7 +1243,7 @@ class TestBuiltStatePath:
             for row, t in zip(built["table"].tolist(), temperatures.tolist())])
         # Near-pure states at the lowest temperatures are among them.
         assert min(r.mutual_information for r in reports) < 1e-6 < max(r.concurrence for r in reports)
-        is_x = correlations._x_entries(built["states"])[0]
+        is_x = built["x"]
         assert 0 < np.count_nonzero(is_x) < count
         for measure in ("mutual_information", "discord", "concurrence", "eof"):
             definitional = np.array([getattr(r, measure) for r in reports])
@@ -1259,6 +1267,171 @@ class TestBuiltStatePath:
         spec = sweep.SweepSpec("temperature", 0.0, 0.1, fixed, steps=3, measures=("discord",))
         assert sweep.sweep_1d(spec)[0].tolist() == [0.0, 0.0]
         assert quantum_discord(thermal_state(fixed, 0.0)).discord == 0.0
+
+
+def _eigh_path(table, temperatures, side: str = "first") -> dict:
+    """Every measure column of coefficient rows at their temperatures by the
+    definitional chain, as every built row was measured before rows with
+    ej1 = ej2 = 0 took their parity blocks: build_hamiltonian, np.linalg.eigh
+    and device._gibbs_states, then mutual information from eigvalsh of the
+    reduced states, the X search on states X-shaped within X_SHAPE_TOL (the
+    general one on the others), and the X or Wootters concurrence."""
+    h = np.array([device.build_hamiltonian(EffectiveParams(*row)) for row in table.tolist()])
+    states, p, v = device._gibbs_states(*np.linalg.eigh(h), temperatures[:, None])
+    mi, marginals = correlations._mutual_information(states, p)
+    is_x, entries = correlations._x_entries(states)
+    measured = measured_first(states, side)
+    best, theta, phi = np.empty((3, len(states)))
+    if is_x.any():
+        best[is_x], theta[is_x], phi[is_x], _ = correlations._maximize_x(
+            correlations._x_entries(measured[is_x])[1])
+    if not is_x.all():
+        best[~is_x], theta[~is_x], phi[~is_x], _ = correlations._maximize_general(
+            measured[~is_x])
+    cc = np.maximum(0.0, marginals[:, correlations._KEPT[side]] - best)
+    discord, cc = correlations._clamp_classical(mi, cc)
+    c = correlations._wootters(p, correlations._spin_flip(v))
+    pops = entries[:, :4]
+    c12 = np.abs(entries[:, 4:]) - np.sqrt(np.maximum(pops[:, [1, 0]] * pops[:, [2, 3]], 0.0))
+    c[is_x] = np.minimum(1.0, 2.0 * np.maximum(0.0, c12.max(1)))[is_x]
+    return {"mutual_information": mi, "classical_correlation": cc, "discord": discord,
+            "concurrence": c, "eof": correlations._eof_column(c), "theta": theta, "phi": phi,
+            "x": is_x, "entries": entries, "states": states}
+
+
+def _x_edge_rows():
+    """(coefficient table, temperatures) of rows with ej1 = ej2 = 0 at the
+    edges of the closed form, each at T = 0 and at positive temperatures."""
+    rng = np.random.default_rng(71)
+    rows = [
+        (0.0, 0.0, 0.0, 0.0, 0.7), (0.0, 0.0, 0.0, 0.0, -2.0),   # degenerate ground space
+        (0.0, 0.0, 0.0, 0.0, 0.0),                                # H = 0
+        (1.3, -1.3, 0.0, 0.0, 0.4), (-0.6, 0.6, 0.0, 0.0, -0.9),  # eps1 + eps2 = 0
+        (1.3, 1.3, 0.0, 0.0, 0.4), (-0.6, -0.6, 0.0, 0.0, -0.9),  # eps1 - eps2 = 0
+        (2.0, 0.0, 0.0, 0.0, 0.0), (-1.0, 0.5, 0.0, 0.0, 0.0),    # diagonal H
+        (3e-12, 0.02, 0.0, 0.0, -1.5e-3), (-3e-12, 0.02, 0.0, 0.0, 1.5e-3),  # eps1 near 0
+        (1e-9, 1e-9, 0.0, 0.0, 1e-3), (5.0, -4.0, 0.0, 0.0, 1e-12),
+    ]
+    rows += [(e1 * s1, e2 * s2, 0.0, 0.0, j * s3) for e1, e2, j in rng.uniform(0.0, 3.0, (24, 3))
+             for s1, s2, s3 in [rng.choice([-1.0, 1.0], 3)]]
+    table = np.array([row for row in rows for _ in range(4)])
+    temperatures = np.tile([0.0, 1e-3, 0.3, 4.0], len(rows))
+    return table, temperatures
+
+
+class TestXRows:
+    """Rows with ej1 = ej2 = 0 take their entries and spectra from their
+    parity blocks: what the definitional chain, eigh of the 4 x 4
+    Hamiltonian, gives them to round-off, and no eigh."""
+
+    def assert_matches_the_eigh_path(self, table, temperatures, side="first", tolerance=1e-14):
+        x, entries, states, w, v = device._thermal_rows(table, temperatures)
+        assert x.all() and len(states) == 0
+        built = correlations._measure(x, entries, states, w, v, correlations.MEASURES, side)
+        reference = _eigh_path(table, temperatures, side)
+        for measure in correlations.MEASURES:
+            error = np.abs(built[measure] - reference[measure])
+            assert (error <= tolerance).all(), (measure, error.max())
+        # Where a block holds no population, the state is pure in the other:
+        # both ends of theta are optimal and the azimuth of the empty block's
+        # coherence is arbitrary, so round-off picks the angles.  There, and
+        # where eigh left the X pattern, the built row's measurement leaves
+        # the reference state the conditional entropy of the reference's own.
+        p = reference["entries"][:, :4].real
+        same = reference["x"] & (np.minimum(p[:, 0] * p[:, 3], p[:, 1] * p[:, 2]) > 1e-30)
+        for angle in ("theta", "phi"):
+            assert built[angle][same].tobytes() == reference[angle][same].tobytes(), angle
+        bloch = correlations._bloch(measured_first(reference["states"][~same], side))
+        (theta, theta_ref), (phi, phi_ref) = [(built[a][~same], reference[a][~same])
+                                              for a in ("theta", "phi")]
+        n = np.array([[np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)]
+                      for t, f in ((theta, phi), (theta_ref, phi_ref))]).transpose(2, 1, 0)
+        values = correlations._cond_entropy(bloch, n)
+        bound = np.broadcast_to(tolerance, same.shape)[~same]
+        assert (np.abs(values[:, 0] - values[:, 1]) <= bound).all()
+        return reference
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_seeded_device_rows_match_the_eigh_path(self, side):
+        rng = np.random.default_rng(72)
+        count = 256
+        changes = {"v_x1": rng.uniform(5e-6, 1.2e-4, count),
+                   "v_x2": rng.uniform(5e-6, 1.2e-4, count),
+                   "phi_x1": rng.uniform(-1.0, 1.0, count), "phi_x2": rng.uniform(-1.0, 1.0, count)}
+        temperatures = rng.choice([0.0, 1e-5, 1e-4, 1e-3, 5e-3, 0.02, 0.1], count)
+        table = device._coefficient_table(DeviceParams(), changes, temperatures)[0]
+        reference = self.assert_matches_the_eigh_path(table, temperatures, side)
+        assert reference["x"].all()
+        assert min(reference["mutual_information"]) < 1e-6 < max(reference["concurrence"])
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_edge_rows_match_the_eigh_path(self, side):
+        self.assert_matches_the_eigh_path(*_x_edge_rows(), side)
+
+    def test_ratios_up_to_1e5_where_the_weights_underflow(self):
+        # At 1e-5 K the weights of all but the two lowest levels underflow.
+        # Up to j/eps = 1e4 every measure agrees within 1e-14.  Above it the
+        # gap of those two levels, R - r with R = hypot(2, j/eps) and r =
+        # j/eps, is a difference of numbers near R on both paths, and its
+        # round-off, amplified by R/T, is more than 1e-14: there the paths
+        # agree within the band RATIO_BAND (1 + R/T) that bounds it, and the
+        # closed form's mutual information is as near its 50-digit value.
+        ratios = np.geomspace(0.1, 1e5, 200)
+        r = np.hypot(2.0, np.repeat(ratios, 2))
+        band = np.where(r <= 1e4, 1e-14, sweep.RATIO_BAND * (1.0 + r / 1e-5))
+        for eps in (1.0, -1.0):
+            table = np.array([(eps, eps, 0.0, 0.0, x * eps * sign) for x in ratios
+                              for sign in (1.0, -1.0)])
+            temperatures = np.full(len(table), 1e-5)
+            reference = self.assert_matches_the_eigh_path(table, temperatures, tolerance=band)
+        pytest.importorskip("mpmath")
+        built = built_measures(EffectiveParams.symmetric(1.0, 0.0), ThermalSpec(1e-5),
+                               [("ratio_j_over_eps", ratios[-6:])], ("mutual_information",))
+        for x, mi, mi_ref in zip(ratios[-6:], built["mutual_information"],
+                                 reference["mutual_information"][-12::2]):
+            exact = mutual_information_50_digits(EffectiveParams.symmetric(1.0, x), 1e-5)
+            assert abs(mi - exact) <= abs(mi_ref - exact) + 1e-14
+
+    def test_degenerate_ground_space_is_the_uniform_mixture(self):
+        entries, p = device._x_stack(np.array([(0.0, 0.0, 0.0, 0.0, 0.7), (0.0,) * 5]),
+                                     np.zeros(2))
+        assert p.tolist() == [[0.5, 0.5, 0.0, 0.0], [0.25] * 4]
+        assert entries.tolist() == [[0.25] * 4 + [-0.25, -0.25], [0.25] * 4 + [0.0, 0.0]]
+
+    def test_a_row_gets_its_bits_alone(self):
+        table, temperatures = _x_edge_rows()
+        entries, p = device._x_stack(table, temperatures)
+        for k in range(0, len(table), 7):
+            alone = device._x_stack(table[k : k + 1], temperatures[k : k + 1])
+            assert alone[0].tobytes() == entries[k].tobytes()
+            assert alone[1].tobytes() == p[k].tobytes()
+
+    def test_near_degenerate_blocks_stay_x_states(self, monkeypatch):
+        # Near the charge-degeneracy point (eps1 near 0) the two blocks' lower
+        # levels nearly coincide.  eigh of the 4 x 4 Hamiltonian mixed their
+        # eigenvectors, leaving 39 of these 19,200 states off the X pattern,
+        # for the general search; closed-form blocks cannot mix.
+        rng = np.random.default_rng(11)
+        general = []
+        search = correlations._maximize_general
+        monkeypatch.setattr(correlations, "_maximize_general",
+                            lambda states: general.append(len(states)) or search(states))
+        e_over_c = device.CONSTANTS.e / DeviceParams().c
+        temperatures = np.concatenate([[0.0], np.geomspace(1e-5, 0.1, 63)])
+        evaluations = []
+        for _ in range(300):
+            fixed = DeviceParams(v_x1=e_over_c * (1.0 + rng.uniform(-1e-2, 1e-2)),
+                                 v_x2=rng.uniform(5e-6, 1.2e-4),
+                                 phi_x1=rng.uniform(-1.0, 1.0), phi_x2=rng.uniform(-1.0, 1.0))
+            table, _ = sweep._chunk_controls(fixed, ThermalSpec(0.0),
+                                             [("temperature", temperatures)])
+            assert device._x_rows(table).all()
+            evaluations.append(built_measures(fixed, ThermalSpec(0.0),
+                                              [("temperature", temperatures)],
+                                              ("discord",))["optimizer_evaluations"])
+        evaluations = np.concatenate(evaluations)
+        assert len(evaluations) == 19_200 and general == []
+        assert all(ran_x_path(k) for k in evaluations.tolist())
 
 
 class TestEof:

@@ -206,13 +206,13 @@ class TestSweep1d:
         [("mutual_information", "discord", "concurrence"), ("mutual_information", "concurrence")],
     )
     def test_one_validation_and_three_spectra_per_state(self, monkeypatch, measures):
-        # Only rho, rho_a and rho_b have spectra to take: rho's are the
-        # Boltzmann weights of the one eigh that builds the chunk, checked
-        # once as spectra, and rho_a's and rho_b's take one stacked eigvalsh
-        # call per chunk.  The built states skip the public validation; they
-        # are X states, so concurrence takes its closed form and adds none.
+        # Every row of the chunk has ej1 = ej2 = 0: its spectrum is the
+        # Boltzmann weights of its closed-form block levels, checked once as
+        # a spectrum, and its marginals are diagonal, so no eigh or eigvalsh
+        # runs.  The rows skip the public validation, and concurrence takes
+        # its closed form.
         calls = self.count_linear_algebra(monkeypatch, DeviceParams(), measures)
-        assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 0, "validated": CHUNK_POINTS,
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0, "validated": CHUNK_POINTS,
                          "public": 0}
 
     @pytest.mark.parametrize("measures, eigvalsh", [
@@ -347,17 +347,19 @@ class TestBatchedControls:
 
     def sweep_chunks(self, monkeypatch, run):
         """(table, Hamiltonians, temperatures) of a sweep, with its states and
-        measures stubbed out."""
+        measures stubbed out: the coefficient table is recorded where both
+        the X rows and the others read it."""
         chunks = []
 
         def record(coefficients, temperatures):
             chunks.append((coefficients, temperatures))
             n = len(temperatures)
-            return np.zeros((n, 4, 4)), np.full((n, 4), 0.25), np.zeros((n, 4, 4))
+            return (np.zeros(n, dtype=bool), np.empty((0, 6)), np.zeros((n, 4, 4)),
+                    np.full((n, 4), 0.25), np.zeros((n, 4, 4)))
 
-        monkeypatch.setattr(sweep, "_thermal_stack", record)
-        monkeypatch.setattr(sweep, "_measure", lambda states, w, v, measures: {
-            m: np.zeros(len(states)) for m in measures})
+        monkeypatch.setattr(sweep, "_thermal_rows", record)
+        monkeypatch.setattr(sweep, "_measure", lambda x, entries, states, w, v, measures: {
+            m: np.zeros(len(w)) for m in measures})
         table = run()
         assert max(len(t) for _, t in chunks) == CHUNK_POINTS
         coefficients = np.concatenate([coefficients for coefficients, _ in chunks])
@@ -870,9 +872,9 @@ class TestSpeculativeSearches:
         calls = []
         measure, kernel = sweep._measure, sweep._wootters
 
-        def counted(states, w, v, measures):
-            calls.append(len(states))
-            return measure(states, w, v, measures)
+        def counted(x, entries, states, w, v, measures):
+            calls.append(len(w))
+            return measure(x, entries, states, w, v, measures)
 
         def counted_kernel(p, m):
             calls.append(len(p))
