@@ -21,7 +21,9 @@ coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
 searches (bisection for the ESD temperature, golden section for the
 discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-the steps ahead of them as stacks, filled breadth-first.  The ESD search
+the steps ahead of them as stacks, filled breadth-first; a stack that holds a
+point out of range is measured again as the current step's points alone, so
+a search raises only from a point it reads.  The ESD search
 builds no state: it reads each stack's concurrences from the Boltzmann
 spectra and the eigenvectors of its one Hamiltonian
 (:func:`esd_temperature`).  Where every Gibbs state of that Hamiltonian is
@@ -29,8 +31,9 @@ X-shaped it does not stack: each step is decided in Python by the
 closed-form concurrence (:func:`_x_bisection`), since a stack costs a numpy
 call whatever its points.  The j/eps search, whose states are all
 X states, decides its steps in Python by the closed-form discord
-(:func:`_x_discord`) while that is clear beyond round-off, and stacks the
-rest.
+(:func:`_x_discord`) from the first while that is clear beyond round-off,
+and stacks the rest: it measures no point before a step that the closed
+form cannot decide.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .device import (
     _hamiltonians,
     _thermal_rows,
 )
-from .errors import BracketError, SpecValidationError
+from .errors import BracketError, InvalidParameterError, SpecValidationError
 
 # The fields each value of a sweep variable sets ("temperature" is the
 # ThermalSpec's), the parameter set it needs as fixed (None takes either) and
@@ -286,6 +289,12 @@ def _search(f, state, values, children, decide, tol: float):
     is not expanded).  A point left out is measured when the search reaches
     it.  A value does not depend on the stack it is measured in, so every
     decision and result is the bit it would be with one point at a time.
+
+    A stack may hold points the search never reads.  Where ``f`` raises
+    InvalidParameterError on a stack (a point out of range), only the points
+    of the current state are measured, so an error comes from a point that
+    the search reads, as it would one point at a time, and a search that
+    reads no such point returns its result.
     """
 
     def points(s):
@@ -297,7 +306,11 @@ def _search(f, state, values, children, decide, tol: float):
             ahead.update(dict.fromkeys(x for s in level for x in points(s) if x not in values))
             level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
         ahead = list(ahead)[: 2**SEARCH_DEPTH - 1]
-        values.update(zip(ahead, f(ahead)))
+        try:
+            values.update(zip(ahead, f(ahead)))
+        except InvalidParameterError:  # raised only from a point the search reads
+            ahead = [x for x in points(root) if x not in values]
+            values.update(zip(ahead, f(ahead)))
 
     def read(root):  # a stack of one point may leave one of root's two
         while True:
@@ -342,17 +355,17 @@ def _golden_section(f, a0: float, b0: float, tol: float, estimate=None) -> Criti
     discords) gives, its stacks filled breadth-first by :func:`_search`.
 
     ``estimate``, if given, maps a point to (value, band), f's value within
-    band, or to None.  After f measures the two starting points, a step whose
-    two values, from f or estimated, differ by more than the sum of their
-    bands is decided in Python, as f's values would decide it; the stacks
-    take over from the first step that is not, and measure the value at the
-    midpoint."""
+    band, or to None.  From the first step, a step whose two estimates differ
+    by more than the sum of their bands is decided in Python, as f's values
+    would decide it; the stacks take over from the first step that is not,
+    and measure the value at the midpoint.  No point is measured before
+    that, so f's first call is the stack of that step, or the midpoint
+    alone where every step is decided."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b0 - invphi * (b0 - a0)
     d = a0 + invphi * (b0 - a0)
 
-    values = dict(zip((c, d), f([c, d])))
-    known = {x: (value, 0.0) for x, value in values.items()}
+    values, known = {}, {}
 
     def children(a, b, c, d):
         return (a, d, d - invphi * (d - a), c), (c, b, d, c + invphi * (b - c))
@@ -503,15 +516,15 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     """Golden-section maximization of thermal discord over j/eps at eps = 1 K.
 
     A maximum within 10*tol of either bracket edge is reported with the
-    boundary flag set (T = 0 legitimately has no interior maximum).  The two
-    starting points are measured as one stack.  Then each step whose two
-    closed-form discords (:func:`_x_discord`) differ by more than their
-    bands is decided in Python; from the first that is not, the later points
-    are measured as stacks of up to 15 ratios filled breadth-first (see
-    :func:`_golden_section` and :func:`_search`), and the value at the
-    midpoint always is: about 3 stacks at the default tol over (0.1, 50), 10
-    on the stacks alone.  A stack is the sweep table over its ratios, so each
-    decision and value is the one ratio-sweep rows give.
+    boundary flag set (T = 0 legitimately has no interior maximum).  Each
+    step, from the first, whose two closed-form discords (:func:`_x_discord`)
+    differ by more than their bands is decided in Python; from the first
+    that is not, the points are measured as stacks of up to 15 ratios filled
+    breadth-first (see :func:`_golden_section` and :func:`_search`), and the
+    value at the midpoint always is: about 2 stacks at the default tol over
+    (0.1, 50), 10 on the stacks alone.  A stack is the sweep table over its
+    ratios, so each decision and value is the one ratio-sweep rows give, and
+    a ratio above MAX_ENERGY_K raises only where the search reads it.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:

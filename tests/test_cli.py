@@ -655,10 +655,20 @@ class TestOutOfRangeInput:
     """Input that once ended in a traceback or in a silent row of zeros."""
 
     def test_ratio_search_beyond_the_largest_coupling_exits_2(self, capsys):
-        # The first stack's ratios are checked before any step is decided.
+        # Both starting ratios are above 1e150 K: the first read ends the search.
         code, out, err = run_cli(capsys, "critical", "ratio", "--temp", "0.5",
                                  "--bracket", "0.1", "1e200", "--tol", "1e190")
         assert (code, out, err) == (2, "", "error: j12 must be finite with |j12| <= 1e+150 K\n")
+
+    def test_ratio_search_across_the_largest_coupling_that_never_reads_beyond(self, capsys):
+        # The search settles below 1e150 K and reads no ratio above it,
+        # though the stacks of ratios ahead of it hold some.
+        code, out, err = run_cli(capsys, "critical", "ratio", "--temp", "4.72353e156",
+                                 "--bracket", "1.1753e147", "1.30417e150",
+                                 "--tol", "1.30417e141")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["location"] == "5.98547718e+149"
 
     @pytest.mark.parametrize("config, message", _OUT_OF_RANGE)
     def test_report_exits_2_naming_the_quantity(self, capsys, tmp_path, config, message):

@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -803,9 +805,9 @@ class TestSpeculativeSearches:
     @pytest.mark.parametrize("bracket, tol", [((0.0, 6.0), 1e-9), ((1.0, 2.5), 1e-3),
                                               ((0.5, 40.0), math.ulp(40.0))])
     def test_golden_section_stacks_are_filled_breadth_first(self, bracket, tol):
-        # After the first stack of two, each stack holds the new points of the
-        # states ahead of the one that needed it, level by level, lower part
-        # first, up to 2**SEARCH_DEPTH - 1 of them: the next SEARCH_DEPTH
+        # Each stack, the first included, holds the new points of the states
+        # ahead of the one that needed it, level by level from that root, lower
+        # part first, up to 2**SEARCH_DEPTH - 1 of them: the next SEARCH_DEPTH
         # levels, and more where points of different branches coincide.  A
         # state within tol has only its midpoint and no children.
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -833,7 +835,7 @@ class TestSpeculativeSearches:
         sweep._golden_section(batched, *bracket, tol)
         a, b = bracket
         state = (a, b, b - invphi * (b - a), a + invphi * (b - a))
-        expected, seen = [list(state[2:])], set(state[2:])
+        expected, seen = [], set()
         while True:
             if not seen.issuperset(points(state)):
                 expected.append(breadth_first(state, seen))
@@ -859,14 +861,18 @@ class TestSpeculativeSearches:
         assert point == plain_bisection(conc, t_max, tol)
         _assert_each_point_measured_once(stacks)
 
-    @pytest.mark.parametrize("search, iterations, most_calls", [
-        # 10 breadth-first
-        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 10),
-        (lambda patch: esd_temperature(NOT_X, t_max=1.0), 20, 7),
-        # Steps decided in closed form: the first stack, then one at the end.
-        (lambda patch: optimal_ratio(0.5, (0.1, 50.0)), 37, 3),
+    @pytest.mark.parametrize("search, iterations, first_call, most_calls", [
+        # 10 breadth-first, the first from the bracket's two points on
+        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 15, 10),
+        # T = 0 and t_max first
+        (lambda patch: esd_temperature(NOT_X, t_max=1.0), 20, 2, 7),
+        # Steps decided in closed form up to a stack, then one at the end.
+        (lambda patch: optimal_ratio(0.5, (0.1, 50.0)), 37, 15, 2),
+        # Every step decided in closed form: the midpoint alone.
+        (lambda patch: optimal_ratio(0.0, (0.1, 50.0)), 37, 1, 1),
     ])
-    def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations, most_calls):
+    def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations, first_call,
+                                          most_calls):
         # A j/eps search measures its ratios' states, an ESD search its
         # temperatures' concurrences from the Boltzmann weights.
         calls = []
@@ -883,7 +889,7 @@ class TestSpeculativeSearches:
         monkeypatch.setattr(sweep, "_measure", counted)
         monkeypatch.setattr(sweep, "_wootters", counted_kernel)
         assert search(monkeypatch).iterations == iterations
-        assert calls[0] == 2
+        assert calls[0] == first_call
         assert len(calls) <= most_calls
         assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
 
@@ -1131,6 +1137,20 @@ def _ratio_outcome(t, bracket, tol):
         return type(error), str(error)
 
 
+def _straddling_ratio_cases():
+    """1,500 (t, bracket, tol) j/eps searches whose bracket straddles
+    MAX_ENERGY_K, the largest coupling: it starts from 1e100 to 1e149.99 and
+    ends from 1e150 to 10**150.5, T = 0 or log-uniform from 1e-3 to 1e160."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(1500):
+        a0 = float(10.0 ** rng.uniform(100.0, 149.99))
+        b0 = float(10.0 ** rng.uniform(150.0, 150.5))
+        t = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-3.0, 160.0))
+        cases.append((t, (a0, b0), 1e-9 * b0))
+    return cases
+
+
 class TestXRatioSearch:
     """A j/eps search decides its steps by closed-form discords where they are
     apart by more than their bands, and returns the stacked search's result."""
@@ -1163,6 +1183,45 @@ class TestXRatioSearch:
         assert sum(p.iterations > 20 for p, h in zip(points, handed) if not h) > 100
         assert sum(e is None for t, e in estimates if t > 0.0) > 10
         assert sum(e is None for t, e in estimates if t == 0.0) > 0
+
+    def test_straddling_brackets_equal_the_one_point_loop(self):
+        # A stack holds ratios ahead of the search, some of them beyond the
+        # largest coupling where the one-point loop never goes: the search
+        # raises only where the loop does, and from a point it reads.
+        fixed, points = EffectiveParams.symmetric(1.0, 0.0), 0
+        for t, bracket, tol in _straddling_ratio_cases():
+            def discord(r):
+                axes = [("ratio_j_over_eps", np.array([r]))]
+                return sweep._sweep_table(fixed, ThermalSpec(t), axes, ("discord",))[0, 1]
+
+            try:
+                plain = plain_golden_section(discord, *bracket, tol)
+            except InvalidParameterError as error:
+                plain = type(error), str(error)
+            assert _ratio_outcome(t, bracket, tol) == plain, (t, bracket)
+            points += isinstance(plain, CriticalPoint)
+        assert 100 < points < 1400
+
+    def test_benchmark_searches_make_about_two_chain_calls(self, monkeypatch):
+        # The ratio_search workload's searches, 13 a seed for seeds 1 to 40:
+        # most measure one stack and the midpoint, some the midpoint alone.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        calls, measure = [], sweep._measure
+
+        def counted(*args):
+            calls[-1] += 1
+            return measure(*args)
+
+        monkeypatch.setattr(sweep, "_measure", counted)
+        for seed in range(1, 41):
+            for op in workloads.ratio_search(seed).ops:
+                _, _, _, t, _, lo, hi, _, tol = op.argv
+                calls.append(0)
+                optimal_ratio(float(t), (float(lo), float(hi)), float(tol))
+        assert len(calls) == 520
+        assert sum(calls) / len(calls) <= 1.9
+        assert max(calls) <= 5
 
     def test_closed_form_is_within_a_quarter_of_its_band(self):
         # Against the discord of the ratio-sweep rows of 200 temperatures,
