@@ -1,5 +1,9 @@
 """Command-line front end: report, figure, critical and sweep subcommands.
 
+One argparse tree defines the commands; a call parses its argv once, with
+the parser of the command its leading words name (``_build_parser``'s
+``leaves``), and only argv that names no command goes through the root.
+
 Parameters come from an optional JSON config file, overridable key by key
 with flags of the same name and then with shorthand flags; ``SCHEMA`` and
 ``SHORTHANDS`` are the one place that pairs a key with its section, field and
@@ -367,7 +371,13 @@ class _CommandParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    """The process's one parser, built on first use; parsing leaves it unchanged.
+
+    It is the one definition of the CLI.  Its ``leaves`` map the words of each
+    command, ``("report",)`` to ``("critical", "ratio")``, to the command's
+    own parser in the tree, recorded as each is added, so that :func:`_parse`
+    parses a command's flags without the levels above them.
+    """
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--config", type=Path, help="JSON config file")
     io.add_argument("--out", type=Path, help="output CSV path (default stdout)")
@@ -375,10 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     section_parsers["effective"].add_argument("--dimensionless", action="store_true",
                                               help="require effective (eps, j) input")
 
-    def command(subparsers, name, func, sections, help_text):
-        p = subparsers.add_parser(name, help=help_text, parents=[
+    def command(subparsers, words, func, sections, help_text):
+        p = subparsers.add_parser(words[-1], help=help_text, parents=[
             io, *(section_parsers[s] for s in sections)])
         p.set_defaults(func=func, sections=sections)
+        parser.leaves[words] = p
         return p
 
     parser = argparse.ArgumentParser(
@@ -386,12 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Thermal discord and entanglement for a two-qubit "
         "Josephson charge-qubit device.",
     )
+    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    command(sub, "report", _cmd_report, tuple(SCHEMA),
+    command(sub, ("report",), _cmd_report, tuple(SCHEMA),
             "one-line correlation report for a single state")
 
     p_figure = sub.add_parser("figure", help="reproduce a published parameter sweep")
+    parser.leaves[("figure",)] = p_figure
     p_figure.add_argument("which", choices=FIGURES)
     p_figure.add_argument("--out", type=Path, help="output CSV path (default <which>.csv; "
                           "fig5 writes <stem>_a.csv and <stem>_b.csv)")
@@ -404,17 +417,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     critical = sub.add_parser("critical", help="locate a critical point")
     kinds = critical.add_subparsers(dest="kind", required=True)
-    p_esd = command(kinds, "esd", _cmd_critical, ("device", "effective"),
+    p_esd = command(kinds, ("critical", "esd"), _cmd_critical, ("device", "effective"),
                     "temperature of entanglement sudden death")
     p_esd.add_argument("--t-max", type=float, default=1.0, dest="t_max")
-    p_ratio = command(kinds, "ratio", _cmd_critical, ("thermal",),
+    p_ratio = command(kinds, ("critical", "ratio"), _cmd_critical, ("thermal",),
                       "the j/eps that maximizes discord at eps = 1 K")
     p_ratio.add_argument("--bracket", nargs=2, type=float, default=(0.1, 50.0),
                          metavar=("LO", "HI"))
     for p in (p_esd, p_ratio):
         p.add_argument("--tol", type=float, default=1e-6)
 
-    p_sweep = command(sub, "sweep", _cmd_sweep, tuple(SCHEMA), "sweep one axis and emit CSV")
+    p_sweep = command(sub, ("sweep",), _cmd_sweep, tuple(SCHEMA), "sweep one axis and emit CSV")
     p_sweep.add_argument("--variable", required=True, choices=VARIABLES)
     p_sweep.add_argument("--start", required=True, type=float)
     p_sweep.add_argument("--stop", required=True, type=float)
@@ -423,9 +436,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the parser tree gives ``argv``, or its SystemExit.
+
+    Where argv's leading words name a command, that command's leaf parser
+    parses the rest on a namespace that already holds the words (``command``,
+    ``kind``), as the levels above it would have left it; argv that names no
+    command (help, a typo, a missing kind) goes to the root parser.
+    """
+    parser = _build_parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        if words in parser.leaves:
+            namespace = argparse.Namespace(**dict(zip(("command", "kind"), words)))
+            return parser.leaves[words].parse_args(argv[len(words):], namespace)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run the command ``argv`` (default ``sys.argv[1:]``) names; its exit code.
+
+    argv is parsed once, by :func:`_parse`; a usage error or help exits as
+    argparse does (2 or 0), and the package's errors map to the exit codes
+    above, each with a one-line ``error:`` message.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

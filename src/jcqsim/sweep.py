@@ -8,15 +8,17 @@ coefficients on, each row takes one of two paths by its coefficients alone
 (:func:`device._thermal_rows`): a row with ej1 = ej2 = 0 is an X state given
 in closed form by its entries, the others one (N, 4, 4) stack built by one
 real ``eigh`` with its eigenvectors.  Their checked Boltzmann spectra go to
-the measures with them as they come, in place of the public validation; the
-chunk's rows, one per point with its axis values innermost first and then
-the measures, are yielded as they are measured.  That generator
-(:func:`_sweep_chunks`) is the one place where controls become measures.
-:func:`sweep_1d` and :func:`sweep_2d` fill one float table from it, as do
-the CLI's ``report`` (its one-row table over a temperature axis) and each
-stack of the j/eps search (a table over its ratios); the CLI's ``sweep``
-and ``figure`` write each chunk's rows as they
-come, so their memory is a few chunks and the axes.  Every state's
+the measures with them as they come, in place of the public validation.
+That chain, one chunk's controls to its measure columns, is
+:func:`_chunk_measures`, the one place where controls become measures.  A
+sweep's generator (:func:`_sweep_chunks`) yields each chunk's rows, one per
+point with its axis values innermost first and then the measures, as they
+are measured, and each stack of the j/eps search is one chunk of its
+ratios, taken as columns with no table.  :func:`sweep_1d` and
+:func:`sweep_2d` fill one float table from the generator, as does the CLI's
+``report`` (its one-row table over a temperature axis); the CLI's ``sweep``
+and ``figure`` write each chunk's rows as they come, so their memory is a
+few chunks and the axes.  Every state's
 coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
 searches (bisection for the ESD temperature, golden section for the
@@ -206,19 +208,26 @@ def _chunk_controls(fixed, thermal: ThermalSpec, settings) -> tuple[np.ndarray, 
     return _coefficient_table(fixed, changes, temperatures)
 
 
+def _chunk_measures(fixed, thermal: ThermalSpec, settings, measures: tuple[str, ...]) -> dict:
+    """The columns of ``measures`` (see :func:`correlations._measure`) of one
+    chunk's points, given by ``settings`` as :func:`_chunk_controls` takes
+    them: the chain from controls to measures."""
+    return _measure(*_thermal_rows(*_chunk_controls(fixed, thermal, settings)), measures)
+
+
 def _sweep_chunks(fixed, thermal: ThermalSpec, axes, measures: tuple[str, ...]):
     """The rows of the grid of ``axes``, (variable, axis values) pairs, outer
     first, one chunk of at most ``CHUNK_POINTS`` rows at a time: the last axis
     varies fastest and is applied last.  Axis values are an array or a
     :class:`_Linspace`, indexed by each chunk's indices.  A row holds its
-    axis values innermost first, then ``measures``.  The one place where
-    controls become measures."""
+    axis values innermost first, then ``measures``, which each chunk takes
+    from :func:`_chunk_measures`, as each stack of a j/eps search does."""
     shape = tuple(len(values) for _, values in axes)
     size = math.prod(shape)
     for start in range(0, size, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, size)), shape)
         settings = [(variable, values[i]) for (variable, values), i in zip(axes, index)]
-        columns = _measure(*_thermal_rows(*_chunk_controls(fixed, thermal, settings)), measures)
+        columns = _chunk_measures(fixed, thermal, settings, measures)
         yield np.column_stack(
             [*(values for _, values in reversed(settings)), *(columns[m] for m in measures)])
 
@@ -463,6 +472,21 @@ def _x_bisection(f, w, v, m, t_max: float, tol: float) -> CriticalPoint:
     return CriticalPoint("esd_temperature", location, value_at, (lo, hi), len(steps))
 
 
+def _plogp(x: float) -> float:
+    """x log2 x, 0 at x = 0: one term of an entropy in bits."""
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def _binary_bits(u: float) -> float:
+    """Binary entropy of u in bits, as correlations._binary_entropies."""
+    return 0.0 if u <= 0.0 else -(u * math.log(u) + (1.0 - u) * math.log1p(-u)) / math.log(2.0)
+
+
+def _pole_bits(m: float, a: float, b: float) -> float:
+    """m H(min(a, b) / m), one qubit's term of correlations._x_pole_entropy."""
+    return m * _binary_bits(min(a, b) / m) if m > 0.0 else 0.0
+
+
 def _x_discord(ratio: float, t: float):
     """(discord, band) of the Gibbs state at t of
     EffectiveParams.symmetric(1.0, ratio), ratio > 0, in closed form: within
@@ -476,7 +500,10 @@ def _x_discord(ratio: float, t: float):
     The parity blocks [[a, ratio], [ratio, -a]], a = 2 and a = 0, have levels
     -r, -ratio, ratio, r, r = hypot(2, ratio), weighted as in
     :func:`device._boltzmann_weights`; 1 - 2/r is taken as ratio^2 / (r (r +
-    2)), which does not cancel."""
+    2)), which does not cancel.  A search calls it for each point it decides,
+    so its entropies add module-level terms (:func:`_plogp`,
+    :func:`_pole_bits`) in the order of the sums they stand for, with the
+    same bits, and no closure or generator is built per call."""
     if not ratio <= MAX_ENERGY_K:
         return None
     r = math.hypot(2.0, ratio)
@@ -495,20 +522,15 @@ def _x_discord(ratio: float, t: float):
     c = ((1.0 - top) * ratio / r + lower - upper) / (2.0 * z)
     m0, m1 = p1 + p2, p2 + p4  # each qubit's populations
 
-    def entropy(q):
-        return max(0.0, -sum(x * math.log2(x) for x in q if x > 0.0))
-
-    def binary(u):  # correlations._binary_entropies
-        return 0.0 if u <= 0.0 else -(u * math.log(u) + (1.0 - u) * math.log1p(-u)) / math.log(2.0)
-
     if (p1 - p2) * (p4 - p2) >= c * c:  # correlations._x_pole_entropy
-        best = sum(m * binary(min(q) / m) for m, q in ((m0, (p1, p2)), (m1, (p2, p4))) if m > 0.0)
+        best = _pole_bits(m0, p1, p2) + _pole_bits(m1, p2, p4)
     elif abs(math.sqrt(p1 * p4) - p2) <= c:  # correlations._x_equator_entropy
-        best = binary(2.0 * (m0 * m1 - c * c) / (1.0 + math.hypot(2.0 * c, m0 - m1)))
+        best = _binary_bits(2.0 * (m0 * m1 - c * c) / (1.0 + math.hypot(2.0 * c, m0 - m1)))
     else:
         return None
-    marginal = entropy((m0, m1))
-    mi = max(0.0, 2.0 * marginal - entropy((1.0 / z, lower / z, upper / z, top / z)))
+    marginal = max(0.0, -(_plogp(m0) + _plogp(m1)))
+    joint = max(0.0, -(_plogp(1.0 / z) + _plogp(lower / z) + _plogp(upper / z) + _plogp(top / z)))
+    mi = max(0.0, 2.0 * marginal - joint)
     return mi - min(max(0.0, marginal - best), mi), band  # correlations._clamp_classical
 
 
@@ -522,9 +544,10 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     that is not, the points are measured as stacks of up to 15 ratios filled
     breadth-first (see :func:`_golden_section` and :func:`_search`), and the
     value at the midpoint always is: about 2 stacks at the default tol over
-    (0.1, 50), 10 on the stacks alone.  A stack is the sweep table over its
-    ratios, so each decision and value is the one ratio-sweep rows give, and
-    a ratio above MAX_ENERGY_K raises only where the search reads it.
+    (0.1, 50), 10 on the stacks alone.  A stack is measured as one chunk of
+    a ratio sweep (:func:`_chunk_measures`), with no table around it, so each
+    decision and value is the one ratio-sweep rows give, and a ratio above
+    MAX_ENERGY_K raises only where the search reads it.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:
@@ -532,9 +555,9 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     _require_tol(tol, b0)
     fixed, thermal = EffectiveParams.symmetric(1.0, 0.0), ThermalSpec(t)
 
-    def discords(ratios):
-        axes = [("ratio_j_over_eps", np.array(ratios))]
-        return _sweep_table(fixed, thermal, axes, ("discord",))[:, 1].tolist()
+    def discords(ratios):  # a stack is one chunk: 2**SEARCH_DEPTH - 1 <= CHUNK_POINTS
+        settings = [("ratio_j_over_eps", np.array(ratios))]
+        return _chunk_measures(fixed, thermal, settings, ("discord",))["discord"].tolist()
 
     return _golden_section(discords, a0, b0, tol, lambda ratio: _x_discord(ratio, t))
 

@@ -8,9 +8,15 @@ from dataclasses import replace
 import numpy as np
 
 from jcqsim import correlations, device, sweep
-from jcqsim.device import EffectiveParams, ThermalSpec, effective_params
+from jcqsim.device import (
+    GROUND_DEGENERACY_RTOL,
+    MAX_ENERGY_K,
+    EffectiveParams,
+    ThermalSpec,
+    effective_params,
+)
 from jcqsim.errors import BracketError
-from jcqsim.sweep import CONCURRENCE_FLOOR, CriticalPoint
+from jcqsim.sweep import CONCURRENCE_FLOOR, RATIO_BAND, CriticalPoint
 
 
 def bell_phi_plus() -> np.ndarray:
@@ -176,3 +182,42 @@ def built_measures(fixed, thermal: ThermalSpec, settings, measures) -> dict:
     by ``eigh``, and measured on their checked Boltzmann spectra."""
     rows = device._thermal_rows(*sweep._chunk_controls(fixed, thermal, settings))
     return correlations._measure(*rows, measures)
+
+
+def plain_x_discord(ratio: float, t: float):
+    """``sweep._x_discord`` as it was written with per-call closures and
+    ``sum`` generators: the reference its module-level terms must match bit
+    for bit, None included."""
+    if not ratio <= MAX_ENERGY_K:
+        return None
+    r = math.hypot(2.0, ratio)
+    gap = 4.0 / (r + ratio)  # r - ratio
+    if t == 0.0:  # the ground space: -r alone, unless -ratio is in the cut
+        if gap <= GROUND_DEGENERACY_RTOL * math.sqrt(2.0) * math.hypot(r, ratio) + RATIO_BAND * r:
+            return None
+        lower, upper, top, band = 0.0, 0.0, 0.0, RATIO_BAND
+    else:
+        lower, upper = math.exp(-gap / t), math.exp(-(r + ratio) / t)
+        top, band = math.exp(-2.0 * r / t), RATIO_BAND * (1.0 + r / t)
+    z = 1.0 + lower + upper + top
+    small = ratio / r * (ratio / (r + 2.0))
+    p1, p2 = (small + top * (2.0 - small)) / (2.0 * z), (lower + upper) / (2.0 * z)
+    p4 = (2.0 - small + top * small) / (2.0 * z)  # p3 = p2
+    c = ((1.0 - top) * ratio / r + lower - upper) / (2.0 * z)
+    m0, m1 = p1 + p2, p2 + p4  # each qubit's populations
+
+    def entropy(q):
+        return max(0.0, -sum(x * math.log2(x) for x in q if x > 0.0))
+
+    def binary(u):  # correlations._binary_entropies
+        return 0.0 if u <= 0.0 else -(u * math.log(u) + (1.0 - u) * math.log1p(-u)) / math.log(2.0)
+
+    if (p1 - p2) * (p4 - p2) >= c * c:  # correlations._x_pole_entropy
+        best = sum(m * binary(min(q) / m) for m, q in ((m0, (p1, p2)), (m1, (p2, p4))) if m > 0.0)
+    elif abs(math.sqrt(p1 * p4) - p2) <= c:  # correlations._x_equator_entropy
+        best = binary(2.0 * (m0 * m1 - c * c) / (1.0 + math.hypot(2.0 * c, m0 - m1)))
+    else:
+        return None
+    marginal = entropy((m0, m1))
+    mi = max(0.0, 2.0 * marginal - entropy((1.0 / z, lower / z, upper / z, top / z)))
+    return mi - min(max(0.0, marginal - best), mi), band  # correlations._clamp_classical

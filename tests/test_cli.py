@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import csv
+import functools
+import importlib
 import io
 import json
 import os
@@ -29,6 +31,51 @@ from jcqsim.device import (
     thermal_state,
 )
 from jcqsim.errors import DomainError
+
+
+def _parsed(parse, argv):
+    """(namespace or SystemExit code, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _same_outcome(leaf, root):
+    """Equal namespaces (``vars``, compared by repr so that a NaN flag equals
+    itself), or equal exit codes and output."""
+    def comparable(outcome):
+        result, out, err = outcome
+        if isinstance(result, argparse.Namespace):
+            result = repr(sorted(vars(result).items()))
+        return result, out, err
+    return comparable(leaf) == comparable(root)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _every_parse_against_the_root_route():
+    """Every argv a test here runs through ``main`` is parsed by the leaf
+    route (``cli._parse``) and by the root parser of a second parser tree,
+    and must give the same outcome; the test then sees the leaf route's."""
+    parse, root = cli._parse, cli._build_parser.__wrapped__()
+
+    @functools.wraps(parse)
+    def checked(argv):
+        leaf = _parsed(parse, argv)
+        assert _same_outcome(leaf, _parsed(root.parse_args, argv)), argv
+        result, out, err = leaf
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        if not isinstance(result, argparse.Namespace):
+            raise SystemExit(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse", checked)
+        yield
 
 
 def run_cli(capsys, *argv):
@@ -818,6 +865,56 @@ class TestCommandSurface:
         for argv in commands:
             assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+_BAD_ARGV = [
+    [], ["-h"], ["critical"], ["critical", "-h"], ["critcal", "esd"], ["figure", "fig9"],
+    ["critical", "esd", "--bogus", "1"],
+    ["sweep", "--variable", "nope", "--start", "0", "--stop", "1", "--eps", "1", "--j", "1"],
+]
+
+
+class TestDispatch:
+    """A command's argv is parsed by its own parser, with the outcome the
+    root parser gives, and only argv that names no command reaches the root.
+    (Every argv the other tests here run is checked the same way, by
+    ``_every_parse_against_the_root_route``.)"""
+
+    @staticmethod
+    def routes(argv):
+        return _parsed(cli._parse.__wrapped__, argv), _parsed(cli._build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", _BAD_ARGV, ids=lambda argv: " ".join(argv) or "none")
+    def test_bad_input_gives_the_root_routes_exit_and_output(self, argv):
+        leaf, root = self.routes(argv)
+        assert _same_outcome(leaf, root)
+        assert leaf[0] == (0 if argv[-1:] == ["-h"] else 2)
+
+    def test_benchmark_operations_give_the_root_routes_namespace(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        count = 0
+        for plan in (make(seed) for make in workloads.WORKLOADS.values() for seed in (1, 2, 3)):
+            for op in plan.ops:
+                leaf, root = self.routes([*op.argv, "--out", "out.csv"])
+                assert isinstance(leaf[0], argparse.Namespace) and _same_outcome(leaf, root)
+                count += 1
+        assert count > 0
+
+    def test_a_command_never_parses_with_the_root_parser(self, monkeypatch, tmp_path):
+        def refused(*args, **kwargs):
+            raise AssertionError("the root parser parsed a command")
+
+        # The module's check of each parse reads a root parser of its own.
+        monkeypatch.setattr(cli._build_parser(), "parse_known_args", refused)
+        out = str(tmp_path / "out.csv")
+        for argv in (["report", "--eps", "1", "--j", "2"],
+                     ["figure", "fig2a", "--steps", "3"],
+                     ["critical", "esd", "--v-x", "7.5e-6"],
+                     ["critical", "ratio", "--temp", "0.5"],
+                     ["sweep", "--variable", "temperature", "--start", "0", "--stop", "1",
+                      "--steps", "3", "--eps", "1", "--j", "2"]):
+            assert main([*argv, "--out", out]) == 0, argv
 
 
 def _resolved(argv, config):

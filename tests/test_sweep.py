@@ -41,6 +41,7 @@ from helpers import (
     plain_bisection,
     plain_controls,
     plain_golden_section,
+    plain_x_discord,
 )
 from oracles import ground_state_discord_analytic
 
@@ -1241,6 +1242,25 @@ class TestXRatioSearch:
                     gaps.append(abs(estimate[0] - discord) / estimate[1])
         assert missing < 200 and len(gaps) > 12_000
         assert max(gaps) <= 0.25
+
+    def test_closed_form_equals_the_plain_one_bit_for_bit(self):
+        # Module-level terms in place of per-call closures and sum()
+        # generators, the same float operations in the same order: equal
+        # results, None and the sign of zero included, on 24,000 seeded
+        # pairs.  Ratios 1e-3 to 1e6 and some above the largest coupling, at
+        # T = 0 and log-uniform T from 1e-5 to 1e3 K.
+        rng = np.random.default_rng(38)
+        n = 24_000
+        ratios = 10.0 ** rng.uniform(-3.0, 6.0, n)
+        ratios[::50] = 10.0 ** rng.uniform(150.0, 300.0, n // 50)
+        ratios[25::1000] = device.MAX_ENERGY_K
+        temperatures = 10.0 ** rng.uniform(-5.0, 3.0, n)
+        temperatures[::4] = 0.0
+        outcomes = [(sweep._x_discord(r, t), plain_x_discord(r, t))
+                    for r, t in zip(ratios.tolist(), temperatures.tolist())]
+        assert all(repr(new) == repr(plain) for new, plain in outcomes)
+        nones = [new is None for new, _ in outcomes]
+        assert sum(ratios > device.MAX_ENERGY_K) == n // 50 and 1_000 < sum(nones) < n // 4
 
     @pytest.mark.parametrize("ratio, t", [(1.1e5, 0.0), (1e7, 0.0), (1.5e150, 1e200)])
     def test_no_closed_form_for_two_ground_levels_or_a_coupling_out_of_range(self, ratio, t):
