@@ -12,9 +12,12 @@ of host speed reaches every workload alike.  The file holds:
   the runs, each run's value, and whether every run was correct with none
   failed;
 - the median wall time over `--repeats` fresh interpreters of `report`,
-  `critical esd` and `critical ratio`, of a bare `import jcqsim.cli` and of
-  an interpreter that imports nothing, which shows how fast the host
-  started interpreters while the others ran;
+  `critical esd` (at phi_e = 1/2, X states, and at phi_e = 0.37, general
+  states) and `critical ratio`, of a bare `import jcqsim.cli` and of an
+  interpreter that imports nothing, which shows how fast the host started
+  interpreters while the others ran;
+- each of those wall times over the empty interpreter's, which two files
+  written while the host ran at different speeds can compare;
 - the code and physical lines of `src/`, by `scripts/src_lines.py`.
 
 The tree's `src/` is byte-compiled first (`compileall`), so that no fresh
@@ -56,6 +59,8 @@ SEEDS = (1,)
 COMMANDS = {
     "report": ["-m", "jcqsim", "report", "--eps", "1", "--j", "2", "--temp", "0.5"],
     "critical_esd": ["-m", "jcqsim", "critical", "esd", "--v-x", "7.5e-6", "--t-max", "1"],
+    "critical_esd_general": ["-m", "jcqsim", "critical", "esd", "--v-x", "7.5e-6",
+                             "--phi-e", "0.37", "--t-max", "1"],
     "critical_ratio": ["-m", "jcqsim", "critical", "ratio", "--temp", "0.5"],
     "import": ["-c", "import jcqsim.cli"],
     "interpreter": ["-c", "pass"],
@@ -182,6 +187,8 @@ def main(argv=None) -> int:
                      "repeats": args.repeats, "trace": 0},
         "workloads": workloads,
         "wall_s": wall,
+        "wall_per_interpreter": {name: t / wall["interpreter"] for name, t in wall.items()
+                                 if name != "interpreter"},
         "src_lines": _src_lines(root),
     }
     path = _next_path(args.outdir)

@@ -762,23 +762,36 @@ def _spin_flip(v: np.ndarray) -> np.ndarray:
     return v.swapaxes(1, 2) @ _YY.real @ v
 
 
-def _wootters(p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Concurrence of each of a stack of states rho = V P V^dagger from its
-    spectrum p (N x 4), P its diagonal, and m = :func:`_spin_flip` of V
-    (N x 4 x 4, or 1 x 4 x 4 for every state).
+def _wootters_margin(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Wootters' margin 2 max lam - sum lam of each of a stack of states rho =
+    V P V^dagger from its spectrum p (N x 4), P its diagonal, and m =
+    :func:`_spin_flip` of V (N x 4 x 4, or 1 x 4 x 4 for every state): its
+    concurrence before the clamp (:func:`_wootters`), negative where the
+    state is separable.
 
     Y = sy x sy is real, so rho Y rho* Y is similar to P M* P M, M = V^T Y V,
     and so to B* B, B = P^1/2 M P^1/2 symmetric: Wootters' square roots of
-    its eigenvalues (PRL 80, 2245, 1998) are the singular values lam of B,
-    and C = max(0, 2 max lam - sum lam).  A real B (every built state's) has
-    lam = |eigvalsh(B)|; a complex B takes an SVD.  Neither squares a small
-    lam, whose digits a near-pure state would lose.
+    its eigenvalues (PRL 80, 2245, 1998) are the singular values lam of B.
+    A real B (every built state's) has lam = |eigvalsh(B)|; a complex B
+    takes an SVD.  Neither squares a small lam, whose digits a near-pure
+    state would lose.
     """
     root = np.sqrt(np.maximum(p, 0.0))
     b = root[:, :, None] * m * root[:, None, :]
     lam = (np.linalg.svd(b, compute_uv=False) if np.iscomplexobj(b)
            else np.abs(np.linalg.eigvalsh(b)))
-    return np.minimum(1.0, np.maximum(0.0, 2.0 * lam.max(1) - lam.sum(1)))
+    return 2.0 * lam.max(1) - lam.sum(1)
+
+
+def _clamp_margin(margin: np.ndarray) -> np.ndarray:
+    """Concurrence C = min(1, max(0, margin)) of Wootters' margins."""
+    return np.minimum(1.0, np.maximum(0.0, margin))
+
+
+def _wootters(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Concurrence of each of a stack of states, as :func:`_wootters_margin`
+    takes them: its margin, clamped."""
+    return _clamp_margin(_wootters_margin(p, m))
 
 
 def eof_from_concurrence(c: float) -> float:

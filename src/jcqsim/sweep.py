@@ -28,7 +28,11 @@ point out of range is measured again as the current step's points alone, so
 a search raises only from a point it reads.  The ESD search
 builds no state: it reads each stack's concurrences from the Boltzmann
 spectra and the eigenvectors of its one Hamiltonian
-(:func:`esd_temperature`).  Where every Gibbs state of that Hamiltonian is
+(:func:`esd_temperature`).  Its first stack is the spine, the midpoints of
+its steps while each goes left, and each later stack also follows the
+branch towards an estimate of the crossing (:func:`_bisection`): about
+three kernel calls a search, where breadth-first stacks alone made seven.
+Where every Gibbs state of that Hamiltonian is
 X-shaped it does not stack: each step is decided in Python by the
 closed-form concurrence (:func:`_x_bisection`), since a stack costs a numpy
 call whatever its points.  The j/eps search, whose states are all
@@ -40,13 +44,22 @@ form cannot decide.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlations import MEASURES, X_SHAPE_TOL, _measure, _spin_flip, _wootters
+from .correlations import (
+    MEASURES,
+    X_SHAPE_TOL,
+    _clamp_margin,
+    _measure,
+    _spin_flip,
+    _wootters,
+    _wootters_margin,
+)
 from .device import (
     GROUND_DEGENERACY_RTOL,
     MAX_ENERGY_K,
@@ -279,7 +292,7 @@ def _require_tol(tol: float, top: float) -> None:
                                   f"one float spacing at {top:g}; got {tol}")
 
 
-def _search(f, state, values, children, decide, tol: float):
+def _search(f, state, values, children, decide, tol: float, estimate=None):
     """(bracket, midpoint, value there, iterations) of a bracketing search.
 
     A state is a tuple (lo, hi, *points): its bracket, then the points whose
@@ -295,7 +308,10 @@ def _search(f, state, values, children, decide, tol: float):
     ahead of it go to ``f`` as one stack, level by level: deduplicated,
     without those already measured, and at most 2**SEARCH_DEPTH - 1 new
     points, which bounds its memory (a stopping state gives its midpoint and
-    is not expanded).  A point left out is measured when the search reaches
+    is not expanded).  Given ``estimate``, which maps the current state to a
+    point in its bracket, the stack then follows the branch towards that
+    point down to the stopping state's midpoint, up to 2**(SEARCH_DEPTH + 1)
+    - 1 points in all.  A point left out is measured when the search reaches
     it.  A value does not depend on the stack it is measured in, so every
     decision and result is the bit it would be with one point at a time.
 
@@ -303,23 +319,44 @@ def _search(f, state, values, children, decide, tol: float):
     InvalidParameterError on a stack (a point out of range), only the points
     of the current state are measured, so an error comes from a point that
     the search reads, as it would one point at a time, and a search that
-    reads no such point returns its result.
+    reads no such point returns its result.  Out-of-range points lie above
+    the range (a coupling beyond MAX_ENERGY_K), so later stacks leave out
+    every point at or above the smallest one above every measured point
+    that such a stack left unmeasured, and a state with such a point
+    measures its own points alone: no stack rebuilds a point that raised.
     """
+    cap, limit = 2**SEARCH_DEPTH - 1, math.inf
 
     def points(s):
         return (0.5 * (s[0] + s[1]),) if s[1] - s[0] <= tol else s[2:]
 
     def fill(root):  # measure the stack of points ahead of root
-        ahead, level = {}, [root]
-        while level and len(ahead) < 2**SEARCH_DEPTH - 1:
-            ahead.update(dict.fromkeys(x for s in level for x in points(s) if x not in values))
-            level = [c for s in level if s[1] - s[0] > tol for c in children(*s)]
-        ahead = list(ahead)[: 2**SEARCH_DEPTH - 1]
+        nonlocal limit
+        needed = [x for x in points(root) if x not in values]
+        ahead, alone = dict.fromkeys(needed), max(needed) >= limit
+        level = [] if alone else [root]
+        while level and len(ahead) < cap:
+            level = [c for s in level if s[1] - s[0] > tol for c in children(*s) if c[0] < limit]
+            ahead.update(dict.fromkeys(
+                x for s in level for x in points(s) if x not in values and x < limit))
+        ahead = dict.fromkeys(list(ahead)[:cap])
+        if estimate is not None and not alone:
+            guess, s = estimate(root), root
+            while len(ahead) < 2 * cap + 1 and s[1] - s[0] > tol:
+                first, second = children(*s)
+                s = first if first[0] <= guess <= first[1] else second
+                for x in points(s):
+                    if x not in values and x < limit:
+                        ahead[x] = None
+        ahead = list(ahead)[: 2 * cap + 1]
         try:
             values.update(zip(ahead, f(ahead)))
         except InvalidParameterError:  # raised only from a point the search reads
-            ahead = [x for x in points(root) if x not in values]
-            values.update(zip(ahead, f(ahead)))
+            if len(ahead) == len(needed):
+                raise
+            values.update(zip(needed, f(needed)))
+            top, suspects = max(values), [x for x in ahead if x not in values]
+            limit = min([x for x in suspects if x > top] or suspects)
 
     def read(root):  # a stack of one point may leave one of root's two
         while True:
@@ -344,18 +381,59 @@ def _require_esd_bracket(c0: float, c_max: float, t_max: float) -> None:
         raise BracketError(f"concurrence is still positive at t_max = {t_max}")
 
 
+def _crossing(margins: dict, lo: float) -> float:
+    """An estimate of the temperature in (a, b] where ``margins``, measured
+    Wootters margins by temperature, cross CONCURRENCE_FLOOR: a the last
+    point from lo on above the floor, b the next.  Inverse interpolation
+    through the (at most) four points nearest the crossing, taken as 1/T and
+    log(c0 - margin), c0 the margin at T = 0: a margin that one Boltzmann
+    factor lowers from c0 is a straight line there.  The midpoint of (a, b)
+    where the points are not finite and distinct or the estimate is not in
+    [a, b]."""
+    known = sorted(margins)
+    i = bisect.bisect_right(known, lo)
+    while margins[known[i]] > CONCURRENCE_FLOOR:
+        i += 1
+    a, b, c0 = known[i - 1], known[i], margins[0.0]
+    near = [(1.0 / t, math.log(c0 - margins[t])) for t in known[max(0, i - 2) : i + 2]
+            if t > 0.0 and margins[t] < c0]
+    ys, x = [y for _, y in near], math.nan
+    if all(map(math.isfinite, ys)) and len(set(ys)) == len(ys):
+        level = math.log(c0 - CONCURRENCE_FLOOR)
+        x = sum(u * math.prod((level - z) / (y - z) for z in ys if z != y) for u, y in near)
+    guess = 1.0 / x if x > 0.0 else math.nan
+    return guess if a <= guess <= b else 0.5 * (a + b)
+
+
 def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
     """:func:`esd_temperature` for the values f (a list of temperatures to
-    their concurrences) gives."""
-    values = dict(zip((0.0, t_max), f([0.0, t_max])))
-    _require_esd_bracket(values[0.0], values[t_max], t_max)
+    their concurrences) gives, its unclamped Wootters margins in
+    ``f.margins`` if it keeps them.
 
+    The first stack is the spine: T = 0, t_max and the midpoints of the
+    steps while each goes left, t_max/2, t_max/4, ... down to the stopping
+    state or 2**(SEARCH_DEPTH + 1) - 1 points, so one call checks the
+    bracket and decides the leading run of steps.  Each later stack of
+    :func:`_search` follows the branch towards the crossing that
+    :func:`_crossing` estimates from the margins of the measured points
+    nearest it (f's values where it keeps no margins), which decide as the
+    concurrences do.  Every step is decided by f's value at its own
+    midpoint, so the estimate only chooses which points share a stack."""
     def children(lo, hi, mid):
         return (mid, hi, 0.5 * (mid + hi)), (lo, mid, 0.5 * (lo + mid))
 
+    spine, hi = [0.0, t_max], t_max  # the midpoint of (0, hi) is 0.5 * hi
+    while len(spine) < 2 ** (SEARCH_DEPTH + 1) - 1:
+        spine.append(0.5 * hi)
+        if hi <= tol:
+            break
+        hi = spine[-1]
+    values = dict(zip(spine, f(spine)))
+    _require_esd_bracket(values[0.0], values[t_max], t_max)
+    margins = getattr(f, "margins", values)
     bracket, location, value_at, iterations = _search(
         f, (0.0, t_max, 0.5 * t_max), values, children,
-        lambda c: c > CONCURRENCE_FLOOR, tol)
+        lambda c: c > CONCURRENCE_FLOOR, tol, lambda state: _crossing(margins, state[0]))
     return CriticalPoint("esd_temperature", location, value_at, bracket, iterations)
 
 
@@ -404,11 +482,14 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     Requires entanglement at T -> 0+ and none at t_max; raises BracketError
     otherwise.  No state is built.  The real Hamiltonian is diagonalized
     once, and its eigenvectors V give M = V^T (sy x sy) V once; each stack of
-    temperatures, T = 0 and t_max the first, takes its states' checked
-    spectra from the Boltzmann weights (:func:`device._boltzmann_spectra`)
-    and their concurrences from one :func:`correlations._wootters` call.
-    Where V makes every Gibbs state X-shaped, the steps are decided one by
-    one in closed form instead (:func:`_x_bisection`), with the same result.
+    temperatures (:func:`_bisection`: the spine T = 0, t_max, t_max/2, ...
+    first) takes its states' checked spectra from the Boltzmann weights
+    (:func:`device._boltzmann_spectra`) and their Wootters margins from one
+    :func:`correlations._wootters_margin` call; the search reads their
+    clamped concurrences and keeps the margins for its estimates of the
+    crossing.  Where V makes every Gibbs state X-shaped, the steps are
+    decided one by one in closed form instead (:func:`_x_bisection`), with
+    the same result.
     """
     if not 0.0 < t_max < math.inf:
         raise SpecValidationError("t_max must be finite and positive")
@@ -417,14 +498,22 @@ def esd_temperature(fixed, t_max: float, tol: float = 1e-6) -> CriticalPoint:
     w, v = np.linalg.eigh(_hamiltonians(_coefficient_table(fixed, {}, np.zeros(1))[0]))
     m = _spin_flip(v)
 
-    def concurrences(temperatures):
-        return _wootters(_boltzmann_spectra(w, np.array(temperatures)[:, None])[0], m).tolist()
+    def spectra(temperatures):
+        return _boltzmann_spectra(w, np.array(temperatures)[:, None])[0]
 
     # Every Gibbs state of H is X-shaped where, for each entry off the
     # diagonal and anti-diagonal, its levels' eigenvector products sum to at
     # most X_SHAPE_TOL in modulus.
     if np.abs(v[0, [0, 0, 1, 2]] * v[0, [1, 2, 3, 3]]).sum(1).max() <= X_SHAPE_TOL:
-        return _x_bisection(concurrences, w, v, m, t_max, tol)
+        return _x_bisection(lambda ts: _wootters(spectra(ts), m).tolist(), w, v, m, t_max, tol)
+
+    def concurrences(temperatures):
+        margin = _wootters_margin(spectra(temperatures), m)
+        margins.update(zip(temperatures, margin.tolist()))
+        return _clamp_margin(margin).tolist()
+
+    # Read from a cell: read from the function, the dict would make a cycle.
+    concurrences.margins = margins = {}
     return _bisection(concurrences, t_max, tol)
 
 

@@ -120,6 +120,22 @@ def plain_bisection(f, t_max: float, tol: float):
     return CriticalPoint("esd_temperature", location, f(location), (lo, hi), iterations)
 
 
+def breadth_first_bisection(f, t_max: float, tol: float):
+    """``sweep._bisection`` as it was before it stacked a spine and followed
+    an estimate of the crossing: T = 0 and t_max as the first stack, then
+    ``sweep._search``'s breadth-first stacks alone."""
+    values = dict(zip((0.0, t_max), f([0.0, t_max])))
+    sweep._require_esd_bracket(values[0.0], values[t_max], t_max)
+
+    def children(lo, hi, mid):
+        return (mid, hi, 0.5 * (mid + hi)), (lo, mid, 0.5 * (lo + mid))
+
+    bracket, location, value_at, iterations = sweep._search(
+        f, (0.0, t_max, 0.5 * t_max), values, children,
+        lambda c: c > CONCURRENCE_FLOOR, tol)
+    return CriticalPoint("esd_temperature", location, value_at, bracket, iterations)
+
+
 def plain_golden_section(f, a0: float, b0: float, tol: float):
     """``sweep.optimal_ratio``'s golden-section search, one scalar f(x) call
     per point, as the search ran before it measured in stacks."""

@@ -19,7 +19,8 @@ def test_writes_a_bench_file_with_every_key(tmp_path):
     path = tmp_path / "BENCH_4.json"
     assert proc.stdout.strip() == str(path)
     bench = json.loads(path.read_text())
-    assert set(bench) == {"machine", "tree", "settings", "workloads", "wall_s", "src_lines"}
+    assert set(bench) == {"machine", "tree", "settings", "workloads", "wall_s",
+                          "wall_per_interpreter", "src_lines"}
     assert set(bench["machine"]) == {"nproc", "affinity", "python", "numpy", "blas", "threads"}
     assert bench["machine"]["threads"] == "1"
     assert set(bench["tree"]) == {"commit", "dirty", "src_sha256"}
@@ -32,9 +33,12 @@ def test_writes_a_bench_file_with_every_key(tmp_path):
     for metric in workload["metrics"].values():
         assert set(metric) == {"unit", "median", "q1", "q3", "runs"}
         assert len(metric["runs"]) == 1 and metric["q1"] == metric["median"] == metric["q3"] > 0
-    assert set(bench["wall_s"]) == {"report", "critical_esd", "critical_ratio", "import",
-                                    "interpreter"}
+    assert set(bench["wall_s"]) == {"report", "critical_esd", "critical_esd_general",
+                                    "critical_ratio", "import", "interpreter"}
     assert all(t > 0 for t in bench["wall_s"].values())
+    assert bench["wall_per_interpreter"] == {
+        name: t / bench["wall_s"]["interpreter"]
+        for name, t in bench["wall_s"].items() if name != "interpreter"}
     assert bench["src_lines"]["physical"] > bench["src_lines"]["code"] > 1000
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_3.json", "BENCH_4.json"]
 

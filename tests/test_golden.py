@@ -42,6 +42,8 @@ CASES = {
     "report_eps0_j2_t0": ["report", "--eps", "0", "--j", "2", "--temp", "0"],
     "report_eps1_j0_t0": ["report", "--eps", "1", "--j", "0", "--temp", "0"],
     "critical_esd": ["critical", "esd", "--v-x", "7.5e-6", "--t-max", "1"],
+    "critical_esd_phi_e0.37": ["critical", "esd", "--v-x", "7.5e-6", "--phi-e", "0.37",
+                               "--t-max", "1"],
     "critical_ratio": ["critical", "ratio", "--temp", "0.5"],
     "sweep_phi_x_common_phi_e0.3": [
         "sweep", "--variable", "phi_x_common", "--start", "0", "--stop", "1", "--steps", "31",

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from jcqsim.errors import (
     SpecValidationError,
 )
 from jcqsim import device, sweep
+from jcqsim.cli import main
 from jcqsim.sweep import (
     CHUNK_POINTS,
     FIG2B_TEMPERATURES,
@@ -37,6 +39,7 @@ from jcqsim.correlations import concurrence, quantum_discord
 
 from helpers import (
     apply_axes,
+    breadth_first_bisection,
     built_measures,
     plain_bisection,
     plain_controls,
@@ -625,13 +628,14 @@ class TestEsdTemperature:
         # Stacked searches: intrabit couplings, and phi_e away from 1/2.
         for fixed in (NOT_X, DeviceParams(v_x1=7.5e-6, v_x2=7.5e-6, phi_e=0.3)):
             shapes, stacks = [], []
-            eigh, spectra, kernel = np.linalg.eigh, sweep._boltzmann_spectra, sweep._wootters
+            eigh, spectra = np.linalg.eigh, sweep._boltzmann_spectra
+            kernel = sweep._wootters_margin
 
             def counted(a):
                 shapes.append(a.shape)
                 return eigh(a)
 
-            # Each stack's spectra, then its concurrences from them.
+            # Each stack's spectra, then its Wootters margins from them.
             def recorded_spectra(w, temperatures):
                 stacks.append([w.shape, None, temperatures[:, 0].tolist(), None])
                 return spectra(w, temperatures)
@@ -642,14 +646,14 @@ class TestEsdTemperature:
 
             monkeypatch.setattr(np.linalg, "eigh", counted)
             monkeypatch.setattr(sweep, "_boltzmann_spectra", recorded_spectra)
-            monkeypatch.setattr(sweep, "_wootters", recorded)
+            monkeypatch.setattr(sweep, "_wootters_margin", recorded)
             esd_temperature(fixed, t_max=1.0)
             assert shapes == [(1, 4, 4)]
-            assert stacks[0][2] == [0.0, 1.0]
+            assert stacks[0][2][:2] == [0.0, 1.0]
             monkeypatch.undo()
             for w_shape, m_shape, temperatures, values in stacks:
                 assert (w_shape, m_shape) == ((1, 4), (1, 4, 4))
-                for t, c in zip(temperatures, values):
+                for t, c in zip(temperatures, sweep._clamp_margin(values).tolist()):
                     assert abs(c - concurrence(thermal_state(fixed, t))) <= 1e-14
 
     def test_discord_survives_past_the_transition(self):
@@ -729,6 +733,42 @@ def _seeded_esd_cases():
     return cases
 
 
+def _seeded_general_esd_cases():
+    """1,800 (fixed, t_max, tol) ESD searches over general Gibbs states: 600
+    devices off phi_e = 1/2, each at one t_max, log-uniform from 1e-3 to 30
+    K, and three tolerances: ulp(t_max), 1e-9 t_max and 2 t_max."""
+    rng = np.random.default_rng(39)
+    cases = []
+    for k in range(600):
+        v1, v2 = rng.uniform(5e-6, 120e-6, 2).tolist()
+        phi1, phi2 = rng.uniform(0.0, 0.5, 2).tolist()
+        if k % 10 == 0:  # half a flux quantum: a qubit with ej1 = 0, never entangled
+            phi1 = 0.5
+        phi_e = 0.5 + float(rng.choice((-1.0, 1.0)) * rng.uniform(0.02, 0.45))
+        fixed = DeviceParams(v_x1=v1, v_x2=v2, phi_x1=phi1, phi_x2=phi2, phi_e=phi_e)
+        t_max = float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
+        for tol in (math.ulp(t_max), 1e-9 * t_max, 2.0 * t_max):
+            cases.append((fixed, t_max, tol))
+    return cases
+
+
+def _counted_outcomes(patch, cases):
+    """(:func:`_outcome`, its kernel calls) of each ESD search."""
+    calls, kernel = [], sweep._wootters_margin
+
+    def counted(p, m):
+        calls[-1] += 1
+        return kernel(p, m)
+
+    patch.setattr(sweep, "_wootters_margin", counted)
+    patch.setattr(sweep, "_x_bisection", None)  # every search is a general one
+    outcomes = []
+    for case in cases:
+        calls.append(0)
+        outcomes.append(_outcome(*case))
+    return outcomes, calls
+
+
 def _stack_every_ratio_step(patch):
     """Have optimal_ratio leave every step to the stacked driver."""
     golden_section = sweep._golden_section
@@ -788,6 +828,26 @@ class TestSpeculativeSearches:
                 assert max(abs(a - b) for a, b in zip(*ends)) <= 4 * tol
         assert any(esd_temperature(dev, t_max, tol).iterations == 0
                    for dev, t_max, tol in cases if tol > t_max)
+
+    def test_esd_temperature_equals_the_breadth_first_search(self, monkeypatch):
+        # Field for field and error for error, in fewer kernel calls.
+        cases = _seeded_general_esd_cases()
+        with monkeypatch.context() as patch:
+            outcomes, calls = _counted_outcomes(patch, cases)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "_bisection", breadth_first_bisection)
+            reference, reference_calls = _counted_outcomes(patch, cases)
+        assert outcomes == reference
+        assert all(a <= b for a, b in zip(calls, reference_calls))
+        assert sum(calls) < 0.5 * sum(reference_calls)
+        points = [o for o in outcomes if isinstance(o, CriticalPoint)]
+        errors = [o[1] for o in outcomes if isinstance(o, tuple)]
+        assert len(points) > 900
+        assert any("never entangled" in e for e in errors)
+        assert any("still positive" in e for e in errors)
+        assert sum(p.iterations == 0 for p in points) > 100
+        assert sum(p.iterations > 40 for p in points) > 100
+        assert sum(p.value_at == 0.0 for p in points) > 100
 
     @pytest.mark.parametrize("bracket, tol", [((0.0, 6.0), 1e-9), ((1.0, 2.5), 1e-3),
                                               ((0.5, 40.0), math.ulp(40.0))])
@@ -862,22 +922,24 @@ class TestSpeculativeSearches:
         assert point == plain_bisection(conc, t_max, tol)
         _assert_each_point_measured_once(stacks)
 
-    @pytest.mark.parametrize("search, iterations, first_call, most_calls", [
+    # largest: the stack cap, 2**SEARCH_DEPTH - 1, or 2**(SEARCH_DEPTH + 1) - 1
+    # for an ESD search, whose stacks also follow its guided branch.
+    @pytest.mark.parametrize("search, iterations, first_call, most_calls, largest", [
         # 10 breadth-first, the first from the bracket's two points on
-        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 15, 10),
-        # T = 0 and t_max first
-        (lambda patch: esd_temperature(NOT_X, t_max=1.0), 20, 2, 7),
+        (lambda patch: _stacked_ratio(patch, 0.5, (0.1, 50.0), 1e-6), 37, 15, 10, 15),
+        # The spine first: T = 0, t_max and t_max / 2**k for k = 1 to 21.
+        (lambda patch: esd_temperature(NOT_X, t_max=1.0), 20, 23, 3, 31),
         # Steps decided in closed form up to a stack, then one at the end.
-        (lambda patch: optimal_ratio(0.5, (0.1, 50.0)), 37, 15, 2),
+        (lambda patch: optimal_ratio(0.5, (0.1, 50.0)), 37, 15, 2, 15),
         # Every step decided in closed form: the midpoint alone.
-        (lambda patch: optimal_ratio(0.0, (0.1, 50.0)), 37, 1, 1),
+        (lambda patch: optimal_ratio(0.0, (0.1, 50.0)), 37, 1, 1, 15),
     ])
     def test_steps_are_measured_in_stacks(self, monkeypatch, search, iterations, first_call,
-                                          most_calls):
+                                          most_calls, largest):
         # A j/eps search measures its ratios' states, an ESD search its
-        # temperatures' concurrences from the Boltzmann weights.
+        # temperatures' Wootters margins from the Boltzmann weights.
         calls = []
-        measure, kernel = sweep._measure, sweep._wootters
+        measure, kernel = sweep._measure, sweep._wootters_margin
 
         def counted(x, entries, states, w, v, measures):
             calls.append(len(w))
@@ -888,20 +950,31 @@ class TestSpeculativeSearches:
             return kernel(p, m)
 
         monkeypatch.setattr(sweep, "_measure", counted)
-        monkeypatch.setattr(sweep, "_wootters", counted_kernel)
+        monkeypatch.setattr(sweep, "_wootters_margin", counted_kernel)
         assert search(monkeypatch).iterations == iterations
         assert calls[0] == first_call
         assert len(calls) <= most_calls
-        assert max(calls) <= 2**sweep.SEARCH_DEPTH - 1
+        assert max(calls) <= largest
 
-    def test_esd_stacks_hold_the_next_four_steps_breadth_first(self, monkeypatch):
-        # The bisection gives no guess, so each stack holds the midpoints of
-        # the next SEARCH_DEPTH levels, level by level, upper half first.
-        stacks, spectra = [], sweep._boltzmann_spectra
+    def test_esd_stacks_hold_the_spine_then_the_next_steps_and_the_guided_branch(
+            self, monkeypatch):
+        # The first stack is the spine: T = 0, t_max and the midpoints of the
+        # steps while each goes left.  Each later stack holds the midpoints of
+        # the next SEARCH_DEPTH levels, level by level, upper half first, then
+        # those of the branch towards the crossing that sweep._crossing
+        # estimates from the margins measured so far, down to the stopping
+        # state's midpoint: 2**(SEARCH_DEPTH + 1) - 1 points at most.
+        stacks, spectra, kernel = [], sweep._boltzmann_spectra, sweep._wootters_margin
+        margins, tol, cap = {}, 1e-6, 2**sweep.SEARCH_DEPTH - 1
 
         def recorded(w, temperatures):
             stacks.append(temperatures[:, 0].tolist())
             return spectra(w, temperatures)
+
+        def recorded_kernel(p, m):
+            c = kernel(p, m)
+            margins.update(zip(stacks[-1], c.tolist()))
+            return c
 
         def breadth_first(lo, hi):
             level, out = [(lo, hi)], []
@@ -911,13 +984,85 @@ class TestSpeculativeSearches:
                 level = [c for (a, b), x in zip(level, mids) for c in ((x, b), (a, x))]
             return out
 
+        def guided(lo, hi, known):
+            guess, path = sweep._crossing(known, lo), []
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if guess >= mid else (lo, mid)
+                path.append(0.5 * (lo + hi))
+            return path
+
         monkeypatch.setattr(sweep, "_boltzmann_spectra", recorded)
-        point = esd_temperature(NOT_X, t_max=1.0)
-        roots = [(0.0, 1.0), (0.0, 0.0625), (0.0234375, 0.02734375),
-                 (0.0244140625, 0.024658203125), (0.0245513916015625, 0.024566650390625)]
-        assert stacks == [[0.0, 1.0], *(breadth_first(lo, hi) for lo, hi in roots),
-                          [point.location]]
+        monkeypatch.setattr(sweep, "_wootters_margin", recorded_kernel)
+        point = esd_temperature(NOT_X, t_max=1.0, tol=tol)
+        spine = [0.0, 1.0, *(2.0**-k for k in range(1, 22))]
+        assert stacks[0] == spine
+        # Replay the bisection on the recorded margins.
+        (lo, hi), expected, known = (0.0, 1.0), [spine], dict.fromkeys(spine)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid not in known:
+                ahead = breadth_first(lo, hi)
+                ahead += [x for x in guided(lo, hi, {t: margins[t] for t in known})
+                          if x not in ahead]
+                expected.append(ahead[: 2 * cap + 1])
+                known.update(dict.fromkeys(expected[-1]))
+            if hi - lo <= tol:
+                break
+            lo, hi = (mid, hi) if margins[mid] > sweep.CONCURRENCE_FLOOR else (lo, mid)
+        assert stacks == expected
+        assert [len(s) for s in stacks] == [23, 26, 22]
         assert point.location == 0.024551868438720703
+
+    def test_benchmark_esd_searches_make_about_four_kernel_calls(self, monkeypatch, tmp_path):
+        # The general_states workload's ESD searches, 24 a seed for seeds 1
+        # to 10, through the CLI: none makes more calls than breadth-first.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        argvs = [op.argv for seed in range(1, 11) for op in workloads.general_states(seed).ops
+                 if op.argv[:2] == ("critical", "esd")]
+        counts = []
+        for bisection in (sweep._bisection, breadth_first_bisection):
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep, "_bisection", bisection)
+                calls, kernel = [], sweep._wootters_margin
+
+                def counted(p, m):
+                    calls[-1] += 1
+                    return kernel(p, m)
+
+                patch.setattr(sweep, "_wootters_margin", counted)
+                for argv in argvs:
+                    calls.append(0)
+                    assert main([*argv, "--out", str(tmp_path / "esd.csv")]) == 0
+                counts.append(calls)
+        assert len(argvs) == 240
+        assert sum(counts[0]) / len(argvs) <= 4.0
+        assert set(counts[1]) == {7}
+        assert all(a <= b for a, b in zip(*counts))
+
+    def test_the_crossing_estimate_falls_back_to_the_midpoint(self):
+        # Inverse interpolation needs finite, distinct values: else, and where
+        # it lands outside [a, b], the estimate is the midpoint of (a, b), the
+        # last point above lo with a margin above the floor and the next.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for margins in ({0.0: 0.5, 0.1: 0.5, 0.2: 0.0, 0.3: 0.0},  # clamped values tie
+                            {0.0: 0.5, 0.1: 0.3, 0.2: -0.1, 0.3: -0.1},
+                            {0.0: 0.5, 0.1: 0.3, 0.2: -math.inf},
+                            {0.0: math.inf, 0.1: 0.3, 0.2: -0.1},
+                            {0.0: math.nan, 0.1: 0.3, 0.2: -0.1},
+                            {0.0: 1e308, 0.1: 0.3, 0.2: -1e308},  # c0 - margin overflows
+                            {0.0: 0.5, 0.05: 0.49, 0.1: 0.3, 0.2: -0.1, 0.3: 0.49}):  # outside
+                assert sweep._crossing(margins, 0.0) == 0.5 * (0.1 + 0.2), margins
+            # A margin that one Boltzmann factor lowers, 0.5 - exp(-1/T): exact.
+            margins = {t: 0.5 - math.exp(-1.0 / t) for t in (0.5, 1.0, 2.0)}
+            crossing = 1.0 / -math.log(0.5 - sweep.CONCURRENCE_FLOOR)
+            assert sweep._crossing({0.0: 0.5, **margins}, 0.5) == pytest.approx(crossing, 1e-12)
+            # A batched function whose values tie beyond every crossing.
+            point = sweep._bisection(
+                lambda ts: [max(0.0, math.cos(7.0 * t) + 0.5 - 0.1 * t) for t in ts], 6.0, 1e-9)
+        assert point.iterations == 33
 
 
 # v_x1 where eps1 = 0 at n = 0: c v_x1 = e.
@@ -1202,6 +1347,34 @@ class TestXRatioSearch:
             assert _ratio_outcome(t, bracket, tol) == plain, (t, bracket)
             points += isinstance(plain, CriticalPoint)
         assert 100 < points < 1400
+
+    def test_no_stack_rebuilds_points_that_raised(self, monkeypatch):
+        # After a stack raises, later stacks leave out the points above the
+        # range, so a search that returns raised once at most, and one that
+        # fails raised in its last two calls alone: its stack, then the
+        # points it reads.
+        calls, chain = [], sweep._chunk_measures
+
+        def counted(*args):
+            try:
+                result = chain(*args)
+            except InvalidParameterError:
+                calls[-1].append(True)
+                raise
+            calls[-1].append(False)
+            return result
+
+        monkeypatch.setattr(sweep, "_chunk_measures", counted)
+        failed = 0
+        for case in _straddling_ratio_cases():
+            calls.append([])
+            if isinstance(_ratio_outcome(*case), CriticalPoint):
+                assert calls[-1].count(True) <= 1
+            else:
+                assert calls[-1].count(True) == 2 and calls[-1][-1]
+                failed += 1
+        assert 100 < failed < 1400
+        assert 2000 < sum(map(sum, calls)) < 2150  # 2,150 where stacks rebuilt them
 
     def test_benchmark_searches_make_about_two_chain_calls(self, monkeypatch):
         # The ratio_search workload's searches, 13 a seed for seeds 1 to 40:
