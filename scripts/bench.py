@@ -11,11 +11,12 @@ of host speed reaches every workload alike.  The file holds:
 - for each workload and end-to-end metric, the median and quartiles over
   the runs, each run's value, and whether every run was correct with none
   failed;
-- the median wall time over `--repeats` fresh interpreters of `report`,
-  `critical esd` (at phi_e = 1/2, X states, and at phi_e = 0.37, general
-  states) and `critical ratio`, of a bare `import jcqsim.cli` and of an
-  interpreter that imports nothing, which shows how fast the host started
-  interpreters while the others ran;
+- the median wall time over `--repeats` fresh interpreters of each
+  `figure` preset at its published grid (writing into a scratch
+  directory), of `report`, `critical esd` (at phi_e = 1/2, X states, and
+  at phi_e = 0.37, general states) and `critical ratio`, of a bare
+  `import jcqsim.cli` and of an interpreter that imports nothing, which
+  shows how fast the host started interpreters while the others ran;
 - each of those wall times over the empty interpreter's, which two files
   written while the host ran at different speeds can compare;
 - the code and physical lines of `src/`, by `scripts/src_lines.py`.
@@ -55,8 +56,11 @@ THREAD_PINS = {k: "1" for k in (
 MACHINE_KEYS = ("nproc", "affinity", "python", "numpy", "blas", "threads")
 # Run k of a workload takes seed SEEDS[k % len(SEEDS)].
 SEEDS = (1,)
-# Fresh-process cases: the CLI's commands at small inputs, and their import.
+# Fresh-process cases: the figure presets at their published grids, the CLI's
+# other commands at small inputs, and their import.
 COMMANDS = {
+    **{f"figure_{which}": ["-m", "jcqsim", "figure", which]
+       for which in ("fig2a", "fig2b", "fig3", "fig4", "fig5")},
     "report": ["-m", "jcqsim", "report", "--eps", "1", "--j", "2", "--temp", "0.5"],
     "critical_esd": ["-m", "jcqsim", "critical", "esd", "--v-x", "7.5e-6", "--t-max", "1"],
     "critical_esd_general": ["-m", "jcqsim", "critical", "esd", "--v-x", "7.5e-6",

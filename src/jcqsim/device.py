@@ -421,26 +421,14 @@ def _thermal_rows(table, temperatures) -> tuple:
     return x, entries, states, w, v
 
 
-def _thermal_stack(table, temperatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(thermal states, spectra, eigenvectors) of the rows of a checked
-    coefficient table (N x 5), each at its temperature (N of them), as
-    :func:`_gibbs_states` gives them from one real ``eigh``, except that an
-    X row's state and spectrum are those of :func:`_x_stack`: the entries
-    its sweep row is measured on.
-    """
-    table = np.asarray(table, dtype=float).reshape(-1, 5)
-    temperatures = np.asarray(temperatures, dtype=float)
-    states, p, v = _gibbs_states(*np.linalg.eigh(_hamiltonians(table)), temperatures[:, None])
-    x = _x_rows(table)
-    entries, p[x] = _x_stack(table[x], temperatures[x])
-    states[x] = 0.0  # then rho_11, ..., rho_44, rho_14 = rho_41 and rho_23 = rho_32
-    flat = states.reshape(-1, 16)
-    flat[np.ix_(x, [0, 5, 10, 15, 3, 12, 6, 9])] = entries[:, [0, 1, 2, 3, 4, 4, 5, 5]]
-    return states, p, v
-
-
 def thermal_state(params, temperature: float) -> np.ndarray:
     """Thermal state for device or effective parameters at the given T (K):
-    the real state a sweep row at those controls is measured on."""
+    the real state a sweep row at those controls is measured on, routed by
+    :func:`_thermal_rows` (an X row's state holds its six entries)."""
     temperatures = np.array([ThermalSpec(temperature).temperature])
-    return _thermal_stack(*_coefficient_table(params, {}, temperatures))[0][0]
+    x, entries, states = _thermal_rows(*_coefficient_table(params, {}, temperatures))[:3]
+    if not x[0]:
+        return states[0]
+    state = np.zeros(16)  # rho_11, ..., rho_44, rho_14 = rho_41 and rho_23 = rho_32
+    state[[0, 5, 10, 15, 3, 12, 6, 9]] = entries[0, [0, 1, 2, 3, 4, 4, 5, 5]]
+    return state.reshape(4, 4)

@@ -23,9 +23,9 @@ coefficients, temperature and result are the bits it gets alone, and bad
 input raises the error of the first offending point in axis order.  The two
 searches (bisection for the ESD temperature, golden section for the
 discord-maximizing j/eps) share one driver, :func:`_search`, which measures
-the steps ahead of them as stacks, filled breadth-first; a stack that holds a
-point out of range is measured again as the current step's points alone, so
-a search raises only from a point it reads.  The ESD search
+the steps ahead of them as stacks, filled breadth-first; a stack holds no
+point beyond the search's domain but the current step's own, so a search
+raises only from a point it reads.  The ESD search
 builds no state: it reads each stack's concurrences from the Boltzmann
 spectra and the eigenvectors of its one Hamiltonian
 (:func:`esd_temperature`).  Its first stack is the spine, the midpoints of
@@ -71,7 +71,7 @@ from .device import (
     _hamiltonians,
     _thermal_rows,
 )
-from .errors import BracketError, InvalidParameterError, SpecValidationError
+from .errors import BracketError, SpecValidationError
 
 # The fields each value of a sweep variable sets ("temperature" is the
 # ThermalSpec's), the parameter set it needs as fixed (None takes either) and
@@ -292,7 +292,7 @@ def _require_tol(tol: float, top: float) -> None:
                                   f"one float spacing at {top:g}; got {tol}")
 
 
-def _search(f, state, values, children, decide, tol: float, estimate=None):
+def _search(f, state, values, children, decide, tol: float, estimate=None, bound=math.inf):
     """(bracket, midpoint, value there, iterations) of a bracketing search.
 
     A state is a tuple (lo, hi, *points): its bracket, then the points whose
@@ -315,48 +315,31 @@ def _search(f, state, values, children, decide, tol: float, estimate=None):
     it.  A value does not depend on the stack it is measured in, so every
     decision and result is the bit it would be with one point at a time.
 
-    A stack may hold points the search never reads.  Where ``f`` raises
-    InvalidParameterError on a stack (a point out of range), only the points
-    of the current state are measured, so an error comes from a point that
-    the search reads, as it would one point at a time, and a search that
-    reads no such point returns its result.  Out-of-range points lie above
-    the range (a coupling beyond MAX_ENERGY_K), so later stacks leave out
-    every point at or above the smallest one above every measured point
-    that such a stack left unmeasured, and a state with such a point
-    measures its own points alone: no stack rebuilds a point that raised.
+    ``f`` accepts the points up to ``bound``, its domain.  A stack holds the
+    current state's points, whatever they are, and no other point above
+    ``bound``, so ``f`` raises only from a point that the search reads, as it
+    would one point at a time, and a search raises in its last call alone.
     """
-    cap, limit = 2**SEARCH_DEPTH - 1, math.inf
+    cap = 2**SEARCH_DEPTH - 1
 
     def points(s):
         return (0.5 * (s[0] + s[1]),) if s[1] - s[0] <= tol else s[2:]
 
     def fill(root):  # measure the stack of points ahead of root
-        nonlocal limit
-        needed = [x for x in points(root) if x not in values]
-        ahead, alone = dict.fromkeys(needed), max(needed) >= limit
-        level = [] if alone else [root]
+        ahead, level = dict.fromkeys(x for x in points(root) if x not in values), [root]
         while level and len(ahead) < cap:
-            level = [c for s in level if s[1] - s[0] > tol for c in children(*s) if c[0] < limit]
+            level = [c for s in level if s[1] - s[0] > tol for c in children(*s) if c[0] <= bound]
             ahead.update(dict.fromkeys(
-                x for s in level for x in points(s) if x not in values and x < limit))
+                x for s in level for x in points(s) if x not in values and x <= bound))
         ahead = dict.fromkeys(list(ahead)[:cap])
-        if estimate is not None and not alone:
+        if estimate is not None:
             guess, s = estimate(root), root
             while len(ahead) < 2 * cap + 1 and s[1] - s[0] > tol:
                 first, second = children(*s)
                 s = first if first[0] <= guess <= first[1] else second
-                for x in points(s):
-                    if x not in values and x < limit:
-                        ahead[x] = None
+                ahead.update((x, None) for x in points(s) if x not in values and x <= bound)
         ahead = list(ahead)[: 2 * cap + 1]
-        try:
-            values.update(zip(ahead, f(ahead)))
-        except InvalidParameterError:  # raised only from a point the search reads
-            if len(ahead) == len(needed):
-                raise
-            values.update(zip(needed, f(needed)))
-            top, suspects = max(values), [x for x in ahead if x not in values]
-            limit = min([x for x in suspects if x > top] or suspects)
+        values.update(zip(ahead, f(ahead)))
 
     def read(root):  # a stack of one point may leave one of root's two
         while True:
@@ -437,9 +420,11 @@ def _bisection(f, t_max: float, tol: float) -> CriticalPoint:
     return CriticalPoint("esd_temperature", location, value_at, bracket, iterations)
 
 
-def _golden_section(f, a0: float, b0: float, tol: float, estimate=None) -> CriticalPoint:
-    """:func:`optimal_ratio` for the values f (a list of ratios to their
-    discords) gives, its stacks filled breadth-first by :func:`_search`.
+def _golden_section(f, a0: float, b0: float, tol: float, estimate=None,
+                    bound=math.inf) -> CriticalPoint:
+    """:func:`optimal_ratio` for the values f (a list of ratios up to
+    ``bound`` to their discords) gives, its stacks filled breadth-first by
+    :func:`_search`.
 
     ``estimate``, if given, maps a point to (value, band), f's value within
     band, or to None.  From the first step, a step whose two estimates differ
@@ -469,7 +454,7 @@ def _golden_section(f, a0: float, b0: float, tol: float, estimate=None) -> Criti
         steps += 1
 
     bracket, location, value_at, iterations = _search(
-        f, state, values, children, lambda fc, fd: fc >= fd, tol)
+        f, state, values, children, lambda fc, fd: fc >= fd, tol, bound=bound)
     return CriticalPoint(
         "optimal_ratio", location, value_at, bracket, steps + iterations,
         boundary=location <= a0 + 10.0 * tol or location >= b0 - 10.0 * tol,
@@ -635,8 +620,9 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
     value at the midpoint always is: about 2 stacks at the default tol over
     (0.1, 50), 10 on the stacks alone.  A stack is measured as one chunk of
     a ratio sweep (:func:`_chunk_measures`), with no table around it, so each
-    decision and value is the one ratio-sweep rows give, and a ratio above
-    MAX_ENERGY_K raises only where the search reads it.
+    decision and value is the one ratio-sweep rows give.  At eps = 1, j12 is
+    the ratio itself, so MAX_ENERGY_K bounds the search's domain: no stack
+    holds a ratio above it that the search does not read.
     """
     a0, b0 = float(bracket[0]), float(bracket[1])
     if not 0.0 < a0 < b0 < math.inf:
@@ -648,7 +634,7 @@ def optimal_ratio(t: float, bracket: tuple[float, float], tol: float = 1e-6) -> 
         settings = [("ratio_j_over_eps", np.array(ratios))]
         return _chunk_measures(fixed, thermal, settings, ("discord",))["discord"].tolist()
 
-    return _golden_section(discords, a0, b0, tol, lambda ratio: _x_discord(ratio, t))
+    return _golden_section(discords, a0, b0, tol, lambda ratio: _x_discord(ratio, t), MAX_ENERGY_K)
 
 
 FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5")

@@ -33,8 +33,10 @@ def test_writes_a_bench_file_with_every_key(tmp_path):
     for metric in workload["metrics"].values():
         assert set(metric) == {"unit", "median", "q1", "q3", "runs"}
         assert len(metric["runs"]) == 1 and metric["q1"] == metric["median"] == metric["q3"] > 0
-    assert set(bench["wall_s"]) == {"report", "critical_esd", "critical_esd_general",
-                                    "critical_ratio", "import", "interpreter"}
+    assert set(bench["wall_s"]) == {"figure_fig2a", "figure_fig2b", "figure_fig3",
+                                    "figure_fig4", "figure_fig5", "report", "critical_esd",
+                                    "critical_esd_general", "critical_ratio", "import",
+                                    "interpreter"}
     assert all(t > 0 for t in bench["wall_s"].values())
     assert bench["wall_per_interpreter"] == {
         name: t / bench["wall_s"]["interpreter"]

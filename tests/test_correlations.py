@@ -862,8 +862,8 @@ class TestGeneralMaximizer:
             "v_x1": rng.uniform(5e-6, 1.2e-4, count), "v_x2": rng.uniform(5e-6, 1.2e-4, count),
             "phi_x1": rng.uniform(0.0, 1.0, count), "phi_x2": rng.uniform(0.0, 1.0, count)}
         table = device._coefficient_table(DeviceParams(), changes, np.full(count, temperature))
-        states, _, vectors = device._thermal_stack(*table)
-        assert not correlations._x_entries(states)[0].any()
+        x, _, states, _, vectors = device._thermal_rows(*table)
+        assert not x.any() and not correlations._x_entries(states)[0].any()
         assert states.dtype == float and vectors.dtype == float
         assert exactly_real(states).all()
 

@@ -272,7 +272,8 @@ class TestGibbsState:
 
 
 class TestThermalStates:
-    """The stacked builder gives each state exactly what it gets alone."""
+    """The routed builder gives each state exactly what it gets alone, and
+    thermal_state the state its row is measured on."""
 
     def test_each_state_equals_gibbs_state(self):
         rng = np.random.default_rng(12)
@@ -285,28 +286,40 @@ class TestThermalStates:
             *(EffectiveParams(*rng.uniform(-3.0, 3.0, size=5)) for _ in range(11)),
         ]
         effs = [p if isinstance(p, EffectiveParams) else effective_params(p) for p in params]
-        table = [device._row(eff) for eff in effs]
-        # The stack is built exactly real symmetric, so _thermal_stack does not
+        table = np.array([device._row(eff) for eff in effs])
+        # The stack is built exactly real symmetric, so _thermal_rows does not
         # check it, and diagonalizes it in real arithmetic.
         h = device._hamiltonians(table)
         assert h.dtype == float
         assert np.array_equal(h, h.swapaxes(1, 2))
         for temperature in (0.0, 5e-324, 1e-3, 0.5, 40.0):
-            temperatures = [temperature] * len(params)
+            temperatures = np.full(len(params), temperature)
             # A temperature sweep mixes T = 0 and T > 0 in one stack.
-            temperatures[::3] = [0.0] * len(temperatures[::3])
-            stack, spectra, vectors = device._thermal_stack(table, temperatures)
-            assert stack.shape == (len(params), 4, 4) and stack.dtype == float
-            assert spectra.shape == (len(params), 4)
-            assert vectors.shape == (len(params), 4, 4) and vectors.dtype == float
-            for p, eff, row, t, rho, w, v in zip(params, effs, table, temperatures, stack,
-                                                 spectra, vectors):
-                alone, w_alone, v_alone = device._thermal_stack([row], [t])
-                assert np.array_equal(rho, alone[0]) and np.array_equal(w, w_alone[0])
-                assert np.array_equal(v, v_alone[0])
-                # The state is V P V^T, P the diagonal of its spectrum.
-                assert np.abs((v * w) @ v.T - rho).max() <= 1e-15
-                assert np.array_equal(rho, thermal_state(p, t))
+            temperatures[::3] = 0.0
+            x, entries, states, spectra, vectors = device._thermal_rows(table, temperatures)
+            assert x.tolist() == [True] * 4 + [False] * 12
+            assert entries.shape == (4, 6) and spectra.shape == (len(params), 4)
+            assert states.shape == (12, 4, 4) and states.dtype == float
+            assert vectors.shape == (12, 4, 4) and vectors.dtype == float
+            xs, others = iter(entries), iter(zip(states, vectors))
+            for p, eff, row, t, is_x, w in zip(params, effs, table, temperatures, x, spectra):
+                alone = device._thermal_rows(row[None], np.array([t]))
+                assert np.array_equal(w, alone[3][0])
+                rho = thermal_state(p, t)
+                assert rho.dtype == float
+                if is_x:
+                    e = next(xs)
+                    assert np.array_equal(e, alone[1][0])
+                    # Its six entries, rho_41 = rho_14, rho_32 = rho_23, zeros else.
+                    x_part = rho[[0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]]
+                    assert np.array_equal(x_part, e[[0, 1, 2, 3, 4, 4, 5, 5]])
+                    assert np.count_nonzero(rho) == np.count_nonzero(x_part)
+                else:
+                    state, v = next(others)
+                    assert np.array_equal(state, alone[2][0]) and np.array_equal(v, alone[4][0])
+                    assert np.array_equal(rho, state)
+                    # The state is V P V^T, P the diagonal of its spectrum.
+                    assert np.abs((v * w) @ v.T - rho).max() <= 1e-15
                 # The complex definitional state, to round-off, and its spectrum
                 # (w is in the order of the energy levels).
                 direct = gibbs_state(build_hamiltonian(eff), ThermalSpec(t))
@@ -315,8 +328,20 @@ class TestThermalStates:
                 assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_stack(self):
-        states, spectra, vectors = device._thermal_stack([], [])
-        assert (states.shape, spectra.shape, vectors.shape) == ((0, 4, 4), (0, 4), (0, 4, 4))
+        x, entries, states, spectra, vectors = device._thermal_rows(np.empty((0, 5)), np.empty(0))
+        shapes = x.shape, entries.shape, states.shape, spectra.shape, vectors.shape
+        assert shapes == ((0,), (0, 6), (0, 4, 4), (0, 4), (0, 4, 4))
+
+    def test_x_state_diagonalizes_nothing(self, monkeypatch):
+        # An X row's state is scattered from its closed-form entries; the
+        # other rows still take one eigh.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+        for t in (0.0, 1e-3, 0.01, 0.5, 40.0):
+            thermal_state(DeviceParams(), t)
+            assert calls == []
+        thermal_state(DeviceParams(phi_e=0.3), 0.01)
+        assert calls == [1]
 
     def test_random_hamiltonians_equal_gibbs_state(self):
         rng = np.random.default_rng(13)

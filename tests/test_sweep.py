@@ -773,7 +773,8 @@ def _stack_every_ratio_step(patch):
     """Have optimal_ratio leave every step to the stacked driver."""
     golden_section = sweep._golden_section
     patch.setattr(sweep, "_golden_section",
-                  lambda f, a0, b0, tol, estimate=None: golden_section(f, a0, b0, tol))
+                  lambda f, a0, b0, tol, estimate=None, bound=math.inf:
+                  golden_section(f, a0, b0, tol, bound=bound))
 
 
 def _stacked_ratio(patch, t, bracket, tol):
@@ -1310,9 +1311,9 @@ class TestXRatioSearch:
             estimates.append((t, x_discord(ratio, t)))
             return estimates[-1][1]
 
-        def recorded_search(f, state, values, children, decide, tol):
+        def recorded_search(f, state, values, children, decide, tol, bound):
             handed.append(state[1] - state[0] > tol)
-            return search(f, state, values, children, decide, tol)
+            return search(f, state, values, children, decide, tol, bound=bound)
 
         with monkeypatch.context() as patch:
             patch.setattr(sweep, "_x_discord", recorded)
@@ -1348,11 +1349,10 @@ class TestXRatioSearch:
             points += isinstance(plain, CriticalPoint)
         assert 100 < points < 1400
 
-    def test_no_stack_rebuilds_points_that_raised(self, monkeypatch):
-        # After a stack raises, later stacks leave out the points above the
-        # range, so a search that returns raised once at most, and one that
-        # fails raised in its last two calls alone: its stack, then the
-        # points it reads.
+    def test_only_the_last_call_of_a_failing_search_raises(self, monkeypatch):
+        # Stacks leave out the ratios above MAX_ENERGY_K but the current
+        # state's own, so a search that returns made no raising call, and one
+        # that fails raised once, in its last call: the points it reads.
         calls, chain = [], sweep._chunk_measures
 
         def counted(*args):
@@ -1369,12 +1369,12 @@ class TestXRatioSearch:
         for case in _straddling_ratio_cases():
             calls.append([])
             if isinstance(_ratio_outcome(*case), CriticalPoint):
-                assert calls[-1].count(True) <= 1
+                assert not any(calls[-1])
             else:
-                assert calls[-1].count(True) == 2 and calls[-1][-1]
+                assert calls[-1].count(True) == 1 and calls[-1][-1]
                 failed += 1
-        assert 100 < failed < 1400
-        assert 2000 < sum(map(sum, calls)) < 2150  # 2,150 where stacks rebuilt them
+        assert sum(map(sum, calls)) == failed == 842  # 2,141 where stacks retried
+        assert sum(map(len, calls)) < 8000  # 9,617 where stacks retried
 
     def test_benchmark_searches_make_about_two_chain_calls(self, monkeypatch):
         # The ratio_search workload's searches, 13 a seed for seeds 1 to 40:
