@@ -337,7 +337,7 @@ def _search(f, state, values, children, decide, tol: float, estimate=None, bound
             while len(ahead) < 2 * cap + 1 and s[1] - s[0] > tol:
                 first, second = children(*s)
                 s = first if first[0] <= guess <= first[1] else second
-                ahead.update((x, None) for x in points(s) if x not in values and x <= bound)
+                ahead.update(dict.fromkeys(x for x in points(s) if x not in values and x <= bound))
         ahead = list(ahead)[: 2 * cap + 1]
         values.update(zip(ahead, f(ahead)))
 
